@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
 
 from . import clustering, labeling
 from .cocitation import NetworkConfig, build_network, network_stats
-from .errors import CiteCascadeError, EmptyDatasetError, ValidationError
+from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
 from .overlay import OverlayProjection, coverage_report, overlap_matrix, project_overlay
 from .records import Dataset, RecordStore, dataset_union, year_distribution
 from .render import layout, render_distribution, render_map, wrap_html
-from .session import Session
+from .session import Session, check_name
 from .sources import CitationSnapshot, SourceQuery
 
 EXIT_OK = 0
@@ -34,6 +35,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line, machine-parseable
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # a ValueError becomes argparse's "invalid value" error
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number: {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -74,13 +82,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("network", help="build a co-citation network from a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--name", help="network name (default: dataset name)")
-    p.add_argument("--lrf", type=float, default=None)
+    p.add_argument("--lrf", type=_finite_float, default=None)
     p.add_argument("--lby", type=int, default=None)
     p.add_argument("--no-lby", action="store_true", help="disable the look-back bound")
     p.add_argument("--min-citations", type=int, default=None)
     p.add_argument("--top-n", type=int, default=None)
     p.add_argument("--slice-years", type=int, default=None)
-    p.add_argument("--e-param", type=float, default=None, help="recorded, unused")
+    p.add_argument("--e-param", type=_finite_float, default=None, help="recorded, unused")
 
     p = sub.add_parser("cluster", help="detect, score, and label communities")
     p.add_argument("--network", required=True)
@@ -151,12 +159,14 @@ def _dataset_year_range(dataset: Dataset, store: RecordStore) -> str:
 
 
 def _cmd_ingest(args, session: Session) -> int:
+    if args.dataset is not None:
+        check_name(args.dataset)  # before the store changes
     store = session.load_store()
     report = store.ingest(args.path, args.format)
     session.append_store_delta(store, report.changed_ids)
     report_path = session.report_path(f"{Path(args.path).stem}.load-report.csv")
     report_path.write_text(report.to_csv(), encoding="utf-8")
-    if args.dataset:
+    if args.dataset is not None:
         dataset = Dataset(
             name=args.dataset,
             member_ids=set(report.loaded_ids),
@@ -267,7 +277,8 @@ def _cmd_cluster(args, session: Session) -> int:
         silhouettes = clustering.silhouette(network, partition)
     partition.cluster_silhouettes = silhouettes.cluster_scores
     partition.mean_silhouette = silhouettes.mean
-    labeling.label_all_clusters(partition, network, snapshot)
+    phrase_index = labeling.PhraseIndex(snapshot)
+    labeling.label_all_clusters(partition, network, snapshot, phrase_index=phrase_index)
 
     payload_level1 = partition.to_json_dict()
     for cluster in payload_level1["clusters"]:
@@ -288,14 +299,16 @@ def _cmd_cluster(args, session: Session) -> int:
                 warnings.simplefilter("ignore")
                 sub = clustering.sub_cluster(members, network, index)
             subnetwork = clustering.induced_subnetwork(network, members)
-            labeling.label_all_clusters(sub, subnetwork, snapshot, background_members=members)
+            labeling.label_all_clusters(
+                sub, subnetwork, snapshot, background_members=members, phrase_index=phrase_index
+            )
             level2[str(index)] = sub.to_json_dict()
         payload["level2"] = level2
 
     concept_json: dict[str, dict] = {}
     concept_text_parts: list[str] = []
     for index in top_indices:
-        tree = labeling.build_concept_tree(clusters[index], snapshot)
+        tree = labeling.build_concept_tree(clusters[index], snapshot, phrase_index=phrase_index)
         concept_json[str(index)] = tree.to_json_dict()
         label = partition.labels.get(index, "")
         concept_text_parts.append(f"== cluster #{index} {label}\n{tree.to_text()}")
@@ -462,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         session = Session(args.session)
         with session.lock():
             return _HANDLERS[args.command](args, session)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValidationError, EmptyDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

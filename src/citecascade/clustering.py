@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocitation import CoCitationNetwork
+from .cocitation import CoCitationNetwork, network_arrays
 from .errors import ValidationError
 from .sources import CitationSnapshot
 
@@ -210,45 +210,71 @@ def silhouette(network: CoCitationNetwork, partition: ClusterPartition) -> Silho
     Profiles are rows of the weighted adjacency matrix. A zero profile has
     cosine similarity 0 to everything (distance 1). Singleton clusters score
     0 by convention; a single-cluster partition scores 0 with a warning.
+
+    Cosine similarity is non-zero only between nodes that share a neighbour,
+    so no n x n matrix is built. For each shared neighbour m, every pair of
+    m's neighbours (i, j) adds u_i[m] * u_j[m] to dot[i, cluster(j)], where u
+    is the unit profile. The mean distance from i to cluster c is then
+    (|c| - dot[i, c]) / |c|; a cluster no two-hop neighbour of i belongs to
+    sits at distance exactly 1; a_i leaves out i's own term 1 - u_i . u_i.
+    Time and memory are O(links + sum over m of deg(m)^2).
     """
-    node_ids = sorted(network.nodes)
-    index = {n: i for i, n in enumerate(node_ids)}
     clusters = partition.clusters()
     if len(clusters) < 2:
         warnings.warn("silhouette of a single-cluster partition is 0 by definition", stacklevel=2)
-        node_scores = {n: 0.0 for n in node_ids}
+        node_scores = {n: 0.0 for n in sorted(network.nodes)}
         return SilhouetteResult(node_scores, {i: 0.0 for i in range(len(clusters))}, 0.0)
 
-    n = len(node_ids)
-    adjacency = np.zeros((n, n), dtype=float)
-    for (a, b), info in network.edges.items():
-        adjacency[index[a], index[b]] = info.weight
-        adjacency[index[b], index[a]] = info.weight
-    norms = np.linalg.norm(adjacency, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = adjacency / safe[:, None]
-    distance = 1.0 - unit @ unit.T  # rows with zero norm stay all-ones (sim 0)
+    arrays = network_arrays(network)
+    n, k = len(arrays.node_ids), len(clusters)
+    member_idx = [np.array(sorted(arrays.index[m] for m in c), dtype=np.intp) for c in clusters]
+    sizes = np.array([len(idxs) for idxs in member_idx], dtype=float)
+    cluster_of = np.full(n, -1, dtype=np.intp)
+    for ci, idxs in enumerate(member_idx):
+        cluster_of[idxs] = ci
 
-    member_idx = [np.array(sorted(index[m] for m in c), dtype=int) for c in clusters]
+    # Entry e of row m holds u_i[m] for its column i (the profile is symmetric).
+    rows, cols = arrays.rows, arrays.cols
+    norms = np.sqrt(np.bincount(rows, weights=arrays.weights**2, minlength=n))
+    unit = arrays.weights / np.where(norms > 0, norms, 1.0)[cols]
+    self_dot = np.bincount(cols, weights=unit**2, minlength=n)
+
+    # Every ordered pair of entries within one row: sum over m of deg(m)^2.
+    degree = np.diff(arrays.indptr)
+    reps = degree[rows]
+    first = np.repeat(np.arange(len(rows)), reps)
+    block_start = np.repeat(np.cumsum(reps) - reps, reps)
+    second = arrays.indptr[rows[first]] + np.arange(len(first)) - block_start
+    i_node, j_cluster = cols[first], cluster_of[cols[second]]
+    keep = (cluster_of[i_node] >= 0) & (j_cluster >= 0)
+    keys, inverse = np.unique(i_node[keep] * k + j_cluster[keep], return_inverse=True)
+    dot = np.bincount(inverse, weights=(unit[first] * unit[second])[keep], minlength=len(keys))
+    key_node, key_cluster = keys // k, keys % k
+
+    own = key_cluster == cluster_of[key_node]
+    own_dot = np.zeros(n)
+    own_dot[key_node[own]] = dot[own]
+    other = ~own
+    mean_other = (sizes[key_cluster[other]] - dot[other]) / sizes[key_cluster[other]]
+    b = np.full(n, np.inf)
+    np.minimum.at(b, key_node[other], mean_other)
+    touched = np.bincount(key_node[other], minlength=n)
+    b = np.where(touched < k - 1, np.minimum(b, 1.0), b)  # an untouched cluster is at 1
+
     node_scores: dict[str, float] = {}
     cluster_scores: dict[int, float] = {}
     for ci, idxs in enumerate(member_idx):
         scores = []
         for i in idxs:
             if len(idxs) == 1:
-                node_scores[node_ids[i]] = 0.0
+                node_scores[arrays.node_ids[i]] = 0.0
                 scores.append(0.0)
                 continue
-            own = idxs[idxs != i]
-            a_i = float(distance[i, own].mean())
-            b_i = min(
-                float(distance[i, other].mean())
-                for cj, other in enumerate(member_idx)
-                if cj != ci
-            )
+            a_i = float((len(idxs) - 1 - (own_dot[i] - self_dot[i])) / (len(idxs) - 1))
+            b_i = float(b[i])
             denom = max(a_i, b_i)
             s_i = (b_i - a_i) / denom if denom > 0 else 0.0
-            node_scores[node_ids[i]] = s_i
+            node_scores[arrays.node_ids[i]] = s_i
             scores.append(s_i)
         cluster_scores[ci] = sum(scores) / len(scores)
     mean = sum(cluster_scores.values()) / len(cluster_scores)

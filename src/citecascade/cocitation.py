@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import EmptyDatasetError, ValidationError
 from .records import Dataset
 from .sources import CitationSnapshot
@@ -40,8 +42,12 @@ class NetworkConfig:
     e_param: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lrf <= 0:
-            raise ValidationError("lrf must be positive")
+        if not math.isfinite(self.lrf) or self.lrf <= 0:
+            raise ValidationError("lrf must be a finite positive number")
+        if self.e_param is not None and not (
+            isinstance(self.e_param, (int, float)) and math.isfinite(self.e_param)
+        ):
+            raise ValidationError("e_param must be a finite number when set")
         if self.lby is not None and self.lby < 1:
             raise ValidationError("lby must be >= 1 when set")
         if self.top_n < 1 or self.slice_years < 1:
@@ -116,15 +122,6 @@ class CoCitationNetwork:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def neighbors(self, node: str) -> list[str]:
-        out = []
-        for (a, b) in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
 
     def adjacency(self) -> dict[str, dict[str, float]]:
         adj: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
@@ -247,6 +244,41 @@ class CoCitationNetwork:
         return cls(nodes, edges, config)
 
 
+class NetworkArrays(NamedTuple):
+    """The weighted adjacency in compressed sparse rows over sorted node ids.
+
+    Every link appears once per direction (a self-loop once), ordered by row
+    then column, so ``cols[indptr[i]:indptr[i + 1]]`` and the matching
+    ``weights`` are node i's co-citation profile.
+    """
+
+    node_ids: list[str]
+    index: dict[str, int]
+    indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+
+def network_arrays(network: CoCitationNetwork) -> NetworkArrays:
+    """Sorted-id index and symmetric edge arrays; O(links) time and memory."""
+    node_ids = sorted(network.nodes)
+    index = {n: i for i, n in enumerate(node_ids)}
+    m = len(network.edges)
+    a = np.fromiter((index[a] for a, _b in network.edges), dtype=np.intp, count=m)
+    b = np.fromiter((index[b] for _a, b in network.edges), dtype=np.intp, count=m)
+    w = np.fromiter((info.weight for info in network.edges.values()), dtype=float, count=m)
+    back = a != b
+    rows = np.concatenate([a, b[back]])
+    cols = np.concatenate([b, a[back]])
+    weights = np.concatenate([w, w[back]])
+    order = np.lexsort((cols, rows))
+    rows, cols, weights = rows[order], cols[order], weights[order]
+    indptr = np.zeros(len(node_ids) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=len(node_ids)), out=indptr[1:])
+    return NetworkArrays(node_ids, index, indptr, rows, cols, weights)
+
+
 # -- construction --------------------------------------------------------------
 
 
@@ -324,21 +356,14 @@ def _count_pairs(citers: list[str], snapshot: CitationSnapshot, config: NetworkC
 
 
 def build_network(
-    dataset: Dataset,
-    snapshot: CitationSnapshot,
-    config: NetworkConfig,
-    per_slice_prune: bool = False,
+    dataset: Dataset, snapshot: CitationSnapshot, config: NetworkConfig
 ) -> CoCitationNetwork:
     """Aggregate co-citation pairs over all selected citers, then prune.
 
     Edge weight = number of distinct citers co-citing the pair;
     first_cocited_year = earliest such citer's year. Node attributes count
-    citations from all dataset members (not just selected citers).
-
-    Pruning is global by default (one link-to-node ratio for the merged
-    network). ``per_slice_prune`` instead bounds each slice's pair set by
-    lrf x (that slice's node count) before merging, for per-slice parity
-    experiments; no global prune follows.
+    citations from all dataset members (not just selected citers). Pruning
+    applies one link-to-node ratio to the merged network.
     """
     if not dataset.member_ids:
         raise EmptyDatasetError(f"dataset {dataset.name!r} is empty")
@@ -346,26 +371,12 @@ def build_network(
 
     pair_weight: dict[tuple[str, str], int] = {}
     pair_year: dict[tuple[str, str], int] = {}
-    if per_slice_prune:
-        for (_interval, citers) in slices:
-            slice_weight, slice_year = _count_pairs(citers, snapshot, config)
-            slice_nodes = {n for pair in slice_weight for n in pair}
-            bound = math.floor(config.lrf * len(slice_nodes))
-            ranked = sorted(
-                slice_weight.items(),
-                key=lambda item: (-item[1], slice_year[item[0]], item[0]),
-            )
-            for pair, weight in ranked[:bound]:
-                pair_weight[pair] = pair_weight.get(pair, 0) + weight
-                if pair not in pair_year or slice_year[pair] < pair_year[pair]:
-                    pair_year[pair] = slice_year[pair]
-    else:
-        for (_interval, citers) in slices:
-            slice_weight, slice_year = _count_pairs(citers, snapshot, config)
-            for pair, weight in slice_weight.items():
-                pair_weight[pair] = pair_weight.get(pair, 0) + weight
-                if pair not in pair_year or slice_year[pair] < pair_year[pair]:
-                    pair_year[pair] = slice_year[pair]
+    for (_interval, citers) in slices:
+        slice_weight, slice_year = _count_pairs(citers, snapshot, config)
+        for pair, weight in slice_weight.items():
+            pair_weight[pair] = pair_weight.get(pair, 0) + weight
+            if pair not in pair_year or slice_year[pair] < pair_year[pair]:
+                pair_year[pair] = slice_year[pair]
 
     if not pair_weight:
         warnings.warn(f"dataset {dataset.name!r} produced no co-citation pairs", stacklevel=2)
@@ -394,31 +405,7 @@ def build_network(
     network = CoCitationNetwork(
         nodes, edges, config, [SliceInfo(s[0][0], s[0][1], s[1]) for s in slices]
     )
-    if per_slice_prune:
-        return network
     return prune_links(network, config.lrf)
-
-
-def normalize_weights(network: CoCitationNetwork, method: str = "cosine") -> CoCitationNetwork:
-    """Optional post-pass: replace raw co-citation counts with a normalized strength.
-
-    cosine: w / sqrt(count_a * count_b); dice: 2w / (count_a + count_b), with
-    counts taken from the nodes' within-dataset citation counts. Raw counts
-    stay the default everywhere; this exists for similarity-style analyses.
-    """
-    if method not in ("cosine", "dice"):
-        raise ValidationError(f"unknown normalization: {method}")
-    edges: dict[tuple[str, str], EdgeInfo] = {}
-    for (a, b), info in network.edges.items():
-        count_a = network.nodes[a].count
-        count_b = network.nodes[b].count
-        if method == "cosine":
-            denominator = math.sqrt(count_a * count_b)
-        else:
-            denominator = (count_a + count_b) / 2.0
-        weight = info.weight / denominator if denominator > 0 else 0.0
-        edges[(a, b)] = EdgeInfo(weight, info.first_cocited_year)
-    return CoCitationNetwork(dict(network.nodes), edges, network.config, list(network.slices))
 
 
 def prune_links(network: CoCitationNetwork, lrf: float | None = None) -> CoCitationNetwork:

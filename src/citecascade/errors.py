@@ -26,3 +26,7 @@ class EmptyDatasetError(CiteCascadeError):
 
 class ValidationError(CiteCascadeError):
     """Arguments or configuration violate an operation's preconditions."""
+
+
+class UsageError(CiteCascadeError):
+    """A command-line argument is malformed (exit code 2, like argparse errors)."""

@@ -5,14 +5,24 @@ from lowercased, punctuation-stripped text. A cluster's label is the phrase
 most strongly associated with the cluster's citing articles, scored by the
 log-likelihood ratio against all citing articles; concept trees organize
 phrases by token containment with document-frequency support.
+
+Cost: one ``PhraseIndex`` per command tokenizes each distinct citer text
+once. Labeling a partition counts the background's document frequencies
+once, then each cluster only its own citers' phrase sets; out-of-cluster
+counts are background minus cluster. So labeling all clusters costs
+O(citation links into the network x phrases per title), not one background
+rescan per cluster; memory is one phrase set per distinct text.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import combinations
 
 from .cocitation import CoCitationNetwork
 from .sources import CitationSnapshot
@@ -60,6 +70,34 @@ def phrase_document_frequencies(texts: list[str]) -> dict[str, int]:
     return df
 
 
+class PhraseIndex:
+    """Phrase sets of citing-article texts; each distinct text is tokenized once.
+
+    Labels read citer titles and concept trees read title + abstract, so one
+    index shared by every cluster of a command serves both.
+    """
+
+    def __init__(self, snapshot: CitationSnapshot):
+        self.snapshot = snapshot
+        self._phrases: dict[str, frozenset[str]] = {}
+
+    def phrases(self, text: str) -> frozenset[str]:
+        found = self._phrases.get(text)
+        if found is None:
+            found = self._phrases[text] = frozenset(extract_phrases(text))
+        return found
+
+    def frequencies(self, texts: Iterable[str]) -> Counter[str]:
+        """Document frequencies, as ``phrase_document_frequencies`` counts them."""
+        df: Counter[str] = Counter()
+        for text in texts:
+            df.update(self.phrases(text))
+        return df
+
+    def title_frequencies(self, citers: Iterable[str]) -> Counter[str]:
+        return self.frequencies(self.snapshot.record(c).title for c in citers)
+
+
 def log_likelihood_ratio(k11: int, k12: int, k21: int, k22: int) -> float:
     """Dunning's G-squared for a 2x2 contingency table (0*ln(0) = 0)."""
 
@@ -94,6 +132,9 @@ def label_cluster(
     snapshot: CitationSnapshot,
     index: int,
     background_citers: set[str] | None = None,
+    *,
+    phrase_index: PhraseIndex | None = None,
+    background_df: Mapping[str, int] | None = None,
 ) -> str:
     """Best-associated phrase from titles of articles citing the cluster.
 
@@ -102,23 +143,30 @@ def label_cluster(
     background is supplied); only overrepresented phrases qualify. Ties break
     by frequency, then alphabetically. Falls back to the most frequent title
     bigram, then to "unlabeled-<index>".
+
+    ``phrase_index`` and ``background_df`` (the title document frequencies of
+    the background citers) let callers labeling many clusters share them.
     """
     cluster_citers = _citers_of(cluster_members, snapshot)
     if not cluster_citers:
         return f"unlabeled-{index}"
     if background_citers is None:
         background_citers = _citers_of(set(network.nodes), snapshot)
-    other_citers = background_citers - cluster_citers
+    if phrase_index is None:
+        phrase_index = PhraseIndex(snapshot)
+    if background_df is None:
+        background_df = phrase_index.title_frequencies(background_citers)
 
-    cluster_titles = [snapshot.record(c).title for c in sorted(cluster_citers)]
-    other_titles = [snapshot.record(c).title for c in sorted(other_citers)]
-    df_cluster = phrase_document_frequencies(cluster_titles)
-    df_other = phrase_document_frequencies(other_titles)
-    n_cluster, n_other = len(cluster_titles), len(other_titles)
+    df_cluster = phrase_index.title_frequencies(cluster_citers)
+    inside = cluster_citers & background_citers
+    df_inside = df_cluster
+    if len(inside) < len(cluster_citers):
+        df_inside = phrase_index.title_frequencies(inside)
+    n_cluster, n_other = len(cluster_citers), len(background_citers) - len(inside)
 
     best: tuple[float, int, str] | None = None
     for phrase, k11 in df_cluster.items():
-        k12 = df_other.get(phrase, 0)
+        k12 = background_df.get(phrase, 0) - df_inside.get(phrase, 0)
         k21 = n_cluster - k11
         k22 = n_other - k12
         observed_rate = k11 / n_cluster
@@ -143,14 +191,22 @@ def label_cluster(
 def label_all_clusters(
     partition, network: CoCitationNetwork, snapshot: CitationSnapshot,
     background_members: set[str] | None = None,
+    phrase_index: PhraseIndex | None = None,
 ) -> None:
-    """Fill partition.labels for every cluster (in place)."""
+    """Fill partition.labels for every cluster (in place).
+
+    The background's document frequencies are counted once for all clusters.
+    """
     background = _citers_of(
         background_members if background_members is not None else set(network.nodes), snapshot
     )
+    if phrase_index is None:
+        phrase_index = PhraseIndex(snapshot)
+    background_df = phrase_index.title_frequencies(background)
     for index, members in enumerate(partition.clusters()):
         partition.labels[index] = label_cluster(
-            members, network, snapshot, index, background_citers=background
+            members, network, snapshot, index, background_citers=background,
+            phrase_index=phrase_index, background_df=background_df,
         )
 
 
@@ -200,6 +256,7 @@ def build_concept_tree(
     cluster_members: set[str],
     snapshot: CitationSnapshot,
     min_support: int = 1,
+    phrase_index: PhraseIndex | None = None,
 ) -> ConceptTree:
     """Containment hierarchy of phrases from citing articles' titles+abstracts.
 
@@ -220,24 +277,31 @@ def build_concept_tree(
     if not texts:
         return ConceptTree()
 
-    support = {p: n for p, n in phrase_document_frequencies(texts).items() if n >= min_support}
+    if phrase_index is None:
+        phrase_index = PhraseIndex(snapshot)
+    support = {p: n for p, n in phrase_index.frequencies(texts).items() if n >= min_support}
     if not support:
         return ConceptTree()
 
+    # A parent's token set is a subset of its child's (at most
+    # 2^MAX_PHRASE_TOKENS - 1 of them), so candidates are looked up, not scanned.
+    words = {phrase: phrase.split() for phrase in support}
+    by_tokens: dict[frozenset[str], list[str]] = {}
+    for phrase, tokens in words.items():
+        by_tokens.setdefault(frozenset(tokens), []).append(phrase)
     nodes = {phrase: ConceptNode(phrase, count) for phrase, count in support.items()}
     roots: list[ConceptNode] = []
     for phrase in sorted(support):
-        tokens = set(phrase.split())
-        length = len(phrase.split())
+        distinct = sorted(set(words[phrase]))
         candidates = [
             q
-            for q in support
-            if len(q.split()) < length
-            and set(q.split()) <= tokens
-            and support[q] >= support[phrase]
+            for size in range(1, len(distinct) + 1)
+            for subset in combinations(distinct, size)
+            for q in by_tokens.get(frozenset(subset), ())
+            if len(words[q]) < len(words[phrase]) and support[q] >= support[phrase]
         ]
         if candidates:
-            parent = sorted(candidates, key=lambda q: (-support[q], -len(q.split()), q))[0]
+            parent = min(candidates, key=lambda q: (-support[q], -len(words[q]), q))
             nodes[parent].children.append(nodes[phrase])
         else:
             roots.append(nodes[phrase])

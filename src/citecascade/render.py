@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterPartition
-from .cocitation import CoCitationNetwork, connected_components_traversal
+from .cocitation import CoCitationNetwork, connected_components_traversal, network_arrays
 from .errors import ValidationError
 from .overlay import OverlayProjection
 from .records import YearDistribution
@@ -82,40 +82,63 @@ def blend_colors(colors: list[str]) -> str:
 # -- layout ----------------------------------------------------------------------
 
 LAYOUT_ITERATIONS = 50
+LAYOUT_BLOCK = 128  # rows of the force computation held in memory at once
 
 
 def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, float]]:
     """Seeded force-directed positions with disconnected components separated.
 
     Fixed iteration budget; identical network+seed gives identical positions.
+    Each iteration computes repulsion and attraction (Fruchterman & Reingold
+    1991) for ``LAYOUT_BLOCK`` rows at a time against all positions, so time
+    is O(iterations x n^2) but memory is O(n x block + links); no n x n array
+    is built. The per-row arithmetic does not depend on the block size.
     """
-    node_ids = sorted(network.nodes)
+    arrays = network_arrays(network)
+    node_ids, index = arrays.node_ids, arrays.index
     if not node_ids:
         raise ValidationError("cannot lay out an empty network")
     if len(node_ids) == 1:
         return {node_ids[0]: (0.0, 0.0)}
 
-    index = {n: i for i, n in enumerate(node_ids)}
     n = len(node_ids)
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.0, 1.0, size=(n, 2))
 
-    adjacency = np.zeros((n, n))
-    for (a, b), info in network.edges.items():
-        adjacency[index[a], index[b]] = info.weight
-        adjacency[index[b], index[a]] = info.weight
-    if adjacency.max() > 0:
-        adjacency = adjacency / adjacency.max()
+    top = float(arrays.weights.max(initial=0.0))
+    weights = arrays.weights / top if top > 0 else arrays.weights
 
     k = float(np.sqrt(1.0 / n))
     temperature = 0.1
     cooling = temperature / (LAYOUT_ITERATIONS + 1)
+    displacement = np.empty((n, 2))
+    # Work buffers shared by every block: O(n x block) memory in all.
+    block_rows = min(LAYOUT_BLOCK, n)
+    delta_buf = np.empty((block_rows, n, 2))
+    distance_buf = np.empty((block_rows, n))
+    force_buf = np.empty((block_rows, n))
     for _ in range(LAYOUT_ITERATIONS):
-        delta = positions[:, None, :] - positions[None, :, :]
-        distance = np.linalg.norm(delta, axis=-1)
-        np.clip(distance, 0.01, None, out=distance)
-        force = k * k / distance**2 - adjacency * distance / k
-        displacement = np.einsum("ijk,ij->ik", delta, force)
+        for start in range(0, n, block_rows):
+            stop = min(start + block_rows, n)
+            delta = delta_buf[: stop - start]
+            distance = distance_buf[: stop - start]
+            force = force_buf[: stop - start]
+            # delta[i, j] = positions[i] - positions[j], written one axis at a
+            # time; sqrt(dx*dx + dy*dy) is bitwise np.linalg.norm(delta, axis=-1).
+            dx, dy = delta[..., 0], delta[..., 1]
+            np.subtract(positions[start:stop, None, 0], positions[None, :, 0], out=dx)
+            np.subtract(positions[start:stop, None, 1], positions[None, :, 1], out=dy)
+            np.multiply(dx, dx, out=distance)
+            distance += np.multiply(dy, dy, out=force)
+            np.sqrt(distance, out=distance)
+            np.clip(distance, 0.01, None, out=distance)
+            # force = k^2 / d^2 - adjacency * d / k; where adjacency is 0 the
+            # second term is exactly 0, so only linked pairs subtract it.
+            np.divide(k * k, np.square(distance, out=force), out=force)
+            lo, hi = arrays.indptr[start], arrays.indptr[stop]
+            r, c = arrays.rows[lo:hi] - start, arrays.cols[lo:hi]
+            force[r, c] -= weights[lo:hi] * distance[r, c] / k
+            np.einsum("ijk,ij->ik", delta, force, out=displacement[start:stop])
         length = np.linalg.norm(displacement, axis=-1)
         np.clip(length, 0.01, None, out=length)
         positions += displacement / length[:, None] * np.minimum(length, temperature)[:, None]

@@ -20,11 +20,20 @@ from pathlib import Path
 
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, NetworkConfig
-from .errors import CiteCascadeError, ValidationError
+from .errors import CiteCascadeError, UsageError, ValidationError
 from .records import ArticleRecord, Dataset, RecordStore
 from .render import RenderSpec
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
+
+
+def check_name(name: str) -> str:
+    """A dataset or network name, which must stay one file name in its directory."""
+    separators = {"/", os.sep, os.altsep, "\0"} - {None}
+    if name in ("", ".", "..") or any(sep in name for sep in separators):
+        raise UsageError(f"invalid name {name!r}: names must be non-empty, not '.' or '..', "
+                         "and contain no path separator")
+    return name
 
 
 @dataclass
@@ -127,7 +136,7 @@ class Session:
     # -- datasets -------------------------------------------------------------------
 
     def dataset_path(self, name: str) -> Path:
-        return self.root / "datasets" / f"{name}.json"
+        return self.root / "datasets" / f"{check_name(name)}.json"
 
     def save_dataset(self, dataset: Dataset, overwrite: bool = True) -> Path:
         path = self.dataset_path(dataset.name)
@@ -149,6 +158,7 @@ class Session:
 
     def network_paths(self, name: str) -> tuple[Path, Path]:
         base = self.root / "networks"
+        check_name(name)
         return base / f"{name}.graphml", base / f"{name}.json"
 
     def save_network(self, name: str, network: CoCitationNetwork) -> None:
@@ -170,7 +180,7 @@ class Session:
         )
 
     def clusters_path(self, name: str) -> Path:
-        return self.root / "networks" / f"{name}.clusters.json"
+        return self.root / "networks" / f"{check_name(name)}.clusters.json"
 
     def save_clusters(self, name: str, payload: dict) -> None:
         with open(self.clusters_path(name), "w", encoding="utf-8") as fh:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,30 @@ def random_citation_dag(
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)
+
+
+@pytest.fixture(scope="session")
+def bundled_world():
+    """The bundled corpus's pipeline network and its snapshot.
+
+    Same steps as the end-to-end acceptance run: search "reinforcement
+    learning", expand P010 forward three generations, union, build the
+    network with min_citations 0 and top_n 100 (341 nodes, 1,364 links).
+    """
+    from citecascade.cocitation import NetworkConfig, build_network
+    from citecascade.expansion import ExpansionSpec, ExpansionStage, run_cascade
+    from citecascade.records import dataset_union
+    from citecascade.sources import SourceQuery
+
+    store = RecordStore()
+    store.ingest(SYNTHETIC_CORPUS, "jsonl")
+    snapshot = CitationSnapshot.from_store(store)
+    query = SourceQuery(kind="phrase-in-title-abstract", phrases=["reinforcement learning"])
+    found = snapshot.search(query, name="F")
+    spec = ExpansionSpec({"P010"}, [ExpansionStage("F", 3)], theta_citer=1, theta_ref=1)
+    expanded, _trace = run_cascade(snapshot, spec, "S3")
+    combined = dataset_union([found, expanded], "combined")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        network = build_network(combined, snapshot, NetworkConfig(min_citations=0, top_n=100))
+    return network, snapshot

@@ -198,6 +198,32 @@ class TestExitCodes:
             session_dir, "compare", "--datasets", "a,b", "--base", "S", "--threshold", "1.5"
         ) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("flag", ["--lrf", "--e-param"])
+    def test_non_finite_network_values_exit_2(self, tmp_path, corpus, capsys, flag, value):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus), "--dataset", "a")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            run(session_dir, "network", "--dataset", "a", f"{flag}={value}")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list((session_dir / "networks").iterdir())
+
+    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", ""])
+    def test_bad_names_exit_2_and_write_nothing_outside(self, tmp_path, corpus, capsys, name):
+        session_dir = tmp_path / "outer" / "sess"
+        run(session_dir, "ingest", str(corpus))
+        capsys.readouterr()
+        before = sorted(p for p in tmp_path.rglob("*"))
+        assert run(session_dir, "search", "--name", name, "--phrase", "topic") == 2
+        assert run(session_dir, "ingest", str(corpus), "--dataset", name) == 2
+        assert run(session_dir, "cluster", "--network", name) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: invalid name") == 3 and err.count("\n") == 3
+        assert sorted(p for p in tmp_path.rglob("*")) == before
+
     def test_locked_session_exits_3(self, tmp_path, corpus, capsys):
         session_dir = tmp_path / "sess"
         session_dir.mkdir()

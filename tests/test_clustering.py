@@ -216,53 +216,96 @@ class TestSilhouette:
     def test_matches_bruteforce_distance_matrix(self, seed):
         rng = random.Random(seed)
         network = random_weighted_network(rng, 24, 0.25)
+        partition = random_partition(rng, sorted(network.nodes), 3)
+        assert_silhouette_matches_bruteforce(network, partition)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_many_clusters_singletons_and_zero_profiles(self, seed):
+        rng = random.Random(seed)
+        network = random_weighted_network(rng, 30, 0.12)
+        for i in range(4):  # isolated: zero co-citation profiles
+            network.nodes[f"z{i}"] = NodeInfo(1, 2000)
         node_ids = sorted(network.nodes)
-        partition = ClusterPartition(
-            assignment={n: rng.randint(0, 2) for n in node_ids}
-        )
-        # Renumber to consecutive indices to keep clusters() well-formed.
-        present = sorted(set(partition.assignment.values()))
-        remap = {c: i for i, c in enumerate(present)}
-        partition.assignment = {n: remap[c] for n, c in partition.assignment.items()}
+        partition = random_partition(rng, node_ids, 12)
+        for node in rng.sample(node_ids, 3):  # guaranteed singletons
+            partition.assignment[node] = max(partition.assignment.values()) + 1
+        assert_silhouette_matches_bruteforce(network, partition)
 
-        result = silhouette(network, partition)
+    def test_two_hop_neighbourhood_reaching_every_cluster(self):
+        # A hub in cluster 0 links one node of each of six triangles, so the
+        # hub's neighbours have a two-hop neighbour in every other cluster.
+        edges: dict[tuple[str, str], float] = {}
+        assignment = {"hub": 0, "h2": 0}
+        edges[("h2", "hub")] = 2
+        for c in range(1, 7):
+            members = [f"t{c}a", f"t{c}b", f"t{c}c"]
+            edges.update(clique_edges(members, weight=c))
+            edges[("hub", members[0])] = c + 1
+            assignment.update({m: c for m in members})
+        network = weighted_network(edges)
+        partition = ClusterPartition(assignment=assignment)
+        assert_silhouette_matches_bruteforce(network, partition)
 
-        # From-scratch pure-python silhouette over the full distance matrix.
-        weights = {n: {} for n in node_ids}
-        for (a, b), info in network.edges.items():
-            weights[a][b] = info.weight
-            weights[b][a] = info.weight
+    def test_nodes_outside_the_partition_shape_profiles_only(self):
+        rng = random.Random(11)
+        network = random_weighted_network(rng, 20, 0.3)
+        partition = random_partition(rng, sorted(network.nodes)[5:], 4)
+        assert_silhouette_matches_bruteforce(network, partition)
+        assert set(silhouette(network, partition).node_scores) == set(partition.assignment)
 
-        def cosine_distance(u, v):
-            dot = sum(weights[u].get(k, 0) * weights[v].get(k, 0) for k in node_ids)
-            nu = math.sqrt(sum(w * w for w in weights[u].values()))
-            nv = math.sqrt(sum(w * w for w in weights[v].values()))
-            if nu == 0 or nv == 0:
-                return 1.0
-            return 1.0 - dot / (nu * nv)
+    def test_all_zero_profiles(self):
+        network = weighted_network({}, extra_nodes=("a", "b", "c", "d"))
+        partition = ClusterPartition(assignment={"a": 0, "b": 0, "c": 1, "d": 2})
+        assert_silhouette_matches_bruteforce(network, partition)
 
-        clusters = partition.clusters()
-        for i, members in enumerate(clusters):
-            for node in members:
-                if len(members) == 1:
-                    assert result.node_scores[node] == 0.0
-                    continue
-                a_i = sum(cosine_distance(node, m) for m in members if m != node) / (
-                    len(members) - 1
-                )
-                b_i = min(
-                    sum(cosine_distance(node, m) for m in other) / len(other)
-                    for j, other in enumerate(clusters)
-                    if j != i
-                )
-                expected = 0.0 if max(a_i, b_i) == 0 else (b_i - a_i) / max(a_i, b_i)
-                assert result.node_scores[node] == pytest.approx(expected, abs=1e-9)
-        for i, members in enumerate(clusters):
-            expected_cluster = sum(result.node_scores[m] for m in members) / len(members)
-            assert result.cluster_scores[i] == pytest.approx(expected_cluster, abs=1e-12)
-        assert result.mean == pytest.approx(
-            sum(result.cluster_scores.values()) / len(clusters), abs=1e-12
-        )
+
+def random_partition(rng: random.Random, node_ids: list[str], k: int) -> ClusterPartition:
+    """Random assignment to up to k clusters, renumbered to consecutive indices."""
+    raw = {n: rng.randrange(k) for n in node_ids}
+    remap = {c: i for i, c in enumerate(sorted(set(raw.values())))}
+    return ClusterPartition(assignment={n: remap[c] for n, c in raw.items()})
+
+
+def assert_silhouette_matches_bruteforce(network: CoCitationNetwork, partition: ClusterPartition):
+    """From-scratch pure-python silhouette over the full distance matrix."""
+    result = silhouette(network, partition)
+    node_ids = sorted(network.nodes)
+    weights = {n: {} for n in node_ids}
+    for (a, b), info in network.edges.items():
+        weights[a][b] = info.weight
+        weights[b][a] = info.weight
+
+    def cosine_distance(u, v):
+        dot = sum(weights[u].get(k, 0) * weights[v].get(k, 0) for k in node_ids)
+        nu = math.sqrt(sum(w * w for w in weights[u].values()))
+        nv = math.sqrt(sum(w * w for w in weights[v].values()))
+        if nu == 0 or nv == 0:
+            return 1.0
+        return 1.0 - dot / (nu * nv)
+
+    clusters = partition.clusters()
+    for i, members in enumerate(clusters):
+        for node in members:
+            if len(members) == 1:
+                assert result.node_scores[node] == 0.0
+                continue
+            a_i = sum(cosine_distance(node, m) for m in members if m != node) / (
+                len(members) - 1
+            )
+            b_i = min(
+                sum(cosine_distance(node, m) for m in other) / len(other)
+                for j, other in enumerate(clusters)
+                if j != i
+            )
+            expected = 0.0 if max(a_i, b_i) == 0 else (b_i - a_i) / max(a_i, b_i)
+            assert result.node_scores[node] == pytest.approx(expected, abs=1e-9)
+    for i, members in enumerate(clusters):
+        expected_cluster = sum(result.node_scores[m] for m in members) / len(members)
+        assert result.cluster_scores[i] == pytest.approx(expected_cluster, abs=1e-12)
+    assert result.mean == pytest.approx(
+        sum(result.cluster_scores.values()) / len(clusters), abs=1e-12
+    )
 
 
 class TestSubCluster:

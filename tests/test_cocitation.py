@@ -22,6 +22,7 @@ from citecascade.cocitation import (
     connected_components_traversal,
     connected_components_union_find,
     largest_connected_component,
+    network_arrays,
     network_stats,
     prune_links,
     slice_citers,
@@ -372,6 +373,37 @@ class TestComponents:
         lcc_t, pct_t = largest_connected_component(network, "traversal")
         lcc_u, pct_u = largest_connected_component(network, "union-find")
         assert lcc_t == lcc_u and pct_t == pct_u
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["lrf", "e_param"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            NetworkConfig(**{field: value})
+
+    def test_non_positive_lrf_rejected(self):
+        with pytest.raises(ValidationError):
+            NetworkConfig(lrf=0)
+
+
+class TestNetworkArrays:
+    def test_matches_dense_adjacency(self):
+        network = network_from_edges(
+            {("a", "b"): (3, 2000), ("b", "c"): (1, 2001), ("a", "d"): (2, 2002)}
+        )
+        network.nodes["e"] = NodeInfo(1, 2000)  # isolated: empty row
+        arrays = network_arrays(network)
+        assert arrays.node_ids == ["a", "b", "c", "d", "e"]
+        assert arrays.indptr.tolist() == [0, 2, 4, 5, 6, 6]
+        dense = network.adjacency()
+        for i, node in enumerate(arrays.node_ids):
+            lo, hi = arrays.indptr[i], arrays.indptr[i + 1]
+            row = {
+                arrays.node_ids[j]: w for j, w in zip(arrays.cols[lo:hi], arrays.weights[lo:hi])
+            }
+            assert row == dense[node]
+            assert (arrays.rows[lo:hi] == i).all()
 
 
 class TestStats:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from citecascade.clustering import detect_communities, induced_subnetwork, sub_cluster
 from citecascade.cocitation import CoCitationNetwork, NetworkConfig, NodeInfo
 from citecascade.labeling import (
     ConceptTree,
+    PhraseIndex,
     build_concept_tree,
     extract_phrases,
+    label_all_clusters,
     label_cluster,
     log_likelihood_ratio,
     phrase_document_frequencies,
@@ -252,3 +260,118 @@ class TestConceptTree:
         text = build_concept_tree({"m"}, snapshot).to_text()
         assert "fish oil (3)" in text
         assert "  fish oil (3)" in text or "fish (3)" in text
+
+    @settings(max_examples=60, deadline=None)
+    @example(titles=[["gene", "drug", "gene"]])
+    @given(
+        titles=st.lists(
+            st.lists(st.sampled_from(["gene", "drug", "cell", "the"]), min_size=1, max_size=6),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_parents_match_exhaustive_scan(self, titles):
+        # A four-word vocabulary forces repeated tokens, permutations and
+        # equal supports, the cases the subset lookup must get right.
+        records = [make_record("m", year=1990)]
+        for i, words in enumerate(titles):
+            records.append(make_record(f"c{i}", year=2005, refs=["m"], title=" ".join(words)))
+        snapshot = make_snapshot(records)
+        tree = build_concept_tree({"m"}, snapshot)
+
+        support = phrase_document_frequencies([" ".join(words) for words in titles])
+        expected, roots = set(), set()
+        for phrase in support:
+            candidates = [
+                q
+                for q in support
+                if len(q.split()) < len(phrase.split())
+                and set(q.split()) <= set(phrase.split())
+                and support[q] >= support[phrase]
+            ]
+            if candidates:
+                parent = sorted(candidates, key=lambda q: (-support[q], -len(q.split()), q))[0]
+                expected.add((parent, phrase))
+            else:
+                roots.add(phrase)
+        assert self._tree_edges(tree) == expected
+        assert {root.phrase for root in tree.roots} == roots
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+class TestSharedPhraseIndex:
+    """One index per command gives exactly what per-cluster recounting gives."""
+
+    @pytest.fixture(scope="class")
+    def labeled(self, bundled_world):
+        network, snapshot = bundled_world
+        partition = detect_communities(network)
+        phrase_index = PhraseIndex(snapshot)
+        label_all_clusters(partition, network, snapshot, phrase_index=phrase_index)
+        clusters = partition.clusters()
+        top = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))[:3]
+        return network, snapshot, partition, phrase_index, clusters, top
+
+    def test_level1_labels_match_unindexed_label_cluster(self, labeled):
+        network, snapshot, partition, _index, clusters, _top = labeled
+        unindexed = {i: label_cluster(m, network, snapshot, i) for i, m in enumerate(clusters)}
+        assert partition.labels == unindexed
+        # Labels of the same partition before the index existed.
+        assert _digest(partition.labels) == (
+            "8833a4d76a250be1040efd82658f07461478f1ef2eeb32e94771793225608313"
+        )
+
+    def test_level2_labels_match_unindexed_label_cluster(self, labeled):
+        network, snapshot, _partition, phrase_index, clusters, top = labeled
+        level2 = {}
+        for parent in top:
+            members = clusters[parent]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sub = sub_cluster(members, network, parent)
+            subnetwork = induced_subnetwork(network, members)
+            label_all_clusters(
+                sub, subnetwork, snapshot, background_members=members, phrase_index=phrase_index
+            )
+            background = {c for m in members if m in snapshot for c in snapshot.get_citers(m)}
+            assert sub.labels == {
+                i: label_cluster(m, subnetwork, snapshot, i, background_citers=background)
+                for i, m in enumerate(sub.clusters())
+            }
+            level2[str(parent)] = sub.labels
+        assert _digest(level2) == (
+            "40418c656a2e5155b611e18680703124e5d06e9bde7a88fe4923167da1be3b89"
+        )
+
+    def test_concept_trees_unchanged(self, labeled):
+        _network, snapshot, _partition, phrase_index, clusters, top = labeled
+        trees = {}
+        for index in top:
+            shared = build_concept_tree(clusters[index], snapshot, phrase_index=phrase_index)
+            alone = build_concept_tree(clusters[index], snapshot)
+            assert shared.to_json_dict() == alone.to_json_dict()
+            trees[str(index)] = shared.to_json_dict()
+        assert _digest(trees) == (
+            "8ac9f6c053fab5f39b3b9ebad7ec5f497b7de99a02dc24ef5f7050fcb1bc07ef"
+        )
+
+    def test_each_text_tokenized_once(self, labeled, monkeypatch):
+        _network, snapshot, _partition, _index, clusters, _top = labeled
+        import citecascade.labeling as labeling
+
+        calls = []
+        original = labeling.extract_phrases
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(labeling, "extract_phrases", counting)
+        phrase_index = PhraseIndex(snapshot)
+        for members in clusters:
+            build_concept_tree(members, snapshot, phrase_index=phrase_index)
+            build_concept_tree(members, snapshot, phrase_index=phrase_index)
+        assert calls and len(calls) == len(set(calls))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from citecascade import render
 from citecascade.clustering import ClusterPartition
 from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo
 from citecascade.errors import ValidationError
@@ -102,6 +105,31 @@ class TestLayout:
     def test_empty_network_errors(self):
         with pytest.raises(ValidationError):
             layout(CoCitationNetwork({}, {}, NetworkConfig()), seed=1)
+
+    def test_bundled_network_positions_pinned(self, bundled_world):
+        # Digest of the positions the dense all-pairs implementation produced;
+        # the row-blocked layout must reproduce them bit for bit.
+        network, _snapshot = bundled_world
+        assert (len(network.nodes), len(network.edges)) == (341, 1364)
+        positions = json.dumps(sorted(layout(network, 42).items()))
+        assert hashlib.sha256(positions.encode()).hexdigest() == (
+            "9d1f82b68baff61a64442f1a64b44dd5f0c0d33908d3b8cd78295d2b4f6963a1"
+        )
+
+    @pytest.mark.parametrize("block", [1, 5, 64, 1000])
+    def test_positions_do_not_depend_on_block_size(self, block, monkeypatch):
+        rng = random.Random(5)
+        names = [f"n{i:02d}" for i in range(67)]
+        edges = {
+            (a, b): (rng.randint(1, 4), 2000)
+            for i, a in enumerate(names)
+            for b in names[i + 1:]
+            if rng.random() < 0.08
+        }
+        network = simple_network(edges, extra_nodes=tuple(names))
+        expected = layout(network, seed=9)
+        monkeypatch.setattr(render, "LAYOUT_BLOCK", block)
+        assert layout(network, seed=9) == expected
 
 
 class TestRenderMap:
