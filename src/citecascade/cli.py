@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -20,7 +21,7 @@ from .cocitation import NetworkConfig, build_network, network_stats
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
 from .overlay import OverlayProjection, coverage_report, overlap_matrix, project_overlay
-from .records import Dataset, RecordStore, dataset_union, year_distribution
+from .records import Dataset, RecordStore, dataset_union, json_text, year_distribution
 from .render import layout, render_distribution, render_map, wrap_html
 from .session import Session, check_name
 from .sources import CitationSnapshot, SourceQuery
@@ -30,8 +31,17 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_DATA = 4
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-inf" or "-1e999" after an option for another option,
+        # not its value; no option here looks like a number, so let every
+        # negative float spelling through to the value's type check.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # single-line, machine-parseable
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -165,7 +175,7 @@ def _cmd_ingest(args, session: Session) -> int:
     report = store.ingest(args.path, args.format)
     session.append_store_delta(store, report.changed_ids)
     report_path = session.report_path(f"{Path(args.path).stem}.load-report.csv")
-    report_path.write_text(report.to_csv(), encoding="utf-8")
+    session.write_text(report_path, report.to_csv())
     if args.dataset is not None:
         dataset = Dataset(
             name=args.dataset,
@@ -226,11 +236,9 @@ def _cmd_expand(args, session: Session) -> int:
     dataset, trace = run_cascade(snapshot, spec, args.name)
     session.save_dataset(dataset)
     csv_path = session.trace_path(f"{args.name}.trace.csv")
-    csv_path.write_text(trace_report(trace), encoding="utf-8")
+    session.write_text(csv_path, trace_report(trace))
     json_path = session.trace_path(f"{args.name}.trace.json")
-    json_path.write_text(
-        json.dumps(trace.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    session.write_text(json_path, json_text(trace.to_json_dict()))
     print(
         f"dataset {dataset.name}: {len(dataset)} articles after "
         f"{len(trace.generations)} generation(s); terminal: {trace.terminal_reason}; "
@@ -316,9 +324,9 @@ def _cmd_cluster(args, session: Session) -> int:
 
     session.save_clusters(args.network, payload)
     csv_path = session.root / "networks" / f"{args.network}.clusters.csv"
-    csv_path.write_text(clustering.partition_to_csv(partition, silhouettes), encoding="utf-8")
+    session.write_text(csv_path, clustering.partition_to_csv(partition, silhouettes))
     concepts_path = session.root / "networks" / f"{args.network}.concepts.txt"
-    concepts_path.write_text("\n".join(concept_text_parts), encoding="utf-8")
+    session.write_text(concepts_path, "\n".join(concept_text_parts))
     print(
         f"network {args.network}: {partition.num_clusters()} clusters, "
         f"Q={partition.modularity_q:.4f}, mean silhouette={silhouettes.mean:.4f} "
@@ -327,22 +335,22 @@ def _cmd_cluster(args, session: Session) -> int:
     return EXIT_OK
 
 
-def _overlap_csv_with_ranges(matrix, datasets: list[Dataset], store: RecordStore) -> str:
-    lines = matrix.to_csv().splitlines()
-    ranges = "Range," + ",".join(_dataset_year_range(ds, store) for ds in datasets)
-    # Layout: comment, header, Range, Articles, matrix rows.
-    return "\n".join([lines[0], lines[1], ranges, *lines[2:]]) + "\n"
-
-
-def _cmd_compare(args, session: Session) -> int:
-    names = _split_names(args.datasets)
+def _overlap_csv(session: Session, names_text: str, store: RecordStore) -> tuple[list[Dataset], str]:
+    """The named datasets and their overlap matrix CSV, with a Range row of years."""
+    names = _split_names(names_text)
     if len(names) < 2:
         raise ValidationError("need at least 2 datasets")
     datasets = [session.load_dataset(n) for n in names]
-    matrix = overlap_matrix(datasets)
-    store = session.load_store()
+    lines = overlap_matrix(datasets).to_csv().splitlines()
+    ranges = "Range," + ",".join(_dataset_year_range(ds, store) for ds in datasets)
+    # Layout: comment, header, Range, Articles, matrix rows.
+    return datasets, "\n".join([lines[0], lines[1], ranges, *lines[2:]]) + "\n"
+
+
+def _cmd_compare(args, session: Session) -> int:
+    datasets, overlap_text = _overlap_csv(session, args.datasets, session.load_store())
     overlap_path = session.report_path("overlap.csv")
-    overlap_path.write_text(_overlap_csv_with_ranges(matrix, datasets, store), encoding="utf-8")
+    session.write_text(overlap_path, overlap_text)
     outputs = [str(overlap_path)]
 
     if args.base:
@@ -350,10 +358,10 @@ def _cmd_compare(args, session: Session) -> int:
         partition = session.load_partition(args.base)
         projection = project_overlay(network, datasets, partition)
         projection_path = session.report_path("projection.json")
-        projection_path.write_text(projection.to_json(), encoding="utf-8")
-        coverage = coverage_report(projection, partition, args.threshold, args.epsilon)
+        session.write_text(projection_path, projection.to_json())
+        coverage = coverage_report(projection, args.threshold, args.epsilon)
         coverage_path = session.report_path("coverage.csv")
-        coverage_path.write_text(coverage.to_csv(partition.labels), encoding="utf-8")
+        session.write_text(coverage_path, coverage.to_csv(partition.labels))
         outputs += [str(projection_path), str(coverage_path)]
     print("wrote " + ", ".join(outputs))
     return EXIT_OK
@@ -380,9 +388,9 @@ def _cmd_render(args, session: Session) -> int:
         positions = layout(network, spec.seed)
         svg = render_map(network, partition, projection, spec, positions)
         svg_path = session.render_path(f"{args.network}.{kind}.svg")
-        svg_path.write_text(svg, encoding="utf-8")
+        session.write_text(svg_path, svg)
         html_path = session.render_path(f"{args.network}.{kind}.html")
-        html_path.write_text(wrap_html(svg, title=f"{args.network} {kind}"), encoding="utf-8")
+        session.write_text(html_path, wrap_html(svg, title=f"{args.network} {kind}"))
         wrote += [str(svg_path), str(html_path)]
     if args.distributions:
         names = _split_names(args.distributions)
@@ -392,7 +400,7 @@ def _cmd_render(args, session: Session) -> int:
         ]
         svg = render_distribution(distributions, log=args.log, spec=spec)
         svg_path = session.render_path("-".join(names) + ".years.svg")
-        svg_path.write_text(svg, encoding="utf-8")
+        session.write_text(svg_path, svg)
         wrote.append(str(svg_path))
     if not wrote:
         raise ValidationError("render needs --network and/or --distributions")
@@ -420,11 +428,7 @@ def _cmd_report(args, session: Session) -> int:
     elif args.kind == "overlap":
         if not args.datasets:
             raise ValidationError("report --kind overlap needs --datasets")
-        names = _split_names(args.datasets)
-        if len(names) < 2:
-            raise ValidationError("need at least 2 datasets")
-        datasets = [session.load_dataset(n) for n in names]
-        text = _overlap_csv_with_ranges(overlap_matrix(datasets), datasets, store)
+        _datasets, text = _overlap_csv(session, args.datasets, store)
         path = session.report_path("overlap.csv")
     else:  # networks
         lines = [
@@ -449,7 +453,7 @@ def _cmd_report(args, session: Session) -> int:
             )
         text = "\n".join(lines) + "\n"
         path = session.report_path("networks.csv")
-    path.write_text(text, encoding="utf-8")
+    session.write_text(path, text)
     print(text, end="")
     return EXIT_OK
 

@@ -35,17 +35,11 @@ class ClusterPartition:
     def num_clusters(self) -> int:
         return len(set(self.assignment.values()))
 
-    def members(self, index: int) -> set[str]:
-        return {n for n, c in self.assignment.items() if c == index}
-
     def clusters(self) -> list[set[str]]:
         out: dict[int, set[str]] = {}
         for node, index in self.assignment.items():
             out.setdefault(index, set()).add(node)
         return [out[i] for i in sorted(out)]
-
-    def sizes(self) -> list[int]:
-        return [len(c) for c in self.clusters()]
 
     def to_json_dict(self) -> dict:
         return {

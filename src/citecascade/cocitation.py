@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset
+from .records import Dataset, json_text
 from .sources import CitationSnapshot
 
 
@@ -154,7 +154,7 @@ class CoCitationNetwork:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
@@ -202,46 +202,6 @@ class CoCitationNetwork:
             ET.SubElement(edge_el, "data", {"key": "d3"}).text = str(info.first_cocited_year)
         ET.indent(root)
         return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
-
-    @classmethod
-    def from_graphml(cls, text: str) -> "CoCitationNetwork":
-        def local(tag: str) -> str:
-            return tag.rsplit("}", 1)[-1]
-
-        root = ET.fromstring(text)
-        key_names: dict[str, str] = {}
-        graph_el = None
-        for child in root:
-            if local(child.tag) == "key":
-                key_names[child.attrib["id"]] = child.attrib.get("attr.name", child.attrib["id"])
-            elif local(child.tag) == "graph":
-                graph_el = child
-        if graph_el is None:
-            raise ValidationError("graphml has no <graph> element")
-
-        def data_of(el) -> dict[str, str]:
-            return {
-                key_names.get(d.attrib["key"], d.attrib["key"]): (d.text or "")
-                for d in el
-                if local(d.tag) == "data"
-            }
-
-        config = NetworkConfig()
-        nodes: dict[str, NodeInfo] = {}
-        edges: dict[tuple[str, str], EdgeInfo] = {}
-        graph_data = data_of(graph_el)
-        if graph_data.get("config"):
-            config = NetworkConfig.from_json_dict(json.loads(graph_data["config"]))
-        for el in graph_el:
-            tag = local(el.tag)
-            if tag == "node":
-                values = data_of(el)
-                nodes[el.attrib["id"]] = NodeInfo(int(values["count"]), int(values["year"]))
-            elif tag == "edge":
-                values = data_of(el)
-                pair = canonical_pair(el.attrib["source"], el.attrib["target"])
-                edges[pair] = EdgeInfo(int(values["weight"]), int(values["first_cocited_year"]))
-        return cls(nodes, edges, config)
 
 
 class NetworkArrays(NamedTuple):
@@ -453,57 +413,15 @@ def connected_components_traversal(network: CoCitationNetwork) -> list[set[str]]
     return components
 
 
-class _DisjointSet:
-    def __init__(self, items: list[str]):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-
-def connected_components_union_find(network: CoCitationNetwork) -> list[set[str]]:
-    """Components by disjoint-set union; independent check on the traversal."""
-    dsu = _DisjointSet(sorted(network.nodes))
-    for (a, b) in network.edges:
-        dsu.union(a, b)
-    groups: dict[str, set[str]] = {}
-    for node in network.nodes:
-        groups.setdefault(dsu.find(node), set()).add(node)
-    return list(groups.values())
-
-
 def round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-def largest_connected_component(
-    network: CoCitationNetwork, method: str = "traversal"
-) -> tuple[set[str], int]:
+def largest_connected_component(network: CoCitationNetwork) -> tuple[set[str], int]:
     """The LCC node set and its share of the network, rounded to integer percent."""
     if not network.nodes:
         raise ValidationError("network is empty")
-    if method == "traversal":
-        components = connected_components_traversal(network)
-    elif method == "union-find":
-        components = connected_components_union_find(network)
-    else:
-        raise ValidationError(f"unknown LCC method: {method}")
+    components = connected_components_traversal(network)
     # Deterministic pick: size first, then smallest member id.
     best = sorted(components, key=lambda c: (-len(c), min(c)))[0]
     percentage = round_half_up(100.0 * len(best) / len(network.nodes))

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import UnknownPublicationError, ValidationError
+from .errors import FormatError, UnknownPublicationError, ValidationError
 from .records import Dataset
 from .sources import CitationSnapshot
 
@@ -89,25 +89,27 @@ class ExpansionSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpansionSpec":
+        seeds, cap = data["seeds"], data.get("cap")
+        if not isinstance(seeds, list) or not all(isinstance(s, str) for s in seeds):
+            raise TypeError("seeds must be a list of ids")
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+            raise TypeError("cap must be an integer")
         return cls(
-            seed_ids=set(data["seeds"]),
+            seed_ids=set(seeds),
             stages=[ExpansionStage(s["dir"], int(s["gens"])) for s in data["stages"]],
             theta_citer=int(data.get("theta_citer", 0)),
             theta_ref=int(data.get("theta_ref", 0)),
-            per_generation_cap=data.get("cap"),
+            per_generation_cap=cap,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "ExpansionSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Read a spec file; unreadable JSON, missing keys and wrong types are a FormatError."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise FormatError(f"unreadable expansion spec {path}: {exc!r}") from None
 
 
 @dataclass
@@ -148,7 +150,11 @@ class ExpansionTrace:
         }
 
 
-def _step_candidates(snapshot: CitationSnapshot, frontier: set[str], direction: str) -> set[str]:
+def _qualified_step(
+    snapshot: CitationSnapshot, frontier: set[str], direction: str, known: set[str], theta: int
+) -> tuple[set[str], list[str]]:
+    """One step's candidates (frontier neighbours not in ``known``) and, sorted,
+    those whose citation count reaches ``theta``."""
     candidates: set[str] = set()
     for pub_id in sorted(frontier):
         try:
@@ -158,23 +164,22 @@ def _step_candidates(snapshot: CitationSnapshot, frontier: set[str], direction: 
                 candidates.update(snapshot.get_references(pub_id))
         except UnknownPublicationError:
             warnings.warn(f"skipping unknown id in frontier: {pub_id}", stacklevel=3)
-    return candidates
+    candidates -= known
+    return candidates, sorted(c for c in candidates if snapshot.citation_count(c) >= theta)
 
 
 def forward_step(snapshot: CitationSnapshot, current: set[str], theta_citer: int) -> set[str]:
     """New articles citing the current set whose citation count >= theta_citer."""
     if not current:
         raise ValidationError("forward_step needs a non-empty current set")
-    candidates = _step_candidates(snapshot, current, FORWARD) - current
-    return {c for c in candidates if snapshot.citation_count(c) >= theta_citer}
+    return set(_qualified_step(snapshot, current, FORWARD, current, theta_citer)[1])
 
 
 def backward_step(snapshot: CitationSnapshot, current: set[str], theta_ref: int) -> set[str]:
     """New resolvable references of the current set with citation count >= theta_ref."""
     if not current:
         raise ValidationError("backward_step needs a non-empty current set")
-    candidates = _step_candidates(snapshot, current, BACKWARD) - current
-    return {c for c in candidates if snapshot.citation_count(c) >= theta_ref}
+    return set(_qualified_step(snapshot, current, BACKWARD, current, theta_ref)[1])
 
 
 def run_cascade(
@@ -200,8 +205,9 @@ def run_cascade(
             if not frontier:
                 reason = REASON_EMPTY_FRONTIER
                 break
-            candidates = _step_candidates(snapshot, frontier, stage.direction) - accumulated
-            qualified = sorted(c for c in candidates if snapshot.citation_count(c) >= theta)
+            candidates, qualified = _qualified_step(
+                snapshot, frontier, stage.direction, accumulated, theta
+            )
             capped = (
                 spec.per_generation_cap is not None
                 and len(qualified) > spec.per_generation_cap

@@ -61,15 +61,6 @@ def extract_phrases(text: str, max_tokens: int = MAX_PHRASE_TOKENS) -> set[str]:
     return phrases
 
 
-def phrase_document_frequencies(texts: list[str]) -> dict[str, int]:
-    """How many texts contain each phrase (each text counts once)."""
-    df: dict[str, int] = {}
-    for text in texts:
-        for phrase in extract_phrases(text):
-            df[phrase] = df.get(phrase, 0) + 1
-    return df
-
-
 class PhraseIndex:
     """Phrase sets of citing-article texts; each distinct text is tokenized once.
 
@@ -88,7 +79,7 @@ class PhraseIndex:
         return found
 
     def frequencies(self, texts: Iterable[str]) -> Counter[str]:
-        """Document frequencies, as ``phrase_document_frequencies`` counts them."""
+        """How many texts contain each phrase (each text counts once)."""
         df: Counter[str] = Counter()
         for text in texts:
             df.update(self.phrases(text))

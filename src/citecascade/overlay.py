@@ -10,13 +10,12 @@ every CSV export says so in its header.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset
+from .records import Dataset, json_text
 
 FORMULA_NOTE = (
     "values[i][j] = 100*|row_set ∩ col_set|/|col_set| (share of column dataset; "
@@ -98,7 +97,7 @@ class OverlayProjection:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OverlayProjection":
@@ -172,7 +171,6 @@ class CoverageReport:
 
 def coverage_report(
     projection: OverlayProjection,
-    partition: ClusterPartition,
     threshold: float = 0.10,
     epsilon: float = 0.05,
 ) -> CoverageReport:
@@ -180,22 +178,13 @@ def coverage_report(
 
     FULL: coverage >= 1-epsilon; PARTIAL: threshold <= coverage < 1-epsilon;
     MISSED: below threshold. The common core lists clusters every dataset
-    covers at or above the threshold.
+    covers at or above the threshold. Coverage comes from
+    ``project_overlay(..., partition)``; a projection without it is rejected.
     """
     if not (0.0 < threshold < 1.0):
         raise ValidationError("threshold must lie strictly between 0 and 1")
     if not projection.coverage:
-        refreshed = OverlayProjection(projection.dataset_names, projection.membership)
-        # Coverage was not computed at projection time; derive it now.
-        for index, members in enumerate(partition.clusters()):
-            fractions = {}
-            for pos, name in enumerate(projection.dataset_names):
-                inside = sum(
-                    1 for node in members if projection.membership.get(node, ())[pos : pos + 1] == (True,)
-                )
-                fractions[name] = inside / len(members)
-            refreshed.coverage[index] = fractions
-        projection = refreshed
+        raise ValidationError("projection has no cluster coverage; project it with a partition")
 
     classes: dict[int, dict[str, str]] = {}
     common_core: list[int] = []

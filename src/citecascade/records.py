@@ -4,7 +4,8 @@ Records come from JSONL exports or header-driven Dimensions-style CSV files,
 get normalized into :class:`ArticleRecord`, and live in a :class:`RecordStore`
 (in-memory index plus an append-only JSONL log). Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
-:class:`YearDistribution` objects.
+:class:`YearDistribution` objects. :func:`json_text` is the one JSON layout
+of every artifact the package writes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import csv
 import hashlib
 import json
 import math
+import mmap
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -24,6 +27,11 @@ from .errors import EmptyDatasetError, FormatError, ValidationError
 MIN_YEAR = 1500
 
 _WS_RE = re.compile(r"\s+")
+
+
+def json_text(payload) -> str:
+    """The JSON layout of every written artifact: indented, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def max_plausible_year() -> int:
@@ -203,32 +211,35 @@ class RecordStore:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records():
-                fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-
     def append_records(self, path: str | Path, records: list[ArticleRecord]) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists():
+            _cut_torn_tail(path)
         with open(path, "a", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":
+        """Replay the log. A last line without its newline that does not parse
+        is the remains of a killed append: it is ignored (and cut off by the
+        next append). Any other unreadable line is a :class:`FormatError`."""
         store = cls()
         path = Path(path)
         if not path.exists():
             return store
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    row = _parse_log_line(line)
+                except ValueError:
+                    if not line.endswith("\n"):
+                        break
+                    raise FormatError(f"{path}: line {line_no} is not a JSON record") from None
+                if row is None:
                     continue
-                record, _reason = _record_from_json_dict(json.loads(line))
+                record, _reason = _record_from_json_dict(row)
                 if record is not None:
                     store.replace(record)
         return store
@@ -283,37 +294,36 @@ class RecordStore:
             by_title_year.setdefault((normalize_title(record.title), record.year), record.id)
 
         report = EnrichmentReport()
-        with open(enrichment_path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    report.skipped_rows.append((line_no, "not valid JSON"))
-                    continue
-                abstract = row.get("abstract")
-                if not isinstance(abstract, str) or not abstract:
-                    report.skipped_rows.append((line_no, "missing abstract"))
-                    continue
-                target: str | None = None
-                if row.get("id"):
-                    target = str(row["id"])
-                elif row.get("title") and "year" in row:
-                    year = row["year"] if isinstance(row["year"], int) else None
-                    target = by_title_year.get((normalize_title(str(row["title"])), year))
-                else:
-                    report.skipped_rows.append((line_no, "needs id or title+year"))
-                    continue
-                record = self._records.get(target) if target else None
-                if record is None:
-                    report.unmatched.append(target if target else f"line {line_no}")
-                    continue
-                if not record.abstract:
-                    record.abstract = abstract
-                    report.enriched += 1
-                    report.enriched_ids.append(record.id)
+        for line_no, line in _text_lines(enrichment_path):
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                report.skipped_rows.append((line_no, "not valid JSON"))
+                continue
+            if not isinstance(row, dict):
+                report.skipped_rows.append((line_no, "row is not an object"))
+                continue
+            abstract = row.get("abstract")
+            if not isinstance(abstract, str) or not abstract:
+                report.skipped_rows.append((line_no, "missing abstract"))
+                continue
+            target: str | None = None
+            if row.get("id"):
+                target = str(row["id"])
+            elif row.get("title") and "year" in row:
+                year = row["year"] if isinstance(row["year"], int) else None
+                target = by_title_year.get((normalize_title(str(row["title"])), year))
+            else:
+                report.skipped_rows.append((line_no, "needs id or title+year"))
+                continue
+            record = self._records.get(target) if target else None
+            if record is None:
+                report.unmatched.append(target if target else f"line {line_no}")
+                continue
+            if not record.abstract:
+                record.abstract = abstract
+                report.enriched += 1
+                report.enriched_ids.append(record.id)
         return report
 
 
@@ -340,6 +350,10 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
     gcc = row.get("global_citation_count")
     if gcc is not None and (not isinstance(gcc, int) or gcc < 0):
         return None, "global_citation_count must be a non-negative integer"
+    if row.get("abstract") is not None and not isinstance(row["abstract"], str):
+        return None, "abstract is not a string"
+    if row.get("authors") is not None and not isinstance(row["authors"], list):
+        return None, "authors is not a list"
     try:
         record = ArticleRecord(
             id=str(raw_id),
@@ -357,20 +371,61 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
     return record, None
 
 
+def _text_lines(path: Path):
+    """(line number, stripped text) of each non-blank line; undecodable bytes are a FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _parse_log_line(line: str):
+    """One store log line as parsed JSON, None when blank; ValueError when unreadable.
+
+    The log is written as ASCII, so a non-ASCII line is checked for bytes
+    that did not decode (kept as surrogate escapes by the reader).
+    """
+    line = line.strip()
+    if not line:
+        return None
+    if not line.isascii():
+        line.encode("utf-8")
+    return json.loads(line)
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Before an append: drop a last line that lacks its newline and does not
+    parse (a torn write), or end a complete one with its missing newline."""
+    with open(path, "rb+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            if data[-1:] == b"\n":
+                return
+            start = data.rfind(b"\n") + 1
+            tail = data[start:]
+        try:
+            _parse_log_line(tail.decode("utf-8", "surrogateescape"))
+        except ValueError:
+            fh.truncate(start)
+        else:
+            fh.write(b"\n")
+
+
 def _parse_jsonl(path: Path) -> list[tuple[int, ArticleRecord | None, str | None]]:
     rows: list[tuple[int, ArticleRecord | None, str | None]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                parsed = json.loads(line)
-            except json.JSONDecodeError:
-                rows.append((line_no, None, "not valid JSON"))
-                continue
-            record, reason = _record_from_json_dict(parsed)
-            rows.append((line_no, record, reason))
+    for line_no, line in _text_lines(path):
+        try:
+            parsed = json.loads(line)
+        except json.JSONDecodeError:
+            rows.append((line_no, None, "not valid JSON"))
+            continue
+        record, reason = _record_from_json_dict(parsed)
+        rows.append((line_no, record, reason))
     return rows
 
 
@@ -384,41 +439,44 @@ _CSV_TIMES_CITED = "Times cited"
 
 def _parse_dimensions_csv(path: Path) -> list[tuple[int, ArticleRecord | None, str | None]]:
     rows: list[tuple[int, ArticleRecord | None, str | None]] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for required in (_CSV_ID, _CSV_TITLE, _CSV_YEAR):
-            if required not in header:
-                raise FormatError(f"dimensions-csv missing required column: {required}")
-        for line_no, row in enumerate(reader, start=2):
-            raw: dict = {}
-            raw_id = (row.get(_CSV_ID) or "").strip()
-            title = (row.get(_CSV_TITLE) or "").strip()
-            year_text = (row.get(_CSV_YEAR) or "").strip()
-            if year_text:
-                try:
-                    raw["year"] = int(year_text)
-                except ValueError:
-                    rows.append((line_no, None, f"unparseable PubYear: {year_text!r}"))
-                    continue
-            else:
-                raw["year"] = None
-            if raw_id:
-                raw["id"] = raw_id
-            if title:
-                raw["title"] = title
-            refs_text = (row.get(_CSV_REFS) or "").strip()
-            raw["reference_ids"] = [r.strip() for r in refs_text.split(";") if r.strip()]
-            cited_text = (row.get(_CSV_TIMES_CITED) or "").strip()
-            if cited_text:
-                try:
-                    raw["global_citation_count"] = int(cited_text)
-                except ValueError:
-                    rows.append((line_no, None, f"unparseable Times cited: {cited_text!r}"))
-                    continue
-            raw["source_tag"] = "dimensions-csv"
-            record, reason = _record_from_json_dict(raw)
-            rows.append((line_no, record, reason))
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for required in (_CSV_ID, _CSV_TITLE, _CSV_YEAR):
+                if required not in header:
+                    raise FormatError(f"dimensions-csv missing required column: {required}")
+            for line_no, row in enumerate(reader, start=2):
+                raw: dict = {}
+                raw_id = (row.get(_CSV_ID) or "").strip()
+                title = (row.get(_CSV_TITLE) or "").strip()
+                year_text = (row.get(_CSV_YEAR) or "").strip()
+                if year_text:
+                    try:
+                        raw["year"] = int(year_text)
+                    except ValueError:
+                        rows.append((line_no, None, f"unparseable PubYear: {year_text!r}"))
+                        continue
+                else:
+                    raw["year"] = None
+                if raw_id:
+                    raw["id"] = raw_id
+                if title:
+                    raw["title"] = title
+                refs_text = (row.get(_CSV_REFS) or "").strip()
+                raw["reference_ids"] = [r.strip() for r in refs_text.split(";") if r.strip()]
+                cited_text = (row.get(_CSV_TIMES_CITED) or "").strip()
+                if cited_text:
+                    try:
+                        raw["global_citation_count"] = int(cited_text)
+                    except ValueError:
+                        rows.append((line_no, None, f"unparseable Times cited: {cited_text!r}"))
+                        continue
+                raw["source_tag"] = "dimensions-csv"
+                record, reason = _record_from_json_dict(raw)
+                rows.append((line_no, record, reason))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path} is not a readable CSV file: {exc}") from None
     return rows
 
 
@@ -448,13 +506,6 @@ class Dataset:
         if self.created_at is not None:
             out["created_at"] = self.created_at
         return out
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":

@@ -7,11 +7,16 @@ A session holds everything one analysis produces::
       store.jsonl    # append-only record log
       datasets/ networks/ reports/ renders/ traces/
 
-One command runs at a time per session, enforced with a lock file.
+One command runs at a time per session, enforced with an advisory lock on
+``.lock`` that the OS releases when its holder exits or dies. Every artifact
+is written to a temp file and renamed into place, so a killed command leaves
+each file either old or new, never half written; ``store.jsonl`` is only
+ever appended to.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from contextlib import contextmanager
@@ -20,8 +25,8 @@ from pathlib import Path
 
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, NetworkConfig
-from .errors import CiteCascadeError, UsageError, ValidationError
-from .records import ArticleRecord, Dataset, RecordStore
+from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
+from .records import ArticleRecord, Dataset, RecordStore, json_text
 from .render import RenderSpec
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
@@ -79,16 +84,33 @@ class Session:
 
     def _load_or_create_config(self) -> SessionConfig:
         if self.config_path.exists():
-            with open(self.config_path, encoding="utf-8") as fh:
-                return SessionConfig.from_json_dict(json.load(fh))
+            try:
+                with open(self.config_path, encoding="utf-8") as fh:
+                    return SessionConfig.from_json_dict(json.load(fh))
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+                raise FormatError(
+                    f"unreadable session config {self.config_path}: {exc!r}"
+                ) from None
         config = SessionConfig()
         self.save_config(config)
         return config
 
     def save_config(self, config: SessionConfig) -> None:
-        with open(self.config_path, "w", encoding="utf-8") as fh:
-            json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self.write_text(self.config_path, json_text(config.to_json_dict()))
+
+    # -- writing ------------------------------------------------------------------
+
+    def write_text(self, path: Path, text: str) -> Path:
+        """Write a session file through a temp file and a rename over ``path``.
+        The temp name ends in ``.tmp``, so no ``*.json``/``*.csv``/``*.svg`` scan sees it."""
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            temp.write_text(text, encoding="utf-8")
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+        return path
 
     # -- locking ----------------------------------------------------------------
 
@@ -98,18 +120,18 @@ class Session:
 
     @contextmanager
     def lock(self):
+        # The lock file is never unlinked: a command that opened it just before
+        # an unlink would lock the removed file while the next command locks a
+        # new one, and both would run.
+        fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ValidationError(
-                f"session {self.root} is locked by another command (remove {self.lock_path} if stale)"
-            ) from None
-        try:
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ValidationError(f"session {self.root} is locked by another command") from None
             yield self
         finally:
-            self.lock_path.unlink(missing_ok=True)
+            os.close(fd)
 
     # -- store --------------------------------------------------------------------
 
@@ -142,8 +164,7 @@ class Session:
         path = self.dataset_path(dataset.name)
         if path.exists() and not overwrite:
             raise ValidationError(f"dataset name already in session: {dataset.name}")
-        dataset.save(path)
-        return path
+        return self.write_text(path, json_text(dataset.to_json_dict()))
 
     def load_dataset(self, name: str) -> Dataset:
         path = self.dataset_path(name)
@@ -163,8 +184,8 @@ class Session:
 
     def save_network(self, name: str, network: CoCitationNetwork) -> None:
         graphml_path, json_path = self.network_paths(name)
-        graphml_path.write_text(network.to_graphml(), encoding="utf-8")
-        json_path.write_text(network.to_json(), encoding="utf-8")
+        self.write_text(graphml_path, network.to_graphml())
+        self.write_text(json_path, network.to_json())
 
     def load_network(self, name: str) -> CoCitationNetwork:
         _graphml_path, json_path = self.network_paths(name)
@@ -183,9 +204,7 @@ class Session:
         return self.root / "networks" / f"{check_name(name)}.clusters.json"
 
     def save_clusters(self, name: str, payload: dict) -> None:
-        with open(self.clusters_path(name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self.write_text(self.clusters_path(name), json_text(payload))
 
     def load_partition(self, name: str) -> ClusterPartition:
         path = self.clusters_path(name)

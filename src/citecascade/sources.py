@@ -4,23 +4,12 @@ A :class:`CitationSnapshot` is an immutable view of a record store with the
 reference relation inverted: ``citer_index[a]`` holds every id whose reference
 list contains ``a``. Forward lookups (who cites X) and backward lookups (what
 X cites) both run off this structure.
-
-A remote API backend is specified here as a contract only
-(:class:`RemoteCitationSource` + :class:`RemoteSourceConfig`), with a
-write-through :class:`DiskCache` any backend can share. The snapshot backend
-is the one this package ships; live credentialed services are out of scope.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, NamedTuple
-from urllib.parse import quote
+from typing import NamedTuple
 
 from .errors import UnknownPublicationError, ValidationError
 from .records import ArticleRecord, Dataset, RecordStore
@@ -129,113 +118,3 @@ class CitationSnapshot:
             provenance={"kind": "query", "query_kind": query.kind, "phrases": list(query.phrases)},
         )
 
-
-# -- remote adapter contract ---------------------------------------------------
-
-
-@dataclass
-class RemoteSourceConfig:
-    """Connection settings for a remote citation API backend."""
-
-    base_url: str
-    token_env: str = "CITESRC_TOKEN"
-    rate_limit_per_second: float = 2.0
-    max_in_flight: int = 4
-    max_retries: int = 5
-    backoff_base_seconds: float = 0.5
-    backoff_cap_seconds: float = 30.0
-
-    def token(self) -> str | None:
-        return os.environ.get(self.token_env)
-
-
-def backoff_delays(config: RemoteSourceConfig) -> list[float]:
-    """Exponential backoff schedule for throttle responses, capped."""
-    return [
-        min(config.backoff_base_seconds * (2**attempt), config.backoff_cap_seconds)
-        for attempt in range(config.max_retries)
-    ]
-
-
-class RemoteCitationSource(ABC):
-    """Contract for a remote backend: the snapshot operations plus paged search.
-
-    Implementations must bound concurrent requests by
-    ``config.max_in_flight``, back off exponentially on throttle responses
-    (see :func:`backoff_delays`), and merge responses in ascending id order so
-    results stay deterministic.
-    """
-
-    @abstractmethod
-    def get_references(self, pub_id: str) -> list[str]: ...
-
-    @abstractmethod
-    def get_citers(self, pub_id: str) -> list[str]: ...
-
-    @abstractmethod
-    def citation_count(self, pub_id: str) -> int: ...
-
-    @abstractmethod
-    def search_page(self, query: SourceQuery, cursor: str | None) -> tuple[list[str], str | None]:
-        """One page of search hits plus the cursor for the next page (None = done)."""
-
-
-@dataclass
-class DiskCache:
-    """Write-through response cache laid out as ``cache/<op>/<id>.json``."""
-
-    root: Path
-
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-
-    def path_for(self, op: str, pub_id: str) -> Path:
-        return self.root / op / f"{quote(pub_id, safe='')}.json"
-
-    def get(self, op: str, pub_id: str):
-        path = self.path_for(op, pub_id)
-        if not path.exists():
-            return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-
-    def put(self, op: str, pub_id: str, payload) -> None:
-        path = self.path_for(op, pub_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-
-
-class CachedSource:
-    """Wrap any per-id lookup with the disk cache (write-through)."""
-
-    def __init__(self, cache: DiskCache, fetch: Callable[[str, str], object]):
-        self._cache = cache
-        self._fetch = fetch
-
-    def lookup(self, op: str, pub_id: str):
-        hit = self._cache.get(op, pub_id)
-        if hit is not None:
-            return hit
-        value = self._fetch(op, pub_id)
-        self._cache.put(op, pub_id, value)
-        return value
-
-
-class ThrottledCall:
-    """Simple rate limiter: at most ``per_second`` calls per second."""
-
-    def __init__(self, per_second: float, clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep):
-        self._interval = 1.0 / per_second if per_second > 0 else 0.0
-        self._clock = clock
-        self._sleep = sleep
-        self._last = float("-inf")
-
-    def wait(self) -> None:
-        now = self._clock()
-        gap = now - self._last
-        if gap < self._interval:
-            self._sleep(self._interval - gap)
-            now = self._clock()
-        self._last = now

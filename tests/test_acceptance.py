@@ -31,9 +31,6 @@ from citecascade.cocitation import (
     NetworkConfig,
     NodeInfo,
     build_network,
-    connected_components_traversal,
-    connected_components_union_find,
-    largest_connected_component,
     network_stats,
     prune_links,
 )
@@ -42,7 +39,13 @@ from citecascade.overlay import overlap_matrix
 from citecascade.records import Dataset
 
 from conftest import SYNTHETIC_CORPUS, make_record, make_snapshot, random_citation_dag
-from test_cocitation import brute_force_pairs, cocite_corpus, loose_config
+from test_cocitation import (
+    assert_lcc_matches_union_find,
+    brute_force_pairs,
+    cocite_corpus,
+    loose_config,
+    network_from_graphml,
+)
 from test_expansion import bfs_oracle
 
 
@@ -288,12 +291,7 @@ class TestAcceptance:
                     if rng.random() < p:
                         edges[(f"v{i}", f"v{j}")] = EdgeInfo(1, 2000)
             network = CoCitationNetwork(nodes, edges, NetworkConfig())
-            t = sorted(sorted(c) for c in connected_components_traversal(network))
-            u = sorted(sorted(c) for c in connected_components_union_find(network))
-            assert t == u
-            lcc_t, pct_t = largest_connected_component(network, "traversal")
-            lcc_u, pct_u = largest_connected_component(network, "union-find")
-            assert lcc_t == lcc_u and pct_t == pct_u
+            assert_lcc_matches_union_find(network)
 
         # The published-shape case: LCC 8,352 of 14,743 is 56.65%, which rounds
         # to 57 but truncates to 56. Both must be reported, neither silently.
@@ -378,7 +376,7 @@ class TestAcceptance:
         network = CoCitationNetwork.from_json(json_path.read_text(encoding="utf-8"))
         assert len(network.nodes) > 0 and len(network.edges) > 0
 
-        from_graphml = CoCitationNetwork.from_graphml(graphml_path.read_text(encoding="utf-8"))
+        from_graphml = network_from_graphml(graphml_path.read_text(encoding="utf-8"))
         assert from_graphml == network  # node/edge multiset equality
         assert CoCitationNetwork.from_json(network.to_json()) == network
         # Re-export of the re-import reproduces the files byte for byte.

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import citecascade
 from citecascade.cli import main
 from citecascade.session import Session, SessionConfig
+
+# Takes the session lock the way a command does, reports it, then waits to be killed.
+HOLD_LOCK = """
+import sys, time
+from citecascade.session import Session
+with Session(sys.argv[1]).lock():
+    print("locked", flush=True)
+    time.sleep(120)
+"""
 
 
 def write_corpus(path: Path) -> None:
@@ -198,17 +212,26 @@ class TestExitCodes:
             session_dir, "compare", "--datasets", "a,b", "--base", "S", "--threshold", "1.5"
         ) == 3
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "nan", "inf", "-inf", "1e999",
+            # A separate argument that starts with "-" must still read as the value.
+            *(pytest.param([v], id=f"separate{v}") for v in ("-inf", "-nan", "-1e999")),
+        ],
+    )
     @pytest.mark.parametrize("flag", ["--lrf", "--e-param"])
     def test_non_finite_network_values_exit_2(self, tmp_path, corpus, capsys, flag, value):
         session_dir = tmp_path / "sess"
         run(session_dir, "ingest", str(corpus), "--dataset", "a")
         capsys.readouterr()
+        argv = [flag, *value] if isinstance(value, list) else [f"{flag}={value}"]
         with pytest.raises(SystemExit) as excinfo:
-            run(session_dir, "network", "--dataset", "a", f"{flag}={value}")
+            run(session_dir, "network", "--dataset", "a", *argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: argument {flag}: must be a finite number")
+        assert err.count("\n") == 1
         assert not list((session_dir / "networks").iterdir())
 
     @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", ""])
@@ -227,14 +250,38 @@ class TestExitCodes:
     def test_locked_session_exits_3(self, tmp_path, corpus, capsys):
         session_dir = tmp_path / "sess"
         session_dir.mkdir()
-        (session_dir / ".lock").write_text("held")
-        assert run(session_dir, "ingest", str(corpus)) == 3
-        assert "locked" in capsys.readouterr().err
+        with open(session_dir / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run(session_dir, "ingest", str(corpus)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "locked" in err and err.count("\n") == 1
+        assert not (session_dir / "store.jsonl").exists()
 
     def test_lock_released_after_run(self, tmp_path, corpus):
         session_dir = tmp_path / "sess"
         assert run(session_dir, "ingest", str(corpus)) == 0
-        assert not (session_dir / ".lock").exists()
+        with open(session_dir / ".lock") as lock_file:
+            fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)  # raises if still held
+        assert run(session_dir, "ingest", str(corpus)) == 0
+
+    def test_lock_released_when_holder_is_killed(self, tmp_path, corpus, capsys):
+        session_dir = tmp_path / "sess"
+        env = dict(os.environ, PYTHONPATH=str(Path(citecascade.__file__).parents[1]))
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLD_LOCK, str(session_dir)], stdout=subprocess.PIPE, env=env
+        )
+        try:
+            assert holder.stdout.readline() == b"locked\n"
+            assert run(session_dir, "ingest", str(corpus)) == 3
+            holder.kill()  # SIGKILL: no finally block of the holder runs
+            holder.wait()
+        finally:
+            if holder.poll() is None:
+                holder.kill()
+                holder.wait()
+            holder.stdout.close()
+        capsys.readouterr()
+        assert run(session_dir, "ingest", str(corpus)) == 0
 
     def test_help_available_for_all_subcommands(self, capsys):
         for command in (
@@ -245,6 +292,101 @@ class TestExitCodes:
                 main([command, "--help"])
             assert excinfo.value.code == 0
             assert "--" in capsys.readouterr().out
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestBadInput:
+    """Damaged session logs and unreadable user files end in one error line."""
+
+    def test_torn_store_tail_is_ignored_then_cut(self, tmp_path, corpus, capsys):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        store_path = session_dir / "store.jsonl"
+        intact = store_path.read_bytes()
+        with open(store_path, "ab") as fh:
+            fh.write(b'{"id": "c99", "title": "half wri')  # an append killed mid-line
+        assert run(session_dir, "search", "--name", "F", "--phrase", "topic alpha") == 0
+        enrichment = tmp_path / "abstracts.jsonl"
+        enrichment.write_text(json.dumps({"id": "seed", "abstract": "text"}) + "\n")
+        assert run(session_dir, "enrich", str(enrichment)) == 0
+        repaired = store_path.read_bytes()
+        assert repaired.startswith(intact) and repaired.count(b"\n") == intact.count(b"\n") + 1
+        assert all(json.loads(line) for line in repaired.splitlines())
+
+    def test_garbled_store_line_exits_4(self, tmp_path, corpus, capsys):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        with open(session_dir / "store.jsonl", "ab") as fh:
+            fh.write(b"not a record\n")
+        capsys.readouterr()
+        assert run(session_dir, "search", "--name", "F", "--phrase", "topic") == 4
+        assert "line 22" in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param('{"seeds": ["seed"]}', id="no-stages"),
+            pytest.param('{"seeds": ["seed"], "stages": [', id="not-json"),
+            pytest.param('{"seeds": "seed", "stages": [{"dir": "F", "gens": 1}]}', id="seeds-not-list"),
+            pytest.param('{"seeds": ["seed"], "stages": [{"dir": 1, "gens": 1}]}', id="dir-not-text"),
+            pytest.param('{"seeds": ["seed"], "stages": [{"dir": "F", "gens": 1}], "cap": 2.5}',
+                         id="cap-not-integer"),
+            pytest.param("[1, 2]", id="not-an-object"),
+        ],
+    )
+    def test_unreadable_spec_exits_4(self, tmp_path, corpus, capsys, content):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, "expand", "--name", "S", "--spec", str(spec_path)) == 4
+        assert "unreadable expansion spec" in one_error_line(capsys)
+        assert not (session_dir / "datasets" / "S.json").exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "dimensions-csv"])
+    def test_non_utf8_ingest_exits_4(self, tmp_path, capsys, fmt):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("Publication ID,Title,PubYear\np1,Caf\u00e9,2001\n".encode("latin-1"))
+        session_dir = tmp_path / "sess"
+        assert run(session_dir, "ingest", str(path), "--format", fmt) == 4
+        one_error_line(capsys)
+        assert not (session_dir / "store.jsonl").exists()
+
+    def test_non_utf8_enrich_exits_4(self, tmp_path, corpus, capsys):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        before = (session_dir / "store.jsonl").read_bytes()
+        path = tmp_path / "abstracts.jsonl"
+        path.write_bytes(b'{"id": "seed", "abstract": "caf\xe9"}\n')
+        capsys.readouterr()
+        assert run(session_dir, "enrich", str(path)) == 4
+        one_error_line(capsys)
+        assert (session_dir / "store.jsonl").read_bytes() == before
+
+    def test_wrong_row_types_are_rejected_rows(self, tmp_path, capsys):
+        path = tmp_path / "rows.jsonl"
+        rows = [
+            {"id": "a", "title": "t", "year": 2000, "reference_ids": [], "authors": 5},
+            {"id": "b", "title": "t", "year": 2000, "reference_ids": [], "abstract": 7},
+            {"id": "c", "title": "t", "year": 2000, "reference_ids": []},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows) + "[1]\n", encoding="utf-8")
+        session_dir = tmp_path / "sess"
+        assert run(session_dir, "ingest", str(path)) == 0
+        report = (session_dir / "reports" / "rows.load-report.csv").read_text()
+        assert report.splitlines()[1:] == [
+            "1,authors is not a list", "2,abstract is not a string", "4,row is not an object",
+        ]
+        enrichment = tmp_path / "abstracts.jsonl"
+        enrichment.write_text('[1]\n"text"\n{"id": "c", "abstract": "ok"}\n', encoding="utf-8")
+        assert run(session_dir, "enrich", str(enrichment)) == 0
+        assert "enriched 1 records, 0 unmatched, 2 rows skipped" in capsys.readouterr().out
 
 
 class TestRerunnability:
@@ -294,6 +436,29 @@ class TestSessionConfig:
         session = Session(tmp_path / "sess")
         payload = json.loads(session.config_path.read_text())
         assert payload["render"]["seed"] == 42
+
+    def test_unreadable_config_exits_4(self, tmp_path, capsys):
+        session_dir = tmp_path / "sess"
+        Session(session_dir)
+        (session_dir / "session.json").write_text('{"theta_citer": "many"}', encoding="utf-8")
+        assert run(session_dir, "report", "--kind", "datasets") == 4
+        assert "unreadable session config" in one_error_line(capsys)
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        from citecascade.records import Dataset
+
+        session = Session(tmp_path / "sess")
+        path = session.save_dataset(Dataset("d", {"a"}))
+        before = path.read_bytes()
+
+        def killed(*_args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            session.save_dataset(Dataset("d", {"b"}))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["d.json"]
 
     def test_duplicate_dataset_name_guard(self, tmp_path):
         from citecascade.errors import ValidationError

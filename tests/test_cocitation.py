@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 import warnings
 import xml.etree.ElementTree as ET
@@ -20,7 +22,6 @@ from citecascade.cocitation import (
     canonical_pair,
     cocite_pairs,
     connected_components_traversal,
-    connected_components_union_find,
     largest_connected_component,
     network_arrays,
     network_stats,
@@ -59,6 +60,96 @@ def cocite_corpus(rng: random.Random, n_citers: int, n_refs: int):
         citer_ids.append(f"cit{i:03d}")
     snapshot = make_snapshot(records)
     return snapshot, Dataset("corpus", set(citer_ids))
+
+
+class _DisjointSet:
+    def __init__(self, items: list[str]):
+        self.parent = {x: x for x in items}
+        self.rank = {x: 0 for x in items}
+
+    def find(self, x: str) -> str:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+
+
+def connected_components_union_find(network: CoCitationNetwork) -> list[set[str]]:
+    """Components by disjoint-set union; independent check on the traversal."""
+    dsu = _DisjointSet(sorted(network.nodes))
+    for (a, b) in network.edges:
+        dsu.union(a, b)
+    groups: dict[str, set[str]] = {}
+    for node in network.nodes:
+        groups.setdefault(dsu.find(node), set()).add(node)
+    return list(groups.values())
+
+
+def assert_lcc_matches_union_find(network: CoCitationNetwork) -> None:
+    """The dual LCC check: the traversal's LCC against the union-find components.
+
+    The LCC is the largest component (ties: smallest member id), its share
+    rounded half up to an integer percent.
+    """
+    by_traversal = sorted(sorted(c) for c in connected_components_traversal(network))
+    components = connected_components_union_find(network)
+    assert by_traversal == sorted(sorted(c) for c in components)
+    best = min(components, key=lambda c: (-len(c), min(c)))
+    expected_pct = math.floor(100.0 * len(best) / len(network.nodes) + 0.5)
+    assert largest_connected_component(network) == (best, expected_pct)
+
+
+def network_from_graphml(text: str) -> CoCitationNetwork:
+    """Independent GraphML reader: checks that the export carries the whole network."""
+
+    def local(tag: str) -> str:
+        return tag.rsplit("}", 1)[-1]
+
+    root = ET.fromstring(text)
+    key_names: dict[str, str] = {}
+    graph_el = None
+    for child in root:
+        if local(child.tag) == "key":
+            key_names[child.attrib["id"]] = child.attrib.get("attr.name", child.attrib["id"])
+        elif local(child.tag) == "graph":
+            graph_el = child
+    assert graph_el is not None, "graphml has no <graph> element"
+
+    def data_of(el) -> dict[str, str]:
+        return {
+            key_names.get(d.attrib["key"], d.attrib["key"]): (d.text or "")
+            for d in el
+            if local(d.tag) == "data"
+        }
+
+    config = NetworkConfig()
+    nodes: dict[str, NodeInfo] = {}
+    edges: dict[tuple[str, str], EdgeInfo] = {}
+    graph_data = data_of(graph_el)
+    if graph_data.get("config"):
+        config = NetworkConfig.from_json_dict(json.loads(graph_data["config"]))
+    for el in graph_el:
+        tag = local(el.tag)
+        if tag == "node":
+            values = data_of(el)
+            nodes[el.attrib["id"]] = NodeInfo(int(values["count"]), int(values["year"]))
+        elif tag == "edge":
+            values = data_of(el)
+            pair = canonical_pair(el.attrib["source"], el.attrib["target"])
+            edges[pair] = EdgeInfo(int(values["weight"]), int(values["first_cocited_year"]))
+    return CoCitationNetwork(nodes, edges, config)
 
 
 def brute_force_pairs(snapshot, citer_ids, lby):
@@ -367,12 +458,7 @@ class TestComponents:
                 if rng.random() < p:
                     edges[(f"v{i}", f"v{j}")] = EdgeInfo(1, 2000)
         network = CoCitationNetwork(nodes, edges, loose_config())
-        by_traversal = sorted(sorted(c) for c in connected_components_traversal(network))
-        by_dsu = sorted(sorted(c) for c in connected_components_union_find(network))
-        assert by_traversal == by_dsu
-        lcc_t, pct_t = largest_connected_component(network, "traversal")
-        lcc_u, pct_u = largest_connected_component(network, "union-find")
-        assert lcc_t == lcc_u and pct_t == pct_u
+        assert_lcc_matches_union_find(network)
 
 
 class TestConfig:
@@ -444,7 +530,7 @@ class TestRoundTrips:
 
     def test_graphml_roundtrip_equal(self):
         network = self._sample_network()
-        again = CoCitationNetwork.from_graphml(network.to_graphml())
+        again = network_from_graphml(network.to_graphml())
         assert again == network
         assert again.config.lrf == 4
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citecascade.errors import UnknownPublicationError, ValidationError
+from citecascade.errors import FormatError, UnknownPublicationError, ValidationError
 from citecascade.expansion import (
     BACKWARD,
     FORWARD,
@@ -198,9 +199,33 @@ class TestRunCascade:
             per_generation_cap=100,
         )
         path = tmp_path / "spec.json"
-        spec.save(path)
+        path.write_text(json.dumps(spec.to_json_dict()), encoding="utf-8")
         loaded = ExpansionSpec.load(path)
         assert loaded == spec
+
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{",
+            '{"seeds": ["a"]}',
+            '{"seeds": ["a"], "stages": [{"dir": "F", "gens": "many"}]}',
+            '{"seeds": ["a"], "stages": [{"dir": "F", "gens": Infinity}]}',
+            '{"seeds": [1], "stages": [{"dir": "F", "gens": 1}]}',
+            '{"seeds": ["a"], "stages": [{"dir": "F", "gens": 1}], "cap": true}',
+        ],
+    )
+    def test_unreadable_spec_is_a_format_error(self, tmp_path, content):
+        path = tmp_path / "spec.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(FormatError):
+            ExpansionSpec.load(path)
+
+    def test_invalid_spec_values_stay_validation_errors(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"seeds": [], "stages": [{"dir": "F", "gens": 1}]}', encoding="utf-8")
+        with pytest.raises(ValidationError):
+            ExpansionSpec.load(path)
 
 
 class TestTraceReport:

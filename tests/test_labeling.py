@@ -21,11 +21,19 @@ from citecascade.labeling import (
     label_all_clusters,
     label_cluster,
     log_likelihood_ratio,
-    phrase_document_frequencies,
     tokenize,
 )
 
 from conftest import make_record, make_snapshot
+
+
+def phrase_document_frequencies(texts: list[str]) -> dict[str, int]:
+    """Uncached reference: how many texts contain each phrase (each text counts once)."""
+    df: dict[str, int] = {}
+    for text in texts:
+        for phrase in extract_phrases(text):
+            df[phrase] = df.get(phrase, 0) + 1
+    return df
 
 
 class TestPhraseExtraction:
@@ -54,6 +62,11 @@ class TestPhraseExtraction:
     def test_document_frequency_counts_docs_once(self):
         df = phrase_document_frequencies(["alpha alpha beta", "alpha"])
         assert df["alpha"] == 2  # not 3
+
+    def test_index_frequencies_match_uncached_count(self):
+        texts = ["alpha alpha beta", "alpha", "beta gamma of alpha", "alpha"]
+        index = PhraseIndex(make_snapshot([]))
+        assert index.frequencies(texts) == phrase_document_frequencies(texts)
 
 
 class TestLogLikelihoodRatio:

@@ -185,15 +185,13 @@ class TestCoverageReport:
         projection = self._projection(
             {0: {"inside": 1.0, "outside": 0.0}}, ["inside", "outside"]
         )
-        partition = ClusterPartition(assignment={"n": 0})
-        report = coverage_report(projection, partition, threshold=0.10, epsilon=0.05)
+        report = coverage_report(projection, threshold=0.10, epsilon=0.05)
         assert report.classes[0]["inside"] == FULL
         assert report.classes[0]["outside"] == MISSED
 
     def test_half_coverage_is_partial(self):
         projection = self._projection({0: {"d": 0.5}}, ["d"])
-        partition = ClusterPartition(assignment={"n": 0})
-        report = coverage_report(projection, partition, threshold=0.25, epsilon=0.05)
+        report = coverage_report(projection, threshold=0.25, epsilon=0.05)
         assert report.classes[0]["d"] == PARTIAL
 
     def test_common_core_is_planted_universal_cluster(self):
@@ -205,35 +203,33 @@ class TestCoverageReport:
             },
             ["d1", "d2", "d3"],
         )
-        partition = ClusterPartition(assignment={"a": 0, "b": 1, "c": 2})
-        report = coverage_report(projection, partition, threshold=0.10)
+        report = coverage_report(projection, threshold=0.10)
         assert report.common_core == [0]
 
     def test_boundaries(self):
         projection = self._projection({0: {"d": 0.95}, 1: {"d": 0.10}}, ["d"])
-        partition = ClusterPartition(assignment={"a": 0, "b": 1})
-        report = coverage_report(projection, partition, threshold=0.10, epsilon=0.05)
+        report = coverage_report(projection, threshold=0.10, epsilon=0.05)
         assert report.classes[0]["d"] == FULL  # 0.95 >= 1 - 0.05
         assert report.classes[1]["d"] == PARTIAL  # exactly at threshold
 
     def test_threshold_validation(self):
         projection = self._projection({0: {"d": 0.5}}, ["d"])
-        partition = ClusterPartition(assignment={"a": 0})
         for bad in (0.0, 1.0, -0.2, 7):
             with pytest.raises(ValidationError):
-                coverage_report(projection, partition, threshold=bad)
+                coverage_report(projection, threshold=bad)
 
-    def test_derives_coverage_when_absent(self):
+    def test_rejects_projection_without_coverage(self):
         network = base_network(["n1", "n2"])
-        projection = project_overlay(network, [Dataset("d", {"n1", "n2"})])
+        datasets = [Dataset("d", {"n1", "n2"})]
+        with pytest.raises(ValidationError):
+            coverage_report(project_overlay(network, datasets), threshold=0.5)
         partition = ClusterPartition(assignment={"n1": 0, "n2": 0})
-        report = coverage_report(projection, partition, threshold=0.5)
+        report = coverage_report(project_overlay(network, datasets, partition), threshold=0.5)
         assert report.classes[0]["d"] == FULL
 
     def test_csv_shape(self):
         projection = self._projection({0: {"d": 1.0}, 1: {"d": 0.0}}, ["d"])
-        partition = ClusterPartition(assignment={"a": 0, "b": 1})
-        report = coverage_report(projection, partition)
+        report = coverage_report(projection)
         csv_text = report.to_csv(labels={0: "core theme"})
         lines = csv_text.splitlines()
         assert lines[1] == "cluster,label,d"

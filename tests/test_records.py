@@ -355,11 +355,57 @@ class TestPersistence:
         store.insert(make_record("p1", refs=["p2"], abstract="text"))
         store.insert(make_record("p2", count=7))
         path = tmp_path / "store.jsonl"
-        store.save(path)
+        path.write_text(
+            "".join(json.dumps(r.to_json_dict()) + "\n" for r in store.records()), encoding="utf-8"
+        )
         loaded = RecordStore.load(path)
         assert [r.to_json_dict() for r in loaded.records()] == [
             r.to_json_dict() for r in store.records()
         ]
+
+    def test_torn_last_line_is_ignored(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        RecordStore().append_records(path, [make_record("p1"), make_record("p2")])
+        with open(path, "ab") as fh:
+            fh.write(b'{"id": "p3", "tit')
+        assert RecordStore.load(path).ids() == ["p1", "p2"]
+
+    def test_torn_multibyte_tail_is_ignored(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        RecordStore().append_records(path, [make_record("p1")])
+        with open(path, "ab") as fh:
+            fh.write("{\"title\": \"caf\u00e9".encode("utf-8")[:-1])  # cut inside a character
+        assert RecordStore.load(path).ids() == ["p1"]
+
+    @pytest.mark.parametrize("line", [b"not json\n", b'{"id": "p\xff"}\n'])
+    def test_unreadable_inner_line_is_a_format_error(self, tmp_path, line):
+        path = tmp_path / "store.jsonl"
+        RecordStore().append_records(path, [make_record("p1")])
+        with open(path, "ab") as fh:
+            fh.write(line)
+        RecordStore().append_records(path, [make_record("p2")])
+        with pytest.raises(FormatError, match="line 2"):
+            RecordStore.load(path)
+
+    def test_append_cuts_a_torn_tail(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = RecordStore()
+        store.append_records(path, [make_record("p1")])
+        intact = path.read_bytes()
+        with open(path, "ab") as fh:
+            fh.write(b'{"id": "p9", "ti')
+        store.append_records(path, [make_record("p2")])
+        assert path.read_bytes() == intact + json.dumps(
+            make_record("p2").to_json_dict(), sort_keys=True
+        ).encode() + b"\n"
+        assert RecordStore.load(path).ids() == ["p1", "p2"]
+
+    def test_append_ends_a_complete_tail_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(make_record("p1").to_json_dict()), encoding="utf-8")
+        RecordStore().append_records(path, [make_record("p2")])
+        assert RecordStore.load(path).ids() == ["p1", "p2"]
+        assert path.read_text(encoding="utf-8").count("\n") == 2
 
     def test_append_log_replay_last_wins(self, tmp_path):
         path = tmp_path / "store.jsonl"

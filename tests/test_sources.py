@@ -1,8 +1,7 @@
-"""Citation snapshot: lookups, counts, search, cache layout, adapter contract."""
+"""Citation snapshot: lookups, counts, search."""
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -10,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citecascade.errors import UnknownPublicationError, ValidationError
-from citecascade.sources import (
-    CachedSource,
-    DiskCache,
-    RemoteCitationSource,
-    RemoteSourceConfig,
-    SourceQuery,
-    backoff_delays,
-)
+from citecascade.sources import SourceQuery
 
 from conftest import make_record, make_snapshot, random_citation_dag
 
@@ -184,72 +176,3 @@ class TestSearch:
         )
         assert base.member_ids <= wider.member_ids
 
-
-class TestDiskCache:
-    def test_layout_and_roundtrip(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache")
-        cache.put("get_references", "pub.42", ["a", "b"])
-        expected = tmp_path / "cache" / "get_references" / "pub.42.json"
-        assert expected.exists()
-        assert cache.get("get_references", "pub.42") == ["a", "b"]
-        assert json.loads(expected.read_text()) == ["a", "b"]
-
-    def test_ids_with_separators_stay_inside_op_dir(self, tmp_path):
-        cache = DiskCache(tmp_path / "cache")
-        cache.put("get_citers", "doi:10.1000/xyz", [1])
-        paths = list((tmp_path / "cache" / "get_citers").iterdir())
-        assert len(paths) == 1
-        assert cache.get("get_citers", "doi:10.1000/xyz") == [1]
-
-    def test_write_through_wrapper_hits_backend_once(self, tmp_path):
-        calls = []
-
-        def fetch(op, pub_id):
-            calls.append((op, pub_id))
-            return {"refs": [pub_id]}
-
-        source = CachedSource(DiskCache(tmp_path / "cache"), fetch)
-        first = source.lookup("get_references", "x")
-        second = source.lookup("get_references", "x")
-        assert first == second == {"refs": ["x"]}
-        assert calls == [("get_references", "x")]
-
-
-class TestRemoteContract:
-    def test_backoff_schedule_exponential_and_capped(self):
-        config = RemoteSourceConfig(
-            base_url="https://example.test", backoff_base_seconds=1.0,
-            backoff_cap_seconds=5.0, max_retries=5,
-        )
-        assert backoff_delays(config) == [1.0, 2.0, 4.0, 5.0, 5.0]
-
-    def test_token_read_from_env(self, monkeypatch):
-        config = RemoteSourceConfig(base_url="https://example.test")
-        monkeypatch.setenv("CITESRC_TOKEN", "sekrit")
-        assert config.token() == "sekrit"
-        monkeypatch.delenv("CITESRC_TOKEN")
-        assert config.token() is None
-
-    def test_contract_is_abstract_but_implementable(self):
-        with pytest.raises(TypeError):
-            RemoteCitationSource()  # type: ignore[abstract]
-
-        class FakeRemote(RemoteCitationSource):
-            def get_references(self, pub_id):
-                return ["a"]
-
-            def get_citers(self, pub_id):
-                return ["b"]
-
-            def citation_count(self, pub_id):
-                return 1
-
-            def search_page(self, query, cursor):
-                return (["x"], None)
-
-        remote = FakeRemote()
-        assert remote.get_references("p") == ["a"]
-        ids, next_cursor = remote.search_page(
-            SourceQuery("phrase-in-title-abstract", ["q"]), None
-        )
-        assert ids == ["x"] and next_cursor is None
