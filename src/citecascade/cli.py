@@ -9,7 +9,6 @@ exit codes: 0 ok, 2 bad command line, 3 validation failure, 4 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -20,11 +19,11 @@ from . import clustering, labeling
 from .cocitation import NetworkConfig, build_network, network_stats
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
-from .overlay import OverlayProjection, coverage_report, overlap_matrix, project_overlay
+from .overlay import coverage_report, overlap_matrix, project_overlay
 from .records import Dataset, RecordStore, dataset_union, json_text, year_distribution
 from .render import layout, render_distribution, render_map, wrap_html
 from .session import Session, check_name
-from .sources import CitationSnapshot, SourceQuery
+from .sources import CitationSnapshot, SourceQuery, search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,7 +102,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="detect, score, and label communities")
     p.add_argument("--network", required=True)
     p.add_argument("--levels", type=int, choices=[1, 2], default=1)
-    p.add_argument("--top-k", type=int, default=5, help="clusters to drill into / label on maps")
+    p.add_argument("--top-k", type=int, default=5,
+                   help="largest clusters that get level-2 sub-clusters and concept trees")
 
     p = sub.add_parser("compare", help="overlap matrix and base-map overlays")
     p.add_argument("--datasets", required=True, help="comma-separated dataset names")
@@ -173,7 +173,8 @@ def _cmd_ingest(args, session: Session) -> int:
         check_name(args.dataset)  # before the store changes
     store = session.load_store()
     report = store.ingest(args.path, args.format)
-    session.append_store_delta(store, report.changed_ids)
+    if report.loaded:
+        session.save_store(store)
     report_path = session.report_path(f"{Path(args.path).stem}.load-report.csv")
     session.write_text(report_path, report.to_csv())
     if args.dataset is not None:
@@ -193,7 +194,8 @@ def _cmd_ingest(args, session: Session) -> int:
 def _cmd_enrich(args, session: Session) -> int:
     store = session.load_store()
     report = store.enrich_abstracts(args.path)
-    session.append_store_delta(store, report.enriched_ids)
+    if report.enriched:
+        session.save_store(store)
     print(
         f"enriched {report.enriched} records, {len(report.unmatched)} unmatched, "
         f"{len(report.skipped_rows)} rows skipped"
@@ -204,8 +206,8 @@ def _cmd_enrich(args, session: Session) -> int:
 def _cmd_search(args, session: Session) -> int:
     if not args.phrase:
         raise ValidationError("search needs at least one --phrase")
-    snapshot = _snapshot(session)
-    dataset = snapshot.search(SourceQuery(kind=args.kind, phrases=args.phrase), name=args.name)
+    query = SourceQuery(kind=args.kind, phrases=args.phrase)
+    dataset = search(session.load_store(), query, name=args.name)
     session.save_dataset(dataset)
     print(f"dataset {dataset.name}: {len(dataset)} articles")
     return EXIT_OK
@@ -378,12 +380,7 @@ def _cmd_render(args, session: Session) -> int:
         projection = None
         kind = "map"
         if args.overlay:
-            projection_path = session.report_path("projection.json")
-            if not projection_path.exists():
-                raise CiteCascadeError("no projection found; run compare --base first")
-            projection = OverlayProjection.from_json_dict(
-                json.loads(projection_path.read_text(encoding="utf-8"))
-            )
+            projection = session.load_projection()
             kind = "overlay"
         positions = layout(network, spec.seed)
         svg = render_map(network, partition, projection, spec, positions)

@@ -303,18 +303,6 @@ def cocite_pairs(
     return {canonical_pair(a, b) for a, b in combinations(sorted(eligible), 2)}
 
 
-def _count_pairs(citers: list[str], snapshot: CitationSnapshot, config: NetworkConfig):
-    pair_weight: dict[tuple[str, str], int] = {}
-    pair_year: dict[tuple[str, str], int] = {}
-    for citer_id in citers:
-        citer_year = snapshot.record(citer_id).year
-        for pair in cocite_pairs(citer_id, snapshot, config):
-            pair_weight[pair] = pair_weight.get(pair, 0) + 1
-            if pair not in pair_year or citer_year < pair_year[pair]:
-                pair_year[pair] = citer_year
-    return pair_weight, pair_year
-
-
 def build_network(
     dataset: Dataset, snapshot: CitationSnapshot, config: NetworkConfig
 ) -> CoCitationNetwork:
@@ -329,14 +317,16 @@ def build_network(
         raise EmptyDatasetError(f"dataset {dataset.name!r} is empty")
     slices = slice_citers(dataset, snapshot, config)
 
+    # Each selected citer lies in exactly one slice.
     pair_weight: dict[tuple[str, str], int] = {}
     pair_year: dict[tuple[str, str], int] = {}
-    for (_interval, citers) in slices:
-        slice_weight, slice_year = _count_pairs(citers, snapshot, config)
-        for pair, weight in slice_weight.items():
-            pair_weight[pair] = pair_weight.get(pair, 0) + weight
-            if pair not in pair_year or slice_year[pair] < pair_year[pair]:
-                pair_year[pair] = slice_year[pair]
+    for _interval, citers in slices:
+        for citer_id in citers:
+            citer_year = snapshot.record(citer_id).year
+            for pair in cocite_pairs(citer_id, snapshot, config):
+                pair_weight[pair] = pair_weight.get(pair, 0) + 1
+                if pair not in pair_year or citer_year < pair_year[pair]:
+                    pair_year[pair] = citer_year
 
     if not pair_weight:
         warnings.warn(f"dataset {dataset.name!r} produced no co-citation pairs", stacklevel=2)

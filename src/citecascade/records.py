@@ -2,7 +2,7 @@
 
 Records come from JSONL exports or header-driven Dimensions-style CSV files,
 get normalized into :class:`ArticleRecord`, and live in a :class:`RecordStore`
-(in-memory index plus an append-only JSONL log). Named article-id sets are
+(in-memory index, saved as one JSONL line per record). Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
 :class:`YearDistribution` objects. :func:`json_text` is the one JSON layout
 of every artifact the package writes.
@@ -14,8 +14,6 @@ import csv
 import hashlib
 import json
 import math
-import mmap
-import os
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -115,7 +113,6 @@ class LoadReport:
     merged: int = 0
     rejected: list[tuple[int, str]] = field(default_factory=list)
     loaded_ids: list[str] = field(default_factory=list)
-    changed_ids: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
         lines = ["line_number,reason"]
@@ -129,7 +126,6 @@ class EnrichmentReport:
     enriched: int = 0
     unmatched: list[str] = field(default_factory=list)
     skipped_rows: list[tuple[int, str]] = field(default_factory=list)
-    enriched_ids: list[str] = field(default_factory=list)
 
 
 def _csv_quote(value: str) -> str:
@@ -169,10 +165,10 @@ def _merge_records(first: ArticleRecord, second: ArticleRecord) -> ArticleRecord
 class RecordStore:
     """In-memory id -> record index with JSONL persistence.
 
-    The persistent form is an append-only JSONL log; replaying the log applies
-    each line as the current state of its id (later lines supersede earlier
-    ones). Ingest-time duplicate merging happens before logging, so replays
-    reproduce the merged store exactly.
+    The persistent form holds one JSON line per record, in first-seen order
+    (:meth:`json_lines`), and is written whole. Loading replays the lines in
+    order, each as the current state of its id, so a later line supersedes an
+    earlier one: a log that older versions appended to loads the same way.
     """
 
     def __init__(self) -> None:
@@ -193,38 +189,32 @@ class RecordStore:
     def records(self) -> list[ArticleRecord]:
         return [self._records[i] for i in self.ids()]
 
-    def insert(self, record: ArticleRecord) -> bool:
-        """Insert or merge a record. Returns True if the stored state changed."""
+    def __iter__(self):
+        """The records in first-seen order."""
+        return iter(self._records.values())
+
+    def insert(self, record: ArticleRecord) -> None:
+        """Insert a record, or merge it into the stored one with the same id."""
         existing = self._records.get(record.id)
-        if existing is None:
-            self._records[record.id] = record
-            return True
-        merged = _merge_records(existing, record)
-        if merged.to_json_dict() == existing.to_json_dict():
-            return False
-        self._records[record.id] = merged
-        return True
+        self._records[record.id] = record if existing is None else _merge_records(existing, record)
 
     def replace(self, record: ArticleRecord) -> None:
-        """Overwrite the stored state of ``record.id`` (log replay, enrichment)."""
+        """Overwrite the stored state of ``record.id`` (replay on load)."""
         self._records[record.id] = record
 
     # -- persistence ---------------------------------------------------------
 
-    def append_records(self, path: str | Path, records: list[ArticleRecord]) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            _cut_torn_tail(path)
-        with open(path, "a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+    def json_lines(self):
+        """The persistent form, one sorted-key JSON line per record, first-seen order."""
+        for record in self:
+            yield json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
 
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":
-        """Replay the log. A last line without its newline that does not parse
-        is the remains of a killed append: it is ignored (and cut off by the
-        next append). Any other unreadable line is a :class:`FormatError`."""
+        """Replay the lines. A last line without its newline that does not parse
+        is the remains of a killed append by an older version: it is ignored
+        (and gone after the next write). Any other unreadable line is a
+        :class:`FormatError`."""
         store = cls()
         path = Path(path)
         if not path.exists():
@@ -263,17 +253,13 @@ class RecordStore:
             raise FormatError(f"unknown format: {format}")
 
         report = LoadReport()
-        changed_seen: set[str] = set()
         for line_no, record, reason in rows:
             if record is None:
                 report.rejected.append((line_no, reason or "invalid row"))
                 continue
-            known = record.id in self._records
-            if self.insert(record) and record.id not in changed_seen:
-                changed_seen.add(record.id)
-                report.changed_ids.append(record.id)
-            if known:
+            if record.id in self._records:
                 report.merged += 1
+            self.insert(record)
             report.loaded += 1
             report.loaded_ids.append(record.id)
         return report
@@ -323,7 +309,6 @@ class RecordStore:
             if not record.abstract:
                 record.abstract = abstract
                 report.enriched += 1
-                report.enriched_ids.append(record.id)
         return report
 
 
@@ -384,9 +369,9 @@ def _text_lines(path: Path):
 
 
 def _parse_log_line(line: str):
-    """One store log line as parsed JSON, None when blank; ValueError when unreadable.
+    """One store line as parsed JSON, None when blank; ValueError when unreadable.
 
-    The log is written as ASCII, so a non-ASCII line is checked for bytes
+    The store is written as ASCII, so a non-ASCII line is checked for bytes
     that did not decode (kept as surrogate escapes by the reader).
     """
     line = line.strip()
@@ -395,25 +380,6 @@ def _parse_log_line(line: str):
     if not line.isascii():
         line.encode("utf-8")
     return json.loads(line)
-
-
-def _cut_torn_tail(path: Path) -> None:
-    """Before an append: drop a last line that lacks its newline and does not
-    parse (a torn write), or end a complete one with its missing newline."""
-    with open(path, "rb+") as fh:
-        if fh.seek(0, os.SEEK_END) == 0:
-            return
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            if data[-1:] == b"\n":
-                return
-            start = data.rfind(b"\n") + 1
-            tail = data[start:]
-        try:
-            _parse_log_line(tail.decode("utf-8", "surrogateescape"))
-        except ValueError:
-            fh.truncate(start)
-        else:
-            fh.write(b"\n")
 
 
 def _parse_jsonl(path: Path) -> list[tuple[int, ArticleRecord | None, str | None]]:
@@ -508,9 +474,7 @@ class Dataset:
         return out
 
     @classmethod
-    def load(cls, path: str | Path) -> "Dataset":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    def from_json_dict(cls, data: dict) -> "Dataset":
         return cls(
             name=data["name"],
             member_ids=set(data["member_ids"]),

@@ -4,14 +4,14 @@ A session holds everything one analysis produces::
 
     <session>/
       session.json   # configuration (round-trips losslessly)
-      store.jsonl    # append-only record log
+      store.jsonl    # record store, one JSON line per record
       datasets/ networks/ reports/ renders/ traces/
 
 One command runs at a time per session, enforced with an advisory lock on
 ``.lock`` that the OS releases when its holder exits or dies. Every artifact
 is written to a temp file and renamed into place, so a killed command leaves
-each file either old or new, never half written; ``store.jsonl`` is only
-ever appended to.
+each file either old or new, never half written. That holds for
+``store.jsonl`` too: ``ingest`` and ``enrich`` write it whole.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,8 @@ from pathlib import Path
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, NetworkConfig
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
-from .records import ArticleRecord, Dataset, RecordStore, json_text
+from .overlay import OverlayProjection
+from .records import Dataset, RecordStore, json_text
 from .render import RenderSpec
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
@@ -84,13 +86,7 @@ class Session:
 
     def _load_or_create_config(self) -> SessionConfig:
         if self.config_path.exists():
-            try:
-                with open(self.config_path, encoding="utf-8") as fh:
-                    return SessionConfig.from_json_dict(json.load(fh))
-            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-                raise FormatError(
-                    f"unreadable session config {self.config_path}: {exc!r}"
-                ) from None
+            return self._read_json(self.config_path, SessionConfig.from_json_dict, "session config")
         config = SessionConfig()
         self.save_config(config)
         return config
@@ -98,14 +94,23 @@ class Session:
     def save_config(self, config: SessionConfig) -> None:
         self.write_text(self.config_path, json_text(config.to_json_dict()))
 
-    # -- writing ------------------------------------------------------------------
+    # -- reading and writing ----------------------------------------------------------
 
-    def write_text(self, path: Path, text: str) -> Path:
-        """Write a session file through a temp file and a rename over ``path``.
-        The temp name ends in ``.tmp``, so no ``*.json``/``*.csv``/``*.svg`` scan sees it."""
+    def _read_json(self, path: Path, build, what: str = "session file"):
+        """``build`` applied to the JSON in ``path``; damage is a FormatError naming the file."""
+        try:
+            return build(json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise FormatError(f"unreadable {what} {path}: {exc!r}") from None
+
+    def write_text(self, path: Path, text: str | Iterable[str]) -> Path:
+        """Write a session file, given whole or as a stream of chunks, through a
+        temp file and a rename over ``path``. The temp name ends in ``.tmp``,
+        so no ``*.json``/``*.csv``/``*.svg`` scan sees it."""
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            temp.write_text(text, encoding="utf-8")
+            with open(temp, "w", encoding="utf-8") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
             os.replace(temp, path)
         except BaseException:
             temp.unlink(missing_ok=True)
@@ -142,18 +147,8 @@ class Session:
     def load_store(self) -> RecordStore:
         return RecordStore.load(self.store_path)
 
-    def append_store_delta(self, store: RecordStore, changed_ids: list[str]) -> None:
-        records: list[ArticleRecord] = []
-        seen: set[str] = set()
-        for pub_id in changed_ids:
-            if pub_id in seen:
-                continue
-            seen.add(pub_id)
-            record = store.get(pub_id)
-            if record is not None:
-                records.append(record)
-        if records:
-            store.append_records(self.store_path, records)
+    def save_store(self, store: RecordStore) -> None:
+        self.write_text(self.store_path, store.json_lines())
 
     # -- datasets -------------------------------------------------------------------
 
@@ -170,7 +165,7 @@ class Session:
         path = self.dataset_path(name)
         if not path.exists():
             raise CiteCascadeError(f"no dataset named {name!r} in session")
-        return Dataset.load(path)
+        return self._read_json(path, Dataset.from_json_dict)
 
     def dataset_names(self) -> list[str]:
         return sorted(p.stem for p in (self.root / "datasets").glob("*.json"))
@@ -191,7 +186,7 @@ class Session:
         _graphml_path, json_path = self.network_paths(name)
         if not json_path.exists():
             raise CiteCascadeError(f"no network named {name!r} in session")
-        return CoCitationNetwork.from_json(json_path.read_text(encoding="utf-8"))
+        return self._read_json(json_path, CoCitationNetwork.from_json_dict)
 
     def network_names(self) -> list[str]:
         return sorted(
@@ -212,9 +207,13 @@ class Session:
             raise CiteCascadeError(
                 f"no clustering for network {name!r}; run the cluster command first"
             )
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return ClusterPartition.from_json_dict(payload["level1"])
+        return self._read_json(path, lambda data: ClusterPartition.from_json_dict(data["level1"]))
+
+    def load_projection(self) -> OverlayProjection:
+        path = self.report_path("projection.json")
+        if not path.exists():
+            raise CiteCascadeError("no projection found; run compare --base first")
+        return self._read_json(path, OverlayProjection.from_json_dict)
 
     # -- simple path helpers ----------------------------------------------------------
 

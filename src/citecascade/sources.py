@@ -3,7 +3,8 @@
 A :class:`CitationSnapshot` is an immutable view of a record store with the
 reference relation inverted: ``citer_index[a]`` holds every id whose reference
 list contains ``a``. Forward lookups (who cites X) and backward lookups (what
-X cites) both run off this structure.
+X cites) both run off this structure. :func:`search` scans titles and
+abstracts, which needs only the record store.
 """
 
 from __future__ import annotations
@@ -98,23 +99,23 @@ class CitationSnapshot:
     def citation_count(self, pub_id: str) -> int:
         return self.citation_count_info(pub_id).value
 
-    def search(self, query: SourceQuery, name: str) -> Dataset:
-        """Run a query against the snapshot, wrapping hits as a named dataset."""
-        if query.kind == "id-lookup":
-            members = {p for p in query.phrases if p in self._records}
-        else:
-            needles = [p.lower() for p in query.phrases]
-            members = set()
-            for pub_id in self._records:
-                record = self._records[pub_id]
-                haystack = record.title.lower()
-                if record.abstract:
-                    haystack += " " + record.abstract.lower()
-                if any(needle in haystack for needle in needles):
-                    members.add(pub_id)
-        return Dataset(
-            name=name,
-            member_ids=members,
-            provenance={"kind": "query", "query_kind": query.kind, "phrases": list(query.phrases)},
-        )
 
+def search(store: RecordStore, query: SourceQuery, name: str) -> Dataset:
+    """Run a query over the store's titles and abstracts (or ids), wrapping hits
+    as a named dataset."""
+    if query.kind == "id-lookup":
+        members = {p for p in query.phrases if p in store}
+    else:
+        needles = [p.lower() for p in query.phrases]
+        members = set()
+        for record in store:
+            haystack = record.title.lower()
+            if record.abstract:
+                haystack += " " + record.abstract.lower()
+            if any(needle in haystack for needle in needles):
+                members.add(record.id)
+    return Dataset(
+        name=name,
+        member_ids=members,
+        provenance={"kind": "query", "query_kind": query.kind, "phrases": list(query.phrases)},
+    )

@@ -33,11 +33,15 @@ def make_record(
     )
 
 
-def make_snapshot(records: list[ArticleRecord]) -> CitationSnapshot:
+def make_store(records) -> RecordStore:
     store = RecordStore()
     for record in records:
         store.insert(record)
-    return CitationSnapshot.from_store(store)
+    return store
+
+
+def make_snapshot(records: list[ArticleRecord]) -> CitationSnapshot:
+    return CitationSnapshot.from_store(make_store(records))
 
 
 def chain_snapshot(n: int, start_year: int = 2000) -> CitationSnapshot:
@@ -87,13 +91,13 @@ def bundled_world():
     from citecascade.cocitation import NetworkConfig, build_network
     from citecascade.expansion import ExpansionSpec, ExpansionStage, run_cascade
     from citecascade.records import dataset_union
-    from citecascade.sources import SourceQuery
+    from citecascade.sources import SourceQuery, search
 
     store = RecordStore()
     store.ingest(SYNTHETIC_CORPUS, "jsonl")
     snapshot = CitationSnapshot.from_store(store)
     query = SourceQuery(kind="phrase-in-title-abstract", phrases=["reinforcement learning"])
-    found = snapshot.search(query, name="F")
+    found = search(store, query, name="F")
     spec = ExpansionSpec({"P010"}, [ExpansionStage("F", 3)], theta_citer=1, theta_ref=1)
     expanded, _trace = run_cascade(snapshot, spec, "S3")
     combined = dataset_union([found, expanded], "combined")

@@ -13,6 +13,7 @@ import pytest
 
 import citecascade
 from citecascade.cli import main
+from citecascade.records import RecordStore
 from citecascade.session import Session, SessionConfig
 
 # Takes the session lock the way a command does, reports it, then waits to be killed.
@@ -315,8 +316,15 @@ class TestBadInput:
         enrichment.write_text(json.dumps({"id": "seed", "abstract": "text"}) + "\n")
         assert run(session_dir, "enrich", str(enrichment)) == 0
         repaired = store_path.read_bytes()
-        assert repaired.startswith(intact) and repaired.count(b"\n") == intact.count(b"\n") + 1
-        assert all(json.loads(line) for line in repaired.splitlines())
+        assert repaired.endswith(b"\n") and repaired.count(b"\n") == intact.count(b"\n")
+        changed = [
+            (json.loads(old), json.loads(new))
+            for old, new in zip(intact.splitlines(), repaired.splitlines())
+            if old != new
+        ]
+        assert len(changed) == 1
+        before, after = changed[0]
+        assert before["id"] == "seed" and after == {**before, "abstract": "text"}
 
     def test_garbled_store_line_exits_4(self, tmp_path, corpus, capsys):
         session_dir = tmp_path / "sess"
@@ -387,6 +395,154 @@ class TestBadInput:
         enrichment.write_text('[1]\n"text"\n{"id": "c", "abstract": "ok"}\n', encoding="utf-8")
         assert run(session_dir, "enrich", str(enrichment)) == 0
         assert "enriched 1 records, 0 unmatched, 2 rows skipped" in capsys.readouterr().out
+
+
+def finished_session(tmp_path, corpus) -> Path:
+    """A session holding datasets F and S, network F with its clusters, and a projection."""
+    session_dir = tmp_path / "sess"
+    for argv in (
+        ["ingest", str(corpus)],
+        ["search", "--name", "F", "--phrase", "topic alpha"],
+        ["expand", "--name", "S", "--seed", "seed", "--stages", "F:2",
+         "--theta-citer", "0", "--theta-ref", "0"],
+        ["union", "--name", "combined", "--datasets", "F,S"],
+        ["network", "--dataset", "combined", "--name", "F", "--min-citations", "0"],
+        ["cluster", "--network", "F"],
+        ["compare", "--datasets", "F,S", "--base", "F"],
+    ):
+        assert run(session_dir, *argv) == 0
+    return session_dir
+
+
+# A valid JSON value of the wrong shape for each artifact.
+WRONG_SHAPE = {
+    "datasets/F.json": '{"name": "F", "member_ids": 7}',
+    "networks/F.json": '{"nodes": 5, "edges": []}',
+    "networks/F.clusters.json": '{"level1": []}',
+    "reports/projection.json": '{"datasets": ["F"], "membership": []}',
+}
+
+
+class TestDamagedArtifacts:
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+    @pytest.mark.parametrize(
+        "damaged, argv",
+        [
+            ("datasets/F.json", ["union", "--name", "U", "--datasets", "F,S"]),
+            ("networks/F.json", ["report", "--kind", "networks"]),
+            ("networks/F.clusters.json", ["render", "--network", "F"]),
+            ("reports/projection.json", ["render", "--network", "F", "--overlay"]),
+        ],
+    )
+    def test_damaged_artifact_exits_4(self, tmp_path, corpus, capsys, damaged, argv, damage):
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / damaged
+        if damage == "truncated":
+            text = path.read_bytes()
+            path.write_bytes(text[: len(text) // 2])
+        else:
+            path.write_text(WRONG_SHAPE[damaged], encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        assert f"unreadable session file {path}" in one_error_line(capsys)
+
+
+def store_lines(session_dir: Path) -> list[dict]:
+    return [json.loads(line) for line in (session_dir / "store.jsonl").read_bytes().splitlines()]
+
+
+class TestStoreWrites:
+    """ingest and enrich write store.jsonl whole, one line per record."""
+
+    @staticmethod
+    def shards(tmp_path, corpus) -> tuple[Path, Path, Path]:
+        """Two overlapping shards (the second extends the reference lists it
+        shares) and an enrichment file matching one record by id, one by title."""
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        second = [dict(row, reference_ids=row["reference_ids"] + ["r7"]) for row in rows[12:]]
+        paths = (tmp_path / "shard1.jsonl", tmp_path / "shard2.jsonl", tmp_path / "abstracts.jsonl")
+        enrichment = [
+            {"id": "c01", "abstract": "first"},
+            {"title": rows[0]["title"].upper(), "year": rows[0]["year"], "abstract": "second"},
+        ]
+        for path, part in zip(paths, (rows[:16], second, enrichment)):
+            path.write_text("".join(json.dumps(row) + "\n" for row in part), encoding="utf-8")
+        return paths
+
+    def test_ingest_ingest_enrich_leave_one_line_per_record(self, tmp_path, corpus):
+        shard1, shard2, enrichment = self.shards(tmp_path, corpus)
+        session_dir = tmp_path / "sess"
+        assert run(session_dir, "ingest", str(shard1)) == 0
+        assert run(session_dir, "ingest", str(shard2)) == 0
+        assert run(session_dir, "enrich", str(enrichment)) == 0
+        expected = RecordStore()
+        expected.ingest(shard1, "jsonl")
+        expected.ingest(shard2, "jsonl")
+        assert expected.enrich_abstracts(enrichment).enriched == 2
+        lines = store_lines(session_dir)
+        assert lines == [record.to_json_dict() for record in expected]
+        assert len({line["id"] for line in lines}) == len(lines) == len(expected) == 21
+        loaded = RecordStore.load(session_dir / "store.jsonl")
+        assert [r.to_json_dict() for r in loaded] == lines
+
+    @pytest.mark.parametrize("command", ["ingest", "enrich"])
+    def test_older_append_log_loads_then_compacts(self, tmp_path, corpus, command):
+        shard1, shard2, enrichment = self.shards(tmp_path, corpus)
+        store = RecordStore()
+        store.ingest(shard1, "jsonl")
+        log = list(store.json_lines())
+        store.ingest(shard2, "jsonl")
+        log += store.json_lines()  # the lines shard 2 supersedes stay in an append log
+        session_dir = tmp_path / "sess"
+        Session(session_dir)
+        store_path = session_dir / "store.jsonl"
+        store_path.write_bytes("".join(log).encode() + b'{"id": "c03", "tit')
+        replayed = RecordStore.load(store_path)
+        assert [r.to_json_dict() for r in replayed] == [r.to_json_dict() for r in store]
+        if command == "ingest":
+            assert run(session_dir, "ingest", str(shard2)) == 0
+            store.ingest(shard2, "jsonl")
+        else:
+            assert run(session_dir, "enrich", str(enrichment)) == 0
+            store.enrich_abstracts(enrichment)
+        assert store_path.read_text() == "".join(store.json_lines())
+
+    def test_ingest_loading_no_row_writes_no_store(self, tmp_path, capsys):
+        path = tmp_path / "rejects.jsonl"
+        path.write_text('{"id": "a"}\nnot json\n', encoding="utf-8")
+        session_dir = tmp_path / "sess"
+        assert run(session_dir, "ingest", str(path)) == 0
+        assert "loaded 0 records (0 merged), 2 rejected" in capsys.readouterr().out
+        assert not (session_dir / "store.jsonl").exists()
+
+    def test_enrich_enriching_nothing_keeps_the_bytes(self, tmp_path, corpus):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        store_path = session_dir / "store.jsonl"
+        with open(store_path, "a", encoding="utf-8") as fh:  # a superseded line, as appended
+            fh.write(json.dumps(store_lines(session_dir)[0]) + "\n")
+        before = store_path.read_bytes()
+        enrichment = tmp_path / "abstracts.jsonl"
+        enrichment.write_text('{"id": "ghost", "abstract": "text"}\n', encoding="utf-8")
+        assert run(session_dir, "enrich", str(enrichment)) == 0
+        assert store_path.read_bytes() == before
+
+    def test_interrupted_store_write_keeps_the_old_store(self, tmp_path, corpus, monkeypatch):
+        shard1, shard2, _enrichment = self.shards(tmp_path, corpus)
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(shard1))
+        before = (session_dir / "store.jsonl").read_bytes()
+
+        def killed(*_args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run(session_dir, "ingest", str(shard2))
+        monkeypatch.undo()
+        assert (session_dir / "store.jsonl").read_bytes() == before
+        assert not list(session_dir.glob(".*.tmp"))
+        assert run(session_dir, "ingest", str(shard2)) == 0
 
 
 class TestRerunnability:

@@ -349,6 +349,17 @@ class TestDatasetUnion:
         assert dataset_union(shuffled + datasets, "u2").member_ids == straight
 
 
+def write_log(path, records, tail=b""):
+    """A store file as older versions left it: one appended line per record state."""
+    lines = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
+    path.write_bytes(lines.encode("utf-8") + tail)
+
+
+def rewrite(path, store):
+    """What a session write puts in the file: the store's lines, whole."""
+    path.write_text("".join(store.json_lines()), encoding="utf-8")
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         store = RecordStore()
@@ -363,58 +374,72 @@ class TestPersistence:
             r.to_json_dict() for r in store.records()
         ]
 
+    def test_json_lines_one_per_record_in_first_seen_order(self, tmp_path):
+        store = RecordStore()
+        store.insert(make_record("p2"))
+        store.insert(make_record("p1", abstract="text"))
+        store.insert(make_record("p2", refs=["p1"]))  # merged in place, keeps its position
+        lines = list(store.json_lines())
+        assert [json.loads(line)["id"] for line in lines] == ["p2", "p1"]
+        assert lines[0] == json.dumps(store.get("p2").to_json_dict(), sort_keys=True) + "\n"
+        path = tmp_path / "store.jsonl"
+        rewrite(path, store)
+        loaded = RecordStore.load(path)
+        assert [r.to_json_dict() for r in loaded] == [r.to_json_dict() for r in store]
+
     def test_torn_last_line_is_ignored(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        RecordStore().append_records(path, [make_record("p1"), make_record("p2")])
-        with open(path, "ab") as fh:
-            fh.write(b'{"id": "p3", "tit')
+        write_log(path, [make_record("p1"), make_record("p2")], b'{"id": "p3", "tit')
         assert RecordStore.load(path).ids() == ["p1", "p2"]
 
     def test_torn_multibyte_tail_is_ignored(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        RecordStore().append_records(path, [make_record("p1")])
-        with open(path, "ab") as fh:
-            fh.write("{\"title\": \"caf\u00e9".encode("utf-8")[:-1])  # cut inside a character
+        # cut inside a character
+        write_log(path, [make_record("p1")], "{\"title\": \"caf\u00e9".encode("utf-8")[:-1])
         assert RecordStore.load(path).ids() == ["p1"]
 
     @pytest.mark.parametrize("line", [b"not json\n", b'{"id": "p\xff"}\n'])
     def test_unreadable_inner_line_is_a_format_error(self, tmp_path, line):
         path = tmp_path / "store.jsonl"
-        RecordStore().append_records(path, [make_record("p1")])
+        write_log(path, [make_record("p1")], line)
         with open(path, "ab") as fh:
-            fh.write(line)
-        RecordStore().append_records(path, [make_record("p2")])
+            fh.write(json.dumps(make_record("p2").to_json_dict()).encode() + b"\n")
         with pytest.raises(FormatError, match="line 2"):
             RecordStore.load(path)
 
-    def test_append_cuts_a_torn_tail(self, tmp_path):
+    def test_rewrite_drops_a_torn_tail(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        store = RecordStore()
-        store.append_records(path, [make_record("p1")])
+        write_log(path, [make_record("p1")])
         intact = path.read_bytes()
         with open(path, "ab") as fh:
             fh.write(b'{"id": "p9", "ti')
-        store.append_records(path, [make_record("p2")])
+        store = RecordStore.load(path)
+        rewrite(path, store)
+        assert path.read_bytes() == intact
+        store.insert(make_record("p2"))
+        rewrite(path, store)
         assert path.read_bytes() == intact + json.dumps(
             make_record("p2").to_json_dict(), sort_keys=True
         ).encode() + b"\n"
         assert RecordStore.load(path).ids() == ["p1", "p2"]
 
-    def test_append_ends_a_complete_tail_line(self, tmp_path):
+    def test_rewrite_keeps_a_complete_tail_line(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text(json.dumps(make_record("p1").to_json_dict()), encoding="utf-8")
-        RecordStore().append_records(path, [make_record("p2")])
+        store = RecordStore.load(path)
+        store.insert(make_record("p2"))
+        rewrite(path, store)
         assert RecordStore.load(path).ids() == ["p1", "p2"]
         assert path.read_text(encoding="utf-8").count("\n") == 2
 
     def test_append_log_replay_last_wins(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        store = RecordStore()
         old = make_record("p1")
-        store.insert(old)
-        store.append_records(path, [old])
         updated = make_record("p1", abstract="later state")
-        store.replace(updated)
-        store.append_records(path, [updated])
+        write_log(path, [old, make_record("p2"), updated])
         loaded = RecordStore.load(path)
         assert loaded.get("p1").abstract == "later state"
+        assert [r.id for r in loaded] == ["p1", "p2"]  # first-seen order
+        rewrite(path, loaded)
+        assert path.read_text(encoding="utf-8").count("\n") == 2
+        assert RecordStore.load(path).get("p1").to_json_dict() == updated.to_json_dict()

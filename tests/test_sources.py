@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citecascade.errors import UnknownPublicationError, ValidationError
-from citecascade.sources import SourceQuery
+from citecascade.sources import SourceQuery, search
 
-from conftest import make_record, make_snapshot, random_citation_dag
+from conftest import make_record, make_snapshot, make_store, random_citation_dag
 
 
 class TestReferences:
@@ -105,44 +105,45 @@ class TestCitationCount:
 
 class TestSearch:
     def test_exact_title_match_singleton(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [
                 make_record("p1", title="deep kernel methods"),
                 make_record("p2", title="shallow parsing"),
             ]
         )
-        result = snapshot.search(
-            SourceQuery("phrase-in-title-abstract", ["deep kernel methods"]), name="hit"
+        result = search(
+            store, SourceQuery("phrase-in-title-abstract", ["deep kernel methods"]), name="hit"
         )
         assert result.member_ids == {"p1"}
         assert result.provenance["kind"] == "query"
 
     def test_or_combination_unions_per_phrase_results(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [
                 make_record("p1", title="alpha methods"),
                 make_record("p2", title="beta methods"),
                 make_record("p3", title="gamma methods"),
             ]
         )
-        one = snapshot.search(SourceQuery("phrase-in-title-abstract", ["alpha"]), "a")
-        other = snapshot.search(SourceQuery("phrase-in-title-abstract", ["beta"]), "b")
-        both = snapshot.search(SourceQuery("phrase-in-title-abstract", ["alpha", "beta"]), "ab")
+        one = search(store, SourceQuery("phrase-in-title-abstract", ["alpha"]), "a")
+        other = search(store, SourceQuery("phrase-in-title-abstract", ["beta"]), "b")
+        both = search(store, SourceQuery("phrase-in-title-abstract", ["alpha", "beta"]), "ab")
         assert both.member_ids == one.member_ids | other.member_ids
 
     def test_matches_abstract_too_case_insensitive(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [make_record("p1", title="untitled", abstract="Uses Latent Topic Models.")]
         )
-        hits = snapshot.search(
-            SourceQuery("phrase-in-fulltext-proxy", ["latent topic"]), "q"
+        hits = search(
+            store, SourceQuery("phrase-in-fulltext-proxy", ["latent topic"]), "q"
         )
         assert hits.member_ids == {"p1"}
 
     def test_equals_bruteforce_substring_scan(self, rng):
         snapshot = random_citation_dag(rng, 100)
+        store = make_store(snapshot.record(pub_id) for pub_id in snapshot.ids())
         phrase = "article n00"
-        hits = snapshot.search(SourceQuery("phrase-in-title-abstract", [phrase]), "q")
+        hits = search(store, SourceQuery("phrase-in-title-abstract", [phrase]), "q")
         brute = set()
         for pub_id in snapshot.ids():
             record = snapshot.record(pub_id)
@@ -152,8 +153,8 @@ class TestSearch:
         assert hits.member_ids == brute
 
     def test_id_lookup_kind(self):
-        snapshot = make_snapshot([make_record("p1"), make_record("p2")])
-        hits = snapshot.search(SourceQuery("id-lookup", ["p2", "ghost"]), "q")
+        store = make_store([make_record("p1"), make_record("p2")])
+        hits = search(store, SourceQuery("id-lookup", ["p2", "ghost"]), "q")
         assert hits.member_ids == {"p2"}
 
     def test_empty_phrase_list_rejected(self):
@@ -163,16 +164,16 @@ class TestSearch:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.sampled_from(["alpha", "beta", "gamma", "zzz"]), min_size=1, max_size=3))
     def test_search_monotone_in_phrases(self, phrases):
-        snapshot = make_snapshot(
+        store = make_store(
             [
                 make_record("p1", title="alpha study"),
                 make_record("p2", title="beta study"),
                 make_record("p3", title="gamma beta study"),
             ]
         )
-        base = snapshot.search(SourceQuery("phrase-in-title-abstract", phrases), "q")
-        wider = snapshot.search(
-            SourceQuery("phrase-in-title-abstract", phrases + ["study"]), "q2"
+        base = search(store, SourceQuery("phrase-in-title-abstract", phrases), "q")
+        wider = search(
+            store, SourceQuery("phrase-in-title-abstract", phrases + ["study"]), "q2"
         )
         assert base.member_ids <= wider.member_ids
 
