@@ -21,7 +21,7 @@ from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationE
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
 from .overlay import coverage_report, overlap_matrix, project_overlay
 from .records import Dataset, RecordStore, dataset_union, json_text, year_distribution
-from .render import layout, render_distribution, render_map, wrap_html
+from .render import render_distribution, render_map, wrap_html
 from .session import Session, check_name
 from .sources import CitationSnapshot, SourceQuery, search
 
@@ -325,9 +325,8 @@ def _cmd_cluster(args, session: Session) -> int:
     payload["concept_trees"] = concept_json
 
     session.save_clusters(args.network, payload)
-    csv_path = session.root / "networks" / f"{args.network}.clusters.csv"
+    _json_path, csv_path, concepts_path = session.cluster_paths(args.network)
     session.write_text(csv_path, clustering.partition_to_csv(partition, silhouettes))
-    concepts_path = session.root / "networks" / f"{args.network}.concepts.txt"
     session.write_text(concepts_path, "\n".join(concept_text_parts))
     print(
         f"network {args.network}: {partition.num_clusters()} clusters, "
@@ -382,7 +381,7 @@ def _cmd_render(args, session: Session) -> int:
         if args.overlay:
             projection = session.load_projection()
             kind = "overlay"
-        positions = layout(network, spec.seed)
+        positions = session.layout_positions(args.network, network)
         svg = render_map(network, partition, projection, spec, positions)
         svg_path = session.render_path(f"{args.network}.{kind}.svg")
         session.write_text(svg_path, svg)

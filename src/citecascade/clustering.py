@@ -13,8 +13,6 @@ import heapq
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cocitation import CoCitationNetwork, network_arrays
 from .errors import ValidationError
 from .sources import CitationSnapshot
@@ -218,6 +216,8 @@ def silhouette(network: CoCitationNetwork, partition: ClusterPartition) -> Silho
         warnings.warn("silhouette of a single-cluster partition is 0 by definition", stacklevel=2)
         node_scores = {n: 0.0 for n in sorted(network.nodes)}
         return SilhouetteResult(node_scores, {i: 0.0 for i in range(len(clusters))}, 0.0)
+
+    import numpy as np
 
     arrays = network_arrays(network)
     n, k = len(arrays.node_ids), len(clusters)

@@ -16,13 +16,14 @@ import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyDatasetError, ValidationError
 from .records import Dataset, json_text
 from .sources import CitationSnapshot
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -171,10 +172,6 @@ class CoCitationNetwork:
         ]
         return cls(nodes, edges, NetworkConfig.from_json_dict(data.get("config", {})), slices)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CoCitationNetwork":
-        return cls.from_json_dict(json.loads(text))
-
     def to_graphml(self) -> str:
         root = ET.Element("graphml", {"xmlns": "http://graphml.graphdrawing.org/xmlns"})
         for key_id, target, name, attr_type in (
@@ -222,6 +219,8 @@ class NetworkArrays(NamedTuple):
 
 def network_arrays(network: CoCitationNetwork) -> NetworkArrays:
     """Sorted-id index and symmetric edge arrays; O(links) time and memory."""
+    import numpy as np
+
     node_ids = sorted(network.nodes)
     index = {n: i for i, n in enumerate(node_ids)}
     m = len(network.edges)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, connected_components_traversal, network_arrays
 from .errors import ValidationError
@@ -82,7 +80,7 @@ def blend_colors(colors: list[str]) -> str:
 # -- layout ----------------------------------------------------------------------
 
 LAYOUT_ITERATIONS = 50
-LAYOUT_BLOCK = 128  # rows of the force computation held in memory at once
+LAYOUT_BLOCK = 32  # rows of the force computation held in memory at once
 
 
 def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, float]]:
@@ -93,7 +91,17 @@ def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, floa
     1991) for ``LAYOUT_BLOCK`` rows at a time against all positions, so time
     is O(iterations x n^2) but memory is O(n x block + links); no n x n array
     is built. The per-row arithmetic does not depend on the block size.
+
+    Node i moves by the sum over j, in order, of (p_i - p_j) * force(i, j).
+    Distance and force are bitwise symmetric in i and j, so a block of rows j
+    holds the terms of every node i in its columns. Each axis buffer stacks
+    the running column sums above the block's terms, and ``np.add.reduce``
+    over axis 0 adds rows one after another, so every sum is taken in the
+    same order j = 0, 1, ..., n - 1 as a per-row sum would, with the same
+    rounding, whatever the block size.
     """
+    import numpy as np
+
     arrays = network_arrays(network)
     node_ids, index = arrays.node_ids, arrays.index
     if not node_ids:
@@ -111,37 +119,43 @@ def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, floa
     k = float(np.sqrt(1.0 / n))
     temperature = 0.1
     cooling = temperature / (LAYOUT_ITERATIONS + 1)
-    displacement = np.empty((n, 2))
-    # Work buffers shared by every block: O(n x block) memory in all.
+    displacement = np.empty((2, n))
+    # Work buffers shared by every block: O(n x block) memory in all. Row 0 of
+    # each axis buffer carries the column sums of the blocks before it.
     block_rows = min(LAYOUT_BLOCK, n)
-    delta_buf = np.empty((block_rows, n, 2))
+    terms_buf = np.empty((2, block_rows + 1, n))
     distance_buf = np.empty((block_rows, n))
     force_buf = np.empty((block_rows, n))
     for _ in range(LAYOUT_ITERATIONS):
+        xs, ys = positions.T.copy()
+        displacement.fill(0.0)
         for start in range(0, n, block_rows):
             stop = min(start + block_rows, n)
-            delta = delta_buf[: stop - start]
+            terms = terms_buf[:, : stop - start + 1]
             distance = distance_buf[: stop - start]
             force = force_buf[: stop - start]
-            # delta[i, j] = positions[i] - positions[j], written one axis at a
-            # time; sqrt(dx*dx + dy*dy) is bitwise np.linalg.norm(delta, axis=-1).
-            dx, dy = delta[..., 0], delta[..., 1]
-            np.subtract(positions[start:stop, None, 0], positions[None, :, 0], out=dx)
-            np.subtract(positions[start:stop, None, 1], positions[None, :, 1], out=dy)
+            # dx[j, i] = positions[i] - positions[j] for the block's rows j;
+            # sqrt(dx*dx + dy*dy) is bitwise np.linalg.norm of that difference.
+            dx, dy = terms[0, 1:], terms[1, 1:]
+            np.subtract(xs[None, :], xs[start:stop, None], out=dx)
+            np.subtract(ys[None, :], ys[start:stop, None], out=dy)
             np.multiply(dx, dx, out=distance)
             distance += np.multiply(dy, dy, out=force)
             np.sqrt(distance, out=distance)
-            np.clip(distance, 0.01, None, out=distance)
+            np.maximum(distance, 0.01, out=distance)
             # force = k^2 / d^2 - adjacency * d / k; where adjacency is 0 the
             # second term is exactly 0, so only linked pairs subtract it.
             np.divide(k * k, np.square(distance, out=force), out=force)
             lo, hi = arrays.indptr[start], arrays.indptr[stop]
             r, c = arrays.rows[lo:hi] - start, arrays.cols[lo:hi]
             force[r, c] -= weights[lo:hi] * distance[r, c] / k
-            np.einsum("ijk,ij->ik", delta, force, out=displacement[start:stop])
-        length = np.linalg.norm(displacement, axis=-1)
+            for axis in (0, 1):
+                terms[axis, 0] = displacement[axis]
+                terms[axis, 1:] *= force
+                np.add.reduce(terms[axis], axis=0, out=displacement[axis])
+        length = np.linalg.norm(displacement.T, axis=-1)
         np.clip(length, 0.01, None, out=length)
-        positions += displacement / length[:, None] * np.minimum(length, temperature)[:, None]
+        positions += displacement.T / length[:, None] * np.minimum(length, temperature)[:, None]
         temperature -= cooling
 
     # Separation pass: shift whole components so bounding boxes cannot overlap.

@@ -5,19 +5,33 @@ A session holds everything one analysis produces::
     <session>/
       session.json   # configuration (round-trips losslessly)
       store.jsonl    # record store, one JSON line per record
-      datasets/ networks/ reports/ renders/ traces/
+      datasets/      # <name>.json: member ids and provenance
+      networks/      # <name>.json and .graphml; after `cluster`, <name>.clusters.json,
+                     # .clusters.csv and .concepts.txt (deleted when the network changes)
+      renders/       # maps and charts; <name>.positions.csv caches the layout
+      reports/ traces/
 
 One command runs at a time per session, enforced with an advisory lock on
 ``.lock`` that the OS releases when its holder exits or dies. Every artifact
 is written to a temp file and renamed into place, so a killed command leaves
 each file either old or new, never half written. That holds for
 ``store.jsonl`` too: ``ingest`` and ``enrich`` write it whole.
+
+A network's layout is computed once per network and render seed: the
+positions file starts with a key line naming the seed, the layout's iteration
+count and the sha256 of the network's JSON bytes, and holds one ``repr``
+float pair per node, which reads back exactly. A missing, stale or damaged
+file is computed again and overwritten.
 """
 
 from __future__ import annotations
 
+import csv
 import fcntl
+import hashlib
+import io
 import json
+import math
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -29,7 +43,7 @@ from .cocitation import CoCitationNetwork, NetworkConfig
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection
 from .records import Dataset, RecordStore, json_text
-from .render import RenderSpec
+from .render import LAYOUT_ITERATIONS, RenderSpec, layout
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
 
@@ -179,8 +193,14 @@ class Session:
 
     def save_network(self, name: str, network: CoCitationNetwork) -> None:
         graphml_path, json_path = self.network_paths(name)
+        text = network.to_json()
+        if not json_path.exists() or json_path.read_bytes() != text.encode("utf-8"):
+            # A clustering describes the network it was computed from; one of
+            # another network must not be reported or drawn as this one's.
+            for path in self.cluster_paths(name):
+                path.unlink(missing_ok=True)
         self.write_text(graphml_path, network.to_graphml())
-        self.write_text(json_path, network.to_json())
+        self.write_text(json_path, text)
 
     def load_network(self, name: str) -> CoCitationNetwork:
         _graphml_path, json_path = self.network_paths(name)
@@ -195,8 +215,14 @@ class Session:
             if not p.name.endswith(".clusters.json")
         )
 
+    def cluster_paths(self, name: str) -> tuple[Path, Path, Path]:
+        """The clustering of network ``name``: its JSON, its CSV table and its concept trees."""
+        base = self.root / "networks"
+        check_name(name)
+        return base / f"{name}.clusters.json", base / f"{name}.clusters.csv", base / f"{name}.concepts.txt"
+
     def clusters_path(self, name: str) -> Path:
-        return self.root / "networks" / f"{check_name(name)}.clusters.json"
+        return self.cluster_paths(name)[0]
 
     def save_clusters(self, name: str, payload: dict) -> None:
         self.write_text(self.clusters_path(name), json_text(payload))
@@ -215,6 +241,27 @@ class Session:
             raise CiteCascadeError("no projection found; run compare --base first")
         return self._read_json(path, OverlayProjection.from_json_dict)
 
+    # -- layout positions ---------------------------------------------------------------
+
+    def layout_positions(self, name: str, network: CoCitationNetwork) -> dict[str, tuple[float, float]]:
+        """``layout(network, seed)`` for network ``name`` under the session's render
+        seed, read back from its positions file when that file was written for the
+        same network bytes, seed and iteration count; computed and written otherwise."""
+        _graphml_path, json_path = self.network_paths(name)
+        seed = self.config.render.seed
+        digest = hashlib.sha256(json_path.read_bytes()).hexdigest()
+        key = f"# layout seed={seed} iterations={LAYOUT_ITERATIONS} network-sha256={digest}\n"
+        path = self.render_path(f"{name}.positions.csv")
+        positions = _read_positions(path, key, network)
+        if positions is None:
+            positions = layout(network, seed)
+            rows = io.StringIO()
+            writer = csv.writer(rows, lineterminator="\n")
+            writer.writerow(["id", "x", "y"])
+            writer.writerows((node, repr(x), repr(y)) for node, (x, y) in positions.items())
+            self.write_text(path, [key, rows.getvalue()])
+        return positions
+
     # -- simple path helpers ----------------------------------------------------------
 
     def report_path(self, filename: str) -> Path:
@@ -225,3 +272,32 @@ class Session:
 
     def trace_path(self, filename: str) -> Path:
         return self.root / "traces" / filename
+
+
+def _read_positions(
+    path: Path, key: str, network: CoCitationNetwork
+) -> dict[str, tuple[float, float]] | None:
+    """The positions stored in ``path`` under ``key`` for exactly the nodes of
+    ``network``, or None when the file is missing, keyed otherwise, cut short
+    or otherwise damaged."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, ValueError):
+        return None
+    if not text.startswith(key) or not text.endswith("\n"):
+        return None
+    positions: dict[str, tuple[float, float]] = {}
+    try:
+        rows = csv.reader(io.StringIO(text[len(key):]))
+        if next(rows, None) != ["id", "x", "y"]:
+            return None
+        for row in rows:
+            if len(row) != 3 or row[0] in positions:
+                return None
+            x, y = float(row[1]), float(row[2])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return None
+            positions[row[0]] = (x, y)
+    except (ValueError, csv.Error):
+        return None
+    return positions if positions.keys() == network.nodes.keys() else None

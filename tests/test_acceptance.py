@@ -373,12 +373,12 @@ class TestAcceptance:
         session = tmp_path / "s"
         graphml_path = session / "networks" / "S.graphml"
         json_path = session / "networks" / "S.json"
-        network = CoCitationNetwork.from_json(json_path.read_text(encoding="utf-8"))
+        network = CoCitationNetwork.from_json_dict(json.loads(json_path.read_text(encoding="utf-8")))
         assert len(network.nodes) > 0 and len(network.edges) > 0
 
         from_graphml = network_from_graphml(graphml_path.read_text(encoding="utf-8"))
         assert from_graphml == network  # node/edge multiset equality
-        assert CoCitationNetwork.from_json(network.to_json()) == network
+        assert CoCitationNetwork.from_json_dict(json.loads(network.to_json())) == network
         # Re-export of the re-import reproduces the files byte for byte.
         assert from_graphml.to_graphml() == graphml_path.read_text(encoding="utf-8")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import citecascade
+import citecascade.session as session_module
 from citecascade.cli import main
 from citecascade.records import RecordStore
+from citecascade.render import layout
 from citecascade.session import Session, SessionConfig
 
 # Takes the session lock the way a command does, reports it, then waits to be killed.
@@ -445,6 +448,163 @@ class TestDamagedArtifacts:
         capsys.readouterr()
         assert run(session_dir, *argv) == 4
         assert f"unreadable session file {path}" in one_error_line(capsys)
+
+
+def cluster_files(session_dir: Path, name: str) -> list[Path]:
+    networks = session_dir / "networks"
+    return [networks / f"{name}.{suffix}" for suffix in ("clusters.json", "clusters.csv", "concepts.txt")]
+
+
+class TestRebuiltNetwork:
+    def test_changed_network_drops_its_clustering(self, tmp_path, corpus, capsys):
+        session_dir = finished_session(tmp_path, corpus)
+        network_path = session_dir / "networks" / "F.json"
+        before = network_path.read_bytes()
+        assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
+                   "--min-citations", "0", "--lrf", "1") == 0
+        assert network_path.read_bytes() != before
+        assert not any(path.exists() for path in cluster_files(session_dir, "F"))
+
+        capsys.readouterr()
+        assert run(session_dir, "report", "--kind", "networks") == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.startswith("F,") and row.endswith(",,")  # no modularity, no silhouette
+        assert run(session_dir, "render", "--network", "F") == 0
+        svg = (session_dir / "renders" / "F.map.svg").read_text(encoding="utf-8")
+        fills = set(re.findall(r'<circle [^>]*fill="([^"]+)"', svg))
+        assert fills == {"#4878a8"}  # drawn without a partition
+
+    def test_identical_rebuild_keeps_the_clustering(self, tmp_path, corpus):
+        session_dir = finished_session(tmp_path, corpus)
+        kept = {path: path.read_bytes() for path in cluster_files(session_dir, "F")}
+        assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
+                   "--min-citations", "0") == 0
+        assert {path: path.read_bytes() for path in kept} == kept
+
+
+@pytest.fixture
+def layout_calls(monkeypatch) -> list[int]:
+    """The seed of every layout the session computes, in call order."""
+    calls: list[int] = []
+
+    def counting_layout(network, seed):
+        calls.append(seed)
+        return layout(network, seed)
+
+    monkeypatch.setattr(session_module, "layout", counting_layout)
+    return calls
+
+
+class TestLayoutCache:
+    def test_second_render_reads_the_positions(self, tmp_path, corpus, layout_calls):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "render", "--network", "F", "--overlay") == 0
+        assert run(session_dir, "render", "--network", "F") == 0
+        assert layout_calls == [42]
+        session = Session(session_dir)
+        network = session.load_network("F")
+        assert session.layout_positions("F", network) == layout(network, 42)  # exact floats
+        assert layout_calls == [42]
+
+    def test_cached_and_fresh_renders_are_byte_identical(self, tmp_path, corpus, layout_calls):
+        session_dir = finished_session(tmp_path, corpus)
+        renders = session_dir / "renders"
+        outputs = []
+        for _ in range(2):  # the first render lays out, the second reads the file
+            assert run(session_dir, "render", "--network", "F", "--overlay") == 0
+            outputs.append({p.name: p.read_bytes() for p in renders.glob("F.overlay.*")})
+        assert layout_calls == [42]
+        assert sorted(outputs[0]) == ["F.overlay.html", "F.overlay.svg"]
+        assert outputs[0] == outputs[1]
+
+    def test_changed_network_or_seed_recomputes(self, tmp_path, corpus, layout_calls):
+        session_dir = finished_session(tmp_path, corpus)
+        positions = session_dir / "renders" / "F.positions.csv"
+        assert run(session_dir, "render", "--network", "F") == 0
+        first = positions.read_bytes()
+        assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
+                   "--min-citations", "0", "--lrf", "1") == 0
+        assert run(session_dir, "render", "--network", "F") == 0
+        assert layout_calls == [42, 42]
+        assert positions.read_bytes() != first
+
+        config_path = session_dir / "session.json"
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["render"]["seed"] = 7
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run(session_dir, "render", "--network", "F") == 0
+        assert run(session_dir, "render", "--network", "F") == 0
+        assert layout_calls == [42, 42, 7]
+        assert positions.read_text(encoding="utf-8").startswith("# layout seed=7 iterations=50 ")
+
+    @pytest.mark.parametrize("damage", ["truncated", "non-numeric", "missing-node", "extra-node"])
+    def test_damaged_positions_are_recomputed(self, tmp_path, corpus, capsys, layout_calls, damage):
+        session_dir = finished_session(tmp_path, corpus)
+        positions = session_dir / "renders" / "F.positions.csv"
+        assert run(session_dir, "render", "--network", "F") == 0
+        fresh = positions.read_bytes()
+        lines = fresh.decode("utf-8").splitlines(keepends=True)
+        if damage == "truncated":
+            positions.write_bytes(fresh[:-7])
+        elif damage == "non-numeric":
+            node, _x, y = lines[-1].split(",")
+            positions.write_text("".join(lines[:-1]) + f"{node},abc,{y}", encoding="utf-8")
+        elif damage == "missing-node":
+            positions.write_text("".join(lines[:-1]), encoding="utf-8")
+        else:
+            positions.write_text("".join(lines) + "ghost,0.5,0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, "render", "--network", "F") == 0
+        assert capsys.readouterr().err == ""
+        assert layout_calls == [42, 42]
+        assert positions.read_bytes() == fresh
+
+    def test_networks_report_does_not_list_the_positions(self, tmp_path, corpus, capsys):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "render", "--network", "F") == 0
+        assert (session_dir / "renders" / "F.positions.csv").exists()
+        capsys.readouterr()
+        assert run(session_dir, "report", "--kind", "networks") == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["F"]
+
+
+# Re-runs every command that does no arithmetic, in one process, then names the
+# numpy modules that got loaded.
+WITHOUT_ARITHMETIC = """
+import json, sys
+from citecascade.cli import main
+session, corpus, enrichment = sys.argv[1:]
+for argv in (
+    ["ingest", corpus],
+    ["enrich", enrichment],
+    ["search", "--name", "F", "--phrase", "topic alpha"],
+    ["expand", "--name", "S", "--seed", "seed", "--stages", "F:2", "--theta-citer", "0", "--theta-ref", "0"],
+    ["union", "--name", "combined", "--datasets", "F,S"],
+    ["network", "--dataset", "combined", "--name", "F", "--min-citations", "0"],
+    ["compare", "--datasets", "F,S", "--base", "F"],
+    ["render", "--distributions", "F,S"],
+    ["report", "--kind", "datasets"],
+    ["report", "--kind", "overlap", "--datasets", "F,S"],
+    ["report", "--kind", "networks"],
+):
+    assert main(["--session", session, *argv]) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "numpy")))
+"""
+
+
+def test_commands_without_arithmetic_do_not_load_numpy(tmp_path, corpus):
+    session_dir = finished_session(tmp_path, corpus)
+    enrichment = tmp_path / "abstracts.jsonl"
+    enrichment.write_text(json.dumps({"id": "seed", "abstract": "long form text"}) + "\n",
+                          encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(citecascade.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_ARITHMETIC, str(session_dir), str(corpus), str(enrichment)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 def store_lines(session_dir: Path) -> list[dict]:

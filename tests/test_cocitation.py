@@ -536,7 +536,7 @@ class TestRoundTrips:
 
     def test_json_roundtrip_equal(self):
         network = self._sample_network()
-        again = CoCitationNetwork.from_json(network.to_json())
+        again = CoCitationNetwork.from_json_dict(json.loads(network.to_json()))
         assert again == network
         assert again.config.lby == 10
 

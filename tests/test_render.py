@@ -7,11 +7,19 @@ import json
 import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from citecascade import render
 from citecascade.clustering import ClusterPartition
-from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo
+from citecascade.cocitation import (
+    CoCitationNetwork,
+    EdgeInfo,
+    NetworkConfig,
+    NodeInfo,
+    connected_components_traversal,
+    network_arrays,
+)
 from citecascade.errors import ValidationError
 from citecascade.overlay import project_overlay
 from citecascade.records import Dataset, YearDistribution
@@ -61,6 +69,65 @@ class TestYearScale:
     def test_blend(self):
         assert blend_colors(["#000000", "#ffffff"]) == "#808080"
         assert blend_colors([]) == "#c8c8c8"
+
+
+def einsum_layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, float]]:
+    """Reference layout: each block of rows sums its own displacement with a
+    per-row ``einsum``, in the order j = 0, 1, ..., n - 1 for every node."""
+    arrays = network_arrays(network)
+    node_ids, index = arrays.node_ids, arrays.index
+    if len(node_ids) == 1:
+        return {node_ids[0]: (0.0, 0.0)}
+    n = len(node_ids)
+    positions = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
+    top = float(arrays.weights.max(initial=0.0))
+    weights = arrays.weights / top if top > 0 else arrays.weights
+    k = float(np.sqrt(1.0 / n))
+    temperature = 0.1
+    cooling = temperature / (render.LAYOUT_ITERATIONS + 1)
+    displacement = np.empty((n, 2))
+    block_rows = min(render.LAYOUT_BLOCK, n)
+    for _ in range(render.LAYOUT_ITERATIONS):
+        for start in range(0, n, block_rows):
+            stop = min(start + block_rows, n)
+            delta = positions[start:stop, None, :] - positions[None, :, :]
+            distance = np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
+            np.clip(distance, 0.01, None, out=distance)
+            force = k * k / np.square(distance)
+            lo, hi = arrays.indptr[start], arrays.indptr[stop]
+            r, c = arrays.rows[lo:hi] - start, arrays.cols[lo:hi]
+            force[r, c] -= weights[lo:hi] * distance[r, c] / k
+            np.einsum("ijk,ij->ik", delta, force, out=displacement[start:stop])
+        length = np.linalg.norm(displacement, axis=-1)
+        np.clip(length, 0.01, None, out=length)
+        positions += displacement / length[:, None] * np.minimum(length, temperature)[:, None]
+        temperature -= cooling
+    components = sorted(connected_components_traversal(network), key=lambda c: (-len(c), min(c)))
+    if len(components) > 1:
+        cursor = 0.0
+        for component in components:
+            idxs = np.array(sorted(index[m] for m in component), dtype=int)
+            block = positions[idxs]
+            lo = block.min(axis=0)
+            span = block.max(axis=0) - lo
+            margin = 0.2 * max(float(span[0]), float(span[1]), k)
+            positions[idxs, 0] = block[:, 0] - lo[0] + cursor
+            positions[idxs, 1] = block[:, 1] - lo[1]
+            cursor += float(span[0]) + margin
+    return {node: (float(positions[index[node], 0]), float(positions[index[node], 1])) for node in node_ids}
+
+
+def random_network(rng: random.Random, n: int, density: float, isolated: int) -> CoCitationNetwork:
+    """Links drawn inside three groups of nodes, so there are several components,
+    plus ``isolated`` nodes with no link."""
+    names = [f"n{i:03d}" for i in range(n)]
+    edges = {
+        (a, b): (rng.randint(1, 6), 2000)
+        for i, a in enumerate(names)
+        for j, b in enumerate(names[i + 1:], i + 1)
+        if i % 3 == j % 3 and rng.random() < density
+    }
+    return simple_network(edges, extra_nodes=tuple(names) + tuple(f"iso{i}" for i in range(isolated)))
 
 
 class TestLayout:
@@ -130,6 +197,16 @@ class TestLayout:
         expected = layout(network, seed=9)
         monkeypatch.setattr(render, "LAYOUT_BLOCK", block)
         assert layout(network, seed=9) == expected
+
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_column_sums_equal_the_per_row_einsum(self, case, monkeypatch):
+        rng = random.Random(case)
+        network = random_network(rng, rng.randint(40, 160), rng.uniform(0.02, 0.3), rng.randint(1, 5))
+        seed = rng.randint(0, 10_000)
+        if case % 2:  # also over blocks that do not divide n
+            monkeypatch.setattr(render, "LAYOUT_BLOCK", rng.randint(3, 40))
+        assert layout(network, seed) == einsum_layout(network, seed)
 
 
 class TestRenderMap:
