@@ -9,7 +9,7 @@ from .errors import (
 )
 from .records import ArticleRecord, Dataset, RecordStore, dataset_union, year_distribution
 from .sources import CitationSnapshot, SourceQuery
-from .expansion import ExpansionSpec, ExpansionStage, backward_step, forward_step, run_cascade
+from .expansion import ExpansionSpec, ExpansionStage, run_cascade
 from .cocitation import (
     CoCitationNetwork,
     NetworkConfig,
@@ -42,13 +42,11 @@ __all__ = [
     "SourceQuery",
     "UnknownPublicationError",
     "ValidationError",
-    "backward_step",
     "build_concept_tree",
     "build_network",
     "coverage_report",
     "dataset_union",
     "detect_communities",
-    "forward_step",
     "label_cluster",
     "largest_connected_component",
     "layout",

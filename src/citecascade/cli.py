@@ -279,6 +279,8 @@ def _cmd_network(args, session: Session) -> int:
 
 
 def _cmd_cluster(args, session: Session) -> int:
+    if args.top_k < 0:
+        raise UsageError(f"--top-k must not be negative: {args.top_k}")
     network = session.load_network(args.network)
     snapshot = _snapshot(session)
     partition = clustering.detect_communities(network)
@@ -324,10 +326,8 @@ def _cmd_cluster(args, session: Session) -> int:
         concept_text_parts.append(f"== cluster #{index} {label}\n{tree.to_text()}")
     payload["concept_trees"] = concept_json
 
-    session.save_clusters(args.network, payload)
-    _json_path, csv_path, concepts_path = session.cluster_paths(args.network)
-    session.write_text(csv_path, clustering.partition_to_csv(partition, silhouettes))
-    session.write_text(concepts_path, "\n".join(concept_text_parts))
+    table = clustering.partition_to_csv(partition, silhouettes)
+    session.save_clusters(args.network, payload, table, "\n".join(concept_text_parts))
     print(
         f"network {args.network}: {partition.num_clusters()} clusters, "
         f"Q={partition.modularity_q:.4f}, mean silhouette={silhouettes.mean:.4f} "
@@ -358,12 +358,8 @@ def _cmd_compare(args, session: Session) -> int:
         network = session.load_network(args.base)
         partition = session.load_partition(args.base)
         projection = project_overlay(network, datasets, partition)
-        projection_path = session.report_path("projection.json")
-        session.write_text(projection_path, projection.to_json())
-        coverage = coverage_report(projection, args.threshold, args.epsilon)
-        coverage_path = session.report_path("coverage.csv")
-        session.write_text(coverage_path, coverage.to_csv(partition.labels))
-        outputs += [str(projection_path), str(coverage_path)]
+        coverage = coverage_report(projection, args.threshold, args.epsilon).to_csv(partition.labels)
+        outputs += map(str, session.save_projection(args.base, projection, coverage))
     print("wrote " + ", ".join(outputs))
     return EXIT_OK
 
@@ -373,14 +369,9 @@ def _cmd_render(args, session: Session) -> int:
     wrote: list[str] = []
     if args.network:
         network = session.load_network(args.network)
-        partition = None
-        if session.clusters_path(args.network).exists():
-            partition = session.load_partition(args.network)
-        projection = None
-        kind = "map"
-        if args.overlay:
-            projection = session.load_projection()
-            kind = "overlay"
+        partition = session.load_partition(args.network, required=False)
+        projection = session.load_projection(args.network) if args.overlay else None
+        kind = "overlay" if args.overlay else "map"
         positions = session.layout_positions(args.network, network)
         svg = render_map(network, partition, projection, spec, positions)
         svg_path = session.render_path(f"{args.network}.{kind}.svg")
@@ -435,14 +426,9 @@ def _cmd_report(args, session: Session) -> int:
         for name in session.network_names():
             network = session.load_network(name)
             stats = network_stats(network)
-            modularity_text = ""
-            silhouette_text = ""
-            if session.clusters_path(name).exists():
-                partition = session.load_partition(name)
-                if partition.modularity_q is not None:
-                    modularity_text = f"{partition.modularity_q:.4f}"
-                if partition.mean_silhouette is not None:
-                    silhouette_text = f"{partition.mean_silhouette:.4f}"
+            partition = session.load_partition(name, required=False)
+            scores = (partition.modularity_q, partition.mean_silhouette) if partition else (None, None)
+            modularity_text, silhouette_text = ("" if score is None else f"{score:.4f}" for score in scores)
             lines.append(
                 f"{name},{stats.nodes},{stats.edges},{stats.lcc_size},"
                 f"{stats.lcc_pct},{stats.lcc_pct_floor},{modularity_text},{silhouette_text}"

@@ -168,20 +168,6 @@ def _qualified_step(
     return candidates, sorted(c for c in candidates if snapshot.citation_count(c) >= theta)
 
 
-def forward_step(snapshot: CitationSnapshot, current: set[str], theta_citer: int) -> set[str]:
-    """New articles citing the current set whose citation count >= theta_citer."""
-    if not current:
-        raise ValidationError("forward_step needs a non-empty current set")
-    return set(_qualified_step(snapshot, current, FORWARD, current, theta_citer)[1])
-
-
-def backward_step(snapshot: CitationSnapshot, current: set[str], theta_ref: int) -> set[str]:
-    """New resolvable references of the current set with citation count >= theta_ref."""
-    if not current:
-        raise ValidationError("backward_step needs a non-empty current set")
-    return set(_qualified_step(snapshot, current, BACKWARD, current, theta_ref)[1])
-
-
 def run_cascade(
     snapshot: CitationSnapshot, spec: ExpansionSpec, name: str
 ) -> tuple[Dataset, ExpansionTrace]:

@@ -224,9 +224,6 @@ class ConceptTree:
 
     roots: list[ConceptNode] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not self.roots
-
     def to_json_dict(self) -> dict:
         return {"roots": [r.to_json_dict() for r in self.roots]}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset, json_text
+from .records import Dataset
 
 FORMULA_NOTE = (
     "values[i][j] = 100*|row_set ∩ col_set|/|col_set| (share of column dataset; "
@@ -95,9 +95,6 @@ class OverlayProjection:
                 for cluster, fractions in sorted(self.coverage.items())
             },
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OverlayProjection":
@@ -183,6 +180,8 @@ def coverage_report(
     """
     if not (0.0 < threshold < 1.0):
         raise ValidationError("threshold must lie strictly between 0 and 1")
+    if not (0.0 <= epsilon < 1.0):
+        raise ValidationError("epsilon must lie in [0, 1)")
     if not projection.coverage:
         raise ValidationError("projection has no cluster coverage; project it with a partition")
 

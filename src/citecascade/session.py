@@ -7,7 +7,7 @@ A session holds everything one analysis produces::
       store.jsonl    # record store, one JSON line per record
       datasets/      # <name>.json: member ids and provenance
       networks/      # <name>.json and .graphml; after `cluster`, <name>.clusters.json,
-                     # .clusters.csv and .concepts.txt (deleted when the network changes)
+                     # .clusters.csv and .concepts.txt
       renders/       # maps and charts; <name>.positions.csv caches the layout
       reports/ traces/
 
@@ -17,11 +17,11 @@ is written to a temp file and renamed into place, so a killed command leaves
 each file either old or new, never half written. That holds for
 ``store.jsonl`` too: ``ingest`` and ``enrich`` write it whole.
 
-A network's layout is computed once per network and render seed: the
-positions file starts with a key line naming the seed, the layout's iteration
-count and the sha256 of the network's JSON bytes, and holds one ``repr``
-float pair per node, which reads back exactly. A missing, stale or damaged
-file is computed again and overwritten.
+Each derived artifact (clustering, layout positions, projection, coverage)
+holds the key of its inputs in a top-level ``"inputs"`` field or a first
+``# inputs <key>`` line: see ``Session._input_key``. One that is stale,
+unkeyed or names a missing input counts as missing; damage is still a
+``FormatError``, checked before the key.
 """
 
 from __future__ import annotations
@@ -110,11 +110,17 @@ class Session:
 
     # -- reading and writing ----------------------------------------------------------
 
-    def _read_json(self, path: Path, build, what: str = "session file"):
-        """``build`` applied to the JSON in ``path``; damage is a FormatError naming the file."""
+    def _read_json(self, path: Path, build, what: str = "session file", inputs=None):
+        """``build`` applied to the JSON in ``path``; damage is a FormatError naming the file.
+        Given ``inputs``, None when the file is missing or, once built, holds a key other
+        than the one ``inputs(data)`` gives now."""
+        if inputs is not None and not path.exists():
+            return None
         try:
-            return build(json.loads(path.read_text(encoding="utf-8")))
-        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            artifact = build(data)
+            return artifact if inputs is None or data.get("inputs") == self._input_key(inputs(data)) else None
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UsageError) as exc:
             raise FormatError(f"unreadable {what} {path}: {exc!r}") from None
 
     def write_text(self, path: Path, text: str | Iterable[str]) -> Path:
@@ -193,14 +199,8 @@ class Session:
 
     def save_network(self, name: str, network: CoCitationNetwork) -> None:
         graphml_path, json_path = self.network_paths(name)
-        text = network.to_json()
-        if not json_path.exists() or json_path.read_bytes() != text.encode("utf-8"):
-            # A clustering describes the network it was computed from; one of
-            # another network must not be reported or drawn as this one's.
-            for path in self.cluster_paths(name):
-                path.unlink(missing_ok=True)
         self.write_text(graphml_path, network.to_graphml())
-        self.write_text(json_path, text)
+        self.write_text(json_path, network.to_json())
 
     def load_network(self, name: str) -> CoCitationNetwork:
         _graphml_path, json_path = self.network_paths(name)
@@ -221,36 +221,69 @@ class Session:
         check_name(name)
         return base / f"{name}.clusters.json", base / f"{name}.clusters.csv", base / f"{name}.concepts.txt"
 
-    def clusters_path(self, name: str) -> Path:
-        return self.cluster_paths(name)[0]
+    def save_clusters(self, name: str, payload: dict, table: str, concepts: str) -> None:
+        """Write the clustering of network ``name``: its JSON, CSV table and concept trees."""
+        json_path, csv_path, concepts_path = self.cluster_paths(name)
+        key = self._input_key([self.network_paths(name)[1]])
+        self.write_text(json_path, json_text({**payload, "inputs": key}))
+        self.write_text(csv_path, [f"# inputs {key}\n", table])
+        self.write_text(concepts_path, [f"# inputs {key}\n", concepts])
 
-    def save_clusters(self, name: str, payload: dict) -> None:
-        self.write_text(self.clusters_path(name), json_text(payload))
+    def load_partition(self, name: str, required: bool = True) -> ClusterPartition | None:
+        """The partition of network ``name`` if current; else None, or an error if ``required``."""
+        partition = self._read_json(
+            self.cluster_paths(name)[0], lambda data: ClusterPartition.from_json_dict(data["level1"]),
+            inputs=lambda _data: [self.network_paths(name)[1]],
+        )
+        if partition is None and required:
+            raise CiteCascadeError(f"no current clustering of network {name!r}; run cluster --network {name}")
+        return partition
 
-    def load_partition(self, name: str) -> ClusterPartition:
-        path = self.clusters_path(name)
-        if not path.exists():
-            raise CiteCascadeError(
-                f"no clustering for network {name!r}; run the cluster command first"
-            )
-        return self._read_json(path, lambda data: ClusterPartition.from_json_dict(data["level1"]))
+    def _projection_inputs(self, base: str, dataset_names: list[str]) -> list[Path]:
+        network, clustering = self.network_paths(base)[1], self.cluster_paths(base)[0]
+        return [network, clustering, *map(self.dataset_path, dataset_names)]
 
-    def load_projection(self) -> OverlayProjection:
-        path = self.report_path("projection.json")
-        if not path.exists():
-            raise CiteCascadeError("no projection found; run compare --base first")
-        return self._read_json(path, OverlayProjection.from_json_dict)
+    def save_projection(self, base: str, projection: OverlayProjection, coverage: str) -> list[Path]:
+        """Write the projection onto network ``base`` and its coverage table."""
+        key = self._input_key(self._projection_inputs(base, projection.dataset_names))
+        paths = [self.report_path("projection.json"), self.report_path("coverage.csv")]
+        self.write_text(paths[0], json_text({**projection.to_json_dict(), "inputs": key}))
+        self.write_text(paths[1], [f"# inputs {key}\n", coverage])
+        return paths
+
+    def load_projection(self, base: str) -> OverlayProjection:
+        """The projection onto network ``base`` if it is current; else an error."""
+        projection = self._read_json(
+            self.report_path("projection.json"), OverlayProjection.from_json_dict,
+            inputs=lambda data: self._projection_inputs(base, data["datasets"]),
+        )
+        if projection is None:
+            raise CiteCascadeError(f"no current projection onto network {base!r}; run compare --base {base}")
+        return projection
+
+    def _input_key(self, inputs: Iterable[Path], **params) -> str:
+        """The key of an artifact computed from session files ``inputs`` and ``params``:
+        each file's path and sha256 (``missing`` once it is gone), then each parameter.
+        The clustering's input is its network's JSON; the positions' that, the render
+        seed and the iteration count; the projection's and coverage's the base network,
+        its clustering and each compared dataset. A stored key is current when it
+        equals the key its inputs give now."""
+        parts = [
+            f"{path.relative_to(self.root).as_posix()}="
+            + (hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing")
+            for path in inputs
+        ]
+        return " ".join(parts + [f"{name}={value}" for name, value in params.items()])
 
     # -- layout positions ---------------------------------------------------------------
 
     def layout_positions(self, name: str, network: CoCitationNetwork) -> dict[str, tuple[float, float]]:
         """``layout(network, seed)`` for network ``name`` under the session's render
-        seed, read back from its positions file when that file was written for the
-        same network bytes, seed and iteration count; computed and written otherwise."""
-        _graphml_path, json_path = self.network_paths(name)
+        seed, read back from its positions file when that file is current; computed
+        and written otherwise."""
         seed = self.config.render.seed
-        digest = hashlib.sha256(json_path.read_bytes()).hexdigest()
-        key = f"# layout seed={seed} iterations={LAYOUT_ITERATIONS} network-sha256={digest}\n"
+        key = self._input_key([self.network_paths(name)[1]], seed=seed, iterations=LAYOUT_ITERATIONS)
+        key = f"# inputs {key}\n"
         path = self.render_path(f"{name}.positions.csv")
         positions = _read_positions(path, key, network)
         if positions is None:

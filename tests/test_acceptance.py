@@ -34,7 +34,7 @@ from citecascade.cocitation import (
     network_stats,
     prune_links,
 )
-from citecascade.expansion import ExpansionSpec, ExpansionStage, backward_step, run_cascade
+from citecascade.expansion import ExpansionSpec, ExpansionStage, run_cascade
 from citecascade.overlay import overlap_matrix
 from citecascade.records import Dataset
 
@@ -46,7 +46,7 @@ from test_cocitation import (
     loose_config,
     network_from_graphml,
 )
-from test_expansion import bfs_oracle
+from test_expansion import backward_step, bfs_oracle
 
 
 def report(number: int, name: str) -> None:

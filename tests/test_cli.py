@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
 import re
@@ -212,9 +213,11 @@ class TestExitCodes:
         run(session_dir, "network", "--dataset", "S", "--min-citations", "0")
         run(session_dir, "cluster", "--network", "S")
         capsys.readouterr()
-        assert run(
-            session_dir, "compare", "--datasets", "a,b", "--base", "S", "--threshold", "1.5"
-        ) == 3
+        for bad in (["--threshold", "1.5"], ["--epsilon", "nan"], ["--epsilon", "-3"],
+                    ["--epsilon", "1"], ["--epsilon", "inf"]):
+            assert run(session_dir, "compare", "--datasets", "a,b", "--base", "S", *bad) == 3, bad
+            assert "must lie" in one_error_line(capsys)
+        assert not (session_dir / "reports" / "coverage.csv").exists()
 
     @pytest.mark.parametrize(
         "value",
@@ -237,6 +240,16 @@ class TestExitCodes:
         assert err.startswith(f"error: argument {flag}: must be a finite number")
         assert err.count("\n") == 1
         assert not list((session_dir / "networks").iterdir())
+
+    def test_negative_top_k_exits_2(self, tmp_path, corpus, capsys):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus), "--dataset", "a")
+        run(session_dir, "network", "--dataset", "a", "--min-citations", "0")
+        capsys.readouterr()
+        assert run(session_dir, "cluster", "--network", "a", "--levels", "2", "--top-k", "-1") == 2
+        assert one_error_line(capsys) == "error: --top-k must not be negative: -1\n"
+        assert not (session_dir / "networks" / "a.clusters.json").exists()
+        assert run(session_dir, "cluster", "--network", "a", "--top-k", "0") == 0
 
     @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", ""])
     def test_bad_names_exit_2_and_write_nothing_outside(self, tmp_path, corpus, capsys, name):
@@ -463,7 +476,8 @@ class TestRebuiltNetwork:
         assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
                    "--min-citations", "0", "--lrf", "1") == 0
         assert network_path.read_bytes() != before
-        assert not any(path.exists() for path in cluster_files(session_dir, "F"))
+        kept = {path: path.read_bytes() for path in cluster_files(session_dir, "F")}
+        assert all(kept.values())  # kept on disk, not used from here on
 
         capsys.readouterr()
         assert run(session_dir, "report", "--kind", "networks") == 0
@@ -473,6 +487,7 @@ class TestRebuiltNetwork:
         svg = (session_dir / "renders" / "F.map.svg").read_text(encoding="utf-8")
         fills = set(re.findall(r'<circle [^>]*fill="([^"]+)"', svg))
         assert fills == {"#4878a8"}  # drawn without a partition
+        assert {path: path.read_bytes() for path in kept} == kept
 
     def test_identical_rebuild_keeps_the_clustering(self, tmp_path, corpus):
         session_dir = finished_session(tmp_path, corpus)
@@ -480,6 +495,135 @@ class TestRebuiltNetwork:
         assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
                    "--min-citations", "0") == 0
         assert {path: path.read_bytes() for path in kept} == kept
+
+
+def strip_keys(session_dir: Path) -> None:
+    """Rewrite the keyed artifacts of network F as the previous version wrote them:
+    no ``inputs`` field or line, and the positions file under its old key line."""
+    for rel in ("networks/F.clusters.json", "reports/projection.json"):
+        path = session_dir / rel
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["inputs"]
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for rel in ("networks/F.clusters.csv", "networks/F.concepts.txt", "reports/coverage.csv"):
+        path = session_dir / rel
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        assert first.startswith("# inputs ")
+        path.write_text(rest, encoding="utf-8")
+    positions = session_dir / "renders" / "F.positions.csv"
+    digest = hashlib.sha256((session_dir / "networks" / "F.json").read_bytes()).hexdigest()
+    rows = positions.read_text(encoding="utf-8").split("\n", 1)[1]
+    positions.write_text(f"# layout seed=42 iterations=50 network-sha256={digest}\n{rows}", encoding="utf-8")
+
+
+class TestInputKeys:
+    """Each derived artifact is used only with the inputs it was computed from."""
+
+    def test_keys_name_each_input_and_change_nothing_else(self, tmp_path, corpus):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "render", "--network", "F") == 0
+
+        def sha(rel: str) -> str:
+            return hashlib.sha256((session_dir / rel).read_bytes()).hexdigest()
+
+        network_key = f"networks/F.json={sha('networks/F.json')}"
+        projection_key = (f"{network_key} networks/F.clusters.json={sha('networks/F.clusters.json')} "
+                          f"datasets/F.json={sha('datasets/F.json')} datasets/S.json={sha('datasets/S.json')}")
+        clusters = json.loads((session_dir / "networks" / "F.clusters.json").read_text(encoding="utf-8"))
+        assert clusters["inputs"] == network_key
+        projection = json.loads((session_dir / "reports" / "projection.json").read_text(encoding="utf-8"))
+        assert projection["inputs"] == projection_key
+        assert sorted(projection) == ["coverage", "datasets", "inputs", "membership"]
+        first_lines = {
+            rel: (session_dir / rel).read_text(encoding="utf-8").split("\n", 1)[0]
+            for rel in ("networks/F.clusters.csv", "networks/F.concepts.txt",
+                        "reports/coverage.csv", "renders/F.positions.csv")
+        }
+        assert first_lines == {
+            "networks/F.clusters.csv": f"# inputs {network_key}",
+            "networks/F.concepts.txt": f"# inputs {network_key}",
+            "reports/coverage.csv": f"# inputs {projection_key}",
+            "renders/F.positions.csv": f"# inputs {network_key} seed=42 iterations=50",
+        }
+        coverage = (session_dir / "reports" / "coverage.csv").read_text(encoding="utf-8")
+        assert coverage.splitlines()[1] == "# threshold=0.1 epsilon=0.05"
+        table = (session_dir / "networks" / "F.clusters.csv").read_text(encoding="utf-8")
+        assert table.splitlines()[1] == "node,cluster,silhouette"
+
+    def test_rebuilt_base_needs_a_new_compare(self, tmp_path, corpus, capsys):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "render", "--network", "F", "--overlay") == 0
+        assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
+                   "--min-citations", "0", "--lrf", "1") == 0
+        capsys.readouterr()
+        assert run(session_dir, "render", "--network", "F", "--overlay") == 4
+        assert "run compare --base F" in one_error_line(capsys)
+        assert run(session_dir, "compare", "--datasets", "F,S", "--base", "F") == 4
+        assert "run cluster --network F" in one_error_line(capsys)
+        for argv in (["cluster", "--network", "F"], ["compare", "--datasets", "F,S", "--base", "F"],
+                     ["render", "--network", "F", "--overlay"]):
+            assert run(session_dir, *argv) == 0
+
+    def test_stale_and_damaged_clustering_is_a_format_error(self, tmp_path, corpus, capsys):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
+                   "--min-citations", "0", "--lrf", "1") == 0
+        clusters = session_dir / "networks" / "F.clusters.json"
+        clusters.write_text(WRONG_SHAPE["networks/F.clusters.json"], encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, "render", "--network", "F") == 4
+        assert f"unreadable session file {clusters}" in one_error_line(capsys)
+
+    def test_never_compared_network_has_no_overlay(self, tmp_path, corpus, capsys):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "network", "--dataset", "S", "--name", "G", "--min-citations", "0") == 0
+        capsys.readouterr()
+        assert run(session_dir, "render", "--network", "G", "--overlay") == 4
+        assert "no current projection onto network 'G'; run compare --base G" in one_error_line(capsys)
+        assert not list((session_dir / "renders").glob("G.overlay.*"))
+
+    @pytest.mark.parametrize("change", ["re-searched", "deleted"])
+    def test_changed_or_missing_dataset_needs_a_new_compare(self, tmp_path, corpus, capsys, change):
+        session_dir = finished_session(tmp_path, corpus)
+        if change == "re-searched":
+            assert run(session_dir, "search", "--name", "F", "--phrase", "topic beta") == 0
+        else:
+            (session_dir / "datasets" / "S.json").unlink()
+        capsys.readouterr()
+        assert run(session_dir, "render", "--network", "F", "--overlay") == 4
+        assert "run compare --base F" in one_error_line(capsys)
+        assert run(session_dir, "render", "--network", "F") == 0  # the clustering is still current
+
+    def test_identical_rebuild_keeps_the_overlay(self, tmp_path, corpus):
+        session_dir = finished_session(tmp_path, corpus)
+        overlay = session_dir / "renders" / "F.overlay.svg"
+        assert run(session_dir, "render", "--network", "F", "--overlay") == 0
+        first = overlay.read_bytes()
+        for argv in (["search", "--name", "F", "--phrase", "topic alpha"],
+                     ["network", "--dataset", "combined", "--name", "F", "--min-citations", "0"],
+                     ["render", "--network", "F", "--overlay"]):
+            assert run(session_dir, *argv) == 0
+        assert overlay.read_bytes() == first
+
+    def test_session_of_the_previous_format(self, tmp_path, corpus, capsys, layout_calls):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "render", "--network", "F") == 0
+        fresh = (session_dir / "renders" / "F.positions.csv").read_bytes()
+        strip_keys(session_dir)
+        capsys.readouterr()
+        assert run(session_dir, "report", "--kind", "networks") == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(",,")  # no modularity, no silhouette
+        for _ in range(2):
+            assert run(session_dir, "render", "--network", "F") == 0
+        assert layout_calls == [42, 42]  # recomputed once, then read back
+        assert (session_dir / "renders" / "F.positions.csv").read_bytes() == fresh
+        svg = (session_dir / "renders" / "F.map.svg").read_text(encoding="utf-8")
+        assert set(re.findall(r'<circle [^>]*fill="([^"]+)"', svg)) == {"#4878a8"}
+        capsys.readouterr()
+        assert run(session_dir, "render", "--network", "F", "--overlay") == 4
+        assert "run compare --base F" in one_error_line(capsys)
+        assert run(session_dir, "compare", "--datasets", "F,S", "--base", "F") == 4
+        assert "run cluster --network F" in one_error_line(capsys)
 
 
 @pytest.fixture
@@ -535,7 +679,8 @@ class TestLayoutCache:
         assert run(session_dir, "render", "--network", "F") == 0
         assert run(session_dir, "render", "--network", "F") == 0
         assert layout_calls == [42, 42, 7]
-        assert positions.read_text(encoding="utf-8").startswith("# layout seed=7 iterations=50 ")
+        key = positions.read_text(encoding="utf-8").splitlines()[0]
+        assert re.fullmatch(r"# inputs networks/F\.json=[0-9a-f]{64} seed=7 iterations=50", key)
 
     @pytest.mark.parametrize("damage", ["truncated", "non-numeric", "missing-node", "extra-node"])
     def test_damaged_positions_are_recomputed(self, tmp_path, corpus, capsys, layout_calls, damage):

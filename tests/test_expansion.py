@@ -15,8 +15,7 @@ from citecascade.expansion import (
     FORWARD,
     ExpansionSpec,
     ExpansionStage,
-    backward_step,
-    forward_step,
+    _qualified_step,
     run_cascade,
     trace_report,
 )
@@ -48,6 +47,20 @@ def bfs_oracle(snapshot, seeds, stages, theta_citer, theta_ref):
             accumulated |= next_frontier
             frontier = next_frontier
     return accumulated
+
+
+def forward_step(snapshot, current: set[str], theta_citer: int) -> set[str]:
+    """New articles citing the current set whose citation count >= theta_citer."""
+    if not current:
+        raise ValidationError("forward_step needs a non-empty current set")
+    return set(_qualified_step(snapshot, current, FORWARD, current, theta_citer)[1])
+
+
+def backward_step(snapshot, current: set[str], theta_ref: int) -> set[str]:
+    """New resolvable references of the current set with citation count >= theta_ref."""
+    if not current:
+        raise ValidationError("backward_step needs a non-empty current set")
+    return set(_qualified_step(snapshot, current, BACKWARD, current, theta_ref)[1])
 
 
 class TestSteps:

@@ -244,7 +244,7 @@ class TestConceptTree:
         records = [make_record("m", year=1990)]
         snapshot = make_snapshot(records)
         tree = build_concept_tree({"m"}, snapshot)
-        assert tree.is_empty()
+        assert tree.roots == []
         assert tree.to_text() == ""
 
     def test_min_support_filters(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,7 +173,7 @@ class TestProjectOverlay:
         partition = ClusterPartition(assignment={"n1": 0, "n2": 1})
         projection = project_overlay(network, [Dataset("d", {"n1"})], partition)
         again = OverlayProjection.from_json_dict(
-            __import__("json").loads(projection.to_json())
+            json.loads(json.dumps(projection.to_json_dict()))
         )
         assert again.membership == projection.membership
         assert again.coverage == projection.coverage
