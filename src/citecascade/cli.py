@@ -290,37 +290,34 @@ def _cmd_cluster(args, session: Session) -> int:
     partition.cluster_silhouettes = silhouettes.cluster_scores
     partition.mean_silhouette = silhouettes.mean
     phrase_index = labeling.PhraseIndex(snapshot)
-    labeling.label_all_clusters(partition, network, snapshot, phrase_index=phrase_index)
+    clusters = partition.clusters()
+    citers = [labeling.cited_by(members, snapshot) for members in clusters]
+    labeling.label_all_clusters(partition, citers, set().union(*citers), phrase_index)
 
     payload_level1 = partition.to_json_dict()
-    for cluster in payload_level1["clusters"]:
-        members = set(cluster["members"])
+    for cluster, cluster_citers in zip(payload_level1["clusters"], citers):
         cluster["top_citers"] = [
             {"id": c, "members_cited": n, "citations": g}
-            for c, n, g in clustering.top_citing_articles(members, snapshot, 5)
+            for c, n, g in clustering.top_citing_articles(cluster_citers, snapshot, 5)
         ]
     payload: dict = {"level1": payload_level1}
 
-    clusters = partition.clusters()
     top_indices = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))[: args.top_k]
     if args.levels >= 2:
         level2: dict[str, dict] = {}
         for index in top_indices:
-            members = clusters[index]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sub = clustering.sub_cluster(members, network, index)
-            subnetwork = clustering.induced_subnetwork(network, members)
-            labeling.label_all_clusters(
-                sub, subnetwork, snapshot, background_members=members, phrase_index=phrase_index
-            )
+                sub = clustering.sub_cluster(clusters[index], network, index)
+            sub_citers = [labeling.cited_by(members, snapshot) for members in sub.clusters()]
+            labeling.label_all_clusters(sub, sub_citers, citers[index], phrase_index)
             level2[str(index)] = sub.to_json_dict()
         payload["level2"] = level2
 
     concept_json: dict[str, dict] = {}
     concept_text_parts: list[str] = []
     for index in top_indices:
-        tree = labeling.build_concept_tree(clusters[index], snapshot, phrase_index=phrase_index)
+        tree = labeling.build_concept_tree(citers[index], snapshot, phrase_index)
         concept_json[str(index)] = tree.to_json_dict()
         label = partition.labels.get(index, "")
         concept_text_parts.append(f"== cluster #{index} {label}\n{tree.to_text()}")
@@ -350,15 +347,13 @@ def _overlap_csv(session: Session, names_text: str, store: RecordStore) -> tuple
 
 def _cmd_compare(args, session: Session) -> int:
     datasets, overlap_text = _overlap_csv(session, args.datasets, session.load_store())
-    overlap_path = session.report_path("overlap.csv")
-    session.write_text(overlap_path, overlap_text)
-    outputs = [str(overlap_path)]
-
-    if args.base:
+    if args.base:  # every check passes before anything is written
         network = session.load_network(args.base)
         partition = session.load_partition(args.base)
         projection = project_overlay(network, datasets, partition)
         coverage = coverage_report(projection, args.threshold, args.epsilon).to_csv(partition.labels)
+    outputs = [str(session.write_text(session.report_path("overlap.csv"), overlap_text))]
+    if args.base:
         outputs += map(str, session.save_projection(args.base, projection, coverage))
     print("wrote " + ", ".join(outputs))
     return EXIT_OK

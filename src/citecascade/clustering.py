@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .cocitation import CoCitationNetwork, network_arrays
@@ -305,18 +306,13 @@ def sub_cluster(
 
 
 def top_citing_articles(
-    cluster_members: set[str], snapshot: CitationSnapshot, k: int
+    cited_by: Mapping[str, int], snapshot: CitationSnapshot, k: int
 ) -> list[tuple[str, int, int]]:
-    """Citers ranked by distinct cluster members cited; ties by citation count, id.
+    """The first k citers of a cluster's citer table (``labeling.cited_by``),
+    ranked by distinct members cited; ties by citation count, then id.
 
     Returns (citer id, members cited, citation count) triples.
     """
-    cited_by: dict[str, int] = {}
-    for member in sorted(cluster_members):
-        if member not in snapshot:
-            continue
-        for citer in snapshot.get_citers(member):
-            cited_by[citer] = cited_by.get(citer, 0) + 1
     ranked = sorted(
         cited_by.items(), key=lambda item: (-item[1], -snapshot.citation_count(item[0]), item[0])
     )

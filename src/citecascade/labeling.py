@@ -6,12 +6,15 @@ most strongly associated with the cluster's citing articles, scored by the
 log-likelihood ratio against all citing articles; concept trees organize
 phrases by token containment with document-frequency support.
 
-Cost: one ``PhraseIndex`` per command tokenizes each distinct citer text
-once. Labeling a partition counts the background's document frequencies
-once, then each cluster only its own citers' phrase sets; out-of-cluster
-counts are background minus cluster. So labeling all clusters costs
-O(citation links into the network x phrases per title), not one background
-rescan per cluster; memory is one phrase set per distinct text.
+Cost: ``cited_by`` walks each cluster's citers once into a citer table
+(citer -> distinct members cited); labels, top citers and concept trees read
+that table. One ``PhraseIndex`` per command then tokenizes each distinct
+citer text once. Labeling a partition counts the background's document
+frequencies once (level 1: all clusters' citers; level 2: the parent's),
+then each cluster only its own citers' phrase sets; out-of-cluster counts
+are background minus cluster. So labeling all clusters costs O(citation
+links into the network x phrases per title), not one background rescan per
+cluster; memory is one phrase set per distinct text.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
-from .cocitation import CoCitationNetwork
 from .sources import CitationSnapshot
 
 MAX_PHRASE_TOKENS = 4
@@ -109,55 +111,38 @@ def log_likelihood_ratio(k11: int, k12: int, k21: int, k22: int) -> float:
     return 2.0 * (term(k11, e11) + term(k12, e12) + term(k21, e21) + term(k22, e22))
 
 
-def _citers_of(members: set[str], snapshot: CitationSnapshot) -> set[str]:
-    citers: set[str] = set()
+def cited_by(members: Iterable[str], snapshot: CitationSnapshot) -> Counter[str]:
+    """The cluster's citer table: each article citing a member, mapped to the
+    number of distinct members it cites. The only walk of a cluster's citers;
+    labels, top citers and concept trees all read it."""
+    table: Counter[str] = Counter()
     for member in members:
         if member in snapshot:
-            citers.update(snapshot.get_citers(member))
-    return citers
+            table.update(snapshot.get_citers(member))
+    return table
 
 
 def label_cluster(
-    cluster_members: set[str],
-    network: CoCitationNetwork,
-    snapshot: CitationSnapshot,
-    index: int,
-    background_citers: set[str] | None = None,
-    *,
-    phrase_index: PhraseIndex | None = None,
-    background_df: Mapping[str, int] | None = None,
+    cluster_citers: Collection[str], index: int, background_citers: Collection[str],
+    phrase_index: PhraseIndex, background_df: Mapping[str, int],
 ) -> str:
     """Best-associated phrase from titles of articles citing the cluster.
 
     Scoring: log-likelihood ratio of the phrase's document frequency in the
-    cluster's citers versus all citers (of the whole network unless a
-    background is supplied); only overrepresented phrases qualify. Ties break
-    by frequency, then alphabetically. Falls back to the most frequent title
+    cluster's citers versus the other background citers; the background
+    holds every cluster citer, and ``background_df`` is its title document
+    frequencies. Only overrepresented phrases qualify. Ties break by
+    frequency, then alphabetically. Falls back to the most frequent title
     bigram, then to "unlabeled-<index>".
-
-    ``phrase_index`` and ``background_df`` (the title document frequencies of
-    the background citers) let callers labeling many clusters share them.
     """
-    cluster_citers = _citers_of(cluster_members, snapshot)
     if not cluster_citers:
         return f"unlabeled-{index}"
-    if background_citers is None:
-        background_citers = _citers_of(set(network.nodes), snapshot)
-    if phrase_index is None:
-        phrase_index = PhraseIndex(snapshot)
-    if background_df is None:
-        background_df = phrase_index.title_frequencies(background_citers)
-
     df_cluster = phrase_index.title_frequencies(cluster_citers)
-    inside = cluster_citers & background_citers
-    df_inside = df_cluster
-    if len(inside) < len(cluster_citers):
-        df_inside = phrase_index.title_frequencies(inside)
-    n_cluster, n_other = len(cluster_citers), len(background_citers) - len(inside)
+    n_cluster, n_other = len(cluster_citers), len(background_citers) - len(cluster_citers)
 
     best: tuple[float, int, str] | None = None
     for phrase, k11 in df_cluster.items():
-        k12 = background_df.get(phrase, 0) - df_inside.get(phrase, 0)
+        k12 = background_df.get(phrase, 0) - k11
         k21 = n_cluster - k11
         k22 = n_other - k12
         observed_rate = k11 / n_cluster
@@ -180,24 +165,16 @@ def label_cluster(
 
 
 def label_all_clusters(
-    partition, network: CoCitationNetwork, snapshot: CitationSnapshot,
-    background_members: set[str] | None = None,
-    phrase_index: PhraseIndex | None = None,
+    partition, citers: list[Counter[str]], background: Collection[str], phrase_index: PhraseIndex
 ) -> None:
-    """Fill partition.labels for every cluster (in place).
+    """Fill partition.labels in place; ``citers[i]`` is cluster i's citer table.
 
     The background's document frequencies are counted once for all clusters.
     """
-    background = _citers_of(
-        background_members if background_members is not None else set(network.nodes), snapshot
-    )
-    if phrase_index is None:
-        phrase_index = PhraseIndex(snapshot)
     background_df = phrase_index.title_frequencies(background)
-    for index, members in enumerate(partition.clusters()):
+    for index, cluster_citers in enumerate(citers):
         partition.labels[index] = label_cluster(
-            members, network, snapshot, index, background_citers=background,
-            phrase_index=phrase_index, background_df=background_df,
+            cluster_citers, index, background, phrase_index, background_df
         )
 
 
@@ -241,10 +218,7 @@ class ConceptTree:
 
 
 def build_concept_tree(
-    cluster_members: set[str],
-    snapshot: CitationSnapshot,
-    min_support: int = 1,
-    phrase_index: PhraseIndex | None = None,
+    citers: Iterable[str], snapshot: CitationSnapshot, phrase_index: PhraseIndex
 ) -> ConceptTree:
     """Containment hierarchy of phrases from citing articles' titles+abstracts.
 
@@ -253,7 +227,6 @@ def build_concept_tree(
     grows down a branch). Support ties prefer the longest such phrase (the
     closest ancestor), then alphabetical order.
     """
-    citers = _citers_of(cluster_members, snapshot)
     texts = []
     for citer in sorted(citers):
         record = snapshot.record(citer)
@@ -264,12 +237,7 @@ def build_concept_tree(
             texts.append(text)
     if not texts:
         return ConceptTree()
-
-    if phrase_index is None:
-        phrase_index = PhraseIndex(snapshot)
-    support = {p: n for p, n in phrase_index.frequencies(texts).items() if n >= min_support}
-    if not support:
-        return ConceptTree()
+    support = phrase_index.frequencies(texts)
 
     # A parent's token set is a subset of its child's (at most
     # 2^MAX_PHRASE_TOKENS - 1 of them), so candidates are looked up, not scanned.

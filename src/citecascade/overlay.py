@@ -113,12 +113,12 @@ class OverlayProjection:
 def project_overlay(
     base_network: CoCitationNetwork,
     datasets: list[Dataset],
-    partition: ClusterPartition | None = None,
+    partition: ClusterPartition,
 ) -> OverlayProjection:
     """Mark which datasets contain each base-map node; coverage per cluster.
 
     Coverage of cluster c by dataset D = fraction of c's nodes whose ids are
-    members of D; computed when a partition of the base network is supplied.
+    members of D.
     """
     if not base_network.nodes:
         raise ValidationError("base network is empty")
@@ -127,18 +127,17 @@ def project_overlay(
         node: tuple(node in ds.member_ids for ds in datasets) for node in base_network.nodes
     }
     projection = OverlayProjection(dataset_names=names, membership=membership)
-    if partition is not None:
-        missing = set(base_network.nodes) - set(partition.assignment)
-        if missing:
-            raise ValidationError(
-                f"partition does not cover the base network ({len(missing)} nodes missing)"
-            )
-        for index, members in enumerate(partition.clusters()):
-            fractions: dict[str, float] = {}
-            for pos, name in enumerate(names):
-                inside = sum(1 for node in members if membership[node][pos])
-                fractions[name] = inside / len(members)
-            projection.coverage[index] = fractions
+    missing = set(base_network.nodes) - set(partition.assignment)
+    if missing:
+        raise ValidationError(
+            f"partition does not cover the base network ({len(missing)} nodes missing)"
+        )
+    for index, members in enumerate(partition.clusters()):
+        fractions: dict[str, float] = {}
+        for pos, name in enumerate(names):
+            inside = sum(1 for node in members if membership[node][pos])
+            fractions[name] = inside / len(members)
+        projection.coverage[index] = fractions
     return projection
 
 
@@ -176,7 +175,7 @@ def coverage_report(
     FULL: coverage >= 1-epsilon; PARTIAL: threshold <= coverage < 1-epsilon;
     MISSED: below threshold. The common core lists clusters every dataset
     covers at or above the threshold. Coverage comes from
-    ``project_overlay(..., partition)``; a projection without it is rejected.
+    ``project_overlay``; a projection without it is rejected.
     """
     if not (0.0 < threshold < 1.0):
         raise ValidationError("threshold must lie strictly between 0 and 1")

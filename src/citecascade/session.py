@@ -175,11 +175,8 @@ class Session:
     def dataset_path(self, name: str) -> Path:
         return self.root / "datasets" / f"{check_name(name)}.json"
 
-    def save_dataset(self, dataset: Dataset, overwrite: bool = True) -> Path:
-        path = self.dataset_path(dataset.name)
-        if path.exists() and not overwrite:
-            raise ValidationError(f"dataset name already in session: {dataset.name}")
-        return self.write_text(path, json_text(dataset.to_json_dict()))
+    def save_dataset(self, dataset: Dataset) -> Path:
+        return self.write_text(self.dataset_path(dataset.name), json_text(dataset.to_json_dict()))
 
     def load_dataset(self, name: str) -> Dataset:
         path = self.dataset_path(name)

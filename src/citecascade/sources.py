@@ -10,7 +10,6 @@ abstracts, which needs only the record store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import UnknownPublicationError, ValidationError
 from .records import ArticleRecord, Dataset, RecordStore
@@ -35,11 +34,6 @@ class SourceQuery:
             raise ValidationError(f"unknown query kind: {self.kind}")
         if not self.phrases:
             raise ValidationError("query needs at least one phrase")
-
-
-class CitationCount(NamedTuple):
-    value: int
-    snapshot_local: bool
 
 
 class CitationSnapshot:
@@ -88,16 +82,13 @@ class CitationSnapshot:
             raise UnknownPublicationError(pub_id)
         return sorted(self._citer_index[pub_id])
 
-    def citation_count_info(self, pub_id: str) -> CitationCount:
+    def citation_count(self, pub_id: str) -> int:
         """Universe-wide citation count when the source reported one, else the
-        snapshot-local citer count, flagged as such."""
+        snapshot-local citer count."""
         record = self.record(pub_id)
         if record.global_citation_count is not None:
-            return CitationCount(record.global_citation_count, False)
-        return CitationCount(len(self._citer_index[pub_id]), True)
-
-    def citation_count(self, pub_id: str) -> int:
-        return self.citation_count_info(pub_id).value
+            return record.global_citation_count
+        return len(self._citer_index[pub_id])
 
 
 def search(store: RecordStore, query: SourceQuery, name: str) -> Dataset:

@@ -20,6 +20,8 @@ from citecascade.records import RecordStore
 from citecascade.render import layout
 from citecascade.session import Session, SessionConfig
 
+from conftest import SYNTHETIC_CORPUS
+
 # Takes the session lock the way a command does, reports it, then waits to be killed.
 HOLD_LOCK = """
 import sys, time
@@ -217,6 +219,7 @@ class TestExitCodes:
                     ["--epsilon", "1"], ["--epsilon", "inf"]):
             assert run(session_dir, "compare", "--datasets", "a,b", "--base", "S", *bad) == 3, bad
             assert "must lie" in one_error_line(capsys)
+            assert not (session_dir / "reports" / "overlap.csv").exists(), bad
         assert not (session_dir / "reports" / "coverage.csv").exists()
 
     @pytest.mark.parametrize(
@@ -558,8 +561,11 @@ class TestInputKeys:
         capsys.readouterr()
         assert run(session_dir, "render", "--network", "F", "--overlay") == 4
         assert "run compare --base F" in one_error_line(capsys)
-        assert run(session_dir, "compare", "--datasets", "F,S", "--base", "F") == 4
-        assert "run cluster --network F" in one_error_line(capsys)
+        previous = (session_dir / "reports" / "overlap.csv").read_bytes()
+        for names in ("F,S", "S,F"):  # S,F would write another matrix
+            assert run(session_dir, "compare", "--datasets", names, "--base", "F") == 4
+            assert "run cluster --network F" in one_error_line(capsys)
+        assert (session_dir / "reports" / "overlap.csv").read_bytes() == previous
         for argv in (["cluster", "--network", "F"], ["compare", "--datasets", "F,S", "--base", "F"],
                      ["render", "--network", "F", "--overlay"]):
             assert run(session_dir, *argv) == 0
@@ -883,6 +889,39 @@ class TestRerunnability:
             assert path.read_bytes() == content, path
 
 
+# sha256 of the bundled pipeline's clusters.json with its float fields taken out
+# (partitions, labels, top citers and concept trees), recorded before the top
+# citers were ranked from the shared per-cluster citer table.
+BUNDLED_CLUSTERS_SHA256 = "f0b5403fcb441df0a5ab4812452c02c8fa2bd75fe05ccbb199a49e3bc109103d"
+FLOAT_FIELDS = {"modularity", "mean_silhouette", "silhouette"}
+
+
+def without_floats(value):
+    if isinstance(value, dict):
+        return {k: without_floats(v) for k, v in value.items() if k not in FLOAT_FIELDS}
+    if isinstance(value, list):
+        return [without_floats(v) for v in value]
+    return value
+
+
+def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
+    session_dir = tmp_path / "sess"
+    for argv in (
+        ["ingest", str(SYNTHETIC_CORPUS), "--format", "jsonl"],
+        ["search", "--name", "F", "--phrase", "reinforcement learning"],
+        ["expand", "--name", "S3", "--seed", "P010", "--stages", "F:3",
+         "--theta-citer", "1", "--theta-ref", "1"],
+        ["union", "--name", "combined", "--datasets", "F,S3"],
+        ["network", "--dataset", "combined", "--min-citations", "0", "--top-n", "100"],
+        ["cluster", "--network", "combined", "--levels", "2", "--top-k", "3"],
+    ):
+        assert run(session_dir, *argv) == 0
+    payload = json.loads((session_dir / "networks" / "combined.clusters.json").read_text(encoding="utf-8"))
+    assert sum(len(c["top_citers"]) for c in payload["level1"]["clusters"]) == 391
+    digest = hashlib.sha256(json.dumps(without_floats(payload), sort_keys=True).encode()).hexdigest()
+    assert digest == BUNDLED_CLUSTERS_SHA256
+
+
 class TestSessionConfig:
     def test_config_roundtrips_losslessly(self, tmp_path):
         session = Session(tmp_path / "sess")
@@ -920,12 +959,3 @@ class TestSessionConfig:
             session.save_dataset(Dataset("d", {"b"}))
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["d.json"]
-
-    def test_duplicate_dataset_name_guard(self, tmp_path):
-        from citecascade.errors import ValidationError
-        from citecascade.records import Dataset
-
-        session = Session(tmp_path / "sess")
-        session.save_dataset(Dataset("twin", {"a"}))
-        with pytest.raises(ValidationError):
-            session.save_dataset(Dataset("twin", {"b"}), overwrite=False)

@@ -20,6 +20,7 @@ from citecascade.clustering import (
 )
 from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo
 from citecascade.errors import ValidationError
+from citecascade.labeling import cited_by
 
 from conftest import make_record, make_snapshot
 
@@ -348,7 +349,7 @@ class TestTopCitingArticles:
         records.append(make_record("broad", year=2000, refs=["m1", "m2", "m3"], count=1))
         records.append(make_record("narrow", year=2000, refs=["m1"], count=99))
         snapshot = make_snapshot(records)
-        ranked = top_citing_articles({"m1", "m2", "m3"}, snapshot, k=5)
+        ranked = top_citing_articles(cited_by({"m1", "m2", "m3"}, snapshot), snapshot, k=5)
         assert [r[0] for r in ranked] == ["broad", "narrow"]
         assert ranked[0][1] == 3
 
@@ -358,7 +359,7 @@ class TestTopCitingArticles:
         records.append(make_record("alpha", year=2000, refs=["m"], count=5))
         records.append(make_record("aaa", year=2000, refs=["m"], count=5))
         snapshot = make_snapshot(records)
-        ranked = top_citing_articles({"m"}, snapshot, k=3)
+        ranked = top_citing_articles(cited_by({"m"}, snapshot), snapshot, k=3)
         assert [r[0] for r in ranked] == ["beta", "aaa", "alpha"]
 
     def test_matches_bruteforce_ranking(self, rng):
@@ -370,7 +371,7 @@ class TestTopCitingArticles:
                 make_record(f"c{i:02d}", year=2005, refs=cited, count=rng.randint(0, 50))
             )
         snapshot = make_snapshot(records)
-        ranked = top_citing_articles(members, snapshot, k=20)
+        ranked = top_citing_articles(cited_by(members, snapshot), snapshot, k=20)
         brute = []
         for i in range(20):
             cited = [m for m in snapshot.record(f"c{i:02d}").reference_ids if m in members]

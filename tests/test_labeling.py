@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citecascade.clustering import detect_communities, induced_subnetwork, sub_cluster
+from citecascade.clustering import detect_communities, sub_cluster
 from citecascade.cocitation import CoCitationNetwork, NetworkConfig, NodeInfo
 from citecascade.labeling import (
     ConceptTree,
     PhraseIndex,
     build_concept_tree,
+    cited_by,
     extract_phrases,
     label_all_clusters,
     label_cluster,
@@ -34,6 +35,24 @@ def phrase_document_frequencies(texts: list[str]) -> dict[str, int]:
         for phrase in extract_phrases(text):
             df[phrase] = df.get(phrase, 0) + 1
     return df
+
+
+def label_alone(members, snapshot, index: int, background_members) -> str:
+    """Unindexed reference: one cluster labeled alone, with its own walks of the
+    citers and its own phrase index."""
+
+    def citers_of(ids):
+        return {c for m in ids if m in snapshot for c in snapshot.get_citers(m)}
+
+    background = citers_of(background_members)
+    phrase_index = PhraseIndex(snapshot)
+    return label_cluster(
+        citers_of(members), index, background, phrase_index, phrase_index.title_frequencies(background)
+    )
+
+
+def concept_tree(members, snapshot) -> ConceptTree:
+    return build_concept_tree(cited_by(members, snapshot), snapshot, PhraseIndex(snapshot))
 
 
 class TestPhraseExtraction:
@@ -117,7 +136,7 @@ class TestLabelCluster:
                 ],
             }
         )
-        assert label_cluster({"m1"}, network, snapshot, index=0) == "drug discovery"
+        assert label_alone({"m1"}, snapshot, 0, network.nodes) == "drug discovery"
 
     def test_planted_distinctive_bigrams(self):
         # Unigram document frequencies are identical across clusters (LLR 0);
@@ -129,8 +148,8 @@ class TestLabelCluster:
                 "m2": ["beta alpha analysis", "beta alpha methods", "beta alpha review"],
             }
         )
-        assert label_cluster({"m1"}, network, snapshot, index=0) == "alpha beta"
-        assert label_cluster({"m2"}, network, snapshot, index=1) == "beta alpha"
+        assert label_alone({"m1"}, snapshot, 0, network.nodes) == "alpha beta"
+        assert label_alone({"m2"}, snapshot, 1, network.nodes) == "beta alpha"
 
     def test_no_citers_gives_unlabeled(self):
         network, snapshot = _two_cluster_world({"m1": ["some title"]})
@@ -139,7 +158,7 @@ class TestLabelCluster:
             [make_record("orphan", year=1990), make_record("m1", year=1990)]
         )
         assert (
-            label_cluster({"orphan"}, network, snapshot_with_orphan, index=7)
+            label_alone({"orphan"}, snapshot_with_orphan, 7, network.nodes)
             == "unlabeled-7"
         )
 
@@ -149,7 +168,7 @@ class TestLabelCluster:
         network, snapshot = _two_cluster_world(
             {"m1": ["gene therapy advances", "gene therapy trials", "gene therapy"]}
         )
-        assert label_cluster({"m1"}, network, snapshot, index=0) == "gene therapy"
+        assert label_alone({"m1"}, snapshot, 0, network.nodes) == "gene therapy"
 
     def test_explicit_background_narrows_comparison(self):
         network, snapshot = _two_cluster_world(
@@ -161,8 +180,9 @@ class TestLabelCluster:
         background = set()
         for member in ("m1", "m2"):
             background.update(snapshot.get_citers(member))
+        index = PhraseIndex(snapshot)
         label = label_cluster(
-            {"m1"}, network, snapshot, index=0, background_citers=background
+            cited_by({"m1"}, snapshot), 0, background, index, index.title_frequencies(background)
         )
         assert label == "spatial indexing"
 
@@ -187,7 +207,7 @@ class TestConceptTree:
         for i, title in enumerate(titles):
             records.append(make_record(f"c{i:02d}", year=2005, refs=["m"], title=title))
         snapshot = make_snapshot(records)
-        tree = build_concept_tree({"m"}, snapshot)
+        tree = concept_tree({"m"}, snapshot)
         edges = self._tree_edges(tree)
         assert ("fish oil", "fish oil supplementation") in edges
         assert ("fish", "fish oil") in edges  # tie on support, alphabetical unigram
@@ -197,7 +217,7 @@ class TestConceptTree:
         records.append(make_record("c1", year=2005, refs=["m"], title="alpha"))
         records.append(make_record("c2", year=2005, refs=["m"], title="beta"))
         snapshot = make_snapshot(records)
-        tree = build_concept_tree({"m"}, snapshot)
+        tree = concept_tree({"m"}, snapshot)
         assert {r.phrase for r in tree.roots} == {"alpha", "beta"}
         assert all(not r.children for r in tree.roots)
 
@@ -207,7 +227,7 @@ class TestConceptTree:
         for i, title in enumerate(titles):
             records.append(make_record(f"c{i:02d}", year=2005, refs=["m"], title=title))
         snapshot = make_snapshot(records)
-        tree = build_concept_tree({"m"}, snapshot)
+        tree = concept_tree({"m"}, snapshot)
         expected_edges = {
             ("fish", "fish oil"),
             ("fish oil", "fish oil supplementation"),
@@ -230,7 +250,7 @@ class TestConceptTree:
         for i, title in enumerate(titles):
             records.append(make_record(f"c{i:02d}", year=2005, refs=["m"], title=title))
         snapshot = make_snapshot(records)
-        tree = build_concept_tree({"m"}, snapshot)
+        tree = concept_tree({"m"}, snapshot)
 
         def check(node):
             for child in node.children:
@@ -243,34 +263,16 @@ class TestConceptTree:
     def test_no_text_gives_empty_tree(self):
         records = [make_record("m", year=1990)]
         snapshot = make_snapshot(records)
-        tree = build_concept_tree({"m"}, snapshot)
+        tree = concept_tree({"m"}, snapshot)
         assert tree.roots == []
         assert tree.to_text() == ""
-
-    def test_min_support_filters(self):
-        records = [make_record("m", year=1990)]
-        for i, title in enumerate(["common theme"] * 3 + ["rare aside"]):
-            records.append(make_record(f"c{i}", year=2005, refs=["m"], title=title))
-        snapshot = make_snapshot(records)
-        tree = build_concept_tree({"m"}, snapshot, min_support=2)
-        phrases = set()
-
-        def walk(node):
-            phrases.add(node.phrase)
-            for child in node.children:
-                walk(child)
-
-        for root in tree.roots:
-            walk(root)
-        assert "rare aside" not in phrases
-        assert "common theme" in phrases
 
     def test_text_rendering_indents(self):
         records = [make_record("m", year=1990)]
         for i, title in enumerate(["fish oil"] * 2 + ["fish oil diets"]):
             records.append(make_record(f"c{i}", year=2005, refs=["m"], title=title))
         snapshot = make_snapshot(records)
-        text = build_concept_tree({"m"}, snapshot).to_text()
+        text = concept_tree({"m"}, snapshot).to_text()
         assert "fish oil (3)" in text
         assert "  fish oil (3)" in text or "fish (3)" in text
 
@@ -290,7 +292,7 @@ class TestConceptTree:
         for i, words in enumerate(titles):
             records.append(make_record(f"c{i}", year=2005, refs=["m"], title=" ".join(words)))
         snapshot = make_snapshot(records)
-        tree = build_concept_tree({"m"}, snapshot)
+        tree = concept_tree({"m"}, snapshot)
 
         support = phrase_document_frequencies([" ".join(words) for words in titles])
         expected, roots = set(), set()
@@ -323,14 +325,15 @@ class TestSharedPhraseIndex:
         network, snapshot = bundled_world
         partition = detect_communities(network)
         phrase_index = PhraseIndex(snapshot)
-        label_all_clusters(partition, network, snapshot, phrase_index=phrase_index)
         clusters = partition.clusters()
+        citers = [cited_by(m, snapshot) for m in clusters]
+        label_all_clusters(partition, citers, set().union(*citers), phrase_index)
         top = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))[:3]
-        return network, snapshot, partition, phrase_index, clusters, top
+        return network, snapshot, partition, phrase_index, clusters, citers, top
 
     def test_level1_labels_match_unindexed_label_cluster(self, labeled):
-        network, snapshot, partition, _index, clusters, _top = labeled
-        unindexed = {i: label_cluster(m, network, snapshot, i) for i, m in enumerate(clusters)}
+        network, snapshot, partition, _index, clusters, _citers, _top = labeled
+        unindexed = {i: label_alone(m, snapshot, i, network.nodes) for i, m in enumerate(clusters)}
         assert partition.labels == unindexed
         # Labels of the same partition before the index existed.
         assert _digest(partition.labels) == (
@@ -338,21 +341,17 @@ class TestSharedPhraseIndex:
         )
 
     def test_level2_labels_match_unindexed_label_cluster(self, labeled):
-        network, snapshot, _partition, phrase_index, clusters, top = labeled
+        network, snapshot, _partition, phrase_index, clusters, citers, top = labeled
         level2 = {}
         for parent in top:
             members = clusters[parent]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 sub = sub_cluster(members, network, parent)
-            subnetwork = induced_subnetwork(network, members)
-            label_all_clusters(
-                sub, subnetwork, snapshot, background_members=members, phrase_index=phrase_index
-            )
-            background = {c for m in members if m in snapshot for c in snapshot.get_citers(m)}
+            sub_citers = [cited_by(m, snapshot) for m in sub.clusters()]
+            label_all_clusters(sub, sub_citers, citers[parent], phrase_index)
             assert sub.labels == {
-                i: label_cluster(m, subnetwork, snapshot, i, background_citers=background)
-                for i, m in enumerate(sub.clusters())
+                i: label_alone(m, snapshot, i, members) for i, m in enumerate(sub.clusters())
             }
             level2[str(parent)] = sub.labels
         assert _digest(level2) == (
@@ -360,11 +359,11 @@ class TestSharedPhraseIndex:
         )
 
     def test_concept_trees_unchanged(self, labeled):
-        _network, snapshot, _partition, phrase_index, clusters, top = labeled
+        _network, snapshot, _partition, phrase_index, clusters, citers, top = labeled
         trees = {}
         for index in top:
-            shared = build_concept_tree(clusters[index], snapshot, phrase_index=phrase_index)
-            alone = build_concept_tree(clusters[index], snapshot)
+            shared = build_concept_tree(citers[index], snapshot, phrase_index)
+            alone = concept_tree(clusters[index], snapshot)
             assert shared.to_json_dict() == alone.to_json_dict()
             trees[str(index)] = shared.to_json_dict()
         assert _digest(trees) == (
@@ -372,7 +371,7 @@ class TestSharedPhraseIndex:
         )
 
     def test_each_text_tokenized_once(self, labeled, monkeypatch):
-        _network, snapshot, _partition, _index, clusters, _top = labeled
+        _network, snapshot, _partition, _index, clusters, _citers, _top = labeled
         import citecascade.labeling as labeling
 
         calls = []
@@ -385,6 +384,6 @@ class TestSharedPhraseIndex:
         monkeypatch.setattr(labeling, "extract_phrases", counting)
         phrase_index = PhraseIndex(snapshot)
         for members in clusters:
-            build_concept_tree(members, snapshot, phrase_index=phrase_index)
-            build_concept_tree(members, snapshot, phrase_index=phrase_index)
+            build_concept_tree(cited_by(members, snapshot), snapshot, phrase_index)
+            build_concept_tree(cited_by(members, snapshot), snapshot, phrase_index)
         assert calls and len(calls) == len(set(calls))

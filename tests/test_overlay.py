@@ -100,6 +100,10 @@ class TestOverlapMatrix:
         assert lines[4] == "B,100.00,100.00"
 
 
+def one_cluster(network: CoCitationNetwork) -> ClusterPartition:
+    return ClusterPartition(assignment={n: 0 for n in network.nodes})
+
+
 class TestProjectOverlay:
     def test_membership_bitsets(self):
         network = base_network(["n1", "n2", "n3"])
@@ -108,7 +112,7 @@ class TestProjectOverlay:
             Dataset("some", {"n2"}),
             Dataset("none", {"zzz"}),
         ]
-        projection = project_overlay(network, datasets)
+        projection = project_overlay(network, datasets, one_cluster(network))
         assert projection.membership["n1"] == (True, False, False)
         assert projection.membership["n2"] == (True, True, False)
         assert projection.bitstring("n2") == "110"
@@ -117,7 +121,7 @@ class TestProjectOverlay:
     def test_all_datasets_marked(self):
         network = base_network(["n1"])
         datasets = [Dataset(f"d{i}", {"n1"}) for i in range(5)]
-        projection = project_overlay(network, datasets)
+        projection = project_overlay(network, datasets, one_cluster(network))
         assert projection.bitstring("n1") == "11111"
 
     def test_bruteforce_membership(self, rng):
@@ -126,7 +130,7 @@ class TestProjectOverlay:
         datasets = [
             Dataset(f"d{k}", set(rng.sample(node_ids, rng.randint(0, 15)))) for k in range(3)
         ]
-        projection = project_overlay(network, datasets)
+        projection = project_overlay(network, datasets, one_cluster(network))
         for node in node_ids:
             for pos, ds in enumerate(datasets):
                 assert projection.membership[node][pos] == (node in ds.member_ids)
@@ -135,8 +139,8 @@ class TestProjectOverlay:
         network = base_network(["n1", "n2"])
         d_a = Dataset("a", {"n1"})
         d_b = Dataset("b", {"n2"})
-        forward = project_overlay(network, [d_a, d_b])
-        backward = project_overlay(network, [d_b, d_a])
+        forward = project_overlay(network, [d_a, d_b], one_cluster(network))
+        backward = project_overlay(network, [d_b, d_a], one_cluster(network))
         for node in network.nodes:
             assert forward.membership[node] == tuple(reversed(backward.membership[node]))
 
@@ -160,7 +164,7 @@ class TestProjectOverlay:
     def test_empty_base_rejected(self):
         empty = CoCitationNetwork({}, {}, NetworkConfig())
         with pytest.raises(ValidationError):
-            project_overlay(empty, [Dataset("d", {"x"})])
+            project_overlay(empty, [Dataset("d", {"x"})], one_cluster(empty))
 
     def test_partition_mismatch_rejected(self):
         network = base_network(["n1", "n2"])
@@ -224,7 +228,7 @@ class TestCoverageReport:
         network = base_network(["n1", "n2"])
         datasets = [Dataset("d", {"n1", "n2"})]
         with pytest.raises(ValidationError):
-            coverage_report(project_overlay(network, datasets), threshold=0.5)
+            coverage_report(self._projection({}, ["d"]), threshold=0.5)
         partition = ClusterPartition(assignment={"n1": 0, "n2": 0})
         report = coverage_report(project_overlay(network, datasets, partition), threshold=0.5)
         assert report.classes[0]["d"] == FULL

@@ -231,7 +231,8 @@ class TestRenderMap:
     def test_single_dataset_projection_uses_its_color(self):
         network = self._triangle()
         spec = RenderSpec(overlay_mode="blend")
-        projection = project_overlay(network, [Dataset("only", {"a", "b", "c"})])
+        one_cluster = ClusterPartition(assignment={n: 0 for n in network.nodes})
+        projection = project_overlay(network, [Dataset("only", {"a", "b", "c"})], one_cluster)
         svg = render_map(network, projection=projection, spec=spec)
         fills = {el.attrib["fill"] for el in elements(svg, "circle")}
         assert fills == {spec.dataset_palette[0]}
@@ -239,7 +240,8 @@ class TestRenderMap:
     def test_small_multiple_panels_for_three_datasets(self):
         network = self._triangle()
         datasets = [Dataset(f"d{i}", {"a"}) for i in range(3)]
-        projection = project_overlay(network, datasets)
+        one_cluster = ClusterPartition(assignment={n: 0 for n in network.nodes})
+        projection = project_overlay(network, datasets, one_cluster)
         svg = render_map(network, projection=projection)
         # One panel per dataset: every node drawn in each panel.
         assert len(elements(svg, "circle")) == 3 * len(network.nodes)

@@ -81,17 +81,13 @@ class TestCiters:
 class TestCitationCount:
     def test_reported_count_preferred(self):
         snapshot = make_snapshot([make_record("p", count=157)])
-        info = snapshot.citation_count_info("p")
-        assert info.value == 157
-        assert not info.snapshot_local
+        assert snapshot.citation_count("p") == 157
 
     def test_snapshot_local_fallback_flagged(self):
         snapshot = make_snapshot(
             [make_record("r")] + [make_record(f"c{i}", refs=["r"]) for i in range(3)]
         )
-        info = snapshot.citation_count_info("r")
-        assert info.value == 3
-        assert info.snapshot_local
+        assert snapshot.citation_count("r") == 3
 
     def test_isolated_record_counts_zero(self):
         snapshot = make_snapshot([make_record("p")])
