@@ -20,7 +20,7 @@ from .cocitation import NetworkConfig, build_network, network_stats
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
 from .overlay import coverage_report, overlap_matrix, project_overlay
-from .records import Dataset, RecordStore, dataset_union, json_text, year_distribution
+from .records import Dataset, RecordStore, csv_text, dataset_union, json_text, year_distribution
 from .render import render_distribution, render_map, wrap_html
 from .session import Session, check_name
 from .sources import CitationSnapshot, SourceQuery, search
@@ -155,14 +155,10 @@ def _parse_stages(text: str) -> list[ExpansionStage]:
 
 
 def _dataset_year_range(dataset: Dataset, store: RecordStore) -> str:
-    years = [
-        store.get(m).year
-        for m in dataset.member_ids
-        if store.get(m) is not None and store.get(m).year is not None
-    ]
-    if not years:
-        return ""
-    return f"{min(years)}-{max(years)}"
+    """The dataset's year range as the year chart reads it, ``first-last``; empty
+    when it has no dated member."""
+    span = year_distribution(dataset, store).range if dataset.member_ids else None
+    return f"{span[0]}-{span[1]}" if span else ""
 
 
 # -- command handlers -----------------------------------------------------------
@@ -339,10 +335,7 @@ def _overlap_csv(session: Session, names_text: str, store: RecordStore) -> tuple
     if len(names) < 2:
         raise ValidationError("need at least 2 datasets")
     datasets = [session.load_dataset(n) for n in names]
-    lines = overlap_matrix(datasets).to_csv().splitlines()
-    ranges = "Range," + ",".join(_dataset_year_range(ds, store) for ds in datasets)
-    # Layout: comment, header, Range, Articles, matrix rows.
-    return datasets, "\n".join([lines[0], lines[1], ranges, *lines[2:]]) + "\n"
+    return datasets, overlap_matrix(datasets).to_csv([_dataset_year_range(ds, store) for ds in datasets])
 
 
 def _cmd_compare(args, session: Session) -> int:
@@ -393,19 +386,13 @@ def _cmd_render(args, session: Session) -> int:
 def _cmd_report(args, session: Session) -> int:
     store = session.load_store()
     if args.kind == "datasets":
-        lines = ["name,kind,records,with_abstracts,range"]
+        rows = [("name", "kind", "records", "with_abstracts", "range")]
         for name in session.dataset_names():
             dataset = session.load_dataset(name)
-            with_abstracts = sum(
-                1
-                for m in dataset.member_ids
-                if store.get(m) is not None and store.get(m).abstract
-            )
-            lines.append(
-                f"{name},{dataset.provenance.get('kind', '')},{len(dataset)},"
-                f"{with_abstracts},{_dataset_year_range(dataset, store)}"
-            )
-        text = "\n".join(lines) + "\n"
+            with_abstracts = sum(1 for record in map(store.get, dataset.member_ids) if record and record.abstract)
+            rows.append((name, dataset.provenance.get("kind", ""), len(dataset), with_abstracts,
+                         _dataset_year_range(dataset, store)))
+        text = csv_text(rows)
         path = session.report_path("datasets.csv")
     elif args.kind == "overlap":
         if not args.datasets:
@@ -413,22 +400,20 @@ def _cmd_report(args, session: Session) -> int:
         _datasets, text = _overlap_csv(session, args.datasets, store)
         path = session.report_path("overlap.csv")
     else:  # networks
-        lines = [
-            "# lcc_pct_rounded uses round-half-up; lcc_pct_truncated floors the same ratio"
-            " (both emitted on purpose); silhouette is the unweighted mean over clusters",
-            "name,nodes,links,lcc,lcc_pct_rounded,lcc_pct_truncated,modularity,mean_silhouette",
-        ]
+        rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",
+                 "mean_silhouette")]
         for name in session.network_names():
-            network = session.load_network(name)
-            stats = network_stats(network)
+            stats = network_stats(session.load_network(name))
             partition = session.load_partition(name, required=False)
             scores = (partition.modularity_q, partition.mean_silhouette) if partition else (None, None)
-            modularity_text, silhouette_text = ("" if score is None else f"{score:.4f}" for score in scores)
-            lines.append(
-                f"{name},{stats.nodes},{stats.edges},{stats.lcc_size},"
-                f"{stats.lcc_pct},{stats.lcc_pct_floor},{modularity_text},{silhouette_text}"
-            )
-        text = "\n".join(lines) + "\n"
+            rows.append((
+                name, stats.nodes, stats.edges, stats.lcc_size, stats.lcc_pct, stats.lcc_pct_floor,
+                *("" if score is None else f"{score:.4f}" for score in scores),
+            ))
+        text = csv_text(rows, comments=[
+            "lcc_pct_rounded uses round-half-up; lcc_pct_truncated floors the same ratio"
+            " (both emitted on purpose); silhouette is the unweighted mean over clusters",
+        ])
         path = session.report_path("networks.csv")
     session.write_text(path, text)
     print(text, end="")

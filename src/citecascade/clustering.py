@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .cocitation import CoCitationNetwork, network_arrays
 from .errors import ValidationError
+from .records import csv_text
 from .sources import CitationSnapshot
 
 
@@ -321,8 +322,8 @@ def top_citing_articles(
 
 def partition_to_csv(partition: ClusterPartition, silhouettes: SilhouetteResult | None) -> str:
     """CSV export: one row per node with its cluster and silhouette."""
-    lines = ["node,cluster,silhouette"]
-    for node in sorted(partition.assignment):
-        s = silhouettes.node_scores.get(node, 0.0) if silhouettes else 0.0
-        lines.append(f"{node},{partition.assignment[node]},{s:.6f}")
-    return "\n".join(lines) + "\n"
+    scores = silhouettes.node_scores if silhouettes else {}
+    return csv_text([("node", "cluster", "silhouette")] + [
+        (node, partition.assignment[node], f"{scores.get(node, 0.0):.6f}")
+        for node in sorted(partition.assignment)
+    ])

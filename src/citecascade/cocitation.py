@@ -424,14 +424,12 @@ class NetworkStats:
     lcc_size: int
     lcc_pct: int  # round-half-up, as printed in reports
     lcc_pct_floor: int  # truncated variant, reported alongside
-    density: float
 
 
 def network_stats(network: CoCitationNetwork) -> NetworkStats:
     n, m = len(network.nodes), len(network.edges)
     if n == 0:
-        return NetworkStats(0, 0, 0, 0, 0, 0.0)
+        return NetworkStats(0, 0, 0, 0, 0)
     lcc, pct = largest_connected_component(network)
     exact = 100.0 * len(lcc) / n
-    density = (2.0 * m / (n * (n - 1))) if n > 1 else 0.0
-    return NetworkStats(n, m, len(lcc), pct, math.floor(exact), density)
+    return NetworkStats(n, m, len(lcc), pct, math.floor(exact))

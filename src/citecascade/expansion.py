@@ -12,12 +12,11 @@ admitted; seeds bypass the filters.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, UnknownPublicationError, ValidationError
-from .records import Dataset
+from .records import Dataset, csv_text
 from .sources import CitationSnapshot
 
 FORWARD = "FORWARD"
@@ -157,13 +156,10 @@ def _qualified_step(
     those whose citation count reaches ``theta``."""
     candidates: set[str] = set()
     for pub_id in sorted(frontier):
-        try:
-            if direction == FORWARD:
-                candidates.update(snapshot.get_citers(pub_id))
-            else:
-                candidates.update(snapshot.get_references(pub_id))
-        except UnknownPublicationError:
-            warnings.warn(f"skipping unknown id in frontier: {pub_id}", stacklevel=3)
+        if direction == FORWARD:
+            candidates.update(snapshot.get_citers(pub_id))
+        else:
+            candidates.update(snapshot.get_references(pub_id))
     candidates -= known
     return candidates, sorted(c for c in candidates if snapshot.citation_count(c) >= theta)
 
@@ -235,18 +231,14 @@ def trace_report(trace: ExpansionTrace) -> str:
 
     The terminal_reason column is filled on the last row of each stage.
     """
-    lines = ["generation,direction,examined,found,qualified,added,accumulated,terminal_reason"]
-    last_row_of_stage: dict[int, int] = {}
-    for row_number, record in enumerate(trace.generations):
-        last_row_of_stage[record.stage_index] = row_number
-    for row_number, record in enumerate(trace.generations):
-        reason = ""
-        if last_row_of_stage.get(record.stage_index) == row_number:
-            reason = trace.stage_reasons.get(record.stage_index, "")
-        direction = "F" if record.direction == FORWARD else "B"
-        lines.append(
-            f"{row_number + 1},{direction},{record.examined},{record.candidates_found},"
-            f"{record.candidates_qualified},{len(record.added_ids)},"
-            f"{record.accumulated_size},{reason}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [("generation", "direction", "examined", "found", "qualified", "added", "accumulated",
+             "terminal_reason")]
+    last_row_of_stage = {record.stage_index: number for number, record in enumerate(trace.generations)}
+    for number, record in enumerate(trace.generations):
+        last = last_row_of_stage[record.stage_index] == number
+        rows.append((
+            number + 1, "F" if record.direction == FORWARD else "B", record.examined,
+            record.candidates_found, record.candidates_qualified, len(record.added_ids),
+            record.accumulated_size, trace.stage_reasons.get(record.stage_index, "") if last else "",
+        ))
+    return csv_text(rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset
+from .records import Dataset, csv_text
 
 FORMULA_NOTE = (
     "values[i][j] = 100*|row_set ∩ col_set|/|col_set| (share of column dataset; "
@@ -36,13 +36,15 @@ class OverlapMatrix:
     def value(self, row: str, col: str) -> float:
         return self.values[self.names.index(row)][self.names.index(col)]
 
-    def to_csv(self) -> str:
-        lines = [f"# {FORMULA_NOTE}"]
-        lines.append("name," + ",".join(self.names))
-        lines.append("Articles," + ",".join(str(self.sizes[n]) for n in self.names))
-        for i, name in enumerate(self.names):
-            lines.append(name + "," + ",".join(f"{v:.2f}" for v in self.values[i]))
-        return "\n".join(lines) + "\n"
+    def to_csv(self, ranges: list[str]) -> str:
+        """The formula note, the header, a Range row of each dataset's year span
+        (``ranges``, in ``names`` order), an Articles row, then the matrix rows."""
+        return csv_text([
+            ["name", *self.names],
+            ["Range", *ranges],
+            ["Articles", *(self.sizes[n] for n in self.names)],
+            *([name, *(f"{v:.2f}" for v in row)] for name, row in zip(self.names, self.values)),
+        ], comments=[FORMULA_NOTE])
 
 
 def overlap_matrix(datasets: list[Dataset]) -> OverlapMatrix:
@@ -155,14 +157,12 @@ class CoverageReport:
 
     def to_csv(self, labels: dict[int, str] | None = None) -> str:
         datasets = sorted({name for row in self.classes.values() for name in row})
-        lines = [f"# threshold={self.threshold} epsilon={self.epsilon}"]
-        lines.append("cluster,label," + ",".join(datasets))
-        for cluster in sorted(self.classes):
-            label = (labels or {}).get(cluster, "")
-            row = ",".join(self.classes[cluster][name] for name in datasets)
-            lines.append(f"{cluster},{label},{row}")
-        lines.append("common_core," + ";".join(str(c) for c in self.common_core) + ",")
-        return "\n".join(lines) + "\n"
+        return csv_text([
+            ["cluster", "label", *datasets],
+            *([cluster, (labels or {}).get(cluster, ""), *(self.classes[cluster][name] for name in datasets)]
+              for cluster in sorted(self.classes)),
+            ["common_core", ";".join(str(c) for c in self.common_core), ""],
+        ], comments=[f"threshold={self.threshold} epsilon={self.epsilon}"])
 
 
 def coverage_report(

@@ -5,13 +5,15 @@ get normalized into :class:`ArticleRecord`, and live in a :class:`RecordStore`
 (in-memory index, saved as one JSONL line per record). Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
 :class:`YearDistribution` objects. :func:`json_text` is the one JSON layout
-of every artifact the package writes.
+of every artifact the package writes, and :func:`csv_text` the one CSV layout of
+every table.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -30,6 +32,16 @@ _WS_RE = re.compile(r"\s+")
 def json_text(payload) -> str:
     """The JSON layout of every written artifact: indented, sorted keys, final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(rows, comments=()) -> str:
+    """The CSV layout of every written table: each comment as a ``# `` line, written
+    as given, then one row per item of ``rows`` (header first), ``\\n`` line ends,
+    quotes only where a field needs them."""
+    out = io.StringIO()
+    out.writelines(f"# {comment}\n" for comment in comments)
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def max_plausible_year() -> int:
@@ -115,10 +127,7 @@ class LoadReport:
     loaded_ids: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["line_number,reason"]
-        for line_no, reason in self.rejected:
-            lines.append(f"{line_no},{_csv_quote(reason)}")
-        return "\n".join(lines) + "\n"
+        return csv_text([("line_number", "reason"), *self.rejected])
 
 
 @dataclass
@@ -126,12 +135,6 @@ class EnrichmentReport:
     enriched: int = 0
     unmatched: list[str] = field(default_factory=list)
     skipped_rows: list[tuple[int, str]] = field(default_factory=list)
-
-
-def _csv_quote(value: str) -> str:
-    if any(ch in value for ch in ",\"\n"):
-        return '"' + value.replace('"', '""') + '"'
-    return value
 
 
 def _merge_records(first: ArticleRecord, second: ArticleRecord) -> ArticleRecord:
@@ -211,10 +214,10 @@ class RecordStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":
-        """Replay the lines. A last line without its newline that does not parse
-        is the remains of a killed append by an older version: it is ignored
-        (and gone after the next write). Any other unreadable line is a
-        :class:`FormatError`."""
+        """Replay the lines. A last line without its newline that is not a valid
+        record is the remains of a killed append by an older version: it is
+        ignored (and gone after the next write). Any other such line is a
+        :class:`FormatError` naming the line and the reason."""
         store = cls()
         path = Path(path)
         if not path.exists():
@@ -222,14 +225,11 @@ class RecordStore:
         with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             for line_no, line in enumerate(fh, start=1):
                 try:
-                    row = _parse_log_line(line)
-                except ValueError:
+                    record = _log_record(line)
+                except ValueError as exc:
                     if not line.endswith("\n"):
                         break
-                    raise FormatError(f"{path}: line {line_no} is not a JSON record") from None
-                if row is None:
-                    continue
-                record, _reason = _record_from_json_dict(row)
+                    raise FormatError(f"{path}: line {line_no} is not a valid record: {exc}") from None
                 if record is not None:
                     store.replace(record)
         return store
@@ -368,8 +368,9 @@ def _text_lines(path: Path):
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _parse_log_line(line: str):
-    """One store line as parsed JSON, None when blank; ValueError when unreadable.
+def _log_record(line: str) -> ArticleRecord | None:
+    """One store line as its record, None when blank; ValueError when it does not
+    parse or is not a valid record.
 
     The store is written as ASCII, so a non-ASCII line is checked for bytes
     that did not decode (kept as surrogate escapes by the reader).
@@ -379,7 +380,10 @@ def _parse_log_line(line: str):
         return None
     if not line.isascii():
         line.encode("utf-8")
-    return json.loads(line)
+    record, reason = _record_from_json_dict(json.loads(line))
+    if record is None:
+        raise ValueError(reason)
+    return record
 
 
 def _parse_jsonl(path: Path) -> list[tuple[int, ArticleRecord | None, str | None]]:
@@ -456,22 +460,16 @@ class Dataset:
     name: str
     member_ids: set[str]
     provenance: dict = field(default_factory=dict)
-    created_at: str | None = None
 
     def __len__(self) -> int:
         return len(self.member_ids)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "provenance": self.provenance,
             "member_ids": sorted(self.member_ids),
         }
-        # created_at is optional metadata; leaving it unset keeps artifacts
-        # byte-identical across re-runs.
-        if self.created_at is not None:
-            out["created_at"] = self.created_at
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dataset":
@@ -479,7 +477,6 @@ class Dataset:
             name=data["name"],
             member_ids=set(data["member_ids"]),
             provenance=data.get("provenance", {}),
-            created_at=data.get("created_at"),
         )
 
 

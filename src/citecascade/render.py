@@ -31,13 +31,10 @@ class RenderSpec:
     dataset_palette: list[str] = field(default_factory=lambda: list(DATASET_PALETTE))
     node_radius: tuple[float, float] = (2.5, 12.0)
     label_top_k: int = 5
-    overlay_mode: str = "auto"  # auto | blend | small-multiple
 
     def __post_init__(self) -> None:
         if len(self.year_palette) < 2 or len(self.dataset_palette) < 2:
             raise ValidationError("palettes need at least 2 colors")
-        if self.overlay_mode not in ("auto", "blend", "small-multiple"):
-            raise ValidationError(f"unknown overlay mode: {self.overlay_mode}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -46,7 +43,6 @@ class RenderSpec:
             "dataset_palette": list(self.dataset_palette),
             "node_radius": list(self.node_radius),
             "label_top_k": self.label_top_k,
-            "overlay_mode": self.overlay_mode,
         }
 
     @classmethod
@@ -57,7 +53,6 @@ class RenderSpec:
             dataset_palette=list(data.get("dataset_palette", DATASET_PALETTE)),
             node_radius=tuple(data.get("node_radius", (2.5, 12.0))),
             label_top_k=int(data.get("label_top_k", 5)),
-            overlay_mode=data.get("overlay_mode", "auto"),
         )
 
 
@@ -312,8 +307,9 @@ def render_map(
     """Draw the network: nodes sized by citation count, edges colored by the
     first co-citation year, cluster labels at centroids.
 
-    With a projection, nodes are colored by dataset membership; three or more
-    datasets default to small multiples (one panel per dataset, shared layout).
+    With a projection, nodes are colored by dataset membership: blended for up
+    to two datasets, in small multiples (one panel per dataset, shared layout)
+    from three on.
     """
     if not network.nodes:
         raise ValidationError("cannot render an empty network")
@@ -336,11 +332,7 @@ def render_map(
         return _to_document(root)
 
     names = projection.dataset_names
-    mode = spec.overlay_mode
-    if mode == "auto":
-        mode = "small-multiple" if len(names) >= 3 else "blend"
-
-    if mode == "blend":
+    if len(names) <= 2:
         def overlay_fill(node: str) -> str:
             bits = projection.membership.get(node, ())
             colors = [palette[i % len(palette)] for i, bit in enumerate(bits) if bit]

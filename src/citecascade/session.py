@@ -42,18 +42,19 @@ from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, NetworkConfig
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection
-from .records import Dataset, RecordStore, json_text
+from .records import Dataset, RecordStore, csv_text, json_text
 from .render import LAYOUT_ITERATIONS, RenderSpec, layout
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
 
 
 def check_name(name: str) -> str:
-    """A dataset or network name, which must stay one file name in its directory."""
-    separators = {"/", os.sep, os.altsep, "\0"} - {None}
-    if name in ("", ".", "..") or any(sep in name for sep in separators):
+    """A dataset or network name, which must stay one file name in its directory and
+    one item of a comma-separated ``--datasets`` list."""
+    forbidden = {"/", os.sep, os.altsep, ","} - {None}
+    if name in ("", ".", "..") or any(ch in forbidden or ch < " " for ch in name):
         raise UsageError(f"invalid name {name!r}: names must be non-empty, not '.' or '..', "
-                         "and contain no path separator")
+                         "and contain no path separator, comma or control character")
     return name
 
 
@@ -285,11 +286,8 @@ class Session:
         positions = _read_positions(path, key, network)
         if positions is None:
             positions = layout(network, seed)
-            rows = io.StringIO()
-            writer = csv.writer(rows, lineterminator="\n")
-            writer.writerow(["id", "x", "y"])
-            writer.writerows((node, repr(x), repr(y)) for node, (x, y) in positions.items())
-            self.write_text(path, [key, rows.getvalue()])
+            rows = ((node, repr(x), repr(y)) for node, (x, y) in positions.items())
+            self.write_text(path, [key, csv_text([("id", "x", "y"), *rows])])
         return positions
 
     # -- simple path helpers ----------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import fcntl
 import hashlib
+import io
 import json
 import os
 import re
@@ -254,7 +256,7 @@ class TestExitCodes:
         assert not (session_dir / "networks" / "a.clusters.json").exists()
         assert run(session_dir, "cluster", "--network", "a", "--top-k", "0") == 0
 
-    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", ""])
+    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", "", "a,b", "a\nb"])
     def test_bad_names_exit_2_and_write_nothing_outside(self, tmp_path, corpus, capsys, name):
         session_dir = tmp_path / "outer" / "sess"
         run(session_dir, "ingest", str(corpus))
@@ -353,6 +355,25 @@ class TestBadInput:
         capsys.readouterr()
         assert run(session_dir, "search", "--name", "F", "--phrase", "topic") == 4
         assert "line 22" in one_error_line(capsys)
+
+    def test_invalid_record_line_exits_4_and_keeps_the_store(self, tmp_path, corpus, capsys):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        store_path = session_dir / "store.jsonl"
+        lines = store_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = json.dumps({**json.loads(lines[4]), "year": "1999"}, sort_keys=True) + "\n"
+        store_path.write_text("".join(lines), encoding="utf-8")
+        damaged = store_path.read_bytes()
+        enrichment = tmp_path / "abstracts.jsonl"
+        enrichment.write_text(json.dumps({"id": "seed", "abstract": "text"}) + "\n")
+        capsys.readouterr()
+        assert run(session_dir, "search", "--name", "F", "--phrase", "topic") == 4
+        err = one_error_line(capsys)
+        assert "line 5" in err and "year is not an integer" in err
+        assert run(session_dir, "enrich", str(enrichment)) == 4
+        assert "line 5" in one_error_line(capsys)
+        assert store_path.read_bytes() == damaged
+        assert not (session_dir / "datasets" / "F.json").exists()
 
     @pytest.mark.parametrize(
         "content",
@@ -904,22 +925,92 @@ def without_floats(value):
     return value
 
 
+# The bundled pipeline; its first six commands end with the clustering.
+BUNDLED_PIPELINE = [
+    ["ingest", str(SYNTHETIC_CORPUS), "--format", "jsonl"],
+    ["search", "--name", "F", "--phrase", "reinforcement learning"],
+    ["expand", "--name", "S3", "--seed", "P010", "--stages", "F:3",
+     "--theta-citer", "1", "--theta-ref", "1"],
+    ["union", "--name", "combined", "--datasets", "F,S3"],
+    ["network", "--dataset", "combined", "--min-citations", "0", "--top-n", "100"],
+    ["cluster", "--network", "combined", "--levels", "2", "--top-k", "3"],
+    ["compare", "--datasets", "F,S3", "--base", "combined"],
+    ["render", "--network", "combined", "--overlay"],
+    ["render", "--network", "combined"],
+    ["render", "--distributions", "F,S3,combined"],
+    ["report", "--kind", "datasets"],
+    ["report", "--kind", "overlap", "--datasets", "F,S3,combined"],
+    ["report", "--kind", "networks"],
+]
+
+
 def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
     session_dir = tmp_path / "sess"
-    for argv in (
-        ["ingest", str(SYNTHETIC_CORPUS), "--format", "jsonl"],
-        ["search", "--name", "F", "--phrase", "reinforcement learning"],
-        ["expand", "--name", "S3", "--seed", "P010", "--stages", "F:3",
-         "--theta-citer", "1", "--theta-ref", "1"],
-        ["union", "--name", "combined", "--datasets", "F,S3"],
-        ["network", "--dataset", "combined", "--min-citations", "0", "--top-n", "100"],
-        ["cluster", "--network", "combined", "--levels", "2", "--top-k", "3"],
-    ):
+    for argv in BUNDLED_PIPELINE[:6]:
         assert run(session_dir, *argv) == 0
     payload = json.loads((session_dir / "networks" / "combined.clusters.json").read_text(encoding="utf-8"))
     assert sum(len(c["top_citers"]) for c in payload["level1"]["clusters"]) == 391
     digest = hashlib.sha256(json.dumps(without_floats(payload), sort_keys=True).encode()).hexdigest()
     assert digest == BUNDLED_CLUSTERS_SHA256
+
+
+# sha256 of every table the bundled pipeline writes, recorded before every table
+# went through records.csv_text. The layout positions are pinned by the layout
+# digest and TestLayoutCache instead.
+BUNDLED_TABLE_SHA256 = {
+    "networks/combined.clusters.csv": "5710cad7d0faf6b5ad4f34c4be54946a4be2e9618f90859b15923bfb4c68dec4",
+    "reports/coverage.csv": "96939c307a69fed92200ff830ebf39b09693baa1a4cd30e2b2ca4a91160ecbcf",
+    "reports/datasets.csv": "283de53b742be45fd8ba4ac6b2ec9300d0b5aeb2b7461eedec50f4e85a9a7922",
+    "reports/networks.csv": "7d43bd05d73e7058ea570694d30e33ed79eb9343155e0f13667adfa503529aa1",
+    "reports/overlap.csv": "4ce43f77b326db532f5d02638b57cb7b4c576d63d4a65ca2f9644f9ff9675d6d",
+    "reports/synthetic_500.load-report.csv": "6fac5a0a654694482a278b05771df56191d52da37f5ae4a1d60a28902d80e3c6",
+    "traces/S3.trace.csv": "ea04d85d3ac28d722d5b67a166c31ed1a1747c1743cffa496fae81aa9f949c72",
+}
+
+
+def test_bundled_tables_are_pinned(tmp_path):
+    session_dir = tmp_path / "sess"
+    for argv in BUNDLED_PIPELINE:
+        assert run(session_dir, *argv) == 0
+    digests = {
+        path.relative_to(session_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in session_dir.rglob("*.csv")
+        if not path.name.endswith(".positions.csv")
+    }
+    assert digests == BUNDLED_TABLE_SHA256
+
+
+def table_rows(path: Path) -> list[list[str]]:
+    """The rows of a written table, comment lines left out."""
+    rows = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
+    return [row for row in rows if not row[0].startswith("#")]
+
+
+def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path):
+    node, name = 'P0,"10', 'say "x"'
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(SYNTHETIC_CORPUS.read_text(encoding="utf-8").replace('"P010"', json.dumps(node)),
+                      encoding="utf-8")
+    session_dir = tmp_path / "sess"
+    for argv in (
+        ["ingest", str(corpus), "--dataset", name],
+        ["search", "--name", "F", "--phrase", "reinforcement learning"],
+        ["network", "--dataset", name, "--name", "all", "--min-citations", "0", "--top-n", "100"],
+        ["cluster", "--network", "all"],
+        ["compare", "--datasets", f"F,{name}", "--base", "all"],
+        ["render", "--network", "all"],
+        ["report", "--kind", "datasets"],
+    ):
+        assert run(session_dir, *argv) == 0
+    for table in ("networks/all.clusters.csv", "renders/all.positions.csv"):
+        rows = table_rows(session_dir / table)
+        assert all(len(row) == 3 for row in rows)
+        assert node in [row[0] for row in rows]
+    reports = session_dir / "reports"
+    assert [row[0] for row in table_rows(reports / "datasets.csv")] == ["name", "F", name]
+    overlap = table_rows(reports / "overlap.csv")
+    assert overlap[0] == ["name", "F", name] and overlap[-1][0] == name
+    assert table_rows(reports / "coverage.csv")[0] == ["cluster", "label", "F", name]
 
 
 class TestSessionConfig:

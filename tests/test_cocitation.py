@@ -499,11 +499,10 @@ class TestStats:
         )
         stats = network_stats(network)
         assert (stats.nodes, stats.edges, stats.lcc_size, stats.lcc_pct) == (3, 3, 3, 100)
-        assert stats.density == pytest.approx(1.0)
 
     def test_empty_network_zeros(self):
         stats = network_stats(CoCitationNetwork({}, {}, loose_config()))
-        assert (stats.nodes, stats.edges, stats.lcc_size, stats.density) == (0, 0, 0, 0.0)
+        assert (stats.nodes, stats.edges, stats.lcc_size) == (0, 0, 0)
 
     def test_recount_on_synthetic_network(self, rng):
         snapshot, dataset = cocite_corpus(rng, 25, 15)

@@ -109,11 +109,6 @@ class TestSteps:
             }
             assert backward_step(snapshot, current, theta) == brute_b
 
-    def test_unknown_ids_skipped_with_warning(self):
-        snapshot = chain_snapshot(2)
-        with pytest.warns(UserWarning, match="unknown id"):
-            assert forward_step(snapshot, {"a", "ghost"}, 0) == {"b"}
-
     def test_empty_current_rejected(self):
         snapshot = chain_snapshot(2)
         with pytest.raises(ValidationError):

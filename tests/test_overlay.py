@@ -91,13 +91,14 @@ class TestOverlapMatrix:
 
     def test_csv_layout_and_formula_note(self):
         matrix = overlap_matrix([Dataset("A", {"a"}), Dataset("B", {"a", "b"})])
-        lines = matrix.to_csv().splitlines()
+        lines = matrix.to_csv(["1999-2004", ""]).splitlines()
         assert lines[0].startswith("#")
         assert "col_set" in lines[0]
         assert lines[1] == "name,A,B"
-        assert lines[2] == "Articles,1,2"
-        assert lines[3] == "A,100.00,50.00"
-        assert lines[4] == "B,100.00,100.00"
+        assert lines[2] == "Range,1999-2004,"
+        assert lines[3] == "Articles,1,2"
+        assert lines[4] == "A,100.00,50.00"
+        assert lines[5] == "B,100.00,100.00"
 
 
 def one_cluster(network: CoCitationNetwork) -> ClusterPartition:

@@ -392,13 +392,22 @@ class TestPersistence:
         write_log(path, [make_record("p1"), make_record("p2")], b'{"id": "p3", "tit')
         assert RecordStore.load(path).ids() == ["p1", "p2"]
 
+    def test_torn_invalid_record_tail_is_ignored(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        write_log(path, [make_record("p1")], b'{"id": "p3", "title": "t"}')
+        assert RecordStore.load(path).ids() == ["p1"]
+
     def test_torn_multibyte_tail_is_ignored(self, tmp_path):
         path = tmp_path / "store.jsonl"
         # cut inside a character
         write_log(path, [make_record("p1")], "{\"title\": \"caf\u00e9".encode("utf-8")[:-1])
         assert RecordStore.load(path).ids() == ["p1"]
 
-    @pytest.mark.parametrize("line", [b"not json\n", b'{"id": "p\xff"}\n'])
+    @pytest.mark.parametrize("line", [
+        b"not json\n",
+        b'{"id": "p\xff"}\n',
+        b'{"id": "p3", "reference_ids": [], "title": "t", "year": "1999"}\n',
+    ])
     def test_unreadable_inner_line_is_a_format_error(self, tmp_path, line):
         path = tmp_path / "store.jsonl"
         write_log(path, [make_record("p1")], line)

@@ -230,12 +230,11 @@ class TestRenderMap:
 
     def test_single_dataset_projection_uses_its_color(self):
         network = self._triangle()
-        spec = RenderSpec(overlay_mode="blend")
         one_cluster = ClusterPartition(assignment={n: 0 for n in network.nodes})
         projection = project_overlay(network, [Dataset("only", {"a", "b", "c"})], one_cluster)
-        svg = render_map(network, projection=projection, spec=spec)
+        svg = render_map(network, projection=projection)
         fills = {el.attrib["fill"] for el in elements(svg, "circle")}
-        assert fills == {spec.dataset_palette[0]}
+        assert fills == {RenderSpec().dataset_palette[0]}
 
     def test_small_multiple_panels_for_three_datasets(self):
         network = self._triangle()
@@ -333,10 +332,8 @@ class TestRenderSpec:
     def test_palette_validation(self):
         with pytest.raises(ValidationError):
             RenderSpec(year_palette=["#000000"])
-        with pytest.raises(ValidationError):
-            RenderSpec(overlay_mode="mosaic")
 
     def test_json_roundtrip(self):
-        spec = RenderSpec(seed=7, label_top_k=3, overlay_mode="blend")
+        spec = RenderSpec(seed=7, label_top_k=3)
         again = RenderSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
