@@ -21,7 +21,7 @@ from .cocitation import (
 from .clustering import ClusterPartition, detect_communities, modularity, silhouette, sub_cluster
 from .labeling import build_concept_tree, label_cluster
 from .overlay import coverage_report, overlap_matrix, project_overlay
-from .render import RenderSpec, layout, render_distribution, render_map
+from .render import layout, render_distribution, render_map
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "FormatError",
     "NetworkConfig",
     "RecordStore",
-    "RenderSpec",
     "SourceQuery",
     "UnknownPublicationError",
     "ValidationError",

@@ -4,6 +4,11 @@ All commands operate inside a session directory (``--session``, default
 ``./session``) and are re-runnable: identical inputs overwrite their outputs
 byte-identically. Errors print a single machine-parseable line to stderr;
 exit codes: 0 ok, 2 bad command line, 3 validation failure, 4 data error.
+
+Every setting is a flag of the command that uses it: a network flag left out
+takes the default of its ``NetworkConfig`` field. Render settings (layout
+seed, palettes, node radii, labelled clusters) are constants of
+:mod:`citecascade.render`.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 from . import clustering, labeling
@@ -23,7 +29,7 @@ from .overlay import coverage_report, overlap_matrix, project_overlay
 from .records import Dataset, RecordStore, csv_text, dataset_union, json_text, year_distribution
 from .render import render_distribution, render_map, wrap_html
 from .session import Session, check_name
-from .sources import CitationSnapshot, SourceQuery, search
+from .sources import QUERY_KINDS, CitationSnapshot, SourceQuery, search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,11 +75,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="phrase or id search over the snapshot")
     p.add_argument("--name", required=True, help="name for the result dataset")
     p.add_argument("--phrase", action="append", default=[], help="repeatable; OR-combined")
-    p.add_argument(
-        "--kind",
-        choices=["phrase-in-fulltext-proxy", "phrase-in-title-abstract", "id-lookup"],
-        default="phrase-in-title-abstract",
-    )
+    p.add_argument("--kind", choices=QUERY_KINDS, default="phrase-in-title-abstract")
 
     p = sub.add_parser("union", help="union existing datasets into a new one")
     p.add_argument("--name", required=True)
@@ -84,8 +86,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", help="expansion spec file (JSON)")
     p.add_argument("--seed", action="append", default=[], help="seed id (repeatable)")
     p.add_argument("--stages", help="e.g. F:3 or F:1,B:1 (applied left to right)")
-    p.add_argument("--theta-citer", type=int, default=None)
-    p.add_argument("--theta-ref", type=int, default=None)
+    p.add_argument("--theta-citer", type=int, default=10)
+    p.add_argument("--theta-ref", type=int, default=10)
     p.add_argument("--cap", type=int, default=None, help="max additions per generation")
 
     p = sub.add_parser("network", help="build a co-citation network from a dataset")
@@ -200,8 +202,6 @@ def _cmd_enrich(args, session: Session) -> int:
 
 
 def _cmd_search(args, session: Session) -> int:
-    if not args.phrase:
-        raise ValidationError("search needs at least one --phrase")
     query = SourceQuery(kind=args.kind, phrases=args.phrase)
     dataset = search(session.load_store(), query, name=args.name)
     session.save_dataset(dataset)
@@ -226,8 +226,8 @@ def _cmd_expand(args, session: Session) -> int:
         spec = ExpansionSpec(
             seed_ids=set(args.seed),
             stages=_parse_stages(args.stages),
-            theta_citer=args.theta_citer if args.theta_citer is not None else session.config.theta_citer,
-            theta_ref=args.theta_ref if args.theta_ref is not None else session.config.theta_ref,
+            theta_citer=args.theta_citer,
+            theta_ref=args.theta_ref,
             per_generation_cap=args.cap,
         )
     snapshot = _snapshot(session)
@@ -245,22 +245,19 @@ def _cmd_expand(args, session: Session) -> int:
     return EXIT_OK
 
 
-def _network_config(args, session: Session) -> NetworkConfig:
-    base = session.config.network
-    return NetworkConfig(
-        lrf=args.lrf if args.lrf is not None else base.lrf,
-        lby=None if args.no_lby else (args.lby if args.lby is not None else base.lby),
-        min_citations=args.min_citations if args.min_citations is not None else base.min_citations,
-        top_n=args.top_n if args.top_n is not None else base.top_n,
-        slice_years=args.slice_years if args.slice_years is not None else base.slice_years,
-        e_param=args.e_param if args.e_param is not None else base.e_param,
-    )
+def _network_config(args) -> NetworkConfig:
+    """The network flags given, over the ``NetworkConfig`` defaults; ``--no-lby`` wins."""
+    given = {f.name: getattr(args, f.name) for f in fields(NetworkConfig)}
+    given = {name: value for name, value in given.items() if value is not None}
+    if args.no_lby:
+        given["lby"] = None
+    return NetworkConfig(**given)
 
 
 def _cmd_network(args, session: Session) -> int:
     dataset = session.load_dataset(args.dataset)
     snapshot = _snapshot(session)
-    config = _network_config(args, session)
+    config = _network_config(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         network = build_network(dataset, snapshot, config)
@@ -353,7 +350,6 @@ def _cmd_compare(args, session: Session) -> int:
 
 
 def _cmd_render(args, session: Session) -> int:
-    spec = session.config.render
     wrote: list[str] = []
     if args.network:
         network = session.load_network(args.network)
@@ -361,7 +357,7 @@ def _cmd_render(args, session: Session) -> int:
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
         positions = session.layout_positions(args.network, network)
-        svg = render_map(network, partition, projection, spec, positions)
+        svg = render_map(network, partition, projection, positions)
         svg_path = session.render_path(f"{args.network}.{kind}.svg")
         session.write_text(svg_path, svg)
         html_path = session.render_path(f"{args.network}.{kind}.html")
@@ -373,7 +369,7 @@ def _cmd_render(args, session: Session) -> int:
         distributions = [
             year_distribution(session.load_dataset(name), store) for name in names
         ]
-        svg = render_distribution(distributions, log=args.log, spec=spec)
+        svg = render_distribution(distributions, log=args.log)
         svg_path = session.render_path("-".join(names) + ".years.svg")
         session.write_text(svg_path, svg)
         wrote.append(str(svg_path))

@@ -364,7 +364,7 @@ def prune_links(network: CoCitationNetwork, lrf: float | None = None) -> CoCitat
     then lexicographic pair. Nodes isolated by pruning stay in the network.
     """
     ratio = network.config.lrf if lrf is None else lrf
-    bound = math.floor(ratio * len(network.nodes))
+    bound = ratio * len(network.nodes)  # may overflow to inf: compared before it is floored
     if len(network.edges) <= bound:
         return CoCitationNetwork(
             dict(network.nodes), dict(network.edges), network.config, list(network.slices)
@@ -373,7 +373,7 @@ def prune_links(network: CoCitationNetwork, lrf: float | None = None) -> CoCitat
         network.edges.items(),
         key=lambda item: (-item[1].weight, item[1].first_cocited_year, item[0]),
     )
-    kept = dict(ranked[:bound])
+    kept = dict(ranked[: math.floor(bound)])
     return CoCitationNetwork(dict(network.nodes), kept, network.config, list(network.slices))
 
 

@@ -84,6 +84,8 @@ class ArticleRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("record id must be nonempty")
+        if any(ch < " " for ch in self.id):
+            raise ValidationError(f"record id {self.id!r} holds a control character")
         if self.year is not None and not (MIN_YEAR <= self.year <= max_plausible_year()):
             raise ValidationError(f"year {self.year} outside [{MIN_YEAR}, {max_plausible_year()}]")
         if self.global_citation_count is not None and self.global_citation_count < 0:

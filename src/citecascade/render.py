@@ -9,8 +9,6 @@ inputs produce byte-identical documents.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, connected_components_traversal, network_arrays
 from .errors import ValidationError
@@ -22,38 +20,8 @@ DATASET_PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
     "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
 ]
-
-
-@dataclass
-class RenderSpec:
-    seed: int = 42
-    year_palette: list[str] = field(default_factory=lambda: list(YEAR_PALETTE))
-    dataset_palette: list[str] = field(default_factory=lambda: list(DATASET_PALETTE))
-    node_radius: tuple[float, float] = (2.5, 12.0)
-    label_top_k: int = 5
-
-    def __post_init__(self) -> None:
-        if len(self.year_palette) < 2 or len(self.dataset_palette) < 2:
-            raise ValidationError("palettes need at least 2 colors")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "year_palette": list(self.year_palette),
-            "dataset_palette": list(self.dataset_palette),
-            "node_radius": list(self.node_radius),
-            "label_top_k": self.label_top_k,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RenderSpec":
-        return cls(
-            seed=int(data.get("seed", 42)),
-            year_palette=list(data.get("year_palette", YEAR_PALETTE)),
-            dataset_palette=list(data.get("dataset_palette", DATASET_PALETTE)),
-            node_radius=tuple(data.get("node_radius", (2.5, 12.0))),
-            label_top_k=int(data.get("label_top_k", 5)),
-        )
+NODE_RADIUS = (2.5, 12.0)  # smallest and largest circle radius
+LABEL_TOP_K = 5  # clusters labelled on a map, largest first
 
 
 def scale_year_color(year: int, lo: int, hi: int, palette: list[str]) -> str:
@@ -74,6 +42,7 @@ def blend_colors(colors: list[str]) -> str:
 
 # -- layout ----------------------------------------------------------------------
 
+LAYOUT_SEED = 42  # part of the positions key: a new value lays every map out again
 LAYOUT_ITERATIONS = 50
 LAYOUT_BLOCK = 32  # rows of the force computation held in memory at once
 
@@ -222,10 +191,10 @@ def _fit_positions(
     }
 
 
-def _node_radii(network: CoCitationNetwork, spec: RenderSpec) -> dict[str, float]:
+def _node_radii(network: CoCitationNetwork) -> dict[str, float]:
     counts = {n: info.count for n, info in network.nodes.items()}
     hi = max(counts.values()) if counts else 1
-    lo_r, hi_r = spec.node_radius
+    lo_r, hi_r = NODE_RADIUS
     radii = {}
     for node, count in counts.items():
         fraction = (count / hi) ** 0.5 if hi > 0 else 0.0
@@ -239,7 +208,6 @@ def _draw_panel(
     fitted: dict[str, tuple[float, float]],
     radii: dict[str, float],
     node_fill,
-    spec: RenderSpec,
     partition: ClusterPartition | None,
     offset_x: float = 0.0,
 ) -> None:
@@ -249,7 +217,7 @@ def _draw_panel(
     for (a, b), info in sorted(network.edges.items()):
         xa, ya = fitted[a]
         xb, yb = fitted[b]
-        color = scale_year_color(info.first_cocited_year, year_lo, year_hi, spec.year_palette)
+        color = scale_year_color(info.first_cocited_year, year_lo, year_hi, YEAR_PALETTE)
         ET.SubElement(
             edges_group,
             "line",
@@ -281,7 +249,7 @@ def _draw_panel(
         labels_group = ET.SubElement(parent, "g", {"class": "labels", "font-size": "12"})
         clusters = partition.clusters()
         order = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))
-        for cluster_index in order[: spec.label_top_k]:
+        for cluster_index in order[:LABEL_TOP_K]:
             members = clusters[cluster_index]
             placed = [fitted[m] for m in members if m in fitted]
             if not placed:
@@ -301,7 +269,6 @@ def render_map(
     network: CoCitationNetwork,
     partition: ClusterPartition | None = None,
     projection: OverlayProjection | None = None,
-    spec: RenderSpec | None = None,
     positions: dict[str, tuple[float, float]] | None = None,
 ) -> str:
     """Draw the network: nodes sized by citation count, edges colored by the
@@ -313,35 +280,26 @@ def render_map(
     """
     if not network.nodes:
         raise ValidationError("cannot render an empty network")
-    spec = spec or RenderSpec()
-    positions = positions or layout(network, spec.seed)
+    positions = positions or layout(network, LAYOUT_SEED)
     width, height, pad = 800.0, 600.0, 30.0
     fitted = _fit_positions(positions, width, height, pad)
-    radii = _node_radii(network, spec)
+    radii = _node_radii(network)
+    palette = DATASET_PALETTE
 
-    palette = spec.dataset_palette
+    if projection is None or len(projection.dataset_names) <= 2:
+        def fill(node: str) -> str:
+            if projection is not None:
+                bits = projection.membership.get(node, ())
+                return blend_colors([palette[i % len(palette)] for i, bit in enumerate(bits) if bit])
+            if partition is None:
+                return "#4878a8"
+            return palette[partition.assignment.get(node, 0) % len(palette)]
 
-    def cluster_fill(node: str) -> str:
-        if partition is None:
-            return "#4878a8"
-        return palette[partition.assignment.get(node, 0) % len(palette)]
-
-    if projection is None:
         root = _svg_root(width, height)
-        _draw_panel(root, network, fitted, radii, cluster_fill, spec, partition)
+        _draw_panel(root, network, fitted, radii, fill, partition)
         return _to_document(root)
 
     names = projection.dataset_names
-    if len(names) <= 2:
-        def overlay_fill(node: str) -> str:
-            bits = projection.membership.get(node, ())
-            colors = [palette[i % len(palette)] for i, bit in enumerate(bits) if bit]
-            return blend_colors(colors)
-
-        root = _svg_root(width, height)
-        _draw_panel(root, network, fitted, radii, overlay_fill, spec, partition)
-        return _to_document(root)
-
     root = _svg_root(width * len(names), height)
     for panel, name in enumerate(names):
         color = palette[panel % len(palette)]
@@ -357,17 +315,14 @@ def render_map(
             {"x": f"{panel * width + pad:.2f}", "y": "18", "font-size": "14"},
         )
         caption.text = name
-        _draw_panel(group, network, fitted, radii, panel_fill, spec, partition, offset_x=panel * width)
+        _draw_panel(group, network, fitted, radii, panel_fill, partition, offset_x=panel * width)
     return _to_document(root)
 
 
-def render_distribution(
-    distributions: list[YearDistribution], log: bool = False, spec: RenderSpec | None = None
-) -> str:
+def render_distribution(distributions: list[YearDistribution], log: bool = False) -> str:
     """Multi-series line chart of articles per year (optionally ln(1+count))."""
     if not distributions:
         raise ValidationError("need at least one distribution")
-    spec = spec or RenderSpec()
     ranges = [d.range for d in distributions if d.range is not None]
     if not ranges:
         raise ValidationError("no distribution has any dated articles")
@@ -401,7 +356,7 @@ def render_distribution(
 
     series_group = ET.SubElement(root, "g", {"class": "series", "fill": "none"})
     for i, dist in enumerate(distributions):
-        color = spec.dataset_palette[i % len(spec.dataset_palette)]
+        color = DATASET_PALETTE[i % len(DATASET_PALETTE)]
         points = " ".join(f"{x_of(y):.2f},{y_of(value(dist, y)):.2f}" for y in range(lo, hi + 1))
         ET.SubElement(series_group, "polyline", {"points": points, "stroke": color})
 
@@ -417,7 +372,7 @@ def render_distribution(
 
     legend = ET.SubElement(root, "g", {"class": "legend", "font-size": "11"})
     for i, dist in enumerate(distributions):
-        color = spec.dataset_palette[i % len(spec.dataset_palette)]
+        color = DATASET_PALETTE[i % len(DATASET_PALETTE)]
         y = pad + 14 * i
         ET.SubElement(legend, "rect", {
             "x": f"{width - pad - 110:.2f}", "y": f"{y - 9:.2f}",

@@ -1,9 +1,8 @@
-"""Session directory layout and configuration for the command-line pipeline.
+"""Session directory layout for the command-line pipeline.
 
 A session holds everything one analysis produces::
 
     <session>/
-      session.json   # configuration (round-trips losslessly)
       store.jsonl    # record store, one JSON line per record
       datasets/      # <name>.json: member ids and provenance
       networks/      # <name>.json and .graphml; after `cluster`, <name>.clusters.json,
@@ -22,6 +21,10 @@ holds the key of its inputs in a top-level ``"inputs"`` field or a first
 ``# inputs <key>`` line: see ``Session._input_key``. One that is stale,
 unkeyed or names a missing input counts as missing; damage is still a
 ``FormatError``, checked before the key.
+
+A session holds no settings: each command takes its settings from its flags,
+and rendering from the constants of :mod:`citecascade.render`. A settings
+file that an older version kept in the session is neither read nor rewritten.
 """
 
 from __future__ import annotations
@@ -35,15 +38,14 @@ import math
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clustering import ClusterPartition
-from .cocitation import CoCitationNetwork, NetworkConfig
+from .cocitation import CoCitationNetwork
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection
 from .records import Dataset, RecordStore, csv_text, json_text
-from .render import LAYOUT_ITERATIONS, RenderSpec, layout
+from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, layout
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
 
@@ -58,31 +60,6 @@ def check_name(name: str) -> str:
     return name
 
 
-@dataclass
-class SessionConfig:
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    theta_citer: int = 10
-    theta_ref: int = 10
-    render: RenderSpec = field(default_factory=RenderSpec)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "network": self.network.to_json_dict(),
-            "theta_citer": self.theta_citer,
-            "theta_ref": self.theta_ref,
-            "render": self.render.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SessionConfig":
-        return cls(
-            network=NetworkConfig.from_json_dict(data.get("network", {})),
-            theta_citer=int(data.get("theta_citer", 10)),
-            theta_ref=int(data.get("theta_ref", 10)),
-            render=RenderSpec.from_json_dict(data.get("render", {})),
-        )
-
-
 class Session:
     """Filesystem wrapper for one analysis directory."""
 
@@ -91,27 +68,10 @@ class Session:
         self.root.mkdir(parents=True, exist_ok=True)
         for sub in SUBDIRS:
             (self.root / sub).mkdir(exist_ok=True)
-        self.config = self._load_or_create_config()
-
-    # -- config ---------------------------------------------------------------
-
-    @property
-    def config_path(self) -> Path:
-        return self.root / "session.json"
-
-    def _load_or_create_config(self) -> SessionConfig:
-        if self.config_path.exists():
-            return self._read_json(self.config_path, SessionConfig.from_json_dict, "session config")
-        config = SessionConfig()
-        self.save_config(config)
-        return config
-
-    def save_config(self, config: SessionConfig) -> None:
-        self.write_text(self.config_path, json_text(config.to_json_dict()))
 
     # -- reading and writing ----------------------------------------------------------
 
-    def _read_json(self, path: Path, build, what: str = "session file", inputs=None):
+    def _read_json(self, path: Path, build, inputs=None):
         """``build`` applied to the JSON in ``path``; damage is a FormatError naming the file.
         Given ``inputs``, None when the file is missing or, once built, holds a key other
         than the one ``inputs(data)`` gives now."""
@@ -122,7 +82,7 @@ class Session:
             artifact = build(data)
             return artifact if inputs is None or data.get("inputs") == self._input_key(inputs(data)) else None
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UsageError) as exc:
-            raise FormatError(f"unreadable {what} {path}: {exc!r}") from None
+            raise FormatError(f"unreadable session file {path}: {exc!r}") from None
 
     def write_text(self, path: Path, text: str | Iterable[str]) -> Path:
         """Write a session file, given whole or as a stream of chunks, through a
@@ -262,7 +222,7 @@ class Session:
     def _input_key(self, inputs: Iterable[Path], **params) -> str:
         """The key of an artifact computed from session files ``inputs`` and ``params``:
         each file's path and sha256 (``missing`` once it is gone), then each parameter.
-        The clustering's input is its network's JSON; the positions' that, the render
+        The clustering's input is its network's JSON; the positions' that, the layout
         seed and the iteration count; the projection's and coverage's the base network,
         its clustering and each compared dataset. A stored key is current when it
         equals the key its inputs give now."""
@@ -276,16 +236,14 @@ class Session:
     # -- layout positions ---------------------------------------------------------------
 
     def layout_positions(self, name: str, network: CoCitationNetwork) -> dict[str, tuple[float, float]]:
-        """``layout(network, seed)`` for network ``name`` under the session's render
-        seed, read back from its positions file when that file is current; computed
-        and written otherwise."""
-        seed = self.config.render.seed
-        key = self._input_key([self.network_paths(name)[1]], seed=seed, iterations=LAYOUT_ITERATIONS)
+        """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from its
+        positions file when that file is current; computed and written otherwise."""
+        key = self._input_key([self.network_paths(name)[1]], seed=LAYOUT_SEED, iterations=LAYOUT_ITERATIONS)
         key = f"# inputs {key}\n"
         path = self.render_path(f"{name}.positions.csv")
         positions = _read_positions(path, key, network)
         if positions is None:
-            positions = layout(network, seed)
+            positions = layout(network, LAYOUT_SEED)
             rows = ((node, repr(x), repr(y)) for node, (x, y) in positions.items())
             self.write_text(path, [key, csv_text([("id", "x", "y"), *rows])])
         return positions

@@ -34,6 +34,8 @@ class SourceQuery:
             raise ValidationError(f"unknown query kind: {self.kind}")
         if not self.phrases:
             raise ValidationError("query needs at least one phrase")
+        if not all(phrase.strip() for phrase in self.phrases):
+            raise ValidationError("query phrases must not be blank")
 
 
 class CitationSnapshot:

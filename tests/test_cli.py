@@ -20,7 +20,7 @@ import citecascade.session as session_module
 from citecascade.cli import main
 from citecascade.records import RecordStore
 from citecascade.render import layout
-from citecascade.session import Session, SessionConfig
+from citecascade.session import Session
 
 from conftest import SYNTHETIC_CORPUS
 
@@ -84,6 +84,12 @@ def corpus(tmp_path) -> Path:
 
 def run(session_dir: Path, *argv: str) -> int:
     return main(["--session", str(session_dir), *argv])
+
+
+def session_files(session_dir: Path) -> dict[str, bytes]:
+    """Every file of a session by its path in the session."""
+    return {path.relative_to(session_dir).as_posix(): path.read_bytes()
+            for path in session_dir.rglob("*") if path.is_file()}
 
 
 class TestPipeline:
@@ -255,6 +261,17 @@ class TestExitCodes:
         assert one_error_line(capsys) == "error: --top-k must not be negative: -1\n"
         assert not (session_dir / "networks" / "a.clusters.json").exists()
         assert run(session_dir, "cluster", "--network", "a", "--top-k", "0") == 0
+
+    @pytest.mark.parametrize("phrases", [[""], [" "], ["topic alpha", " "]])
+    def test_blank_phrase_exits_3_and_writes_nothing(self, tmp_path, corpus, capsys, phrases):
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        capsys.readouterr()
+        before = session_files(session_dir)
+        argv = [arg for phrase in phrases for arg in ("--phrase", phrase)]
+        assert run(session_dir, "search", "--name", "X", *argv) == 3
+        assert one_error_line(capsys) == "error: query phrases must not be blank\n"
+        assert session_files(session_dir) == before
 
     @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", "", "a,b", "a\nb"])
     def test_bad_names_exit_2_and_write_nothing_outside(self, tmp_path, corpus, capsys, name):
@@ -698,16 +715,8 @@ class TestLayoutCache:
         assert run(session_dir, "render", "--network", "F") == 0
         assert layout_calls == [42, 42]
         assert positions.read_bytes() != first
-
-        config_path = session_dir / "session.json"
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-        config["render"]["seed"] = 7
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        assert run(session_dir, "render", "--network", "F") == 0
-        assert run(session_dir, "render", "--network", "F") == 0
-        assert layout_calls == [42, 42, 7]
         key = positions.read_text(encoding="utf-8").splitlines()[0]
-        assert re.fullmatch(r"# inputs networks/F\.json=[0-9a-f]{64} seed=7 iterations=50", key)
+        assert re.fullmatch(r"# inputs networks/F\.json=[0-9a-f]{64} seed=42 iterations=50", key)
 
     @pytest.mark.parametrize("damage", ["truncated", "non-numeric", "missing-node", "extra-node"])
     def test_damaged_positions_are_recomputed(self, tmp_path, corpus, capsys, layout_calls, damage):
@@ -968,16 +977,35 @@ BUNDLED_TABLE_SHA256 = {
 }
 
 
-def test_bundled_tables_are_pinned(tmp_path):
-    session_dir = tmp_path / "sess"
+# sha256 of the bundled pipeline's maps and year chart, recorded while a
+# session still kept its render settings in a session.json.
+BUNDLED_RENDER_SHA256 = {
+    "renders/combined.map.svg": "6cf6309f093da7e7d34ac8607b45d343ef9819848a8801b11591a88bcf1ce7c8",
+    "renders/combined.overlay.svg": "4ad2ebc78d9f10fc96f8c3a2be30c71eeb3044d7545c53c170045d667cb3f65b",
+    "renders/combined.overlay.html": "80510e5fd612db9877c01fd7f1f4872263cf2953b26c01e1c0b1c0e7180789e3",
+    "renders/F-S3-combined.years.svg": "0a38cde894b9c8df6b3a53dbb54c744b3bb0417f258abb9b5b0c6cbe6cf004cc",
+}
+
+
+@pytest.fixture(scope="module")
+def bundled_session(tmp_path_factory) -> Path:
+    """A fresh session after the whole bundled pipeline; tests only read it."""
+    session_dir = tmp_path_factory.mktemp("bundled") / "sess"
     for argv in BUNDLED_PIPELINE:
         assert run(session_dir, *argv) == 0
+    return session_dir
+
+
+def test_bundled_tables_are_pinned(bundled_session):
     digests = {
-        path.relative_to(session_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in session_dir.rglob("*.csv")
+        path.relative_to(bundled_session).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in bundled_session.rglob("*.csv")
         if not path.name.endswith(".positions.csv")
     }
     assert digests == BUNDLED_TABLE_SHA256
+    renders = {rel: hashlib.sha256((bundled_session / rel).read_bytes()).hexdigest()
+               for rel in BUNDLED_RENDER_SHA256}
+    assert renders == BUNDLED_RENDER_SHA256
 
 
 def table_rows(path: Path) -> list[list[str]]:
@@ -1013,27 +1041,45 @@ def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path):
     assert table_rows(reports / "coverage.csv")[0] == ["cluster", "label", "F", name]
 
 
+# session.json as older versions wrote it into every session: the defaults of
+# settings that are now flags and render constants.
+OLDER_SESSION_JSON = {
+    "network": {"e_param": None, "lby": 10, "lrf": 4.0, "min_citations": 1, "slice_years": 1, "top_n": 100},
+    "render": {
+        "dataset_palette": ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
+                            "#9467bd", "#8c564b", "#e377c2", "#7f7f7f"],
+        "label_top_k": 5,
+        "node_radius": [2.5, 12.0],
+        "seed": 42,
+        "year_palette": ["#2c7bb6", "#00a6ca", "#90eb9d", "#ffff8c", "#f9d057", "#d7191c"],
+    },
+    "theta_citer": 10,
+    "theta_ref": 10,
+}
+OLDER_SESSION_JSON_SHA256 = "d222244c9cf7ac29a9aa740aa39cba6f2243e68c36961eb3ddcfb50bfe2579c2"
+
+
 class TestSessionConfig:
-    def test_config_roundtrips_losslessly(self, tmp_path):
-        session = Session(tmp_path / "sess")
-        original = session.config_path.read_bytes()
-        config = SessionConfig.from_json_dict(
-            json.loads(original.decode("utf-8"))
-        )
-        session.save_config(config)
-        assert session.config_path.read_bytes() == original
+    """A session keeps no settings; a session.json of an older version is ignored."""
 
-    def test_default_seed_recorded(self, tmp_path):
-        session = Session(tmp_path / "sess")
-        payload = json.loads(session.config_path.read_text())
-        assert payload["render"]["seed"] == 42
-
-    def test_unreadable_config_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("older", ["default", "customized", "unparseable"])
+    def test_older_session_json_is_ignored_and_kept(self, tmp_path, bundled_session, older):
+        text = json.dumps(OLDER_SESSION_JSON, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == OLDER_SESSION_JSON_SHA256
+        if older == "customized":
+            custom = json.loads(text)
+            custom["render"]["seed"], custom["network"]["top_n"] = 7, 5
+            text = json.dumps(custom, indent=2, sort_keys=True) + "\n"
+        elif older == "unparseable":
+            text = text[:100]
         session_dir = tmp_path / "sess"
-        Session(session_dir)
-        (session_dir / "session.json").write_text('{"theta_citer": "many"}', encoding="utf-8")
-        assert run(session_dir, "report", "--kind", "datasets") == 4
-        assert "unreadable session config" in one_error_line(capsys)
+        session_dir.mkdir()
+        (session_dir / "session.json").write_text(text, encoding="utf-8")
+        for argv in BUNDLED_PIPELINE:
+            assert run(session_dir, *argv) == 0, argv
+        fresh = session_files(bundled_session)
+        assert "session.json" not in fresh
+        assert session_files(session_dir) == {**fresh, "session.json": text.encode()}
 
     def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         from citecascade.records import Dataset

@@ -350,6 +350,10 @@ class TestPruneLinks:
         pruned = prune_links(network, 4)
         assert pruned == network  # 3 edges <= 4*3
 
+    def test_ratio_whose_bound_overflows_keeps_every_edge(self):
+        network = network_from_edges({("a", "b"): (1, 2000), ("b", "c"): (1, 2000)})
+        assert prune_links(network, 1.9974368165136842e307) == network  # 3 x lrf is inf
+
     def test_hand_sorted_keep_ten_of_twelve(self):
         # 12 edges over 6 nodes; bound floor(est 10/6 * 6) = 10. The two weakest by
         # (weight desc, year asc, pair) are exactly ee-ff and dd-ff.

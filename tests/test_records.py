@@ -110,6 +110,15 @@ class TestIngestJsonl:
         assert reasons[4] == "missing title"
         assert any("missing" in r for r in reasons.values())
 
+    @pytest.mark.parametrize("bad_id", ["P0\r10", "P\n1", "P\x001", "\x1f"])
+    def test_id_with_control_character_rejected(self, tmp_path, bad_id):
+        path = tmp_path / "control.jsonl"
+        write_jsonl(path, [valid_row("p1"), valid_row(bad_id)])
+        store = RecordStore()
+        report = store.ingest(path, "jsonl")
+        assert store.ids() == ["p1"]
+        assert report.rejected == [(2, f"record id {bad_id!r} holds a control character")]
+
     def test_row_without_id_derives_canonical_id(self, tmp_path):
         path = tmp_path / "derived.jsonl"
         write_jsonl(path, [{"title": "Some Work", "year": 1999, "reference_ids": []}])
@@ -407,6 +416,7 @@ class TestPersistence:
         b"not json\n",
         b'{"id": "p\xff"}\n',
         b'{"id": "p3", "reference_ids": [], "title": "t", "year": "1999"}\n',
+        b'{"id": "P\\r1", "reference_ids": [], "title": "t", "year": 1999}\n',
     ])
     def test_unreadable_inner_line_is_a_format_error(self, tmp_path, line):
         path = tmp_path / "store.jsonl"

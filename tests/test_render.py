@@ -24,7 +24,7 @@ from citecascade.errors import ValidationError
 from citecascade.overlay import project_overlay
 from citecascade.records import Dataset, YearDistribution
 from citecascade.render import (
-    RenderSpec,
+    DATASET_PALETTE,
     blend_colors,
     layout,
     render_distribution,
@@ -234,7 +234,7 @@ class TestRenderMap:
         projection = project_overlay(network, [Dataset("only", {"a", "b", "c"})], one_cluster)
         svg = render_map(network, projection=projection)
         fills = {el.attrib["fill"] for el in elements(svg, "circle")}
-        assert fills == {RenderSpec().dataset_palette[0]}
+        assert fills == {DATASET_PALETTE[0]}
 
     def test_small_multiple_panels_for_three_datasets(self):
         network = self._triangle()
@@ -246,13 +246,14 @@ class TestRenderMap:
         assert len(elements(svg, "circle")) == 3 * len(network.nodes)
 
     def test_cluster_labels_at_top_k(self):
-        network = self._triangle()
-        partition = ClusterPartition(assignment={"a": 0, "b": 0, "c": 1})
-        partition.labels = {0: "alpha theme", 1: "beta theme"}
-        svg = render_map(network, partition=partition, spec=RenderSpec(label_top_k=1))
+        # Six clusters of 1, 2, ..., 6 nodes: only the five largest get a label.
+        assignment = {f"c{c}n{i}": c for c in range(6) for i in range(c + 1)}
+        network = simple_network({("c5n0", "c5n1"): (1, 2000)}, extra_nodes=tuple(assignment))
+        partition = ClusterPartition(assignment=assignment)
+        partition.labels = {c: f"theme {c}" for c in range(6)}
+        svg = render_map(network, partition=partition)
         texts = [el.text for el in elements(svg, "text")]
-        assert "#0 alpha theme" in texts
-        assert "#1 beta theme" not in texts
+        assert texts == [f"#{c} theme {c}" for c in (5, 4, 3, 2, 1)]
 
     def test_byte_identical_rendering(self):
         network = self._triangle()
@@ -327,13 +328,3 @@ class TestRenderDistribution:
         dist = YearDistribution("d", {2000: 1, 2001: 4}, 0, (2000, 2001), {2000: 0.7, 2001: 1.6})
         assert render_distribution([dist]) == render_distribution([dist])
 
-
-class TestRenderSpec:
-    def test_palette_validation(self):
-        with pytest.raises(ValidationError):
-            RenderSpec(year_palette=["#000000"])
-
-    def test_json_roundtrip(self):
-        spec = RenderSpec(seed=7, label_top_k=3)
-        again = RenderSpec.from_json_dict(spec.to_json_dict())
-        assert again == spec
