@@ -8,7 +8,7 @@ from .errors import (
     ValidationError,
 )
 from .records import ArticleRecord, Dataset, RecordStore, dataset_union, year_distribution
-from .sources import CitationSnapshot, SourceQuery
+from .sources import SourceQuery
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade
 from .cocitation import (
     CoCitationNetwork,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArticleRecord",
     "CiteCascadeError",
-    "CitationSnapshot",
     "ClusterPartition",
     "CoCitationNetwork",
     "Dataset",

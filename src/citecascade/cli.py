@@ -29,7 +29,7 @@ from .overlay import coverage_report, overlap_matrix, project_overlay
 from .records import Dataset, RecordStore, csv_text, dataset_union, json_text, year_distribution
 from .render import render_distribution, render_map, wrap_html
 from .session import Session, check_name
-from .sources import QUERY_KINDS, CitationSnapshot, SourceQuery, search
+from .sources import QUERY_KINDS, SourceQuery, search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enrich", help="attach abstracts from an enrichment file")
     p.add_argument("path")
 
-    p = sub.add_parser("search", help="phrase or id search over the snapshot")
+    p = sub.add_parser("search", help="phrase or id search over the record store")
     p.add_argument("--name", required=True, help="name for the result dataset")
     p.add_argument("--phrase", action="append", default=[], help="repeatable; OR-combined")
     p.add_argument("--kind", choices=QUERY_KINDS, default="phrase-in-title-abstract")
@@ -124,10 +124,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--datasets", help="comma-separated dataset names (overlap kind)")
 
     return parser
-
-
-def _snapshot(session: Session) -> CitationSnapshot:
-    return CitationSnapshot.from_store(session.load_store())
 
 
 def _split_names(text: str) -> list[str]:
@@ -230,8 +226,8 @@ def _cmd_expand(args, session: Session) -> int:
             theta_ref=args.theta_ref,
             per_generation_cap=args.cap,
         )
-    snapshot = _snapshot(session)
-    dataset, trace = run_cascade(snapshot, spec, args.name)
+    store = session.load_store()
+    dataset, trace = run_cascade(store, spec, args.name)
     session.save_dataset(dataset)
     csv_path = session.trace_path(f"{args.name}.trace.csv")
     session.write_text(csv_path, trace_report(trace))
@@ -256,11 +252,11 @@ def _network_config(args) -> NetworkConfig:
 
 def _cmd_network(args, session: Session) -> int:
     dataset = session.load_dataset(args.dataset)
-    snapshot = _snapshot(session)
+    store = session.load_store()
     config = _network_config(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        network = build_network(dataset, snapshot, config)
+        network = build_network(dataset, store, config)
     name = args.name or args.dataset
     session.save_network(name, network)
     stats = network_stats(network)
@@ -275,23 +271,23 @@ def _cmd_cluster(args, session: Session) -> int:
     if args.top_k < 0:
         raise UsageError(f"--top-k must not be negative: {args.top_k}")
     network = session.load_network(args.network)
-    snapshot = _snapshot(session)
+    store = session.load_store()
     partition = clustering.detect_communities(network)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         silhouettes = clustering.silhouette(network, partition)
     partition.cluster_silhouettes = silhouettes.cluster_scores
     partition.mean_silhouette = silhouettes.mean
-    phrase_index = labeling.PhraseIndex(snapshot)
+    phrase_index = labeling.PhraseIndex(store)
     clusters = partition.clusters()
-    citers = [labeling.cited_by(members, snapshot) for members in clusters]
+    citers = [labeling.cited_by(members, store) for members in clusters]
     labeling.label_all_clusters(partition, citers, set().union(*citers), phrase_index)
 
     payload_level1 = partition.to_json_dict()
     for cluster, cluster_citers in zip(payload_level1["clusters"], citers):
         cluster["top_citers"] = [
             {"id": c, "members_cited": n, "citations": g}
-            for c, n, g in clustering.top_citing_articles(cluster_citers, snapshot, 5)
+            for c, n, g in clustering.top_citing_articles(cluster_citers, store, 5)
         ]
     payload: dict = {"level1": payload_level1}
 
@@ -302,7 +298,7 @@ def _cmd_cluster(args, session: Session) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 sub = clustering.sub_cluster(clusters[index], network, index)
-            sub_citers = [labeling.cited_by(members, snapshot) for members in sub.clusters()]
+            sub_citers = [labeling.cited_by(members, store) for members in sub.clusters()]
             labeling.label_all_clusters(sub, sub_citers, citers[index], phrase_index)
             level2[str(index)] = sub.to_json_dict()
         payload["level2"] = level2
@@ -310,7 +306,7 @@ def _cmd_cluster(args, session: Session) -> int:
     concept_json: dict[str, dict] = {}
     concept_text_parts: list[str] = []
     for index in top_indices:
-        tree = labeling.build_concept_tree(citers[index], snapshot, phrase_index)
+        tree = labeling.build_concept_tree(citers[index], store, phrase_index)
         concept_json[str(index)] = tree.to_json_dict()
         label = partition.labels.get(index, "")
         concept_text_parts.append(f"== cluster #{index} {label}\n{tree.to_text()}")
@@ -357,7 +353,7 @@ def _cmd_render(args, session: Session) -> int:
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
         positions = session.layout_positions(args.network, network)
-        svg = render_map(network, partition, projection, positions)
+        svg = render_map(network, positions, partition, projection)
         svg_path = session.render_path(f"{args.network}.{kind}.svg")
         session.write_text(svg_path, svg)
         html_path = session.render_path(f"{args.network}.{kind}.html")

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 from .cocitation import CoCitationNetwork, network_arrays
 from .errors import ValidationError
-from .records import csv_text
-from .sources import CitationSnapshot
+from .records import RecordStore, csv_text
 
 
 @dataclass
@@ -307,7 +306,7 @@ def sub_cluster(
 
 
 def top_citing_articles(
-    cited_by: Mapping[str, int], snapshot: CitationSnapshot, k: int
+    cited_by: Mapping[str, int], store: RecordStore, k: int
 ) -> list[tuple[str, int, int]]:
     """The first k citers of a cluster's citer table (``labeling.cited_by``),
     ranked by distinct members cited; ties by citation count, then id.
@@ -315,9 +314,9 @@ def top_citing_articles(
     Returns (citer id, members cited, citation count) triples.
     """
     ranked = sorted(
-        cited_by.items(), key=lambda item: (-item[1], -snapshot.citation_count(item[0]), item[0])
+        cited_by.items(), key=lambda item: (-item[1], -store.citation_count(item[0]), item[0])
     )
-    return [(citer, count, snapshot.citation_count(citer)) for citer, count in ranked[:k]]
+    return [(citer, count, store.citation_count(citer)) for citer, count in ranked[:k]]
 
 
 def partition_to_csv(partition: ClusterPartition, silhouettes: SilhouetteResult | None) -> str:

@@ -14,13 +14,12 @@ import json
 import math
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset, json_text
-from .sources import CitationSnapshot
+from .records import Dataset, RecordStore, json_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,25 +54,12 @@ class NetworkConfig:
             raise ValidationError("top_n and slice_years must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "lrf": self.lrf,
-            "lby": self.lby,
-            "min_citations": self.min_citations,
-            "top_n": self.top_n,
-            "slice_years": self.slice_years,
-            "e_param": self.e_param,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NetworkConfig":
-        return cls(
-            lrf=float(data.get("lrf", 4.0)),
-            lby=data.get("lby", 10),
-            min_citations=int(data.get("min_citations", 1)),
-            top_n=int(data.get("top_n", 100)),
-            slice_years=int(data.get("slice_years", 1)),
-            e_param=data.get("e_param"),
-        )
+        """The fields ``data`` holds, over the defaults."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 class NodeInfo(NamedTuple):
@@ -242,7 +228,7 @@ def network_arrays(network: CoCitationNetwork) -> NetworkArrays:
 
 
 def slice_citers(
-    dataset: Dataset, snapshot: CitationSnapshot, config: NetworkConfig
+    dataset: Dataset, store: RecordStore, config: NetworkConfig
 ) -> list[tuple[tuple[int, int], list[str]]]:
     """Partition the dataset into year slices and pick each slice's top citers.
 
@@ -255,7 +241,7 @@ def slice_citers(
     years: dict[str, int] = {}
     skipped = 0
     for pub_id in dataset.member_ids:
-        record = snapshot.record(pub_id) if pub_id in snapshot else None
+        record = store.get(pub_id)
         if record is None or record.year is None:
             skipped += 1
             continue
@@ -271,8 +257,8 @@ def slice_citers(
     while start <= hi:
         end = start + config.slice_years - 1
         members = [p for p, y in years.items() if start <= y <= end]
-        qualified = [p for p in members if snapshot.citation_count(p) >= config.min_citations]
-        ranked = sorted(qualified, key=lambda p: (-snapshot.citation_count(p), p))
+        qualified = [p for p in members if store.citation_count(p) >= config.min_citations]
+        ranked = sorted(qualified, key=lambda p: (-store.citation_count(p), p))
         selected = ranked[: config.top_n]
         if members:
             slices.append(((start, end), selected))
@@ -281,19 +267,19 @@ def slice_citers(
 
 
 def cocite_pairs(
-    citer_id: str, snapshot: CitationSnapshot, config: NetworkConfig
+    citer_id: str, store: RecordStore, config: NetworkConfig
 ) -> set[tuple[str, str]]:
     """Unordered reference pairs a citer contributes, after the look-back filter.
 
     A reference participates only when its year is known, not after the
     citer's, and within ``lby`` years before it.
     """
-    citer = snapshot.record(citer_id)
+    citer = store.record(citer_id)
     if citer.year is None:
         return set()
     eligible = []
-    for ref in snapshot.get_references(citer_id):
-        ref_year = snapshot.record(ref).year
+    for ref in store.get_references(citer_id):
+        ref_year = store.record(ref).year
         if ref_year is None or ref_year > citer.year:
             continue
         if config.lby is not None and citer.year - ref_year > config.lby:
@@ -303,7 +289,7 @@ def cocite_pairs(
 
 
 def build_network(
-    dataset: Dataset, snapshot: CitationSnapshot, config: NetworkConfig
+    dataset: Dataset, store: RecordStore, config: NetworkConfig
 ) -> CoCitationNetwork:
     """Aggregate co-citation pairs over all selected citers, then prune.
 
@@ -314,15 +300,15 @@ def build_network(
     """
     if not dataset.member_ids:
         raise EmptyDatasetError(f"dataset {dataset.name!r} is empty")
-    slices = slice_citers(dataset, snapshot, config)
+    slices = slice_citers(dataset, store, config)
 
     # Each selected citer lies in exactly one slice.
     pair_weight: dict[tuple[str, str], int] = {}
     pair_year: dict[tuple[str, str], int] = {}
     for _interval, citers in slices:
         for citer_id in citers:
-            citer_year = snapshot.record(citer_id).year
-            for pair in cocite_pairs(citer_id, snapshot, config):
+            citer_year = store.record(citer_id).year
+            for pair in cocite_pairs(citer_id, store, config):
                 pair_weight[pair] = pair_weight.get(pair, 0) + 1
                 if pair not in pair_year or citer_year < pair_year[pair]:
                     pair_year[pair] = citer_year
@@ -335,9 +321,9 @@ def build_network(
     node_count: dict[str, int] = {n: 0 for n in node_ids}
     node_first: dict[str, int | None] = {n: None for n in node_ids}
     for member_id in sorted(dataset.member_ids):
-        if member_id not in snapshot:
+        member = store.get(member_id)
+        if member is None:
             continue
-        member = snapshot.record(member_id)
         for ref in member.reference_ids:
             if ref in node_ids:
                 node_count[ref] += 1

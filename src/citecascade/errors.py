@@ -10,7 +10,7 @@ class FormatError(CiteCascadeError):
 
 
 class UnknownPublicationError(CiteCascadeError):
-    """A publication id could not be resolved in the snapshot.
+    """A publication id could not be resolved in the record store.
 
     Distinct from "found, but with zero references/citers".
     """

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, UnknownPublicationError, ValidationError
-from .records import Dataset, csv_text
-from .sources import CitationSnapshot
+from .records import Dataset, RecordStore, csv_text
 
 FORWARD = "FORWARD"
 BACKWARD = "BACKWARD"
@@ -150,22 +149,22 @@ class ExpansionTrace:
 
 
 def _qualified_step(
-    snapshot: CitationSnapshot, frontier: set[str], direction: str, known: set[str], theta: int
+    store: RecordStore, frontier: set[str], direction: str, known: set[str], theta: int
 ) -> tuple[set[str], list[str]]:
     """One step's candidates (frontier neighbours not in ``known``) and, sorted,
     those whose citation count reaches ``theta``."""
     candidates: set[str] = set()
     for pub_id in sorted(frontier):
         if direction == FORWARD:
-            candidates.update(snapshot.get_citers(pub_id))
+            candidates.update(store.get_citers(pub_id))
         else:
-            candidates.update(snapshot.get_references(pub_id))
+            candidates.update(store.get_references(pub_id))
     candidates -= known
-    return candidates, sorted(c for c in candidates if snapshot.citation_count(c) >= theta)
+    return candidates, sorted(c for c in candidates if store.citation_count(c) >= theta)
 
 
 def run_cascade(
-    snapshot: CitationSnapshot, spec: ExpansionSpec, name: str
+    store: RecordStore, spec: ExpansionSpec, name: str
 ) -> tuple[Dataset, ExpansionTrace]:
     """Execute the staged expansion, returning the dataset and its trace.
 
@@ -173,7 +172,7 @@ def run_cascade(
     per-generation cap bites, candidates are admitted by citation count
     descending (ties: id ascending) and the stage ends with "cap reached".
     """
-    missing = sorted(s for s in spec.seed_ids if s not in snapshot)
+    missing = sorted(s for s in spec.seed_ids if s not in store)
     if missing:
         raise UnknownPublicationError(", ".join(missing))
 
@@ -188,14 +187,14 @@ def run_cascade(
                 reason = REASON_EMPTY_FRONTIER
                 break
             candidates, qualified = _qualified_step(
-                snapshot, frontier, stage.direction, accumulated, theta
+                store, frontier, stage.direction, accumulated, theta
             )
             capped = (
                 spec.per_generation_cap is not None
                 and len(qualified) > spec.per_generation_cap
             )
             if capped:
-                by_count = sorted(qualified, key=lambda c: (-snapshot.citation_count(c), c))
+                by_count = sorted(qualified, key=lambda c: (-store.citation_count(c), c))
                 added = sorted(by_count[: spec.per_generation_cap])
             else:
                 added = qualified

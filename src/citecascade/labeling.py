@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
-from .sources import CitationSnapshot
+from .records import RecordStore
 
 MAX_PHRASE_TOKENS = 4
 
@@ -70,8 +70,8 @@ class PhraseIndex:
     index shared by every cluster of a command serves both.
     """
 
-    def __init__(self, snapshot: CitationSnapshot):
-        self.snapshot = snapshot
+    def __init__(self, store: RecordStore):
+        self.store = store
         self._phrases: dict[str, frozenset[str]] = {}
 
     def phrases(self, text: str) -> frozenset[str]:
@@ -88,7 +88,7 @@ class PhraseIndex:
         return df
 
     def title_frequencies(self, citers: Iterable[str]) -> Counter[str]:
-        return self.frequencies(self.snapshot.record(c).title for c in citers)
+        return self.frequencies(self.store.record(c).title for c in citers)
 
 
 def log_likelihood_ratio(k11: int, k12: int, k21: int, k22: int) -> float:
@@ -111,14 +111,14 @@ def log_likelihood_ratio(k11: int, k12: int, k21: int, k22: int) -> float:
     return 2.0 * (term(k11, e11) + term(k12, e12) + term(k21, e21) + term(k22, e22))
 
 
-def cited_by(members: Iterable[str], snapshot: CitationSnapshot) -> Counter[str]:
+def cited_by(members: Iterable[str], store: RecordStore) -> Counter[str]:
     """The cluster's citer table: each article citing a member, mapped to the
     number of distinct members it cites. The only walk of a cluster's citers;
     labels, top citers and concept trees all read it."""
     table: Counter[str] = Counter()
     for member in members:
-        if member in snapshot:
-            table.update(snapshot.get_citers(member))
+        if member in store:
+            table.update(store.get_citers(member))
     return table
 
 
@@ -218,7 +218,7 @@ class ConceptTree:
 
 
 def build_concept_tree(
-    citers: Iterable[str], snapshot: CitationSnapshot, phrase_index: PhraseIndex
+    citers: Iterable[str], store: RecordStore, phrase_index: PhraseIndex
 ) -> ConceptTree:
     """Containment hierarchy of phrases from citing articles' titles+abstracts.
 
@@ -229,7 +229,7 @@ def build_concept_tree(
     """
     texts = []
     for citer in sorted(citers):
-        record = snapshot.record(citer)
+        record = store.record(citer)
         text = record.title
         if record.abstract:
             text += ". " + record.abstract

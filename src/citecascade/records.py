@@ -2,7 +2,8 @@
 
 Records come from JSONL exports or header-driven Dimensions-style CSV files,
 get normalized into :class:`ArticleRecord`, and live in a :class:`RecordStore`
-(in-memory index, saved as one JSONL line per record). Named article-id sets are
+(in-memory index, saved as one JSONL line per record), which also answers the
+citation queries: what a record cites and who cites it. Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
 :class:`YearDistribution` objects. :func:`json_text` is the one JSON layout
 of every artifact the package writes, and :func:`csv_text` the one CSV layout of
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
-from .errors import EmptyDatasetError, FormatError, ValidationError
+from .errors import EmptyDatasetError, FormatError, UnknownPublicationError, ValidationError
 
 MIN_YEAR = 1500
 
@@ -168,16 +169,21 @@ def _merge_records(first: ArticleRecord, second: ArticleRecord) -> ArticleRecord
 
 
 class RecordStore:
-    """In-memory id -> record index with JSONL persistence.
+    """In-memory id -> record index with JSONL persistence and citation lookups.
 
     The persistent form holds one JSON line per record, in first-seen order
     (:meth:`json_lines`), and is written whole. Loading replays the lines in
     order, each as the current state of its id, so a later line supersedes an
     earlier one: a log that older versions appended to loads the same way.
+
+    The citation lookups read the inverse reference index (id -> ids of the
+    stored records citing it), built on the first lookup that needs it and
+    dropped by every :meth:`insert` or :meth:`replace`.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, ArticleRecord] = {}
+        self._citer_index: dict[str, set[str]] | None = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -191,9 +197,6 @@ class RecordStore:
     def ids(self) -> list[str]:
         return sorted(self._records)
 
-    def records(self) -> list[ArticleRecord]:
-        return [self._records[i] for i in self.ids()]
-
     def __iter__(self):
         """The records in first-seen order."""
         return iter(self._records.values())
@@ -202,10 +205,51 @@ class RecordStore:
         """Insert a record, or merge it into the stored one with the same id."""
         existing = self._records.get(record.id)
         self._records[record.id] = record if existing is None else _merge_records(existing, record)
+        self._citer_index = None
 
     def replace(self, record: ArticleRecord) -> None:
         """Overwrite the stored state of ``record.id`` (replay on load)."""
         self._records[record.id] = record
+        self._citer_index = None
+
+    # -- citation lookups ----------------------------------------------------
+
+    def _citers(self) -> dict[str, set[str]]:
+        if self._citer_index is None:
+            index: dict[str, set[str]] = {i: set() for i in self._records}
+            for record in self._records.values():
+                for ref in record.reference_ids:
+                    if ref in index:
+                        index[ref].add(record.id)
+            self._citer_index = index
+        return self._citer_index
+
+    def record(self, pub_id: str) -> ArticleRecord:
+        record = self._records.get(pub_id)
+        if record is None:
+            raise UnknownPublicationError(pub_id)
+        return record
+
+    def get_references(self, pub_id: str) -> list[str]:
+        """Ids the record cites, restricted to ids the store holds."""
+        return [ref for ref in self.record(pub_id).reference_ids if ref in self._records]
+
+    def unresolved_references(self, pub_id: str) -> list[str]:
+        """Cited ids that no stored record carries (kept out of analyses)."""
+        return [ref for ref in self.record(pub_id).reference_ids if ref not in self._records]
+
+    def get_citers(self, pub_id: str) -> list[str]:
+        """Sorted ids of stored records whose reference list contains ``pub_id``."""
+        self.record(pub_id)  # an unknown id raises
+        return sorted(self._citers()[pub_id])
+
+    def citation_count(self, pub_id: str) -> int:
+        """Universe-wide citation count when the source reported one, else the
+        store-local citer count."""
+        record = self.record(pub_id)
+        if record.global_citation_count is not None:
+            return record.global_citation_count
+        return len(self._citers()[pub_id])
 
     # -- persistence ---------------------------------------------------------
 

@@ -267,12 +267,13 @@ def _draw_panel(
 
 def render_map(
     network: CoCitationNetwork,
+    positions: dict[str, tuple[float, float]],
     partition: ClusterPartition | None = None,
     projection: OverlayProjection | None = None,
-    positions: dict[str, tuple[float, float]] | None = None,
 ) -> str:
-    """Draw the network: nodes sized by citation count, edges colored by the
-    first co-citation year, cluster labels at centroids.
+    """Draw the network at ``positions`` (its :func:`layout`): nodes sized by
+    citation count, edges colored by the first co-citation year, cluster labels
+    at centroids.
 
     With a projection, nodes are colored by dataset membership: blended for up
     to two datasets, in small multiples (one panel per dataset, shared layout)
@@ -280,7 +281,6 @@ def render_map(
     """
     if not network.nodes:
         raise ValidationError("cannot render an empty network")
-    positions = positions or layout(network, LAYOUT_SEED)
     width, height, pad = 800.0, 600.0, 30.0
     fitted = _fit_positions(positions, width, height, pad)
     radii = _node_radii(network)

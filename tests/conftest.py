@@ -1,4 +1,4 @@
-"""Shared builders for snapshots, synthetic citation graphs, and networks."""
+"""Shared builders for record stores, synthetic citation graphs, and networks."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from citecascade.records import ArticleRecord, RecordStore
-from citecascade.sources import CitationSnapshot
 
 DATA_DIR = Path(__file__).parent / "data"
 SYNTHETIC_CORPUS = DATA_DIR / "synthetic_500.jsonl"
@@ -40,18 +39,14 @@ def make_store(records) -> RecordStore:
     return store
 
 
-def make_snapshot(records: list[ArticleRecord]) -> CitationSnapshot:
-    return CitationSnapshot.from_store(make_store(records))
-
-
-def chain_snapshot(n: int, start_year: int = 2000) -> CitationSnapshot:
+def chain_store(n: int, start_year: int = 2000) -> RecordStore:
     """a <- b <- c <- ...: record i cites record i-1."""
     ids = [chr(ord("a") + i) for i in range(n)]
     records = []
     for i, pub_id in enumerate(ids):
         refs = [ids[i - 1]] if i > 0 else []
         records.append(make_record(pub_id, year=start_year + i, refs=refs))
-    return make_snapshot(records)
+    return make_store(records)
 
 
 def random_citation_dag(
@@ -60,7 +55,7 @@ def random_citation_dag(
     max_refs: int = 6,
     count_range: tuple[int, int] = (0, 8),
     with_counts: float = 0.7,
-) -> CitationSnapshot:
+) -> RecordStore:
     """Random DAG: node i may only cite nodes j < i, years ascend with index."""
     records = []
     for i in range(n_nodes):
@@ -72,7 +67,7 @@ def random_citation_dag(
         records.append(
             make_record(f"n{i:04d}", year=1950 + (i % 70), refs=refs, count=count)
         )
-    return make_snapshot(records)
+    return make_store(records)
 
 
 @pytest.fixture
@@ -82,7 +77,7 @@ def rng() -> random.Random:
 
 @pytest.fixture(scope="session")
 def bundled_world():
-    """The bundled corpus's pipeline network and its snapshot.
+    """The bundled corpus's pipeline network and its record store.
 
     Same steps as the end-to-end acceptance run: search "reinforcement
     learning", expand P010 forward three generations, union, build the
@@ -95,13 +90,12 @@ def bundled_world():
 
     store = RecordStore()
     store.ingest(SYNTHETIC_CORPUS, "jsonl")
-    snapshot = CitationSnapshot.from_store(store)
     query = SourceQuery(kind="phrase-in-title-abstract", phrases=["reinforcement learning"])
     found = search(store, query, name="F")
     spec = ExpansionSpec({"P010"}, [ExpansionStage("F", 3)], theta_citer=1, theta_ref=1)
-    expanded, _trace = run_cascade(snapshot, spec, "S3")
+    expanded, _trace = run_cascade(store, spec, "S3")
     combined = dataset_union([found, expanded], "combined")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        network = build_network(combined, snapshot, NetworkConfig(min_citations=0, top_n=100))
-    return network, snapshot
+        network = build_network(combined, store, NetworkConfig(min_citations=0, top_n=100))
+    return network, store

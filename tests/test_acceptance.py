@@ -38,7 +38,7 @@ from citecascade.expansion import ExpansionSpec, ExpansionStage, run_cascade
 from citecascade.overlay import overlap_matrix
 from citecascade.records import Dataset
 
-from conftest import SYNTHETIC_CORPUS, make_record, make_snapshot, random_citation_dag
+from conftest import SYNTHETIC_CORPUS, make_record, make_store, random_citation_dag
 from test_cocitation import (
     assert_lcc_matches_union_find,
     brute_force_pairs,
@@ -61,8 +61,8 @@ class TestAcceptance:
         started = time.perf_counter()
         for dag_index in range(50):
             n = rng.randint(50, 1000)
-            snapshot = random_citation_dag(rng, n, max_refs=5)
-            seeds = set(snapshot.ids()[: max(1, n // 50)])
+            store = random_citation_dag(rng, n, max_refs=5)
+            seeds = set(store.ids()[: max(1, n // 50)])
             for direction, gens in grid:
                 for theta in thetas:
                     spec = ExpansionSpec(
@@ -71,8 +71,8 @@ class TestAcceptance:
                         theta_citer=theta,
                         theta_ref=theta,
                     )
-                    got = run_cascade(snapshot, spec, "acc")[0].member_ids
-                    want = bfs_oracle(snapshot, seeds, [(direction, gens)], theta, theta)
+                    got = run_cascade(store, spec, "acc")[0].member_ids
+                    want = bfs_oracle(store, seeds, [(direction, gens)], theta, theta)
                     assert got == want, (dag_index, direction, gens, theta)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s (budget 5s)"
@@ -86,8 +86,8 @@ class TestAcceptance:
         for i, ref in enumerate(refs):
             count = 10 + 3 * i if i < 15 else i - 15  # 15 refs >= 10, 10 refs <= 9
             records.append(make_record(ref, year=1979, count=count))
-        snapshot = make_snapshot(records)
-        qualified = backward_step(snapshot, {"seed-review"}, 10)
+        store = make_store(records)
+        qualified = backward_step(store, {"seed-review"}, 10)
         assert qualified == {f"r{i:02d}" for i in range(15)}
         assert len(qualified) == 15
         report(2, "threshold-filter-fidelity")
@@ -246,7 +246,7 @@ class TestAcceptance:
         rng = random.Random(8086)
         lby_grid = [2, 5, 10, None]
         for trial in range(30):
-            snapshot, dataset = cocite_corpus(
+            store, dataset = cocite_corpus(
                 rng, n_citers=rng.randint(20, 300), n_refs=rng.randint(10, 60)
             )
             previous_edges: set = set()
@@ -254,8 +254,8 @@ class TestAcceptance:
                 config = loose_config(lby=lby)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    network = build_network(dataset, snapshot, config)
-                weight, first = brute_force_pairs(snapshot, sorted(dataset.member_ids), lby)
+                    network = build_network(dataset, store, config)
+                weight, first = brute_force_pairs(store, sorted(dataset.member_ids), lby)
                 assert {p: e.weight for p, e in network.edges.items()} == weight, trial
                 assert {
                     p: e.first_cocited_year for p, e in network.edges.items()
@@ -267,10 +267,10 @@ class TestAcceptance:
     def test_c07_pruning_bound(self):
         rng = random.Random(40490)
         for trial in range(15):
-            snapshot, dataset = cocite_corpus(rng, 60, 30)
+            store, dataset = cocite_corpus(rng, 60, 30)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                network = build_network(dataset, snapshot, loose_config())
+                network = build_network(dataset, store, loose_config())
             for lrf in (0.5, 1.0, 2.0, 4.0):
                 pruned = prune_links(network, lrf)
                 assert len(pruned.edges) <= math.floor(lrf * len(pruned.nodes)), trial

@@ -22,7 +22,7 @@ from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, N
 from citecascade.errors import ValidationError
 from citecascade.labeling import cited_by
 
-from conftest import make_record, make_snapshot
+from conftest import make_record, make_store
 
 
 def weighted_network(
@@ -348,8 +348,8 @@ class TestTopCitingArticles:
         records = [make_record(m, year=1990) for m in ("m1", "m2", "m3")]
         records.append(make_record("broad", year=2000, refs=["m1", "m2", "m3"], count=1))
         records.append(make_record("narrow", year=2000, refs=["m1"], count=99))
-        snapshot = make_snapshot(records)
-        ranked = top_citing_articles(cited_by({"m1", "m2", "m3"}, snapshot), snapshot, k=5)
+        store = make_store(records)
+        ranked = top_citing_articles(cited_by({"m1", "m2", "m3"}, store), store, k=5)
         assert [r[0] for r in ranked] == ["broad", "narrow"]
         assert ranked[0][1] == 3
 
@@ -358,8 +358,8 @@ class TestTopCitingArticles:
         records.append(make_record("beta", year=2000, refs=["m"], count=10))
         records.append(make_record("alpha", year=2000, refs=["m"], count=5))
         records.append(make_record("aaa", year=2000, refs=["m"], count=5))
-        snapshot = make_snapshot(records)
-        ranked = top_citing_articles(cited_by({"m"}, snapshot), snapshot, k=3)
+        store = make_store(records)
+        ranked = top_citing_articles(cited_by({"m"}, store), store, k=3)
         assert [r[0] for r in ranked] == ["beta", "aaa", "alpha"]
 
     def test_matches_bruteforce_ranking(self, rng):
@@ -370,13 +370,13 @@ class TestTopCitingArticles:
             records.append(
                 make_record(f"c{i:02d}", year=2005, refs=cited, count=rng.randint(0, 50))
             )
-        snapshot = make_snapshot(records)
-        ranked = top_citing_articles(cited_by(members, snapshot), snapshot, k=20)
+        store = make_store(records)
+        ranked = top_citing_articles(cited_by(members, store), store, k=20)
         brute = []
         for i in range(20):
-            cited = [m for m in snapshot.record(f"c{i:02d}").reference_ids if m in members]
+            cited = [m for m in store.record(f"c{i:02d}").reference_ids if m in members]
             if cited:
-                brute.append((f"c{i:02d}", len(cited), snapshot.citation_count(f"c{i:02d}")))
+                brute.append((f"c{i:02d}", len(cited), store.citation_count(f"c{i:02d}")))
         brute.sort(key=lambda t: (-t[1], -t[2], t[0]))
         assert ranked == brute
 

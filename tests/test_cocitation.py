@@ -31,7 +31,7 @@ from citecascade.cocitation import (
 from citecascade.errors import EmptyDatasetError, ValidationError
 from citecascade.records import Dataset
 
-from conftest import make_record, make_snapshot
+from conftest import make_record, make_store
 
 
 def loose_config(**overrides) -> NetworkConfig:
@@ -58,8 +58,8 @@ def cocite_corpus(rng: random.Random, n_citers: int, n_refs: int):
             )
         )
         citer_ids.append(f"cit{i:03d}")
-    snapshot = make_snapshot(records)
-    return snapshot, Dataset("corpus", set(citer_ids))
+    store = make_store(records)
+    return store, Dataset("corpus", set(citer_ids))
 
 
 class _DisjointSet:
@@ -152,17 +152,17 @@ def network_from_graphml(text: str) -> CoCitationNetwork:
     return CoCitationNetwork(nodes, edges, config)
 
 
-def brute_force_pairs(snapshot, citer_ids, lby):
+def brute_force_pairs(store, citer_ids, lby):
     """Independent pair-count: scan every reference pair of every citer."""
     weight: dict[tuple[str, str], int] = {}
     first: dict[tuple[str, str], int] = {}
     for citer_id in citer_ids:
-        citer = snapshot.record(citer_id)
+        citer = store.record(citer_id)
         eligible = []
         for ref in citer.reference_ids:
-            if ref not in snapshot:
+            if ref not in store:
                 continue
-            ref_year = snapshot.record(ref).year
+            ref_year = store.record(ref).year
             if ref_year is None or ref_year > citer.year:
                 continue
             if lby is not None and citer.year - ref_year > lby:
@@ -190,85 +190,85 @@ def network_from_edges(edge_spec: dict[tuple[str, str], tuple[int, int]]) -> CoC
 class TestSliceCiters:
     def test_hand_ranked_top3_with_tie_rule(self):
         counts = {"a": 9, "b": 7, "c": 7, "d": 2, "e": 0}
-        snapshot = make_snapshot(
+        store = make_store(
             [make_record(p, year=2005, count=n) for p, n in counts.items()]
         )
         dataset = Dataset("d", set(counts))
         config = loose_config(top_n=3, min_citations=1)
-        slices = slice_citers(dataset, snapshot, config)
+        slices = slice_citers(dataset, store, config)
         assert len(slices) == 1
         interval, selected = slices[0]
         assert interval == (2005, 2005)
         assert selected == ["a", "b", "c"]  # 9 first, tie 7/7 by id
 
     def test_topn_above_slice_size_keeps_all_qualifying(self):
-        snapshot = make_snapshot([make_record(f"p{i}", year=2000, count=5) for i in range(4)])
+        store = make_store([make_record(f"p{i}", year=2000, count=5) for i in range(4)])
         dataset = Dataset("d", {f"p{i}" for i in range(4)})
-        slices = slice_citers(dataset, snapshot, loose_config(top_n=100, min_citations=1))
+        slices = slice_citers(dataset, store, loose_config(top_n=100, min_citations=1))
         assert len(slices[0][1]) == 4
 
     def test_min_citations_excludes_zero_count(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [make_record("cited", year=2000, count=1), make_record("uncited", year=2000, count=0)]
         )
         dataset = Dataset("d", {"cited", "uncited"})
-        slices = slice_citers(dataset, snapshot, loose_config(min_citations=1))
+        slices = slice_citers(dataset, store, loose_config(min_citations=1))
         assert slices[0][1] == ["cited"]
 
     def test_slices_cover_range_consecutively(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [make_record(f"p{y}", year=y, count=1) for y in (2000, 2001, 2004)]
         )
         dataset = Dataset("d", {"p2000", "p2001", "p2004"})
-        slices = slice_citers(dataset, snapshot, loose_config(slice_years=2))
+        slices = slice_citers(dataset, store, loose_config(slice_years=2))
         assert [s[0] for s in slices] == [(2000, 2001), (2004, 2005)]
 
     def test_unknown_year_members_skipped_with_warning(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [make_record("dated", year=2000, count=1), make_record("undated", year=None, count=1)]
         )
         dataset = Dataset("d", {"dated", "undated"})
         with pytest.warns(UserWarning, match="without a usable year"):
-            slices = slice_citers(dataset, snapshot, loose_config())
+            slices = slice_citers(dataset, store, loose_config())
         assert slices[0][1] == ["dated"]
 
     def test_empty_dataset_errors(self):
         with pytest.raises(EmptyDatasetError):
-            slice_citers(Dataset("d", set()), make_snapshot([]), loose_config())
+            slice_citers(Dataset("d", set()), make_store([]), loose_config())
 
 
 class TestCocitePairs:
-    def _snapshot(self, citer_year, ref_years, lby):
+    def _world(self, citer_year, ref_years, lby):
         records = [
             make_record(f"r{i}", year=y) for i, y in enumerate(ref_years)
         ]
         records.append(
             make_record("c", year=citer_year, refs=[f"r{i}" for i in range(len(ref_years))])
         )
-        return make_snapshot(records), NetworkConfig(
+        return make_store(records), NetworkConfig(
             lrf=4, lby=lby, min_citations=0, top_n=10, slice_years=1
         )
 
     def test_both_in_window_pair(self):
-        snapshot, config = self._snapshot(2010, [2005, 2008], 10)
-        assert cocite_pairs("c", snapshot, config) == {("r0", "r1")}
+        store, config = self._world(2010, [2005, 2008], 10)
+        assert cocite_pairs("c", store, config) == {("r0", "r1")}
 
     def test_too_old_reference_filtered(self):
         # 2010 - 1995 = 15 > 10, so the pair collapses.
-        snapshot, config = self._snapshot(2010, [1995, 2008], 10)
-        assert cocite_pairs("c", snapshot, config) == set()
+        store, config = self._world(2010, [1995, 2008], 10)
+        assert cocite_pairs("c", store, config) == set()
 
     def test_future_reference_filtered(self):
-        snapshot, config = self._snapshot(2010, [2012, 2008], 10)
-        assert cocite_pairs("c", snapshot, config) == set()
+        store, config = self._world(2010, [2012, 2008], 10)
+        assert cocite_pairs("c", store, config) == set()
 
     def test_four_eligible_refs_give_six_pairs(self):
-        snapshot, config = self._snapshot(2010, [2004, 2006, 2008, 2009], 10)
-        assert len(cocite_pairs("c", snapshot, config)) == 6
+        store, config = self._world(2010, [2004, 2006, 2008, 2009], 10)
+        assert len(cocite_pairs("c", store, config)) == 6
 
     def test_unbounded_lby_keeps_old_references(self):
-        snapshot, config = self._snapshot(2010, [1950, 2008], None)
-        assert cocite_pairs("c", snapshot, config) == {("r0", "r1")}
+        store, config = self._world(2010, [1950, 2008], None)
+        assert cocite_pairs("c", store, config) == {("r0", "r1")}
 
 
 class TestBuildNetwork:
@@ -279,16 +279,16 @@ class TestBuildNetwork:
             make_record("c1", year=2001, refs=["a", "b"], count=1),
             make_record("c2", year=2003, refs=["a", "b"], count=1),
         ]
-        snapshot = make_snapshot(records)
-        network = build_network(Dataset("d", {"c1", "c2"}), snapshot, loose_config())
+        store = make_store(records)
+        network = build_network(Dataset("d", {"c1", "c2"}), store, loose_config())
         assert set(network.edges) == {("a", "b")}
         assert network.edges[("a", "b")] == EdgeInfo(weight=2, first_cocited_year=2001)
 
     def test_single_citer_triangle_weights_one(self):
         records = [make_record(r, year=2000) for r in ("a", "b", "c")]
         records.append(make_record("citer", year=2005, refs=["a", "b", "c"], count=1))
-        snapshot = make_snapshot(records)
-        network = build_network(Dataset("d", {"citer"}), snapshot, loose_config())
+        store = make_store(records)
+        network = build_network(Dataset("d", {"citer"}), store, loose_config())
         assert set(network.edges) == {("a", "b"), ("a", "c"), ("b", "c")}
         assert all(e.weight == 1 for e in network.edges.values())
 
@@ -301,27 +301,27 @@ class TestBuildNetwork:
             make_record("c2", year=2001, refs=["a", "b"], count=1),
             make_record("c3", year=1995, refs=["a"], count=1),
         ]
-        snapshot = make_snapshot(records)
-        network = build_network(Dataset("d", {"c1", "c2", "c3"}), snapshot, loose_config())
+        store = make_store(records)
+        network = build_network(Dataset("d", {"c1", "c2", "c3"}), store, loose_config())
         assert network.nodes["a"] == NodeInfo(count=3, year=1995)
         assert network.nodes["b"] == NodeInfo(count=2, year=2000)
 
     def test_zero_pairs_empty_network_with_warning(self):
-        snapshot = make_snapshot([make_record("solo", year=2000, refs=[], count=1)])
+        store = make_store([make_record("solo", year=2000, refs=[], count=1)])
         with pytest.warns(UserWarning, match="no co-citation pairs"):
-            network = build_network(Dataset("d", {"solo"}), snapshot, loose_config())
+            network = build_network(Dataset("d", {"solo"}), store, loose_config())
         assert len(network.nodes) == 0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), lby=st.sampled_from([2, 5, 10, None]))
     def test_bruteforce_pair_oracle(self, seed, lby):
         rng = random.Random(seed)
-        snapshot, dataset = cocite_corpus(rng, n_citers=40, n_refs=25)
+        store, dataset = cocite_corpus(rng, n_citers=40, n_refs=25)
         config = loose_config(lby=lby)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a tight lby may leave zero pairs
-            network = build_network(dataset, snapshot, config)
-        weight, first = brute_force_pairs(snapshot, sorted(dataset.member_ids), lby)
+            network = build_network(dataset, store, config)
+        weight, first = brute_force_pairs(store, sorted(dataset.member_ids), lby)
         assert {p: e.weight for p, e in network.edges.items()} == weight
         assert {p: e.first_cocited_year for p, e in network.edges.items()} == first
 
@@ -329,13 +329,13 @@ class TestBuildNetwork:
     @given(seed=st.integers(0, 10**6))
     def test_lby_monotonicity(self, seed):
         rng = random.Random(seed)
-        snapshot, dataset = cocite_corpus(rng, n_citers=30, n_refs=20)
+        store, dataset = cocite_corpus(rng, n_citers=30, n_refs=20)
         previous_edges: set = set()
         previous_nodes: set = set()
         for lby in (2, 5, 10, None):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                network = build_network(dataset, snapshot, loose_config(lby=lby))
+                network = build_network(dataset, store, loose_config(lby=lby))
             assert previous_edges <= set(network.edges)
             assert previous_nodes <= set(network.nodes)
             previous_edges = set(network.edges)
@@ -403,8 +403,8 @@ class TestPruneLinks:
     @given(seed=st.integers(0, 10**6), lrf=st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     def test_bound_property(self, seed, lrf):
         rng = random.Random(seed)
-        snapshot, dataset = cocite_corpus(rng, 30, 20)
-        network = build_network(dataset, snapshot, loose_config())
+        store, dataset = cocite_corpus(rng, 30, 20)
+        network = build_network(dataset, store, loose_config())
         pruned = prune_links(network, lrf)
         assert len(pruned.edges) <= int(lrf * len(pruned.nodes))
         assert pruned.nodes == network.nodes
@@ -509,8 +509,8 @@ class TestStats:
         assert (stats.nodes, stats.edges, stats.lcc_size) == (0, 0, 0)
 
     def test_recount_on_synthetic_network(self, rng):
-        snapshot, dataset = cocite_corpus(rng, 25, 15)
-        network = build_network(dataset, snapshot, loose_config())
+        store, dataset = cocite_corpus(rng, 25, 15)
+        network = build_network(dataset, store, loose_config())
         stats = network_stats(network)
         assert stats.nodes == len(network.nodes)
         assert stats.edges == len(network.edges)

@@ -25,7 +25,7 @@ from citecascade.labeling import (
     tokenize,
 )
 
-from conftest import make_record, make_snapshot
+from conftest import make_record, make_store
 
 
 def phrase_document_frequencies(texts: list[str]) -> dict[str, int]:
@@ -37,22 +37,22 @@ def phrase_document_frequencies(texts: list[str]) -> dict[str, int]:
     return df
 
 
-def label_alone(members, snapshot, index: int, background_members) -> str:
+def label_alone(members, store, index: int, background_members) -> str:
     """Unindexed reference: one cluster labeled alone, with its own walks of the
     citers and its own phrase index."""
 
     def citers_of(ids):
-        return {c for m in ids if m in snapshot for c in snapshot.get_citers(m)}
+        return {c for m in ids if m in store for c in store.get_citers(m)}
 
     background = citers_of(background_members)
-    phrase_index = PhraseIndex(snapshot)
+    phrase_index = PhraseIndex(store)
     return label_cluster(
         citers_of(members), index, background, phrase_index, phrase_index.title_frequencies(background)
     )
 
 
-def concept_tree(members, snapshot) -> ConceptTree:
-    return build_concept_tree(cited_by(members, snapshot), snapshot, PhraseIndex(snapshot))
+def concept_tree(members, store) -> ConceptTree:
+    return build_concept_tree(cited_by(members, store), store, PhraseIndex(store))
 
 
 class TestPhraseExtraction:
@@ -84,7 +84,7 @@ class TestPhraseExtraction:
 
     def test_index_frequencies_match_uncached_count(self):
         texts = ["alpha alpha beta", "alpha", "beta gamma of alpha", "alpha"]
-        index = PhraseIndex(make_snapshot([]))
+        index = PhraseIndex(make_store([]))
         assert index.frequencies(texts) == phrase_document_frequencies(texts)
 
 
@@ -113,16 +113,16 @@ def _two_cluster_world(cluster_titles: dict[str, list[str]]):
                 make_record(f"cit{citer_index:02d}", year=2005, refs=[member], title=title)
             )
             citer_index += 1
-    snapshot = make_snapshot(records)
+    store = make_store(records)
     network = CoCitationNetwork(network_nodes, {}, NetworkConfig())
-    return network, snapshot
+    return network, store
 
 
 class TestLabelCluster:
     def test_unanimous_phrase_wins(self):
         # Every cluster citer says "drug discovery"; elsewhere the unigrams
         # appear separately, so the bigram is the uniquely best-associated phrase.
-        network, snapshot = _two_cluster_world(
+        network, store = _two_cluster_world(
             {
                 "m1": [
                     "drug discovery pipelines",
@@ -136,42 +136,42 @@ class TestLabelCluster:
                 ],
             }
         )
-        assert label_alone({"m1"}, snapshot, 0, network.nodes) == "drug discovery"
+        assert label_alone({"m1"}, store, 0, network.nodes) == "drug discovery"
 
     def test_planted_distinctive_bigrams(self):
         # Unigram document frequencies are identical across clusters (LLR 0);
         # only the planted bigrams separate them. Verified by hand: the
         # bigram scores 2*(3ln2+3ln2) = 12 ln 2, any trigram scores less.
-        network, snapshot = _two_cluster_world(
+        network, store = _two_cluster_world(
             {
                 "m1": ["alpha beta analysis", "alpha beta methods", "alpha beta review"],
                 "m2": ["beta alpha analysis", "beta alpha methods", "beta alpha review"],
             }
         )
-        assert label_alone({"m1"}, snapshot, 0, network.nodes) == "alpha beta"
-        assert label_alone({"m2"}, snapshot, 1, network.nodes) == "beta alpha"
+        assert label_alone({"m1"}, store, 0, network.nodes) == "alpha beta"
+        assert label_alone({"m2"}, store, 1, network.nodes) == "beta alpha"
 
     def test_no_citers_gives_unlabeled(self):
-        network, snapshot = _two_cluster_world({"m1": ["some title"]})
+        network, store = _two_cluster_world({"m1": ["some title"]})
         network.nodes["orphan"] = NodeInfo(0, 1990)
-        snapshot_with_orphan = make_snapshot(
+        store_with_orphan = make_store(
             [make_record("orphan", year=1990), make_record("m1", year=1990)]
         )
         assert (
-            label_alone({"orphan"}, snapshot_with_orphan, 7, network.nodes)
+            label_alone({"orphan"}, store_with_orphan, 7, network.nodes)
             == "unlabeled-7"
         )
 
     def test_single_cluster_falls_back_to_frequent_bigram(self):
         # Background == cluster, so nothing is overrepresented; the most
         # frequent title bigram takes over.
-        network, snapshot = _two_cluster_world(
+        network, store = _two_cluster_world(
             {"m1": ["gene therapy advances", "gene therapy trials", "gene therapy"]}
         )
-        assert label_alone({"m1"}, snapshot, 0, network.nodes) == "gene therapy"
+        assert label_alone({"m1"}, store, 0, network.nodes) == "gene therapy"
 
     def test_explicit_background_narrows_comparison(self):
-        network, snapshot = _two_cluster_world(
+        network, store = _two_cluster_world(
             {
                 "m1": ["spatial indexing methods", "spatial indexing review"],
                 "m2": ["spatial queries survey", "stream indexing survey"],
@@ -179,10 +179,10 @@ class TestLabelCluster:
         )
         background = set()
         for member in ("m1", "m2"):
-            background.update(snapshot.get_citers(member))
-        index = PhraseIndex(snapshot)
+            background.update(store.get_citers(member))
+        index = PhraseIndex(store)
         label = label_cluster(
-            cited_by({"m1"}, snapshot), 0, background, index, index.title_frequencies(background)
+            cited_by({"m1"}, store), 0, background, index, index.title_frequencies(background)
         )
         assert label == "spatial indexing"
 
@@ -206,8 +206,8 @@ class TestConceptTree:
         records = [make_record("m", year=1990)]
         for i, title in enumerate(titles):
             records.append(make_record(f"c{i:02d}", year=2005, refs=["m"], title=title))
-        snapshot = make_snapshot(records)
-        tree = concept_tree({"m"}, snapshot)
+        store = make_store(records)
+        tree = concept_tree({"m"}, store)
         edges = self._tree_edges(tree)
         assert ("fish oil", "fish oil supplementation") in edges
         assert ("fish", "fish oil") in edges  # tie on support, alphabetical unigram
@@ -216,8 +216,8 @@ class TestConceptTree:
         records = [make_record("m", year=1990)]
         records.append(make_record("c1", year=2005, refs=["m"], title="alpha"))
         records.append(make_record("c2", year=2005, refs=["m"], title="beta"))
-        snapshot = make_snapshot(records)
-        tree = concept_tree({"m"}, snapshot)
+        store = make_store(records)
+        tree = concept_tree({"m"}, store)
         assert {r.phrase for r in tree.roots} == {"alpha", "beta"}
         assert all(not r.children for r in tree.roots)
 
@@ -226,8 +226,8 @@ class TestConceptTree:
         records = [make_record("m", year=1990)]
         for i, title in enumerate(titles):
             records.append(make_record(f"c{i:02d}", year=2005, refs=["m"], title=title))
-        snapshot = make_snapshot(records)
-        tree = concept_tree({"m"}, snapshot)
+        store = make_store(records)
+        tree = concept_tree({"m"}, store)
         expected_edges = {
             ("fish", "fish oil"),
             ("fish oil", "fish oil supplementation"),
@@ -249,8 +249,8 @@ class TestConceptTree:
         records = [make_record("m", year=1990)]
         for i, title in enumerate(titles):
             records.append(make_record(f"c{i:02d}", year=2005, refs=["m"], title=title))
-        snapshot = make_snapshot(records)
-        tree = concept_tree({"m"}, snapshot)
+        store = make_store(records)
+        tree = concept_tree({"m"}, store)
 
         def check(node):
             for child in node.children:
@@ -262,8 +262,8 @@ class TestConceptTree:
 
     def test_no_text_gives_empty_tree(self):
         records = [make_record("m", year=1990)]
-        snapshot = make_snapshot(records)
-        tree = concept_tree({"m"}, snapshot)
+        store = make_store(records)
+        tree = concept_tree({"m"}, store)
         assert tree.roots == []
         assert tree.to_text() == ""
 
@@ -271,8 +271,8 @@ class TestConceptTree:
         records = [make_record("m", year=1990)]
         for i, title in enumerate(["fish oil"] * 2 + ["fish oil diets"]):
             records.append(make_record(f"c{i}", year=2005, refs=["m"], title=title))
-        snapshot = make_snapshot(records)
-        text = concept_tree({"m"}, snapshot).to_text()
+        store = make_store(records)
+        text = concept_tree({"m"}, store).to_text()
         assert "fish oil (3)" in text
         assert "  fish oil (3)" in text or "fish (3)" in text
 
@@ -291,8 +291,8 @@ class TestConceptTree:
         records = [make_record("m", year=1990)]
         for i, words in enumerate(titles):
             records.append(make_record(f"c{i}", year=2005, refs=["m"], title=" ".join(words)))
-        snapshot = make_snapshot(records)
-        tree = concept_tree({"m"}, snapshot)
+        store = make_store(records)
+        tree = concept_tree({"m"}, store)
 
         support = phrase_document_frequencies([" ".join(words) for words in titles])
         expected, roots = set(), set()
@@ -322,18 +322,18 @@ class TestSharedPhraseIndex:
 
     @pytest.fixture(scope="class")
     def labeled(self, bundled_world):
-        network, snapshot = bundled_world
+        network, store = bundled_world
         partition = detect_communities(network)
-        phrase_index = PhraseIndex(snapshot)
+        phrase_index = PhraseIndex(store)
         clusters = partition.clusters()
-        citers = [cited_by(m, snapshot) for m in clusters]
+        citers = [cited_by(m, store) for m in clusters]
         label_all_clusters(partition, citers, set().union(*citers), phrase_index)
         top = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))[:3]
-        return network, snapshot, partition, phrase_index, clusters, citers, top
+        return network, store, partition, phrase_index, clusters, citers, top
 
     def test_level1_labels_match_unindexed_label_cluster(self, labeled):
-        network, snapshot, partition, _index, clusters, _citers, _top = labeled
-        unindexed = {i: label_alone(m, snapshot, i, network.nodes) for i, m in enumerate(clusters)}
+        network, store, partition, _index, clusters, _citers, _top = labeled
+        unindexed = {i: label_alone(m, store, i, network.nodes) for i, m in enumerate(clusters)}
         assert partition.labels == unindexed
         # Labels of the same partition before the index existed.
         assert _digest(partition.labels) == (
@@ -341,17 +341,17 @@ class TestSharedPhraseIndex:
         )
 
     def test_level2_labels_match_unindexed_label_cluster(self, labeled):
-        network, snapshot, _partition, phrase_index, clusters, citers, top = labeled
+        network, store, _partition, phrase_index, clusters, citers, top = labeled
         level2 = {}
         for parent in top:
             members = clusters[parent]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 sub = sub_cluster(members, network, parent)
-            sub_citers = [cited_by(m, snapshot) for m in sub.clusters()]
+            sub_citers = [cited_by(m, store) for m in sub.clusters()]
             label_all_clusters(sub, sub_citers, citers[parent], phrase_index)
             assert sub.labels == {
-                i: label_alone(m, snapshot, i, members) for i, m in enumerate(sub.clusters())
+                i: label_alone(m, store, i, members) for i, m in enumerate(sub.clusters())
             }
             level2[str(parent)] = sub.labels
         assert _digest(level2) == (
@@ -359,11 +359,11 @@ class TestSharedPhraseIndex:
         )
 
     def test_concept_trees_unchanged(self, labeled):
-        _network, snapshot, _partition, phrase_index, clusters, citers, top = labeled
+        _network, store, _partition, phrase_index, clusters, citers, top = labeled
         trees = {}
         for index in top:
-            shared = build_concept_tree(citers[index], snapshot, phrase_index)
-            alone = concept_tree(clusters[index], snapshot)
+            shared = build_concept_tree(citers[index], store, phrase_index)
+            alone = concept_tree(clusters[index], store)
             assert shared.to_json_dict() == alone.to_json_dict()
             trees[str(index)] = shared.to_json_dict()
         assert _digest(trees) == (
@@ -371,7 +371,7 @@ class TestSharedPhraseIndex:
         )
 
     def test_each_text_tokenized_once(self, labeled, monkeypatch):
-        _network, snapshot, _partition, _index, clusters, _citers, _top = labeled
+        _network, store, _partition, _index, clusters, _citers, _top = labeled
         import citecascade.labeling as labeling
 
         calls = []
@@ -382,8 +382,8 @@ class TestSharedPhraseIndex:
             return original(text)
 
         monkeypatch.setattr(labeling, "extract_phrases", counting)
-        phrase_index = PhraseIndex(snapshot)
+        phrase_index = PhraseIndex(store)
         for members in clusters:
-            build_concept_tree(cited_by(members, snapshot), snapshot, phrase_index)
-            build_concept_tree(cited_by(members, snapshot), snapshot, phrase_index)
+            build_concept_tree(cited_by(members, store), store, phrase_index)
+            build_concept_tree(cited_by(members, store), store, phrase_index)
         assert calls and len(calls) == len(set(calls))

@@ -160,8 +160,8 @@ class TestIngestJsonl:
         twice = RecordStore()
         twice.ingest(path, "jsonl")
         twice.ingest(path, "jsonl")
-        assert [r.to_json_dict() for r in once.records()] == [
-            r.to_json_dict() for r in twice.records()
+        assert [r.to_json_dict() for r in map(once.get, once.ids())] == [
+            r.to_json_dict() for r in map(twice.get, twice.ids())
         ]
 
     def test_load_report_csv(self, tmp_path):
@@ -376,11 +376,12 @@ class TestPersistence:
         store.insert(make_record("p2", count=7))
         path = tmp_path / "store.jsonl"
         path.write_text(
-            "".join(json.dumps(r.to_json_dict()) + "\n" for r in store.records()), encoding="utf-8"
+            "".join(json.dumps(store.get(i).to_json_dict()) + "\n" for i in store.ids()),
+            encoding="utf-8",
         )
         loaded = RecordStore.load(path)
-        assert [r.to_json_dict() for r in loaded.records()] == [
-            r.to_json_dict() for r in store.records()
+        assert [r.to_json_dict() for r in map(loaded.get, loaded.ids())] == [
+            r.to_json_dict() for r in map(store.get, store.ids())
         ]
 
     def test_json_lines_one_per_record_in_first_seen_order(self, tmp_path):

@@ -25,6 +25,7 @@ from citecascade.overlay import project_overlay
 from citecascade.records import Dataset, YearDistribution
 from citecascade.render import (
     DATASET_PALETTE,
+    LAYOUT_SEED,
     blend_colors,
     layout,
     render_distribution,
@@ -176,7 +177,7 @@ class TestLayout:
     def test_bundled_network_positions_pinned(self, bundled_world):
         # Digest of the positions the dense all-pairs implementation produced;
         # the row-blocked layout must reproduce them bit for bit.
-        network, _snapshot = bundled_world
+        network, _store = bundled_world
         assert (len(network.nodes), len(network.edges)) == (341, 1364)
         positions = json.dumps(sorted(layout(network, 42).items()))
         assert hashlib.sha256(positions.encode()).hexdigest() == (
@@ -209,6 +210,11 @@ class TestLayout:
         assert layout(network, seed) == einsum_layout(network, seed)
 
 
+def draw(network: CoCitationNetwork, **kwargs) -> str:
+    """The map at the positions every map is drawn at."""
+    return render_map(network, layout(network, LAYOUT_SEED), **kwargs)
+
+
 class TestRenderMap:
     def _triangle(self):
         return simple_network(
@@ -216,7 +222,7 @@ class TestRenderMap:
         )
 
     def test_three_nodes_valid_svg(self):
-        svg = render_map(self._triangle())
+        svg = draw(self._triangle())
         assert len(elements(svg, "circle")) == 3
         assert len(elements(svg, "line")) <= 3
 
@@ -224,7 +230,7 @@ class TestRenderMap:
         network = simple_network(
             {("a", "b"): (1, 2000), ("c", "d"): (2, 2001)}, extra_nodes=("e",)
         )
-        svg = render_map(network)
+        svg = draw(network)
         assert len(elements(svg, "circle")) == len(network.nodes)
         assert len(elements(svg, "line")) == len(network.edges)
 
@@ -232,7 +238,7 @@ class TestRenderMap:
         network = self._triangle()
         one_cluster = ClusterPartition(assignment={n: 0 for n in network.nodes})
         projection = project_overlay(network, [Dataset("only", {"a", "b", "c"})], one_cluster)
-        svg = render_map(network, projection=projection)
+        svg = draw(network, projection=projection)
         fills = {el.attrib["fill"] for el in elements(svg, "circle")}
         assert fills == {DATASET_PALETTE[0]}
 
@@ -241,7 +247,7 @@ class TestRenderMap:
         datasets = [Dataset(f"d{i}", {"a"}) for i in range(3)]
         one_cluster = ClusterPartition(assignment={n: 0 for n in network.nodes})
         projection = project_overlay(network, datasets, one_cluster)
-        svg = render_map(network, projection=projection)
+        svg = draw(network, projection=projection)
         # One panel per dataset: every node drawn in each panel.
         assert len(elements(svg, "circle")) == 3 * len(network.nodes)
 
@@ -251,22 +257,22 @@ class TestRenderMap:
         network = simple_network({("c5n0", "c5n1"): (1, 2000)}, extra_nodes=tuple(assignment))
         partition = ClusterPartition(assignment=assignment)
         partition.labels = {c: f"theme {c}" for c in range(6)}
-        svg = render_map(network, partition=partition)
+        svg = draw(network, partition=partition)
         texts = [el.text for el in elements(svg, "text")]
         assert texts == [f"#{c} theme {c}" for c in (5, 4, 3, 2, 1)]
 
     def test_byte_identical_rendering(self):
         network = self._triangle()
-        assert render_map(network) == render_map(network)
+        assert draw(network) == draw(network)
 
     def test_tooltips_present(self):
-        svg = render_map(self._triangle())
+        svg = draw(self._triangle())
         titles = elements(svg, "title")
         assert len(titles) == 3
         assert any("cited" in (t.text or "") for t in titles)
 
     def test_html_wrapper_self_contained(self):
-        svg = render_map(self._triangle())
+        svg = draw(self._triangle())
         html = wrap_html(svg, title="demo")
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html and "</html>" in html
@@ -274,7 +280,7 @@ class TestRenderMap:
 
     def test_empty_network_errors(self):
         with pytest.raises(ValidationError):
-            render_map(CoCitationNetwork({}, {}, NetworkConfig()))
+            render_map(CoCitationNetwork({}, {}, NetworkConfig()), {})
 
 
 class TestRenderDistribution:

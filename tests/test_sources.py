@@ -1,4 +1,4 @@
-"""Citation snapshot: lookups, counts, search."""
+"""Citation lookups and counts of the record store; search."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from citecascade.errors import UnknownPublicationError, ValidationError
 from citecascade.sources import SourceQuery, search
 
-from conftest import make_record, make_snapshot, make_store, random_citation_dag
+from conftest import make_record, make_store, random_citation_dag
 
 
 class TestReferences:
@@ -20,83 +20,112 @@ class TestReferences:
         refs = [f"r{i:02d}" for i in range(25)]
         records = [make_record("seed", year=1986, refs=refs, count=421)]
         records += [make_record(r, year=1980) for r in refs]
-        snapshot = make_snapshot(records)
-        assert len(snapshot.get_references("seed")) == 25
+        store = make_store(records)
+        assert len(store.get_references("seed")) == 25
 
     def test_zero_references_is_found_not_missing(self):
-        snapshot = make_snapshot([make_record("p1")])
-        assert snapshot.get_references("p1") == []
+        store = make_store([make_record("p1")])
+        assert store.get_references("p1") == []
 
     def test_unknown_id_raises_not_found(self):
-        snapshot = make_snapshot([make_record("p1")])
+        store = make_store([make_record("p1")])
         with pytest.raises(UnknownPublicationError):
-            snapshot.get_references("ghost")
+            store.get_references("ghost")
 
     def test_unresolvable_refs_reported_separately(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [make_record("p1", refs=["known", "missing"]), make_record("known")]
         )
-        assert snapshot.get_references("p1") == ["known"]
-        assert snapshot.unresolved_references("p1") == ["missing"]
+        assert store.get_references("p1") == ["known"]
+        assert store.unresolved_references("p1") == ["missing"]
 
 
 class TestCiters:
     def test_two_known_citers(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [
                 make_record("r"),
                 make_record("p", refs=["r"]),
                 make_record("q", refs=["r"]),
             ]
         )
-        assert snapshot.get_citers("r") == ["p", "q"]
+        assert store.get_citers("r") == ["p", "q"]
 
     def test_excludes_queried_id_and_no_duplicates(self, rng):
-        snapshot = random_citation_dag(rng, 60)
-        for pub_id in snapshot.ids():
-            citers = snapshot.get_citers(pub_id)
+        store = random_citation_dag(rng, 60)
+        for pub_id in store.ids():
+            citers = store.get_citers(pub_id)
             assert pub_id not in citers
             assert len(citers) == len(set(citers))
 
     def test_matches_bruteforce_inverse_scan(self, rng):
-        # 50-record snapshot: citer sets must equal a full scan of reference lists.
-        snapshot = random_citation_dag(rng, 50)
-        for pub_id in snapshot.ids():
+        # 50-record store: citer sets must equal a full scan of reference lists.
+        store = random_citation_dag(rng, 50)
+        for pub_id in store.ids():
             brute = sorted(
                 other
-                for other in snapshot.ids()
-                if pub_id in snapshot.record(other).reference_ids
+                for other in store.ids()
+                if pub_id in store.record(other).reference_ids
             )
-            assert snapshot.get_citers(pub_id) == brute
+            assert store.get_citers(pub_id) == brute
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_inverse_relation_property(self, seed):
-        snapshot = random_citation_dag(random.Random(seed), 30)
-        for a in snapshot.ids():
-            for b in snapshot.ids():
-                assert (a in snapshot.get_references(b)) == (b in snapshot.get_citers(a))
+        store = random_citation_dag(random.Random(seed), 30)
+        for a in store.ids():
+            for b in store.ids():
+                assert (a in store.get_references(b)) == (b in store.get_citers(a))
 
 
 class TestCitationCount:
     def test_reported_count_preferred(self):
-        snapshot = make_snapshot([make_record("p", count=157)])
-        assert snapshot.citation_count("p") == 157
+        store = make_store([make_record("p", count=157)])
+        assert store.citation_count("p") == 157
 
     def test_snapshot_local_fallback_flagged(self):
-        snapshot = make_snapshot(
+        store = make_store(
             [make_record("r")] + [make_record(f"c{i}", refs=["r"]) for i in range(3)]
         )
-        assert snapshot.citation_count("r") == 3
+        assert store.citation_count("r") == 3
 
     def test_isolated_record_counts_zero(self):
-        snapshot = make_snapshot([make_record("p")])
-        assert snapshot.citation_count("p") == 0
+        store = make_store([make_record("p")])
+        assert store.citation_count("p") == 0
 
     def test_unknown_id_raises(self):
-        snapshot = make_snapshot([make_record("p")])
+        store = make_store([make_record("p")])
         with pytest.raises(UnknownPublicationError):
-            snapshot.citation_count("ghost")
+            store.citation_count("ghost")
+
+
+class TestStoreChanges:
+    """A change to the store after a citation query shows in the next query."""
+
+    def test_insert_after_query_adds_citer(self):
+        store = make_store([make_record("x"), make_record("p", refs=["x"])])
+        assert store.get_citers("x") == ["p"]
+        assert store.citation_count("x") == 1
+        store.insert(make_record("q", refs=["x"]))
+        assert store.get_citers("x") == ["p", "q"]
+        assert store.citation_count("x") == 2
+
+    def test_replace_after_query_drops_citer(self):
+        store = make_store(
+            [make_record("x"), make_record("p", refs=["x"]), make_record("q", refs=["x"])]
+        )
+        assert store.get_citers("x") == ["p", "q"]
+        assert store.citation_count("x") == 2
+        store.replace(make_record("p", refs=[]))
+        assert store.get_citers("x") == ["q"]
+        assert store.citation_count("x") == 1
+
+    def test_insert_after_query_resolves_reference(self):
+        store = make_store([make_record("p", refs=["x"])])
+        assert store.unresolved_references("p") == ["x"]
+        store.insert(make_record("x"))
+        assert store.get_references("p") == ["x"]
+        assert store.get_citers("x") == ["p"]
 
 
 class TestSearch:
@@ -136,17 +165,31 @@ class TestSearch:
         assert hits.member_ids == {"p1"}
 
     def test_equals_bruteforce_substring_scan(self, rng):
-        snapshot = random_citation_dag(rng, 100)
-        store = make_store(snapshot.record(pub_id) for pub_id in snapshot.ids())
+        store = random_citation_dag(rng, 100)
         phrase = "article n00"
         hits = search(store, SourceQuery("phrase-in-title-abstract", [phrase]), "q")
         brute = set()
-        for pub_id in snapshot.ids():
-            record = snapshot.record(pub_id)
-            text = record.title.lower() + " " + (record.abstract or "").lower()
-            if phrase in text:
+        for pub_id in store.ids():
+            record = store.record(pub_id)
+            if phrase in record.title.lower() or phrase in (record.abstract or "").lower():
                 brute.add(pub_id)
         assert hits.member_ids == brute
+
+    def test_phrase_across_title_abstract_boundary_not_matched(self):
+        store = make_store(
+            [
+                make_record(
+                    "p1",
+                    title="Safe exploration for reinforcement",
+                    abstract="Learning to act under constraints.",
+                )
+            ]
+        )
+        for kind in ("phrase-in-title-abstract", "phrase-in-fulltext-proxy"):
+            hits = search(store, SourceQuery(kind, ["reinforcement learning"]), "q")
+            assert hits.member_ids == set()
+        hits = search(store, SourceQuery("phrase-in-title-abstract", ["learning to act"]), "q")
+        assert hits.member_ids == {"p1"}
 
     def test_id_lookup_kind(self):
         store = make_store([make_record("p1"), make_record("p2")])
