@@ -14,7 +14,6 @@ from .cocitation import (
     CoCitationNetwork,
     NetworkConfig,
     build_network,
-    largest_connected_component,
     network_stats,
     prune_links,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "dataset_union",
     "detect_communities",
     "label_cluster",
-    "largest_connected_component",
     "layout",
     "modularity",
     "network_stats",

@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("expand", help="run a staged citation-cascade expansion")
     p.add_argument("--name", required=True, help="name for the result dataset")
-    p.add_argument("--spec", help="expansion spec file (JSON)")
     p.add_argument("--seed", action="append", default=[], help="seed id (repeatable)")
     p.add_argument("--stages", help="e.g. F:3 or F:1,B:1 (applied left to right)")
     p.add_argument("--theta-citer", type=int, default=10)
@@ -99,7 +98,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-citations", type=int, default=None)
     p.add_argument("--top-n", type=int, default=None)
     p.add_argument("--slice-years", type=int, default=None)
-    p.add_argument("--e-param", type=_finite_float, default=None, help="recorded, unused")
 
     p = sub.add_parser("cluster", help="detect, score, and label communities")
     p.add_argument("--network", required=True)
@@ -214,18 +212,15 @@ def _cmd_union(args, session: Session) -> int:
 
 
 def _cmd_expand(args, session: Session) -> int:
-    if args.spec:
-        spec = ExpansionSpec.load(args.spec)
-    else:
-        if not args.seed or not args.stages:
-            raise ValidationError("expand needs --spec, or --seed and --stages")
-        spec = ExpansionSpec(
-            seed_ids=set(args.seed),
-            stages=_parse_stages(args.stages),
-            theta_citer=args.theta_citer,
-            theta_ref=args.theta_ref,
-            per_generation_cap=args.cap,
-        )
+    if not args.seed or not args.stages:
+        raise ValidationError("expand needs --seed and --stages")
+    spec = ExpansionSpec(
+        seed_ids=set(args.seed),
+        stages=_parse_stages(args.stages),
+        theta_citer=args.theta_citer,
+        theta_ref=args.theta_ref,
+        per_generation_cap=args.cap,
+    )
     store = session.load_store()
     dataset, trace = run_cascade(store, spec, args.name)
     session.save_dataset(dataset)

@@ -30,8 +30,7 @@ class NetworkConfig:
     """Knobs for network construction.
 
     ``lby`` (look-back years) bounds how much older than its citer a reference
-    may be to participate; None disables the bound. ``e_param`` is recorded
-    for configuration fidelity but plays no role in construction.
+    may be to participate; None disables the bound.
     """
 
     lrf: float = 4.0
@@ -39,15 +38,10 @@ class NetworkConfig:
     min_citations: int = 1
     top_n: int = 100
     slice_years: int = 1
-    e_param: float | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lrf) or self.lrf <= 0:
             raise ValidationError("lrf must be a finite positive number")
-        if self.e_param is not None and not (
-            isinstance(self.e_param, (int, float)) and math.isfinite(self.e_param)
-        ):
-            raise ValidationError("e_param must be a finite number when set")
         if self.lby is not None and self.lby < 1:
             raise ValidationError("lby must be >= 1 when set")
         if self.top_n < 1 or self.slice_years < 1:
@@ -109,13 +103,6 @@ class CoCitationNetwork:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        adj: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
-        for (a, b), info in self.edges.items():
-            adj[a][b] = float(info.weight)
-            adj[b][a] = float(info.weight)
-        return adj
 
     # -- serialization -------------------------------------------------------
 
@@ -366,41 +353,30 @@ def prune_links(network: CoCitationNetwork, lrf: float | None = None) -> CoCitat
 # -- component analysis ---------------------------------------------------------
 
 
-def connected_components_traversal(network: CoCitationNetwork) -> list[set[str]]:
-    """Components by breadth-first traversal; isolated nodes are singletons."""
-    adj = network.adjacency()
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in sorted(network.nodes):
-        if start in seen:
-            continue
-        component = {start}
-        queue = [start]
-        seen.add(start)
-        while queue:
-            current = queue.pop()
-            for neighbor in adj[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        components.append(component)
-    return components
+def components(network: CoCitationNetwork) -> list[list[str]]:
+    """The connected components, each a sorted id list, largest first (ties:
+    smallest id); an isolated node is a component of its own.
+
+    Union-find with path halving over the links; no adjacency map is built.
+    """
+    parent = {node: node for node in network.nodes}
+
+    def root(node: str) -> str:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for a, b in network.edges:
+        parent[root(a)] = root(b)
+    members: dict[str, list[str]] = {}
+    for node in sorted(network.nodes):
+        members.setdefault(root(node), []).append(node)
+    return sorted(members.values(), key=lambda c: (-len(c), c[0]))
 
 
 def round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
-
-
-def largest_connected_component(network: CoCitationNetwork) -> tuple[set[str], int]:
-    """The LCC node set and its share of the network, rounded to integer percent."""
-    if not network.nodes:
-        raise ValidationError("network is empty")
-    components = connected_components_traversal(network)
-    # Deterministic pick: size first, then smallest member id.
-    best = sorted(components, key=lambda c: (-len(c), min(c)))[0]
-    percentage = round_half_up(100.0 * len(best) / len(network.nodes))
-    return best, percentage
 
 
 @dataclass
@@ -416,6 +392,6 @@ def network_stats(network: CoCitationNetwork) -> NetworkStats:
     n, m = len(network.nodes), len(network.edges)
     if n == 0:
         return NetworkStats(0, 0, 0, 0, 0)
-    lcc, pct = largest_connected_component(network)
-    exact = 100.0 * len(lcc) / n
-    return NetworkStats(n, m, len(lcc), pct, math.floor(exact))
+    lcc = len(components(network)[0])
+    exact = 100.0 * lcc / n
+    return NetworkStats(n, m, lcc, round_half_up(exact), math.floor(exact))

@@ -11,11 +11,9 @@ admitted; seeds bypass the filters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import FormatError, UnknownPublicationError, ValidationError
+from .errors import UnknownPublicationError, ValidationError
 from .records import Dataset, RecordStore, csv_text
 
 FORWARD = "FORWARD"
@@ -84,30 +82,6 @@ class ExpansionSpec:
         if self.per_generation_cap is not None:
             out["cap"] = self.per_generation_cap
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExpansionSpec":
-        seeds, cap = data["seeds"], data.get("cap")
-        if not isinstance(seeds, list) or not all(isinstance(s, str) for s in seeds):
-            raise TypeError("seeds must be a list of ids")
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
-            raise TypeError("cap must be an integer")
-        return cls(
-            seed_ids=set(seeds),
-            stages=[ExpansionStage(s["dir"], int(s["gens"])) for s in data["stages"]],
-            theta_citer=int(data.get("theta_citer", 0)),
-            theta_ref=int(data.get("theta_ref", 0)),
-            per_generation_cap=cap,
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExpansionSpec":
-        """Read a spec file; unreadable JSON, missing keys and wrong types are a FormatError."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-            raise FormatError(f"unreadable expansion spec {path}: {exc!r}") from None
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from .clustering import ClusterPartition
-from .cocitation import CoCitationNetwork, connected_components_traversal, network_arrays
+from .cocitation import CoCitationNetwork, components, network_arrays
 from .errors import ValidationError
 from .overlay import OverlayProjection
 from .records import YearDistribution
@@ -48,7 +48,9 @@ LAYOUT_BLOCK = 32  # rows of the force computation held in memory at once
 
 
 def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, float]]:
-    """Seeded force-directed positions with disconnected components separated.
+    """Seeded force-directed positions, then each connected component shifted
+    apart along x in :func:`~citecascade.cocitation.components` order, so no
+    two components' bounding boxes overlap.
 
     Fixed iteration budget; identical network+seed gives identical positions.
     Each iteration computes repulsion and attraction (Fruchterman & Reingold
@@ -122,14 +124,12 @@ def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, floa
         positions += displacement.T / length[:, None] * np.minimum(length, temperature)[:, None]
         temperature -= cooling
 
-    # Separation pass: shift whole components so bounding boxes cannot overlap.
-    components = sorted(
-        connected_components_traversal(network), key=lambda c: (-len(c), min(c))
-    )
-    if len(components) > 1:
+    # Separation pass: components side by side along x, largest first.
+    parts = components(network)
+    if len(parts) > 1:
         cursor = 0.0
-        for component in components:
-            idxs = np.array(sorted(index[m] for m in component), dtype=int)
+        for part in parts:
+            idxs = np.array([index[m] for m in part], dtype=int)
             block = positions[idxs]
             lo = block.min(axis=0)
             span = block.max(axis=0) - lo

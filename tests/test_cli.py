@@ -153,24 +153,19 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "lcc_pct_rounded" in out and "lcc_pct_truncated" in out
 
-    def test_expand_from_spec_file(self, tmp_path, corpus):
+    def test_expand_forward_then_backward_by_flags(self, tmp_path, corpus):
         session_dir = tmp_path / "sess"
         run(session_dir, "ingest", str(corpus))
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            json.dumps(
-                {
-                    "seeds": ["seed"],
-                    "stages": [{"dir": "F", "gens": 1}, {"dir": "B", "gens": 1}],
-                    "theta_citer": 0,
-                    "theta_ref": 0,
-                }
-            ),
-            encoding="utf-8",
-        )
-        assert run(session_dir, "expand", "--name", "NB", "--spec", str(spec_path)) == 0
+        assert run(session_dir, "expand", "--name", "NB", "--seed", "seed", "--stages", "F:1,B:1",
+                   "--theta-citer", "0", "--theta-ref", "0") == 0
         dataset = json.loads((session_dir / "datasets" / "NB.json").read_text())
         assert "seed" in dataset["member_ids"]
+        assert dataset["provenance"]["spec"] == {
+            "seeds": ["seed"],
+            "stages": [{"dir": "F", "gens": 1}, {"dir": "B", "gens": 1}],
+            "theta_citer": 0,
+            "theta_ref": 0,
+        }
 
     def test_ingest_registers_dataset(self, tmp_path, corpus):
         session_dir = tmp_path / "sess"
@@ -193,10 +188,13 @@ class TestPipeline:
 
 class TestExitCodes:
     def test_unknown_command_exits_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run(tmp_path / "s", "frobnicate")
-        assert excinfo.value.code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # An option the command does not have exits 2 the same way.
+        for argv in (["frobnicate"], ["expand", "--name", "x", "--spec", "f.json"],
+                     ["network", "--dataset", "a", "--e-param", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run(tmp_path / "s", *argv)
+            assert excinfo.value.code == 2
+            one_error_line(capsys)
 
     def test_compare_single_dataset_exits_3(self, tmp_path, corpus, capsys):
         session_dir = tmp_path / "sess"
@@ -238,7 +236,7 @@ class TestExitCodes:
             *(pytest.param([v], id=f"separate{v}") for v in ("-inf", "-nan", "-1e999")),
         ],
     )
-    @pytest.mark.parametrize("flag", ["--lrf", "--e-param"])
+    @pytest.mark.parametrize("flag", ["--lrf"])
     def test_non_finite_network_values_exit_2(self, tmp_path, corpus, capsys, flag, value):
         session_dir = tmp_path / "sess"
         run(session_dir, "ingest", str(corpus), "--dataset", "a")
@@ -391,28 +389,6 @@ class TestBadInput:
         assert "line 5" in one_error_line(capsys)
         assert store_path.read_bytes() == damaged
         assert not (session_dir / "datasets" / "F.json").exists()
-
-    @pytest.mark.parametrize(
-        "content",
-        [
-            pytest.param('{"seeds": ["seed"]}', id="no-stages"),
-            pytest.param('{"seeds": ["seed"], "stages": [', id="not-json"),
-            pytest.param('{"seeds": "seed", "stages": [{"dir": "F", "gens": 1}]}', id="seeds-not-list"),
-            pytest.param('{"seeds": ["seed"], "stages": [{"dir": 1, "gens": 1}]}', id="dir-not-text"),
-            pytest.param('{"seeds": ["seed"], "stages": [{"dir": "F", "gens": 1}], "cap": 2.5}',
-                         id="cap-not-integer"),
-            pytest.param("[1, 2]", id="not-an-object"),
-        ],
-    )
-    def test_unreadable_spec_exits_4(self, tmp_path, corpus, capsys, content):
-        session_dir = tmp_path / "sess"
-        run(session_dir, "ingest", str(corpus))
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(content, encoding="utf-8")
-        capsys.readouterr()
-        assert run(session_dir, "expand", "--name", "S", "--spec", str(spec_path)) == 4
-        assert "unreadable expansion spec" in one_error_line(capsys)
-        assert not (session_dir / "datasets" / "S.json").exists()
 
     @pytest.mark.parametrize("fmt", ["jsonl", "dimensions-csv"])
     def test_non_utf8_ingest_exits_4(self, tmp_path, capsys, fmt):
@@ -920,9 +896,10 @@ class TestRerunnability:
 
 
 # sha256 of the bundled pipeline's clusters.json with its float fields taken out
-# (partitions, labels, top citers and concept trees), recorded before the top
-# citers were ranked from the shared per-cluster citer table.
-BUNDLED_CLUSTERS_SHA256 = "f0b5403fcb441df0a5ab4812452c02c8fa2bd75fe05ccbb199a49e3bc109103d"
+# (partitions, labels, top citers and concept trees). Re-recorded when the
+# network config lost its unused ``e_param``: the ``inputs`` key hashes the
+# network JSON, and nothing else in the file changed.
+BUNDLED_CLUSTERS_SHA256 = "a65e99be3b22140246ab6fa48e5aae8244e5d5c08892f32053522a275966bd35"
 FLOAT_FIELDS = {"modularity", "mean_silhouette", "silhouette"}
 
 
@@ -964,11 +941,12 @@ def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
 
 
 # sha256 of every table the bundled pipeline writes, recorded before every table
-# went through records.csv_text. The layout positions are pinned by the layout
-# digest and TestLayoutCache instead.
+# went through records.csv_text; clusters.csv and coverage.csv re-recorded with
+# the clusters file, for their ``# inputs`` line. The layout positions are pinned
+# by the layout digest and TestLayoutCache instead.
 BUNDLED_TABLE_SHA256 = {
-    "networks/combined.clusters.csv": "5710cad7d0faf6b5ad4f34c4be54946a4be2e9618f90859b15923bfb4c68dec4",
-    "reports/coverage.csv": "96939c307a69fed92200ff830ebf39b09693baa1a4cd30e2b2ca4a91160ecbcf",
+    "networks/combined.clusters.csv": "3c15c7aa1ae4a24da7dd2aca85fefba8e651454343b3b3c30c995fd24d2a080e",
+    "reports/coverage.csv": "0f1ff2bcedf918031eabfc6b7f1cf7c1744d5b3bc8fe3399204558a10b6ac2ec",
     "reports/datasets.csv": "283de53b742be45fd8ba4ac6b2ec9300d0b5aeb2b7461eedec50f4e85a9a7922",
     "reports/networks.csv": "7d43bd05d73e7058ea570694d30e33ed79eb9343155e0f13667adfa503529aa1",
     "reports/overlap.csv": "4ce43f77b326db532f5d02638b57cb7b4c576d63d4a65ca2f9644f9ff9675d6d",

@@ -1,8 +1,8 @@
 """Property: no input a user can supply makes ``cli.main`` raise.
 
-Damaged store logs, spec files, ingest and enrichment files, and numeric
-flags are generated at random and fed to commands run in a copy of a small
-finished session. Every run must end with exit code 0, 2, 3 or 4 (argparse's
+Damaged store logs, ingest and enrichment files, and numeric flags are
+generated at random and fed to commands run in a copy of a small finished
+session. Every run must end with exit code 0, 2, 3 or 4 (argparse's
 ``SystemExit`` counted as its code), and a failing run must print exactly one
 ``error:`` line to stderr.
 """
@@ -95,42 +95,6 @@ def test_damaged_store_log(finished_session, tail, newline):
             assert search == enrich == again == 0
 
 
-SPEC_LIKE = st.fixed_dictionaries(
-    {},
-    optional={
-        "seeds": st.one_of(st.just(["seed"]), JSON_VALUES),
-        "stages": st.one_of(
-            st.lists(
-                st.fixed_dictionaries(
-                    {}, optional={"dir": st.sampled_from(["F", "B", "x"]) | JSON_VALUES,
-                                  "gens": st.integers(-2, 3) | JSON_VALUES}
-                ),
-                max_size=2,
-            ),
-            JSON_VALUES,
-        ),
-        "theta_citer": JSON_VALUES,
-        "theta_ref": st.integers(-1, 3),
-        "cap": st.integers(-1, 3) | JSON_VALUES,
-    },
-)
-
-
-@EXAMPLES
-@given(
-    content=st.one_of(
-        st.binary(max_size=80),
-        JSON_VALUES.map(lambda v: json.dumps(v).encode()),
-        SPEC_LIKE.map(lambda v: json.dumps(v).encode()),
-    )
-)
-def test_spec_files(finished_session, content):
-    with session_copy(finished_session) as work:
-        spec = work / "spec.json"
-        spec.write_bytes(content)
-        run_cli(work / "sess", "expand", "--name", "x", "--spec", str(spec))
-
-
 CSV_COLUMNS = ["Publication ID", "Title", "PubYear", "Cited references", "Times cited"]
 
 
@@ -176,7 +140,6 @@ def test_enrichment_files(finished_session, content):
 
 FLAG_COMMANDS = {
     "--lrf": ["network", "--dataset", "a", "--name", "n2"],
-    "--e-param": ["network", "--dataset", "a", "--name", "n2"],
     "--lby": ["network", "--dataset", "a", "--name", "n2"],
     "--top-n": ["network", "--dataset", "a", "--name", "n2"],
     "--slice-years": ["network", "--dataset", "a", "--name", "n2"],

@@ -21,8 +21,7 @@ from citecascade.cocitation import (
     build_network,
     canonical_pair,
     cocite_pairs,
-    connected_components_traversal,
-    largest_connected_component,
+    components,
     network_arrays,
     network_stats,
     prune_links,
@@ -62,53 +61,41 @@ def cocite_corpus(rng: random.Random, n_citers: int, n_refs: int):
     return store, Dataset("corpus", set(citer_ids))
 
 
-class _DisjointSet:
-    def __init__(self, items: list[str]):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-
-def connected_components_union_find(network: CoCitationNetwork) -> list[set[str]]:
-    """Components by disjoint-set union; independent check on the traversal."""
-    dsu = _DisjointSet(sorted(network.nodes))
-    for (a, b) in network.edges:
-        dsu.union(a, b)
-    groups: dict[str, set[str]] = {}
-    for node in network.nodes:
-        groups.setdefault(dsu.find(node), set()).add(node)
-    return list(groups.values())
+def connected_components_traversal(network: CoCitationNetwork) -> list[set[str]]:
+    """Components by breadth-first traversal; independent check on the union-find."""
+    neighbors: dict[str, set[str]] = {node: set() for node in network.nodes}
+    for a, b in network.edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    seen: set[str] = set()
+    found: list[set[str]] = []
+    for start in network.nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, frontier = {start}, {start}
+        while frontier:
+            frontier = {m for node in frontier for m in neighbors[node]} - seen
+            seen.update(frontier)
+            component.update(frontier)
+        found.append(component)
+    return found
 
 
 def assert_lcc_matches_union_find(network: CoCitationNetwork) -> None:
-    """The dual LCC check: the traversal's LCC against the union-find components.
+    """The dual LCC check: the union-find components and the LCC that
+    ``network_stats`` reads from them, against the traversal.
 
-    The LCC is the largest component (ties: smallest member id), its share
-    rounded half up to an integer percent.
+    Components are sorted id lists, largest first (ties: smallest id); the
+    LCC is the first, its share rounded half up to an integer percent.
     """
-    by_traversal = sorted(sorted(c) for c in connected_components_traversal(network))
-    components = connected_components_union_find(network)
-    assert by_traversal == sorted(sorted(c) for c in components)
-    best = min(components, key=lambda c: (-len(c), min(c)))
-    expected_pct = math.floor(100.0 * len(best) / len(network.nodes) + 0.5)
-    assert largest_connected_component(network) == (best, expected_pct)
+    by_traversal = sorted((sorted(c) for c in connected_components_traversal(network)),
+                          key=lambda c: (-len(c), c[0]))
+    assert components(network) == by_traversal
+    best = by_traversal[0]
+    stats = network_stats(network)
+    assert stats.lcc_size == len(best)
+    assert stats.lcc_pct == math.floor(100.0 * len(best) / len(network.nodes) + 0.5)
 
 
 def network_from_graphml(text: str) -> CoCitationNetwork:
@@ -415,9 +402,8 @@ class TestComponents:
         network = network_from_edges(
             {("a", "b"): (1, 2000), ("b", "c"): (1, 2000), ("a", "c"): (1, 2000)}
         )
-        lcc, pct = largest_connected_component(network)
-        assert lcc == {"a", "b", "c"}
-        assert pct == 100
+        assert components(network) == [["a", "b", "c"]]
+        assert network_stats(network).lcc_pct == 100
 
     def test_two_components_sizes_4_and_2(self):
         network = network_from_edges(
@@ -428,9 +414,8 @@ class TestComponents:
                 ("x", "y"): (1, 2000),
             }
         )
-        lcc, pct = largest_connected_component(network)
-        assert lcc == {"a", "b", "c", "d"}
-        assert pct == 67  # 4/6 rounds up from 66.67
+        assert components(network) == [["a", "b", "c", "d"], ["x", "y"]]
+        assert network_stats(network).lcc_pct == 67  # 4/6 rounds up from 66.67
 
     def test_rounding_vs_truncation_divergence_reported(self):
         network = network_from_edges({("a", "b"): (1, 2000)})
@@ -443,13 +428,10 @@ class TestComponents:
         network = CoCitationNetwork(
             {"a": NodeInfo(1, 2000), "b": NodeInfo(1, 2000)}, {}, loose_config()
         )
-        components = connected_components_traversal(network)
-        assert sorted(map(sorted, components)) == [["a"], ["b"]]
+        assert components(network) == [["a"], ["b"]]
 
-    def test_empty_network_errors(self):
-        network = CoCitationNetwork({}, {}, loose_config())
-        with pytest.raises(ValidationError):
-            largest_connected_component(network)
+    def test_empty_network_has_no_components(self):
+        assert components(CoCitationNetwork({}, {}, loose_config())) == []
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 40), p=st.floats(0.01, 0.3))
@@ -463,10 +445,14 @@ class TestComponents:
                     edges[(f"v{i}", f"v{j}")] = EdgeInfo(1, 2000)
         network = CoCitationNetwork(nodes, edges, loose_config())
         assert_lcc_matches_union_find(network)
+        found = components(network)
+        assert sorted(node for c in found for node in c) == sorted(nodes)  # a partition
+        assert all(c == sorted(c) for c in found)
+        assert [(-len(c), c[0]) for c in found] == sorted((-len(c), c[0]) for c in found)
 
 
 class TestConfig:
-    @pytest.mark.parametrize("field", ["lrf", "e_param"])
+    @pytest.mark.parametrize("field", ["lrf"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValidationError):
@@ -486,13 +472,15 @@ class TestNetworkArrays:
         arrays = network_arrays(network)
         assert arrays.node_ids == ["a", "b", "c", "d", "e"]
         assert arrays.indptr.tolist() == [0, 2, 4, 5, 6, 6]
-        dense = network.adjacency()
+        expected: dict[str, dict[str, float]] = {node: {} for node in network.nodes}
+        for (a, b), info in network.edges.items():
+            expected[a][b] = expected[b][a] = float(info.weight)
         for i, node in enumerate(arrays.node_ids):
             lo, hi = arrays.indptr[i], arrays.indptr[i + 1]
             row = {
                 arrays.node_ids[j]: w for j, w in zip(arrays.cols[lo:hi], arrays.weights[lo:hi])
             }
-            assert row == dense[node]
+            assert row == expected[node]
             assert (arrays.rows[lo:hi] == i).all()
 
 
@@ -542,6 +530,11 @@ class TestRoundTrips:
         again = CoCitationNetwork.from_json_dict(json.loads(network.to_json()))
         assert again == network
         assert again.config.lby == 10
+        # A network file written while the config had an unused ``e_param``.
+        older = json.loads(network.to_json())
+        older["config"]["e_param"] = 2.0
+        again = CoCitationNetwork.from_json_dict(older)
+        assert again == network and again.config == network.config
 
     def test_graphml_is_wellformed_xml(self):
         text = self._sample_network().to_graphml()

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citecascade.errors import FormatError, UnknownPublicationError, ValidationError
+from citecascade.errors import UnknownPublicationError, ValidationError
 from citecascade.expansion import (
     BACKWARD,
     FORWARD,
@@ -197,43 +196,6 @@ class TestRunCascade:
             ExpansionSpec(seed_ids={"a"}, stages=[ExpansionStage("F", 0)])
         with pytest.raises(ValidationError):
             ExpansionSpec(seed_ids={"a"}, stages=[ExpansionStage("F", 1)], theta_citer=-1)
-
-    def test_spec_json_roundtrip(self, tmp_path):
-        spec = ExpansionSpec(
-            seed_ids={"s2", "s1"},
-            stages=[ExpansionStage("F", 3), ExpansionStage("B", 1)],
-            theta_citer=10,
-            theta_ref=20,
-            per_generation_cap=100,
-        )
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_json_dict()), encoding="utf-8")
-        loaded = ExpansionSpec.load(path)
-        assert loaded == spec
-
-
-    @pytest.mark.parametrize(
-        "content",
-        [
-            "{",
-            '{"seeds": ["a"]}',
-            '{"seeds": ["a"], "stages": [{"dir": "F", "gens": "many"}]}',
-            '{"seeds": ["a"], "stages": [{"dir": "F", "gens": Infinity}]}',
-            '{"seeds": [1], "stages": [{"dir": "F", "gens": 1}]}',
-            '{"seeds": ["a"], "stages": [{"dir": "F", "gens": 1}], "cap": true}',
-        ],
-    )
-    def test_unreadable_spec_is_a_format_error(self, tmp_path, content):
-        path = tmp_path / "spec.json"
-        path.write_text(content, encoding="utf-8")
-        with pytest.raises(FormatError):
-            ExpansionSpec.load(path)
-
-    def test_invalid_spec_values_stay_validation_errors(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text('{"seeds": [], "stages": [{"dir": "F", "gens": 1}]}', encoding="utf-8")
-        with pytest.raises(ValidationError):
-            ExpansionSpec.load(path)
 
 
 class TestTraceReport:

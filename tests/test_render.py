@@ -17,7 +17,6 @@ from citecascade.cocitation import (
     EdgeInfo,
     NetworkConfig,
     NodeInfo,
-    connected_components_traversal,
     network_arrays,
 )
 from citecascade.errors import ValidationError
@@ -33,6 +32,8 @@ from citecascade.render import (
     scale_year_color,
     wrap_html,
 )
+
+from test_cocitation import connected_components_traversal
 
 
 def simple_network(edge_spec: dict[tuple[str, str], tuple[int, int]],
