@@ -333,7 +333,7 @@ def _cmd_compare(args, session: Session) -> int:
         partition = session.load_partition(args.base)
         projection = project_overlay(network, datasets, partition)
         coverage = coverage_report(projection, args.threshold, args.epsilon).to_csv(partition.labels)
-    outputs = [str(session.write_text(session.report_path("overlap.csv"), overlap_text))]
+    outputs = [str(session.write_text(session.report_path("compare.csv"), overlap_text))]
     if args.base:
         outputs += map(str, session.save_projection(args.base, projection, coverage))
     print("wrote " + ", ".join(outputs))

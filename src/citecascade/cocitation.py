@@ -132,6 +132,8 @@ class CoCitationNetwork:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
+        """The network ``data`` holds; a ValueError when an edge names a node it
+        does not list."""
         nodes = {n["id"]: NodeInfo(int(n["count"]), int(n["year"])) for n in data["nodes"]}
         edges = {
             canonical_pair(e["source"], e["target"]): EdgeInfo(
@@ -139,6 +141,9 @@ class CoCitationNetwork:
             )
             for e in data["edges"]
         }
+        unknown = {node for pair in edges for node in pair} - nodes.keys()
+        if unknown:
+            raise ValueError(f"edge endpoint {min(unknown)!r} is not a node")
         slices = [
             SliceInfo(int(s["start"]), int(s["end"]), list(s["citers"]))
             for s in data.get("slices", [])

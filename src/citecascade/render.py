@@ -1,5 +1,12 @@
 """Static SVG visuals: network maps, overlay panels, year-distribution charts.
 
+A map's layout works one connected component at a time: each component of two
+or more nodes gets Fruchterman & Reingold forces among its own nodes only, so
+a layout costs O(iterations x sum of squared component sizes), not
+O(iterations x n^2). The components are then packed without scaling, largest
+first, in shelves toward the canvas aspect ratio, with the isolated nodes in a
+grid last, and the map is fitted to the canvas with one scale for both axes.
+
 Everything here is a pure function of its inputs: layouts run a fixed
 iteration budget from seed-derived starting positions, coordinates are
 emitted with fixed precision, and element order is canonical, so identical
@@ -8,12 +15,18 @@ inputs produce byte-identical documents.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
+from typing import TYPE_CHECKING
+
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, components, network_arrays
 from .errors import ValidationError
 from .overlay import OverlayProjection
 from .records import YearDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 YEAR_PALETTE = ["#2c7bb6", "#00a6ca", "#90eb9d", "#ffff8c", "#f9d057", "#d7191c"]
 DATASET_PALETTE = [
@@ -44,19 +57,74 @@ def blend_colors(colors: list[str]) -> str:
 
 LAYOUT_SEED = 42  # part of the positions key: a new value lays every map out again
 LAYOUT_ITERATIONS = 50
+LAYOUT_VERSION = 2  # part of the positions key: positions of another layout are stale
 LAYOUT_BLOCK = 32  # rows of the force computation held in memory at once
+PACK_GAP = 0.1  # layout units between packed boxes, and the isolated nodes' grid pitch
+MAP_WIDTH, MAP_HEIGHT = 800.0, 600.0  # the map canvas; the packing aims at its aspect ratio
 
 
 def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, float]]:
-    """Seeded force-directed positions, then each connected component shifted
-    apart along x in :func:`~citecascade.cocitation.components` order, so no
-    two components' bounding boxes overlap.
+    """Seeded force-directed positions of each connected component on its own,
+    packed into one map; identical network and seed give identical positions.
 
-    Fixed iteration budget; identical network+seed gives identical positions.
-    Each iteration computes repulsion and attraction (Fruchterman & Reingold
-    1991) for ``LAYOUT_BLOCK`` rows at a time against all positions, so time
-    is O(iterations x n^2) but memory is O(n x block + links); no n x n array
-    is built. The per-row arithmetic does not depend on the block size.
+    Each component of two or more nodes runs the Fruchterman & Reingold (1991)
+    kernel (:func:`_force_layout`) from ``seed`` over its own rows of the
+    ``network_arrays`` CSR, with its own k and weight normalisation: exactly
+    the positions that laying out that component alone gives. Time is
+    O(iterations x sum of squared component sizes) and memory O(block x largest
+    component + links). An isolated node gets no iterations.
+
+    The packing only translates (:func:`_pack`): the components in
+    :func:`~citecascade.cocitation.components` order, largest first, go left to
+    right in shelves whose width aims the map at the canvas aspect ratio, and
+    the isolated nodes follow in a grid below them. No two component boxes or
+    grid cells overlap.
+    """
+    if not network.nodes:
+        raise ValidationError("cannot lay out an empty network")
+    laid, isolated = _component_layouts(network, seed)
+    return _pack(laid, isolated)
+
+
+def _component_layouts(
+    network: CoCitationNetwork, seed: int
+) -> tuple[list[tuple[list[str], np.ndarray]], list[str]]:
+    """The components of two or more nodes, largest first, each with its
+    kernel positions in the order of its sorted ids; then the isolated node ids."""
+    import numpy as np
+
+    arrays = network_arrays(network)
+    laid: list[tuple[list[str], np.ndarray]] = []
+    isolated: list[str] = []
+    local = np.empty(len(arrays.node_ids), dtype=np.intp)  # global index -> index in its component
+    for part in components(network):
+        if len(part) == 1:
+            isolated.append(part[0])
+            continue
+        # Sorted ids have increasing indices, so the component's rows, gathered
+        # in that order and renumbered, are its own CSR.
+        idx = np.fromiter((arrays.index[m] for m in part), dtype=np.intp, count=len(part))
+        starts = arrays.indptr[idx]
+        counts = arrays.indptr[idx + 1] - starts
+        indptr = np.zeros(len(part) + 1, dtype=np.intp)
+        np.cumsum(counts, out=indptr[1:])
+        entries = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        local[idx] = np.arange(len(part))
+        rows = np.repeat(np.arange(len(part)), counts)
+        cols, weights = local[arrays.cols[entries]], arrays.weights[entries]
+        laid.append((part, _force_layout(indptr, rows, cols, weights, seed)))
+    return laid, isolated
+
+
+def _force_layout(indptr, rows, cols, weights, seed: int) -> np.ndarray:
+    """Fruchterman & Reingold positions of a connected network of n >= 2 nodes
+    given as a CSR (``NetworkArrays`` fields), as an n x 2 array.
+
+    Fixed iteration budget from seed-derived starting positions. Each iteration
+    computes repulsion and attraction for ``LAYOUT_BLOCK`` rows at a time
+    against all positions, so time is O(iterations x n^2) but memory is
+    O(n x block + links); no n x n array is built. The per-row arithmetic does
+    not depend on the block size.
 
     Node i moves by the sum over j, in order, of (p_i - p_j) * force(i, j).
     Distance and force are bitwise symmetric in i and j, so a block of rows j
@@ -68,19 +136,12 @@ def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, floa
     """
     import numpy as np
 
-    arrays = network_arrays(network)
-    node_ids, index = arrays.node_ids, arrays.index
-    if not node_ids:
-        raise ValidationError("cannot lay out an empty network")
-    if len(node_ids) == 1:
-        return {node_ids[0]: (0.0, 0.0)}
-
-    n = len(node_ids)
+    n = len(indptr) - 1
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.0, 1.0, size=(n, 2))
 
-    top = float(arrays.weights.max(initial=0.0))
-    weights = arrays.weights / top if top > 0 else arrays.weights
+    top = float(weights.max(initial=0.0))
+    weights = weights / top if top > 0 else weights
 
     k = float(np.sqrt(1.0 / n))
     temperature = 0.1
@@ -112,8 +173,8 @@ def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, floa
             # force = k^2 / d^2 - adjacency * d / k; where adjacency is 0 the
             # second term is exactly 0, so only linked pairs subtract it.
             np.divide(k * k, np.square(distance, out=force), out=force)
-            lo, hi = arrays.indptr[start], arrays.indptr[stop]
-            r, c = arrays.rows[lo:hi] - start, arrays.cols[lo:hi]
+            lo, hi = indptr[start], indptr[stop]
+            r, c = rows[lo:hi] - start, cols[lo:hi]
             force[r, c] -= weights[lo:hi] * distance[r, c] / k
             for axis in (0, 1):
                 terms[axis, 0] = displacement[axis]
@@ -123,22 +184,41 @@ def layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, floa
         np.clip(length, 0.01, None, out=length)
         positions += displacement.T / length[:, None] * np.minimum(length, temperature)[:, None]
         temperature -= cooling
+    return positions
 
-    # Separation pass: components side by side along x, largest first.
-    parts = components(network)
-    if len(parts) > 1:
-        cursor = 0.0
-        for part in parts:
-            idxs = np.array([index[m] for m in part], dtype=int)
-            block = positions[idxs]
-            lo = block.min(axis=0)
-            span = block.max(axis=0) - lo
-            margin = 0.2 * max(float(span[0]), float(span[1]), k)
-            positions[idxs, 0] = block[:, 0] - lo[0] + cursor
-            positions[idxs, 1] = block[:, 1] - lo[1]
-            cursor += float(span[0]) + margin
 
-    return {node: (float(positions[index[node], 0]), float(positions[index[node], 1])) for node in node_ids}
+def _pack(laid: list[tuple[list[str], np.ndarray]], isolated: list[str]) -> dict[str, tuple[float, float]]:
+    """Translate each laid-out component into a shelf, in the given order, then
+    put the isolated nodes in a grid below the shelves; positions by sorted id.
+
+    The shelf width is the widest box or the square root of the total area
+    (each box grown by ``PACK_GAP`` in width and height, one ``PACK_GAP``
+    square per isolated node) times the canvas aspect ratio, whichever is
+    larger, so the packed map comes out about as wide for its height as the
+    canvas.
+    """
+    boxes = []
+    for ids, xy in laid:
+        lo = xy.min(axis=0)
+        span = xy.max(axis=0) - lo
+        boxes.append((ids, (xy - lo).tolist(), float(span[0]), float(span[1])))
+    area = sum((w + PACK_GAP) * (h + PACK_GAP) for _ids, _xy, w, h in boxes) + len(isolated) * PACK_GAP**2
+    shelf_width = max(max((w for _ids, _xy, w, _h in boxes), default=0.0),
+                      math.sqrt(area * MAP_WIDTH / MAP_HEIGHT))
+    positions: dict[str, tuple[float, float]] = {}
+    x = y = shelf_height = 0.0
+    for ids, xy, w, h in boxes:
+        if x > 0 and x + w > shelf_width:
+            x, y, shelf_height = 0.0, y + shelf_height + PACK_GAP, 0.0
+        positions.update((node, (px + x, py + y)) for node, (px, py) in zip(ids, xy))
+        x += w + PACK_GAP
+        shelf_height = max(shelf_height, h)
+    if boxes:
+        y += shelf_height + PACK_GAP
+    columns = int(shelf_width // PACK_GAP) + 1
+    for i, node in enumerate(isolated):
+        positions[node] = ((i % columns) * PACK_GAP, y + (i // columns) * PACK_GAP)
+    return dict(sorted(positions.items()))
 
 
 # -- SVG helpers -----------------------------------------------------------------
@@ -176,19 +256,16 @@ def wrap_html(svg_document: str, title: str = "network map") -> str:
 def _fit_positions(
     positions: dict[str, tuple[float, float]], width: float, height: float, pad: float
 ) -> dict[str, tuple[float, float]]:
+    """The positions scaled by one factor on both axes to fill the canvas inside
+    ``pad``, and centred."""
     xs = [p[0] for p in positions.values()]
     ys = [p[1] for p in positions.values()]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span_x = (hi_x - lo_x) or 1.0
-    span_y = (hi_y - lo_y) or 1.0
-    return {
-        node: (
-            pad + (x - lo_x) / span_x * (width - 2 * pad),
-            pad + (y - lo_y) / span_y * (height - 2 * pad),
-        )
-        for node, (x, y) in positions.items()
-    }
+    lo_x, lo_y = min(xs), min(ys)
+    span_x, span_y = max(xs) - lo_x, max(ys) - lo_y
+    scale = min((width - 2 * pad) / (span_x or 1.0), (height - 2 * pad) / (span_y or 1.0))
+    left = (width - span_x * scale) / 2
+    top = (height - span_y * scale) / 2
+    return {node: (left + (x - lo_x) * scale, top + (y - lo_y) * scale) for node, (x, y) in positions.items()}
 
 
 def _node_radii(network: CoCitationNetwork) -> dict[str, float]:
@@ -281,7 +358,7 @@ def render_map(
     """
     if not network.nodes:
         raise ValidationError("cannot render an empty network")
-    width, height, pad = 800.0, 600.0, 30.0
+    width, height, pad = MAP_WIDTH, MAP_HEIGHT, 30.0
     fitted = _fit_positions(positions, width, height, pad)
     radii = _node_radii(network)
     palette = DATASET_PALETTE

@@ -45,7 +45,7 @@ from .cocitation import CoCitationNetwork
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection
 from .records import Dataset, RecordStore, csv_text, json_text
-from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, layout
+from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, LAYOUT_VERSION, layout
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
 
@@ -223,9 +223,9 @@ class Session:
         """The key of an artifact computed from session files ``inputs`` and ``params``:
         each file's path and sha256 (``missing`` once it is gone), then each parameter.
         The clustering's input is its network's JSON; the positions' that, the layout
-        seed and the iteration count; the projection's and coverage's the base network,
-        its clustering and each compared dataset. A stored key is current when it
-        equals the key its inputs give now."""
+        seed, the iteration count and the layout version; the projection's and
+        coverage's the base network, its clustering and each compared dataset. A
+        stored key is current when it equals the key its inputs give now."""
         parts = [
             f"{path.relative_to(self.root).as_posix()}="
             + (hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing")
@@ -238,7 +238,8 @@ class Session:
     def layout_positions(self, name: str, network: CoCitationNetwork) -> dict[str, tuple[float, float]]:
         """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from its
         positions file when that file is current; computed and written otherwise."""
-        key = self._input_key([self.network_paths(name)[1]], seed=LAYOUT_SEED, iterations=LAYOUT_ITERATIONS)
+        key = self._input_key([self.network_paths(name)[1]], seed=LAYOUT_SEED, iterations=LAYOUT_ITERATIONS,
+                              layout=LAYOUT_VERSION)
         key = f"# inputs {key}\n"
         path = self.render_path(f"{name}.positions.csv")
         positions = _read_positions(path, key, network)

@@ -126,7 +126,7 @@ class TestPipeline:
         )
 
         assert run(session_dir, "compare", "--datasets", "F,S", "--base", "combined") == 0
-        assert (session_dir / "reports" / "overlap.csv").exists()
+        assert (session_dir / "reports" / "compare.csv").exists()
         assert (session_dir / "reports" / "projection.json").exists()
         assert (session_dir / "reports" / "coverage.csv").exists()
 
@@ -225,7 +225,7 @@ class TestExitCodes:
                     ["--epsilon", "1"], ["--epsilon", "inf"]):
             assert run(session_dir, "compare", "--datasets", "a,b", "--base", "S", *bad) == 3, bad
             assert "must lie" in one_error_line(capsys)
-            assert not (session_dir / "reports" / "overlap.csv").exists(), bad
+            assert not (session_dir / "reports" / "compare.csv").exists(), bad
         assert not (session_dir / "reports" / "coverage.csv").exists()
 
     @pytest.mark.parametrize(
@@ -479,6 +479,21 @@ class TestDamagedArtifacts:
         assert run(session_dir, *argv) == 4
         assert f"unreadable session file {path}" in one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "argv", [["report", "--kind", "networks"], ["cluster", "--network", "F"], ["render", "--network", "F"]]
+    )
+    def test_edge_to_an_unlisted_node_exits_4(self, tmp_path, corpus, capsys, argv):
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["edges"].append({"source": "ghost", "target": data["nodes"][0]["id"],
+                              "weight": 1, "first_cocited_year": 2000})
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and "'ghost'" in err
+
 
 def cluster_files(session_dir: Path, name: str) -> list[Path]:
     networks = session_dir / "networks"
@@ -560,12 +575,21 @@ class TestInputKeys:
             "networks/F.clusters.csv": f"# inputs {network_key}",
             "networks/F.concepts.txt": f"# inputs {network_key}",
             "reports/coverage.csv": f"# inputs {projection_key}",
-            "renders/F.positions.csv": f"# inputs {network_key} seed=42 iterations=50",
+            "renders/F.positions.csv": f"# inputs {network_key} seed=42 iterations=50 layout=2",
         }
         coverage = (session_dir / "reports" / "coverage.csv").read_text(encoding="utf-8")
         assert coverage.splitlines()[1] == "# threshold=0.1 epsilon=0.05"
         table = (session_dir / "networks" / "F.clusters.csv").read_text(encoding="utf-8")
         assert table.splitlines()[1] == "node,cluster,silhouette"
+
+    def test_overlap_report_keeps_the_compared_matrix(self, tmp_path, corpus):
+        session_dir = finished_session(tmp_path, corpus)
+        reports = session_dir / "reports"
+        compared = (reports / "compare.csv").read_bytes()
+        assert run(session_dir, "report", "--kind", "overlap", "--datasets", "F,S,combined") == 0
+        assert (reports / "compare.csv").read_bytes() == compared
+        assert table_rows(reports / "compare.csv")[0] == ["name", "F", "S"]
+        assert table_rows(reports / "overlap.csv")[0] == ["name", "F", "S", "combined"]
 
     def test_rebuilt_base_needs_a_new_compare(self, tmp_path, corpus, capsys):
         session_dir = finished_session(tmp_path, corpus)
@@ -575,11 +599,11 @@ class TestInputKeys:
         capsys.readouterr()
         assert run(session_dir, "render", "--network", "F", "--overlay") == 4
         assert "run compare --base F" in one_error_line(capsys)
-        previous = (session_dir / "reports" / "overlap.csv").read_bytes()
+        previous = (session_dir / "reports" / "compare.csv").read_bytes()
         for names in ("F,S", "S,F"):  # S,F would write another matrix
             assert run(session_dir, "compare", "--datasets", names, "--base", "F") == 4
             assert "run cluster --network F" in one_error_line(capsys)
-        assert (session_dir / "reports" / "overlap.csv").read_bytes() == previous
+        assert (session_dir / "reports" / "compare.csv").read_bytes() == previous
         for argv in (["cluster", "--network", "F"], ["compare", "--datasets", "F,S", "--base", "F"],
                      ["render", "--network", "F", "--overlay"]):
             assert run(session_dir, *argv) == 0
@@ -692,7 +716,24 @@ class TestLayoutCache:
         assert layout_calls == [42, 42]
         assert positions.read_bytes() != first
         key = positions.read_text(encoding="utf-8").splitlines()[0]
-        assert re.fullmatch(r"# inputs networks/F\.json=[0-9a-f]{64} seed=42 iterations=50", key)
+        assert re.fullmatch(r"# inputs networks/F\.json=[0-9a-f]{64} seed=42 iterations=50 layout=2", key)
+
+    def test_positions_of_the_previous_layout_are_recomputed(self, tmp_path, corpus, layout_calls):
+        session_dir = finished_session(tmp_path, corpus)
+        positions = session_dir / "renders" / "F.positions.csv"
+        assert run(session_dir, "render", "--network", "F") == 0
+        fresh = positions.read_bytes()
+        svg = (session_dir / "renders" / "F.map.svg").read_bytes()
+        key, table = fresh.decode("utf-8").split("\n", 1)
+        assert key.endswith(" seed=42 iterations=50 layout=2")
+        # The key the whole-network layout wrote, over positions that are not this layout's.
+        rows = [line.split(",") for line in table.splitlines()]
+        older = "".join(f"{node},{y},{x}\n" for node, x, y in rows)
+        positions.write_text(key.removesuffix(" layout=2") + "\n" + older, encoding="utf-8")
+        assert run(session_dir, "render", "--network", "F") == 0
+        assert layout_calls == [42, 42]
+        assert positions.read_bytes() == fresh
+        assert (session_dir / "renders" / "F.map.svg").read_bytes() == svg
 
     @pytest.mark.parametrize("damage", ["truncated", "non-numeric", "missing-node", "extra-node"])
     def test_damaged_positions_are_recomputed(self, tmp_path, corpus, capsys, layout_calls, damage):
@@ -942,10 +983,12 @@ def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
 
 # sha256 of every table the bundled pipeline writes, recorded before every table
 # went through records.csv_text; clusters.csv and coverage.csv re-recorded with
-# the clusters file, for their ``# inputs`` line. The layout positions are pinned
-# by the layout digest and TestLayoutCache instead.
+# the clusters file, for their ``# inputs`` line; compare.csv added when compare's
+# matrix got its own file (overlap.csv is the report's, as before). The layout
+# positions are pinned by the layout digest and TestLayoutCache instead.
 BUNDLED_TABLE_SHA256 = {
     "networks/combined.clusters.csv": "3c15c7aa1ae4a24da7dd2aca85fefba8e651454343b3b3c30c995fd24d2a080e",
+    "reports/compare.csv": "a245a79a4fd330b243e6372dbefa6860b68ef00fd1ec0dfbef395461769d0302",
     "reports/coverage.csv": "0f1ff2bcedf918031eabfc6b7f1cf7c1744d5b3bc8fe3399204558a10b6ac2ec",
     "reports/datasets.csv": "283de53b742be45fd8ba4ac6b2ec9300d0b5aeb2b7461eedec50f4e85a9a7922",
     "reports/networks.csv": "7d43bd05d73e7058ea570694d30e33ed79eb9343155e0f13667adfa503529aa1",
@@ -955,12 +998,12 @@ BUNDLED_TABLE_SHA256 = {
 }
 
 
-# sha256 of the bundled pipeline's maps and year chart, recorded while a
-# session still kept its render settings in a session.json.
+# sha256 of the bundled pipeline's maps and year chart; the maps re-recorded
+# when each component got its own layout, packed and fitted with one scale.
 BUNDLED_RENDER_SHA256 = {
-    "renders/combined.map.svg": "6cf6309f093da7e7d34ac8607b45d343ef9819848a8801b11591a88bcf1ce7c8",
-    "renders/combined.overlay.svg": "4ad2ebc78d9f10fc96f8c3a2be30c71eeb3044d7545c53c170045d667cb3f65b",
-    "renders/combined.overlay.html": "80510e5fd612db9877c01fd7f1f4872263cf2953b26c01e1c0b1c0e7180789e3",
+    "renders/combined.map.svg": "c724639cc241cabc0356c2b6e4f961805d75570cddcb3d54d1a37d62e138f081",
+    "renders/combined.overlay.svg": "79dca943752b05c29c954e3bb15cf09b9b20544627314982786442251530abe6",
+    "renders/combined.overlay.html": "df2fa2130398819df74c05eafe92fa679f09c4c344ce399ecf36630323e3acac",
     "renders/F-S3-combined.years.svg": "0a38cde894b9c8df6b3a53dbb54c744b3bb0417f258abb9b5b0c6cbe6cf004cc",
 }
 
@@ -1014,7 +1057,7 @@ def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path):
         assert node in [row[0] for row in rows]
     reports = session_dir / "reports"
     assert [row[0] for row in table_rows(reports / "datasets.csv")] == ["name", "F", name]
-    overlap = table_rows(reports / "overlap.csv")
+    overlap = table_rows(reports / "compare.csv")
     assert overlap[0] == ["name", "F", name] and overlap[-1][0] == name
     assert table_rows(reports / "coverage.csv")[0] == ["cluster", "label", "F", name]
 

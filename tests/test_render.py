@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import xml.etree.ElementTree as ET
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citecascade import render
-from citecascade.clustering import ClusterPartition
+from citecascade.clustering import ClusterPartition, induced_subnetwork
 from citecascade.cocitation import (
     CoCitationNetwork,
     EdgeInfo,
     NetworkConfig,
     NodeInfo,
+    components,
     network_arrays,
 )
 from citecascade.errors import ValidationError
@@ -74,12 +79,11 @@ class TestYearScale:
 
 
 def einsum_layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[float, float]]:
-    """Reference layout: each block of rows sums its own displacement with a
-    per-row ``einsum``, in the order j = 0, 1, ..., n - 1 for every node."""
+    """Reference kernel for one connected network: each block of rows sums its
+    own displacement with a per-row ``einsum``, in the order j = 0, 1, ..., n - 1
+    for every node. The positions are not packed."""
     arrays = network_arrays(network)
     node_ids, index = arrays.node_ids, arrays.index
-    if len(node_ids) == 1:
-        return {node_ids[0]: (0.0, 0.0)}
     n = len(node_ids)
     positions = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
     top = float(arrays.weights.max(initial=0.0))
@@ -104,18 +108,6 @@ def einsum_layout(network: CoCitationNetwork, seed: int) -> dict[str, tuple[floa
         np.clip(length, 0.01, None, out=length)
         positions += displacement / length[:, None] * np.minimum(length, temperature)[:, None]
         temperature -= cooling
-    components = sorted(connected_components_traversal(network), key=lambda c: (-len(c), min(c)))
-    if len(components) > 1:
-        cursor = 0.0
-        for component in components:
-            idxs = np.array(sorted(index[m] for m in component), dtype=int)
-            block = positions[idxs]
-            lo = block.min(axis=0)
-            span = block.max(axis=0) - lo
-            margin = 0.2 * max(float(span[0]), float(span[1]), k)
-            positions[idxs, 0] = block[:, 0] - lo[0] + cursor
-            positions[idxs, 1] = block[:, 1] - lo[1]
-            cursor += float(span[0]) + margin
     return {node: (float(positions[index[node], 0]), float(positions[index[node], 1])) for node in node_ids}
 
 
@@ -158,32 +150,46 @@ class TestLayout:
                 ("y", "z"): (1, 2000),
             }
         )
-        positions = layout(network, seed=3)
-        first = [positions[n] for n in ("a", "b", "c")]
-        second = [positions[n] for n in ("x", "y", "z")]
+        assert not overlapping(component_boxes(network, layout(network, seed=3)))
 
-        def bbox(points):
-            xs = [p[0] for p in points]
-            ys = [p[1] for p in points]
-            return min(xs), max(xs), min(ys), max(ys)
-
-        lo1, hi1, _, _ = bbox(first)
-        lo2, hi2, _, _ = bbox(second)
-        assert hi1 < lo2 or hi2 < lo1  # separated along x
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.floats(0.0, 0.6), st.integers(0, 12))
+    def test_packing_places_every_node_once_in_disjoint_boxes(self, seed, n, density, isolated):
+        network = random_network(random.Random(seed), n, density, isolated)
+        positions = layout(network, seed)
+        assert list(positions) == sorted(network.nodes)
+        assert all(math.isfinite(v) for xy in positions.values() for v in xy)
+        assert not overlapping(component_boxes(network, positions))
+        assert layout(network, seed) == positions
 
     def test_empty_network_errors(self):
         with pytest.raises(ValidationError):
             layout(CoCitationNetwork({}, {}, NetworkConfig()), seed=1)
 
     def test_bundled_network_positions_pinned(self, bundled_world):
-        # Digest of the positions the dense all-pairs implementation produced;
-        # the row-blocked layout must reproduce them bit for bit.
+        # Digest of the positions recorded when each component got its own
+        # layout and the components were packed (layout version 2).
         network, _store = bundled_world
         assert (len(network.nodes), len(network.edges)) == (341, 1364)
         positions = json.dumps(sorted(layout(network, 42).items()))
         assert hashlib.sha256(positions.encode()).hexdigest() == (
-            "9d1f82b68baff61a64442f1a64b44dd5f0c0d33908d3b8cd78295d2b4f6963a1"
+            "fcd62257e9db37194d8bf84a55e57e9bfebbfd703ec1a7636fbd9e9e2d6e49fb"
         )
+
+    def test_bundled_largest_component_spans_half_the_map(self, bundled_world):
+        network, _store = bundled_world
+        fitted = render._fit_positions(layout(network, LAYOUT_SEED), render.MAP_WIDTH, render.MAP_HEIGHT, 30.0)
+
+        def spans(ids):
+            xs, ys = zip(*(fitted[n] for n in ids))
+            return max(xs) - min(xs), max(ys) - min(ys)
+
+        (width, height), (lcc_width, lcc_height) = spans(fitted), spans(components(network)[0])
+        assert lcc_width >= width / 2 or lcc_height >= height / 2
+
+    def test_fit_uses_one_scale_for_both_axes(self):
+        fitted = render._fit_positions({"a": (0.0, 0.0), "b": (2.0, 1.0)}, 800.0, 600.0, 30.0)
+        assert fitted == {"a": (30.0, 115.0), "b": (770.0, 485.0)}
 
     @pytest.mark.parametrize("block", [1, 5, 64, 1000])
     def test_positions_do_not_depend_on_block_size(self, block, monkeypatch):
@@ -203,12 +209,36 @@ class TestLayout:
 
     @pytest.mark.parametrize("case", range(6))
     def test_column_sums_equal_the_per_row_einsum(self, case, monkeypatch):
+        # Before packing, each component's positions are the reference kernel's
+        # on that component alone, bit for bit, whatever the block size.
         rng = random.Random(case)
         network = random_network(rng, rng.randint(40, 160), rng.uniform(0.02, 0.3), rng.randint(1, 5))
         seed = rng.randint(0, 10_000)
-        if case % 2:  # also over blocks that do not divide n
-            monkeypatch.setattr(render, "LAYOUT_BLOCK", rng.randint(3, 40))
-        assert layout(network, seed) == einsum_layout(network, seed)
+        found = sorted((sorted(c) for c in connected_components_traversal(network)), key=lambda c: (-len(c), c[0]))
+        for block in (render.LAYOUT_BLOCK, 1, rng.randint(3, 40)):  # also blocks that do not divide n
+            monkeypatch.setattr(render, "LAYOUT_BLOCK", block)
+            laid, isolated = render._component_layouts(network, seed)
+            assert [ids for ids, _xy in laid] == [c for c in found if len(c) > 1]
+            assert isolated == [c[0] for c in found if len(c) == 1]
+            for ids, xy in laid:
+                oracle = einsum_layout(induced_subnetwork(network, set(ids)), seed)
+                assert xy.tolist() == [list(oracle[n]) for n in ids]
+
+
+def component_boxes(network: CoCitationNetwork, positions) -> list[tuple[float, float, float, float]]:
+    """The bounding box (lo_x, hi_x, lo_y, hi_y) of each connected component; an
+    isolated node's grid cell is the point it sits at."""
+    boxes = []
+    for component in connected_components_traversal(network):
+        xs, ys = zip(*(positions[n] for n in component))
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+    return boxes
+
+
+def overlapping(boxes) -> list[tuple]:
+    """The pairs of closed boxes that share a point."""
+    return [(a, b) for a, b in combinations(boxes, 2)
+            if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]]
 
 
 def draw(network: CoCitationNetwork, **kwargs) -> str:
