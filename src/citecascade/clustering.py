@@ -197,20 +197,30 @@ class SilhouetteResult:
     mean: float  # unweighted mean over clusters
 
 
+SILHOUETTE_BLOCK = 1 << 16  # (node, cluster) join entries held in memory at once
+
+
 def silhouette(network: CoCitationNetwork, partition: ClusterPartition) -> SilhouetteResult:
     """Silhouette over co-citation profiles; distance = 1 - cosine similarity.
 
     Profiles are rows of the weighted adjacency matrix. A zero profile has
     cosine similarity 0 to everything (distance 1). Singleton clusters score
     0 by convention; a single-cluster partition scores 0 with a warning.
+    Nodes outside the partition shape the profiles only.
 
-    Cosine similarity is non-zero only between nodes that share a neighbour,
-    so no n x n matrix is built. For each shared neighbour m, every pair of
-    m's neighbours (i, j) adds u_i[m] * u_j[m] to dot[i, cluster(j)], where u
-    is the unit profile. The mean distance from i to cluster c is then
-    (|c| - dot[i, c]) / |c|; a cluster no two-hop neighbour of i belongs to
-    sits at distance exactly 1; a_i leaves out i's own term 1 - u_i . u_i.
-    Time and memory are O(links + sum over m of deg(m)^2).
+    No n x n matrix is built. With U the unit profiles, one row per node, and
+    C the one-hot cluster membership, dot[i, c] = sum over j in c of u_i . u_j
+    is entry (i, c) of U (U^T C). S = U^T C is summed once over the links,
+    S[m, c] = sum over j in c of u_j[m]; then each link (i, m) meets row m of
+    S, in blocks of consecutive nodes of at most ``SILHOUETTE_BLOCK`` join
+    entries (a node whose own join is larger is a block alone). Each block
+    reduces to i's own-cluster dot, the least mean distance to another
+    cluster it touches, and how many it touches. The mean distance from i to
+    cluster c is (|c| - dot[i, c]) / |c|; a cluster no two-hop neighbour of i
+    belongs to sits at distance exactly 1; a_i leaves out i's own term
+    1 - u_i . u_i.
+    Memory is O(links + block); time is O(sum over m of deg(m) times the
+    clusters among m's neighbours).
     """
     clusters = partition.clusters()
     if len(clusters) < 2:
@@ -229,31 +239,46 @@ def silhouette(network: CoCitationNetwork, partition: ClusterPartition) -> Silho
         cluster_of[idxs] = ci
 
     # Entry e of row m holds u_i[m] for its column i (the profile is symmetric).
-    rows, cols = arrays.rows, arrays.cols
+    rows, cols, indptr = arrays.rows, arrays.cols, arrays.indptr
     norms = np.sqrt(np.bincount(rows, weights=arrays.weights**2, minlength=n))
-    unit = arrays.weights / np.where(norms > 0, norms, 1.0)[cols]
+    safe_norms = np.where(norms > 0, norms, 1.0)
+    unit = arrays.weights / safe_norms[cols]
     self_dot = np.bincount(cols, weights=unit**2, minlength=n)
 
-    # Every ordered pair of entries within one row: sum over m of deg(m)^2.
-    degree = np.diff(arrays.indptr)
-    reps = degree[rows]
-    first = np.repeat(np.arange(len(rows)), reps)
-    block_start = np.repeat(np.cumsum(reps) - reps, reps)
-    second = arrays.indptr[rows[first]] + np.arange(len(first)) - block_start
-    i_node, j_cluster = cols[first], cluster_of[cols[second]]
-    keep = (cluster_of[i_node] >= 0) & (j_cluster >= 0)
-    keys, inverse = np.unique(i_node[keep] * k + j_cluster[keep], return_inverse=True)
-    dot = np.bincount(inverse, weights=(unit[first] * unit[second])[keep], minlength=len(keys))
-    key_node, key_cluster = keys // k, keys % k
+    # S as sorted (m, c) keys; columns outside the partition are dropped first,
+    # or m * k - 1 would land on cluster k - 1 of row m - 1.
+    member = cluster_of[cols] >= 0
+    s_keys, s_inverse = np.unique(rows[member] * k + cluster_of[cols[member]], return_inverse=True)
+    s_sum = np.bincount(s_inverse, weights=unit[member], minlength=len(s_keys))
+    s_cluster = s_keys % k
+    s_indptr = np.searchsorted(s_keys, np.arange(n + 1) * k)
 
-    own = key_cluster == cluster_of[key_node]
+    # Entry (i, m) of a partitioned row i meets the reach = |S row m| keys of row m.
+    reach = np.where(cluster_of[rows] >= 0, np.diff(s_indptr)[cols], 0)
+    before = np.concatenate([[0], np.cumsum(reach)])  # join entries before entry e
+    row_start = before[indptr]  # join entries before row i
     own_dot = np.zeros(n)
-    own_dot[key_node[own]] = dot[own]
-    other = ~own
-    mean_other = (sizes[key_cluster[other]] - dot[other]) / sizes[key_cluster[other]]
     b = np.full(n, np.inf)
-    np.minimum.at(b, key_node[other], mean_other)
-    touched = np.bincount(key_node[other], minlength=n)
+    touched = np.zeros(n, dtype=np.intp)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(row_start, row_start[lo] + SILHOUETTE_BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        e0, e1 = indptr[lo], indptr[hi]
+        entry = np.repeat(np.arange(e0, e1), reach[e0:e1])
+        s_pos = s_indptr[cols[entry]] + np.arange(len(entry)) - (before[entry] - before[e0])
+        u_im = arrays.weights[entry] / safe_norms[rows[entry]]
+        keys, inverse = np.unique((rows[entry] - lo) * k + s_cluster[s_pos], return_inverse=True)
+        dot = np.bincount(inverse, weights=u_im * s_sum[s_pos], minlength=len(keys))
+        key_node, key_cluster = lo + keys // k, keys % k
+
+        own = key_cluster == cluster_of[key_node]
+        own_dot[key_node[own]] = dot[own]
+        other = ~own
+        mean_other = (sizes[key_cluster[other]] - dot[other]) / sizes[key_cluster[other]]
+        np.minimum.at(b, key_node[other], mean_other)
+        touched[lo:hi] += np.bincount(key_node[other] - lo, minlength=hi - lo)
+        lo = hi
     b = np.where(touched < k - 1, np.minimum(b, 1.0), b)  # an untouched cluster is at 1
 
     node_scores: dict[str, float] = {}

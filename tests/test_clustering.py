@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citecascade import clustering
 from citecascade.clustering import (
     ClusterPartition,
     detect_communities,
@@ -248,12 +251,71 @@ class TestSilhouette:
         partition = ClusterPartition(assignment=assignment)
         assert_silhouette_matches_bruteforce(network, partition)
 
+    @pytest.mark.parametrize("block", [1, 2, clustering.SILHOUETTE_BLOCK])
+    def test_clusters_out_of_two_hop_reach_sit_at_one_in_every_block(self, monkeypatch, block):
+        # Triangle a-b-c reaches no other cluster: b_a = 1, a_a = 0.5, s_a = 0.5.
+        # The later nodes' clusters do reach each other; their counts must not
+        # land on a, or a would look as if it touched every cluster.
+        edges = clique_edges(["a", "b", "c"])
+        edges.update({("p", "q"): 1, ("p", "r"): 2, ("q", "s"): 1, ("r", "s"): 3})
+        network = weighted_network(edges)
+        partition = ClusterPartition(
+            assignment={"a": 0, "b": 0, "c": 0, "p": 1, "q": 1, "r": 2, "s": 2}
+        )
+        monkeypatch.setattr(clustering, "SILHOUETTE_BLOCK", block)
+        assert silhouette(network, partition).node_scores["a"] == pytest.approx(0.5)
+        assert_silhouette_matches_bruteforce(network, partition)
+
     def test_nodes_outside_the_partition_shape_profiles_only(self):
         rng = random.Random(11)
         network = random_weighted_network(rng, 20, 0.3)
         partition = random_partition(rng, sorted(network.nodes)[5:], 4)
         assert_silhouette_matches_bruteforce(network, partition)
         assert set(silhouette(network, partition).node_scores) == set(partition.assignment)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        block=st.sampled_from([1, 5, 64, clustering.SILHOUETTE_BLOCK]),
+    )
+    def test_hubs_many_clusters_and_nodes_outside_the_partition(self, seed, block):
+        rng = random.Random(seed)
+        network = random_weighted_network(rng, 40, 0.05)
+        node_ids = sorted(network.nodes)
+        for hub in rng.sample(node_ids, 3):  # co-cited with most of the network
+            for other in rng.sample(node_ids, 30):
+                if other != hub:
+                    pair = (min(hub, other), max(hub, other))
+                    network.edges[pair] = EdgeInfo(rng.randint(1, 9), 2000)
+        inside = sorted(rng.sample(node_ids, 30))  # the other 10 shape profiles only
+        partition = random_partition(rng, inside, 15)
+        for node in rng.sample(inside, 3):  # guaranteed singletons
+            partition.assignment[node] = max(partition.assignment.values()) + 1
+        with mock.patch.object(clustering, "SILHOUETTE_BLOCK", block):
+            assert_silhouette_matches_bruteforce(network, partition)
+
+    def test_hub_with_many_singleton_neighbours_stays_in_small_memory(self):
+        # Joining every pair of the hub's 1,507 neighbours would hold 2.3 million
+        # entries at once; the blocked join holds at most SILHOUETTE_BLOCK.
+        edges: dict[tuple[str, str], float] = {("hub", "mate"): 2}
+        assignment = {"hub": 0, "mate": 0}
+        for c in (1, 2, 3):
+            x, y = f"p{c}x", f"p{c}y"
+            edges.update({(x, y): c, ("hub", x): 1, ("hub", y): c})
+            assignment.update({x: c, y: c})
+        for i in range(1500):
+            edges[("hub", f"l{i:04d}")] = 1 + i % 3
+            assignment[f"l{i:04d}"] = 4 + i
+        network = weighted_network(edges)
+        partition = ClusterPartition(assignment=assignment)
+        tracemalloc.start()
+        try:
+            silhouette(network, partition)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
+        assert_silhouette_matches_bruteforce(network, partition)
 
     def test_all_zero_profiles(self):
         network = weighted_network({}, extra_nodes=("a", "b", "c", "d"))
@@ -277,10 +339,12 @@ def assert_silhouette_matches_bruteforce(network: CoCitationNetwork, partition: 
         weights[a][b] = info.weight
         weights[b][a] = info.weight
 
+    norm = {n: math.sqrt(sum(w * w for w in weights[n].values())) for n in node_ids}
+
     def cosine_distance(u, v):
-        dot = sum(weights[u].get(k, 0) * weights[v].get(k, 0) for k in node_ids)
-        nu = math.sqrt(sum(w * w for w in weights[u].values()))
-        nv = math.sqrt(sum(w * w for w in weights[v].values()))
+        small, large = sorted((weights[u], weights[v]), key=len)
+        dot = sum(w * large.get(k, 0) for k, w in small.items())
+        nu, nv = norm[u], norm[v]
         if nu == 0 or nv == 0:
             return 1.0
         return 1.0 - dot / (nu * nv)
