@@ -371,8 +371,8 @@ def _cmd_render(args, session: Session) -> int:
 
 
 def _cmd_report(args, session: Session) -> int:
-    store = session.load_store()
     if args.kind == "datasets":
+        store = session.load_store()
         rows = [("name", "kind", "records", "with_abstracts", "range")]
         for name in session.dataset_names():
             dataset = session.load_dataset(name)
@@ -384,7 +384,7 @@ def _cmd_report(args, session: Session) -> int:
     elif args.kind == "overlap":
         if not args.datasets:
             raise ValidationError("report --kind overlap needs --datasets")
-        _datasets, text = _overlap_csv(session, args.datasets, store)
+        _datasets, text = _overlap_csv(session, args.datasets, session.load_store())
         path = session.report_path("overlap.csv")
     else:  # networks
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyDatasetError, ValidationError
@@ -106,35 +107,43 @@ class CoCitationNetwork:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "nodes": [
-                {"id": n, "count": info.count, "year": info.year}
-                for n, info in sorted(self.nodes.items())
-            ],
-            "edges": [
-                {
-                    "source": a,
-                    "target": b,
-                    "weight": info.weight,
-                    "first_cocited_year": info.first_cocited_year,
-                }
-                for (a, b), info in sorted(self.edges.items())
-            ],
-            "slices": [
-                {"start": s.start, "end": s.end, "citers": list(s.citer_ids)} for s in self.slices
-            ],
-        }
-
     def to_json(self) -> str:
-        return json_text(self.to_json_dict())
+        """The network as ``json_text`` lays it out (two-space indent, sorted keys,
+        ASCII escapes, final newline): config, then the edges and nodes sorted,
+        then the slices. One template string per row; ``tests/test_cocitation.py``
+        holds the ``json_text`` of the dict form as the byte oracle."""
+        config = json_text(self.config.to_json_dict()).rstrip("\n").replace("\n", "\n  ")
+        edges = [
+            f'    {{\n      "first_cocited_year": {info.first_cocited_year},\n'
+            f'      "source": {_json_string(a)},\n      "target": {_json_string(b)},\n'
+            f'      "weight": {info.weight}\n    }}'
+            for (a, b), info in sorted(self.edges.items(), key=itemgetter(0))
+        ]
+        nodes = [
+            f'    {{\n      "count": {info.count},\n      "id": {_json_string(n)},\n'
+            f'      "year": {info.year}\n    }}'
+            for n, info in sorted(self.nodes.items())
+        ]
+        slices = []
+        for s in self.slices:
+            citers = _json_list([f"        {_json_string(c)}" for c in s.citer_ids], "      ")
+            slices.append(
+                f'    {{\n      "citers": {citers},\n      "end": {s.end},\n'
+                f'      "start": {s.start}\n    }}'
+            )
+        return (
+            f'{{\n  "config": {config},\n  "edges": {_json_list(edges, "  ")},\n'
+            f'  "nodes": {_json_list(nodes, "  ")},\n  "slices": {_json_list(slices, "  ")}\n}}\n'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
-        """The network ``data`` holds; a ValueError when an edge names a node it
-        does not list."""
+        """The network ``data`` holds; a ValueError when a node id is not a string
+        or an edge names a node it does not list."""
         nodes = {n["id"]: NodeInfo(int(n["count"]), int(n["year"])) for n in data["nodes"]}
+        for node in nodes:
+            if not isinstance(node, str):
+                raise ValueError(f"node id {node!r} is not a string")
         edges = {
             canonical_pair(e["source"], e["target"]): EdgeInfo(
                 int(e["weight"]), int(e["first_cocited_year"])
@@ -151,32 +160,54 @@ class CoCitationNetwork:
         return cls(nodes, edges, NetworkConfig.from_json_dict(data.get("config", {})), slices)
 
     def to_graphml(self) -> str:
-        root = ET.Element("graphml", {"xmlns": "http://graphml.graphdrawing.org/xmlns"})
-        for key_id, target, name, attr_type in (
-            ("d0", "node", "count", "int"),
-            ("d1", "node", "year", "int"),
-            ("d2", "edge", "weight", "double"),
-            ("d3", "edge", "first_cocited_year", "int"),
-            ("d4", "graph", "config", "string"),
-        ):
-            ET.SubElement(
-                root,
-                "key",
-                {"id": key_id, "for": target, "attr.name": name, "attr.type": attr_type},
-            )
-        graph = ET.SubElement(root, "graph", {"id": "cocitation", "edgedefault": "undirected"})
-        config_data = ET.SubElement(graph, "data", {"key": "d4"})
-        config_data.text = json.dumps(self.config.to_json_dict(), sort_keys=True)
-        for node_id, info in sorted(self.nodes.items()):
-            node_el = ET.SubElement(graph, "node", {"id": node_id})
-            ET.SubElement(node_el, "data", {"key": "d0"}).text = str(info.count)
-            ET.SubElement(node_el, "data", {"key": "d1"}).text = str(info.year)
-        for (a, b), info in sorted(self.edges.items()):
-            edge_el = ET.SubElement(graph, "edge", {"source": a, "target": b})
-            ET.SubElement(edge_el, "data", {"key": "d2"}).text = str(info.weight)
-            ET.SubElement(edge_el, "data", {"key": "d3"}).text = str(info.first_cocited_year)
-        ET.indent(root)
-        return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+        """The network as GraphML, byte for byte as ``xml.etree`` writes it after
+        ``indent`` (two-space indent, ``" />"`` for an empty element, attribute
+        values escaped like its ``_escape_attrib``): keys, then the config, the nodes
+        and the edges sorted. One template string per row; ``tests/test_cocitation.py``
+        holds the element-tree writer as the byte oracle."""
+        config = _xml_text(json.dumps(self.config.to_json_dict(), sort_keys=True))
+        nodes = [
+            f'    <node id="{_xml_attribute(n)}">\n'
+            f'      <data key="d0">{info.count}</data>\n'
+            f'      <data key="d1">{info.year}</data>\n    </node>\n'
+            for n, info in sorted(self.nodes.items())
+        ]
+        edges = [
+            f'    <edge source="{_xml_attribute(a)}" target="{_xml_attribute(b)}">\n'
+            f'      <data key="d2">{info.weight}</data>\n'
+            f'      <data key="d3">{info.first_cocited_year}</data>\n    </edge>\n'
+            for (a, b), info in sorted(self.edges.items(), key=itemgetter(0))
+        ]
+        return "".join([_GRAPHML_HEAD, f'    <data key="d4">{config}</data>\n', *nodes, *edges,
+                        "  </graph>\n</graphml>\n"])
+
+
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+    '  <key id="d0" for="node" attr.name="count" attr.type="int" />\n'
+    '  <key id="d1" for="node" attr.name="year" attr.type="int" />\n'
+    '  <key id="d2" for="edge" attr.name="weight" attr.type="double" />\n'
+    '  <key id="d3" for="edge" attr.name="first_cocited_year" attr.type="int" />\n'
+    '  <key id="d4" for="graph" attr.name="config" attr.type="string" />\n'
+    '  <graph id="cocitation" edgedefault="undirected">\n'
+)
+
+
+def _json_list(rows: list[str], indent: str) -> str:
+    """A JSON list of laid-out rows, its closing bracket at ``indent``."""
+    return "[\n" + ",\n".join(rows) + f"\n{indent}]" if rows else "[]"
+
+
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _xml_attribute(text: str) -> str:
+    return (
+        _xml_text(text).replace('"', "&quot;")
+        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+    )
 
 
 class NetworkArrays(NamedTuple):

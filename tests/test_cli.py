@@ -494,6 +494,20 @@ class TestDamagedArtifacts:
         err = one_error_line(capsys)
         assert f"unreadable session file {path}" in err and "'ghost'" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["report", "--kind", "networks"], ["cluster", "--network", "F"], ["render", "--network", "F"]]
+    )
+    def test_non_string_node_id_exits_4(self, tmp_path, corpus, capsys, argv):
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["nodes"].append({"id": 5, "count": 1, "year": 2000})
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and "node id 5 is not a string" in err
+
 
 def cluster_files(session_dir: Path, name: str) -> list[Path]:
     networks = session_dir / "networks"
@@ -803,6 +817,21 @@ def test_commands_without_arithmetic_do_not_load_numpy(tmp_path, corpus):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def test_network_report_reads_no_store(tmp_path, corpus, monkeypatch):
+    session_dir = finished_session(tmp_path, corpus)
+    assert run(session_dir, "report", "--kind", "networks") == 0
+    table = session_dir / "reports" / "networks.csv"
+    expected = table.read_bytes()
+    table.unlink()
+
+    def refuse(self):
+        raise AssertionError("report --kind networks loaded the store")
+
+    monkeypatch.setattr(Session, "load_store", refuse)
+    assert run(session_dir, "report", "--kind", "networks") == 0
+    assert table.read_bytes() == expected
 
 
 def store_lines(session_dir: Path) -> list[dict]:
