@@ -112,54 +112,40 @@ def detect_communities(network: CoCitationNetwork) -> ClusterPartition:
         return partition
     two_w = 2.0 * total_weight
 
-    # Cluster state, keyed by smallest member id.
+    # Cluster state, keyed by smallest member id; links[i][j] is the weight
+    # between clusters i and j, held in both rows.
     members: dict[str, set[str]] = {n: {n} for n in network.nodes}
     strength: dict[str, float] = {n: 0.0 for n in network.nodes}
-    between: dict[tuple[str, str], float] = {}
+    links: dict[str, dict[str, float]] = {n: {} for n in network.nodes}
     for (a, b), info in network.edges.items():
         strength[a] += info.weight
         strength[b] += info.weight
-        between[(a, b)] = between.get((a, b), 0.0) + float(info.weight)
+        links[a][b] = links[b][a] = float(info.weight)
 
-    def gain(pair: tuple[str, str]) -> float:
+    def gain(i: str, j: str) -> float:
         # Merging i and j changes Q by w_ij/W - s_i*s_j/(2W^2).
-        i, j = pair
-        return between[pair] / total_weight - (strength[i] * strength[j]) / (two_w * total_weight)
+        return links[i][j] / total_weight - (strength[i] * strength[j]) / (two_w * total_weight)
 
-    heap: list[tuple[float, tuple[str, str]]] = []
-    for pair in between:
-        heapq.heappush(heap, (-gain(pair), pair))
-
-    neighbors: dict[str, set[str]] = {n: set() for n in network.nodes}
-    for (a, b) in between:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-
+    heap = [(-gain(i, j), (i, j)) for i, row in links.items() for j in row if i < j]
+    heapq.heapify(heap)
     while heap:
-        neg_delta, pair = heapq.heappop(heap)
-        i, j = pair
-        if i not in members or j not in members or pair not in between:
-            continue
-        if -neg_delta != gain(pair):
+        neg_delta, (keep, drop) = heapq.heappop(heap)
+        if drop not in links.get(keep, ()) or -neg_delta != gain(keep, drop):
             continue  # stale entry
         if -neg_delta <= 0:
             break
-        keep, drop = (i, j) if i < j else (j, i)
         members[keep] |= members.pop(drop)
         strength[keep] += strength.pop(drop)
-        between.pop(pair)
-        neighbors[i].discard(j)
-        neighbors[j].discard(i)
-        for other in sorted(neighbors.pop(drop)):
-            w = between.pop((min(drop, other), max(drop, other)))
-            neighbors[other].discard(drop)
-            new_pair = (min(keep, other), max(keep, other))
-            between[new_pair] = between.get(new_pair, 0.0) + w
-            neighbors[keep].add(other)
-            neighbors[other].add(keep)
-        for other in sorted(neighbors[keep]):
-            refreshed = (min(keep, other), max(keep, other))
-            heapq.heappush(heap, (-gain(refreshed), refreshed))
+        row = links[keep]
+        del row[drop]
+        dropped = links.pop(drop)
+        del dropped[keep]
+        for other in sorted(dropped):
+            del links[other][drop]
+            row[other] = links[other][keep] = row.get(other, 0.0) + dropped[other]
+        for other in sorted(row):
+            pair = (min(keep, other), max(keep, other))
+            heapq.heappush(heap, (-gain(*pair), pair))
 
     partition = ClusterPartition(assignment=_renumber(list(members.values()), network))
     partition.modularity_q = modularity(network, partition.assignment)

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset, RecordStore, json_text
+from .records import Dataset, RecordStore, json_text, xml_attribute, xml_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,8 +138,8 @@ class CoCitationNetwork:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
-        """The network ``data`` holds; a ValueError when a node id is not a string
-        or an edge names a node it does not list."""
+        """The network ``data`` holds; a ValueError when a node id is not a string,
+        an edge names a node it does not list, or an edge joins a node to itself."""
         nodes = {n["id"]: NodeInfo(int(n["count"]), int(n["year"])) for n in data["nodes"]}
         for node in nodes:
             if not isinstance(node, str):
@@ -153,6 +153,9 @@ class CoCitationNetwork:
         unknown = {node for pair in edges for node in pair} - nodes.keys()
         if unknown:
             raise ValueError(f"edge endpoint {min(unknown)!r} is not a node")
+        loops = [a for a, b in edges if a == b]
+        if loops:
+            raise ValueError(f"edge from {min(loops)!r} to itself")
         slices = [
             SliceInfo(int(s["start"]), int(s["end"]), list(s["citers"]))
             for s in data.get("slices", [])
@@ -165,15 +168,15 @@ class CoCitationNetwork:
         values escaped like its ``_escape_attrib``): keys, then the config, the nodes
         and the edges sorted. One template string per row; ``tests/test_cocitation.py``
         holds the element-tree writer as the byte oracle."""
-        config = _xml_text(json.dumps(self.config.to_json_dict(), sort_keys=True))
+        config = xml_text(json.dumps(self.config.to_json_dict(), sort_keys=True))
         nodes = [
-            f'    <node id="{_xml_attribute(n)}">\n'
+            f'    <node id="{xml_attribute(n)}">\n'
             f'      <data key="d0">{info.count}</data>\n'
             f'      <data key="d1">{info.year}</data>\n    </node>\n'
             for n, info in sorted(self.nodes.items())
         ]
         edges = [
-            f'    <edge source="{_xml_attribute(a)}" target="{_xml_attribute(b)}">\n'
+            f'    <edge source="{xml_attribute(a)}" target="{xml_attribute(b)}">\n'
             f'      <data key="d2">{info.weight}</data>\n'
             f'      <data key="d3">{info.first_cocited_year}</data>\n    </edge>\n'
             for (a, b), info in sorted(self.edges.items(), key=itemgetter(0))
@@ -199,21 +202,10 @@ def _json_list(rows: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(rows) + f"\n{indent}]" if rows else "[]"
 
 
-def _xml_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _xml_attribute(text: str) -> str:
-    return (
-        _xml_text(text).replace('"', "&quot;")
-        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
-    )
-
-
 class NetworkArrays(NamedTuple):
     """The weighted adjacency in compressed sparse rows over sorted node ids.
 
-    Every link appears once per direction (a self-loop once), ordered by row
+    Every link appears once per direction, ordered by row
     then column, so ``cols[indptr[i]:indptr[i + 1]]`` and the matching
     ``weights`` are node i's co-citation profile.
     """
@@ -236,10 +228,9 @@ def network_arrays(network: CoCitationNetwork) -> NetworkArrays:
     a = np.fromiter((index[a] for a, _b in network.edges), dtype=np.intp, count=m)
     b = np.fromiter((index[b] for _a, b in network.edges), dtype=np.intp, count=m)
     w = np.fromiter((info.weight for info in network.edges.values()), dtype=float, count=m)
-    back = a != b
-    rows = np.concatenate([a, b[back]])
-    cols = np.concatenate([b, a[back]])
-    weights = np.concatenate([w, w[back]])
+    rows = np.concatenate([a, b])
+    cols = np.concatenate([b, a])
+    weights = np.concatenate([w, w])
     order = np.lexsort((cols, rows))
     rows, cols, weights = rows[order], cols[order], weights[order]
     indptr = np.zeros(len(node_ids) + 1, dtype=np.intp)

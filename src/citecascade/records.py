@@ -6,8 +6,9 @@ get normalized into :class:`ArticleRecord`, and live in a :class:`RecordStore`
 citation queries: what a record cites and who cites it. Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
 :class:`YearDistribution` objects. :func:`json_text` is the one JSON layout
-of every artifact the package writes, and :func:`csv_text` the one CSV layout of
-every table.
+of every artifact the package writes, :func:`csv_text` the one CSV layout of
+every table, and :func:`xml_text` and :func:`xml_attribute` the one XML escaping
+of GraphML, SVG and the HTML map pages.
 """
 
 from __future__ import annotations
@@ -43,6 +44,21 @@ def csv_text(rows, comments=()) -> str:
     out.writelines(f"# {comment}\n" for comment in comments)
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def xml_text(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped, as ``xml.etree``
+    writes element text."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def xml_attribute(text: str) -> str:
+    """``text`` as a double-quoted XML attribute value, escaped as ``xml.etree``'s
+    ``_escape_attrib`` does: also ``"``, and CR, LF and tab as character references."""
+    return (
+        xml_text(text).replace('"', "&quot;")
+        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+    )
 
 
 def max_plausible_year() -> int:

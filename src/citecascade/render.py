@@ -10,20 +10,22 @@ grid last, and the map is fitted to the canvas with one scale for both axes.
 Everything here is a pure function of its inputs: layouts run a fixed
 iteration budget from seed-derived starting positions, coordinates are
 emitted with fixed precision, and element order is canonical, so identical
-inputs produce byte-identical documents.
+inputs produce byte-identical documents. The SVG is written as one template
+row per element, with text and attribute values escaped by
+:func:`~citecascade.records.xml_text` and
+:func:`~citecascade.records.xml_attribute`.
 """
 
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 from typing import TYPE_CHECKING
 
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, components, network_arrays
 from .errors import ValidationError
 from .overlay import OverlayProjection
-from .records import YearDistribution
+from .records import YearDistribution, xml_attribute, xml_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -221,26 +223,26 @@ def _pack(laid: list[tuple[list[str], np.ndarray]], isolated: list[str]) -> dict
     return dict(sorted(positions.items()))
 
 
-# -- SVG helpers -----------------------------------------------------------------
+# -- SVG writers ------------------------------------------------------------------
+#
+# Rows are laid out as ``xml.etree`` writes the same tree after ``indent``: two
+# spaces per level and `` />`` closing an empty element. ``tests/test_render.py``
+# keeps the element-tree writer as the byte oracle.
 
-_SVG_NS = "http://www.w3.org/2000/svg"
 
-
-def _svg_root(width: float, height: float) -> ET.Element:
-    return ET.Element(
-        "svg",
-        {
-            "xmlns": _SVG_NS,
-            "width": f"{width:.0f}",
-            "height": f"{height:.0f}",
-            "viewBox": f"0 0 {width:.0f} {height:.0f}",
-        },
+def _svg_head(width: float, height: float) -> str:
+    return (
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
     )
 
 
-def _to_document(root: ET.Element) -> str:
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+def _group(indent: str, attributes: str, rows: list[str]) -> str:
+    """A ``<g>`` row at ``indent`` around ``rows``, laid out one level deeper."""
+    if not rows:
+        return f"{indent}<g {attributes} />\n"
+    return f"{indent}<g {attributes}>\n" + "".join(rows) + f"{indent}</g>\n"
 
 
 def wrap_html(svg_document: str, title: str = "network map") -> str:
@@ -248,7 +250,7 @@ def wrap_html(svg_document: str, title: str = "network map") -> str:
     body = svg_document.split("?>", 1)[-1].strip()
     return (
         "<!DOCTYPE html>\n<html>\n<head>\n"
-        f"<meta charset=\"utf-8\"/>\n<title>{title}</title>\n"
+        f"<meta charset=\"utf-8\"/>\n<title>{xml_text(title)}</title>\n"
         "</head>\n<body>\n" + body + "\n</body>\n</html>\n"
     )
 
@@ -280,66 +282,51 @@ def _node_radii(network: CoCitationNetwork) -> dict[str, float]:
 
 
 def _draw_panel(
-    parent: ET.Element,
     network: CoCitationNetwork,
     fitted: dict[str, tuple[float, float]],
     radii: dict[str, float],
     node_fill,
     partition: ClusterPartition | None,
     offset_x: float = 0.0,
-) -> None:
+    indent: str = "  ",
+) -> str:
+    """The edge, node and label groups of one map panel, at ``indent``."""
+    inner = indent + "  "
     year_lo = min((e.first_cocited_year for e in network.edges.values()), default=0)
     year_hi = max((e.first_cocited_year for e in network.edges.values()), default=0)
-    edges_group = ET.SubElement(parent, "g", {"class": "edges", "stroke-opacity": "0.5"})
+    lines = []
     for (a, b), info in sorted(network.edges.items()):
         xa, ya = fitted[a]
         xb, yb = fitted[b]
         color = scale_year_color(info.first_cocited_year, year_lo, year_hi, YEAR_PALETTE)
-        ET.SubElement(
-            edges_group,
-            "line",
-            {
-                "x1": f"{xa + offset_x:.2f}",
-                "y1": f"{ya:.2f}",
-                "x2": f"{xb + offset_x:.2f}",
-                "y2": f"{yb:.2f}",
-                "stroke": color,
-                "stroke-width": f"{0.5 + 0.5 * info.weight ** 0.5:.2f}",
-            },
+        lines.append(
+            f'{inner}<line x1="{xa + offset_x:.2f}" y1="{ya:.2f}" x2="{xb + offset_x:.2f}" y2="{yb:.2f}" '
+            f'stroke="{color}" stroke-width="{0.5 + 0.5 * info.weight ** 0.5:.2f}" />\n'
         )
-    nodes_group = ET.SubElement(parent, "g", {"class": "nodes"})
+    circles = []
     for node in sorted(network.nodes):
         x, y = fitted[node]
-        circle = ET.SubElement(
-            nodes_group,
-            "circle",
-            {
-                "cx": f"{x + offset_x:.2f}",
-                "cy": f"{y:.2f}",
-                "r": f"{radii[node]:.2f}",
-                "fill": node_fill(node),
-            },
-        )
         info = network.nodes[node]
-        ET.SubElement(circle, "title").text = f"{node} (cited {info.count}x, first {info.year})"
-    if partition is not None:
-        labels_group = ET.SubElement(parent, "g", {"class": "labels", "font-size": "12"})
-        clusters = partition.clusters()
-        order = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))
-        for cluster_index in order[:LABEL_TOP_K]:
-            members = clusters[cluster_index]
-            placed = [fitted[m] for m in members if m in fitted]
-            if not placed:
-                continue
-            cx = sum(p[0] for p in placed) / len(placed)
-            cy = sum(p[1] for p in placed) / len(placed)
-            label = partition.labels.get(cluster_index, "")
-            text = ET.SubElement(
-                labels_group,
-                "text",
-                {"x": f"{cx + offset_x:.2f}", "y": f"{cy:.2f}", "text-anchor": "middle"},
-            )
-            text.text = f"#{cluster_index} {label}".rstrip()
+        circles.append(
+            f'{inner}<circle cx="{x + offset_x:.2f}" cy="{y:.2f}" r="{radii[node]:.2f}" fill="{node_fill(node)}">\n'
+            f"{inner}  <title>{xml_text(node)} (cited {info.count}x, first {info.year})</title>\n"
+            f"{inner}</circle>\n"
+        )
+    panel = _group(indent, 'class="edges" stroke-opacity="0.5"', lines) + _group(indent, 'class="nodes"', circles)
+    if partition is None:
+        return panel
+    texts = []
+    clusters = partition.clusters()
+    order = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))
+    for cluster_index in order[:LABEL_TOP_K]:
+        placed = [fitted[m] for m in clusters[cluster_index] if m in fitted]
+        if not placed:
+            continue
+        cx = sum(p[0] for p in placed) / len(placed)
+        cy = sum(p[1] for p in placed) / len(placed)
+        label = f"#{cluster_index} {partition.labels.get(cluster_index, '')}".rstrip()
+        texts.append(f'{inner}<text x="{cx + offset_x:.2f}" y="{cy:.2f}" text-anchor="middle">{xml_text(label)}</text>\n')
+    return panel + _group(indent, 'class="labels" font-size="12"', texts)
 
 
 def render_map(
@@ -372,12 +359,10 @@ def render_map(
                 return "#4878a8"
             return palette[partition.assignment.get(node, 0) % len(palette)]
 
-        root = _svg_root(width, height)
-        _draw_panel(root, network, fitted, radii, fill, partition)
-        return _to_document(root)
+        return _svg_head(width, height) + _draw_panel(network, fitted, radii, fill, partition) + "</svg>\n"
 
     names = projection.dataset_names
-    root = _svg_root(width * len(names), height)
+    panels = []
     for panel, name in enumerate(names):
         color = palette[panel % len(palette)]
 
@@ -385,15 +370,10 @@ def render_map(
             bits = projection.membership.get(node, ())
             return _color if len(bits) > _pos and bits[_pos] else "#d9d9d9"
 
-        group = ET.SubElement(root, "g", {"class": f"panel-{name}"})
-        caption = ET.SubElement(
-            group,
-            "text",
-            {"x": f"{panel * width + pad:.2f}", "y": "18", "font-size": "14"},
-        )
-        caption.text = name
-        _draw_panel(group, network, fitted, radii, panel_fill, partition, offset_x=panel * width)
-    return _to_document(root)
+        caption = f'    <text x="{panel * width + pad:.2f}" y="18" font-size="14">{xml_text(name)}</text>\n'
+        drawn = _draw_panel(network, fitted, radii, panel_fill, partition, offset_x=panel * width, indent="    ")
+        panels.append(_group("  ", f'class="panel-{xml_attribute(name)}"', [caption, drawn]))
+    return _svg_head(width * len(names), height) + "".join(panels) + "</svg>\n"
 
 
 def render_distribution(distributions: list[YearDistribution], log: bool = False) -> str:
@@ -413,15 +393,6 @@ def render_distribution(distributions: list[YearDistribution], log: bool = False
 
     peak = max(value(d, y) for d in distributions for y in range(lo, hi + 1)) or 1.0
     width, height, pad = 720.0, 360.0, 40.0
-    root = _svg_root(width, height)
-    axes = ET.SubElement(root, "g", {"class": "axes", "stroke": "#333333"})
-    ET.SubElement(axes, "line", {
-        "x1": f"{pad:.2f}", "y1": f"{height - pad:.2f}",
-        "x2": f"{width - pad:.2f}", "y2": f"{height - pad:.2f}",
-    })
-    ET.SubElement(axes, "line", {
-        "x1": f"{pad:.2f}", "y1": f"{pad:.2f}", "x2": f"{pad:.2f}", "y2": f"{height - pad:.2f}",
-    })
 
     def x_of(year: int) -> float:
         if hi == lo:
@@ -431,32 +402,31 @@ def render_distribution(distributions: list[YearDistribution], log: bool = False
     def y_of(v: float) -> float:
         return height - pad - (v / peak) * (height - 2 * pad)
 
-    series_group = ET.SubElement(root, "g", {"class": "series", "fill": "none"})
+    axes = [
+        f'    <line x1="{pad:.2f}" y1="{height - pad:.2f}" x2="{width - pad:.2f}" y2="{height - pad:.2f}" />\n',
+        f'    <line x1="{pad:.2f}" y1="{pad:.2f}" x2="{pad:.2f}" y2="{height - pad:.2f}" />\n',
+    ]
+    series, legend = [], []
     for i, dist in enumerate(distributions):
         color = DATASET_PALETTE[i % len(DATASET_PALETTE)]
         points = " ".join(f"{x_of(y):.2f},{y_of(value(dist, y)):.2f}" for y in range(lo, hi + 1))
-        ET.SubElement(series_group, "polyline", {"points": points, "stroke": color})
-
-    labels = ET.SubElement(root, "g", {"class": "axis-labels", "font-size": "11"})
-    ET.SubElement(labels, "text", {"x": f"{pad:.2f}", "y": f"{height - pad + 16:.2f}"}).text = str(lo)
-    end_label = ET.SubElement(
-        labels, "text", {"x": f"{width - pad:.2f}", "y": f"{height - pad + 16:.2f}",
-                         "text-anchor": "end"}
-    )
-    end_label.text = str(hi)
-    y_caption = ET.SubElement(labels, "text", {"x": f"{pad:.2f}", "y": f"{pad - 8:.2f}"})
-    y_caption.text = ("ln(1+articles)" if log else "articles") + f" (max {peak:g})"
-
-    legend = ET.SubElement(root, "g", {"class": "legend", "font-size": "11"})
-    for i, dist in enumerate(distributions):
-        color = DATASET_PALETTE[i % len(DATASET_PALETTE)]
+        series.append(f'    <polyline points="{points}" stroke="{color}" />\n')
         y = pad + 14 * i
-        ET.SubElement(legend, "rect", {
-            "x": f"{width - pad - 110:.2f}", "y": f"{y - 9:.2f}",
-            "width": "10", "height": "10", "fill": color,
-        })
-        entry = ET.SubElement(
-            legend, "text", {"x": f"{width - pad - 96:.2f}", "y": f"{y:.2f}"}
-        )
-        entry.text = dist.dataset_name
-    return _to_document(root)
+        legend += [
+            f'    <rect x="{width - pad - 110:.2f}" y="{y - 9:.2f}" width="10" height="10" fill="{color}" />\n',
+            f'    <text x="{width - pad - 96:.2f}" y="{y:.2f}">{xml_text(dist.dataset_name)}</text>\n',
+        ]
+    caption = ("ln(1+articles)" if log else "articles") + f" (max {peak:g})"
+    labels = [
+        f'    <text x="{pad:.2f}" y="{height - pad + 16:.2f}">{lo}</text>\n',
+        f'    <text x="{width - pad:.2f}" y="{height - pad + 16:.2f}" text-anchor="end">{hi}</text>\n',
+        f'    <text x="{pad:.2f}" y="{pad - 8:.2f}">{caption}</text>\n',
+    ]
+    return "".join([
+        _svg_head(width, height),
+        _group("  ", 'class="axes" stroke="#333333"', axes),
+        _group("  ", 'class="series" fill="none"', series),
+        _group("  ", 'class="axis-labels" font-size="11"', labels),
+        _group("  ", 'class="legend" font-size="11"', legend),
+        "</svg>\n",
+    ])

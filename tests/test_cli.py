@@ -497,6 +497,21 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize(
         "argv", [["report", "--kind", "networks"], ["cluster", "--network", "F"], ["render", "--network", "F"]]
     )
+    def test_self_loop_exits_4(self, tmp_path, corpus, capsys, argv):
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["nodes"].append({"id": "ZZZ", "count": 1, "year": 2000})
+        data["edges"].append({"source": "ZZZ", "target": "ZZZ", "weight": 1, "first_cocited_year": 2000})
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and "'ZZZ' to itself" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["report", "--kind", "networks"], ["cluster", "--network", "F"], ["render", "--network", "F"]]
+    )
     def test_non_string_node_id_exits_4(self, tmp_path, corpus, capsys, argv):
         session_dir = finished_session(tmp_path, corpus)
         path = session_dir / "networks" / "F.json"
@@ -1030,10 +1045,12 @@ BUNDLED_TABLE_SHA256 = {
 
 
 # sha256 of the bundled pipeline's maps and year chart; the maps re-recorded
-# when each component got its own layout, packed and fitted with one scale.
+# when each component got its own layout, packed and fitted with one scale, and
+# the map page added when the SVG moved from xml.etree to template rows.
 BUNDLED_RENDER_SHA256 = {
     "renders/combined.map.svg": "c724639cc241cabc0356c2b6e4f961805d75570cddcb3d54d1a37d62e138f081",
     "renders/combined.overlay.svg": "79dca943752b05c29c954e3bb15cf09b9b20544627314982786442251530abe6",
+    "renders/combined.map.html": "fa76da6a405072cc604ae6ecda0f46865fbabd348acb8799cb2fa47037bdf7eb",
     "renders/combined.overlay.html": "df2fa2130398819df74c05eafe92fa679f09c4c344ce399ecf36630323e3acac",
     "renders/F-S3-combined.years.svg": "0a38cde894b9c8df6b3a53dbb54c744b3bb0417f258abb9b5b0c6cbe6cf004cc",
 }

@@ -1,4 +1,4 @@
-"""Layout determinism, SVG well-formedness, glyph counts, color scales."""
+"""Layout determinism, SVG well-formedness and byte oracle, glyph counts, color scales."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citecascade import render
@@ -25,7 +25,7 @@ from citecascade.cocitation import (
     network_arrays,
 )
 from citecascade.errors import ValidationError
-from citecascade.overlay import project_overlay
+from citecascade.overlay import OverlayProjection, project_overlay
 from citecascade.records import Dataset, YearDistribution
 from citecascade.render import (
     DATASET_PALETTE,
@@ -38,7 +38,7 @@ from citecascade.render import (
     wrap_html,
 )
 
-from test_cocitation import connected_components_traversal
+from test_cocitation import connected_components_traversal, network_ids
 
 
 def simple_network(edge_spec: dict[tuple[str, str], tuple[int, int]],
@@ -365,3 +365,225 @@ class TestRenderDistribution:
         dist = YearDistribution("d", {2000: 1, 2001: 4}, 0, (2000, 2001), {2000: 0.7, 2001: 1.6})
         assert render_distribution([dist]) == render_distribution([dist])
 
+
+
+
+# -- the element-tree writer, kept as the byte oracle of the template rows ----------
+
+
+def etree_svg_root(width: float, height: float) -> ET.Element:
+    return ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "width": f"{width:.0f}",
+        "height": f"{height:.0f}",
+        "viewBox": f"0 0 {width:.0f} {height:.0f}",
+    })
+
+
+def etree_document(root: ET.Element) -> str:
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+
+
+def etree_panel(parent, network, fitted, radii, node_fill, partition, offset_x=0.0) -> None:
+    year_lo = min((e.first_cocited_year for e in network.edges.values()), default=0)
+    year_hi = max((e.first_cocited_year for e in network.edges.values()), default=0)
+    edges_group = ET.SubElement(parent, "g", {"class": "edges", "stroke-opacity": "0.5"})
+    for (a, b), info in sorted(network.edges.items()):
+        xa, ya = fitted[a]
+        xb, yb = fitted[b]
+        ET.SubElement(edges_group, "line", {
+            "x1": f"{xa + offset_x:.2f}", "y1": f"{ya:.2f}",
+            "x2": f"{xb + offset_x:.2f}", "y2": f"{yb:.2f}",
+            "stroke": scale_year_color(info.first_cocited_year, year_lo, year_hi, render.YEAR_PALETTE),
+            "stroke-width": f"{0.5 + 0.5 * info.weight ** 0.5:.2f}",
+        })
+    nodes_group = ET.SubElement(parent, "g", {"class": "nodes"})
+    for node in sorted(network.nodes):
+        x, y = fitted[node]
+        circle = ET.SubElement(nodes_group, "circle", {
+            "cx": f"{x + offset_x:.2f}", "cy": f"{y:.2f}", "r": f"{radii[node]:.2f}", "fill": node_fill(node),
+        })
+        info = network.nodes[node]
+        ET.SubElement(circle, "title").text = f"{node} (cited {info.count}x, first {info.year})"
+    if partition is not None:
+        labels_group = ET.SubElement(parent, "g", {"class": "labels", "font-size": "12"})
+        clusters = partition.clusters()
+        order = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))
+        for cluster_index in order[:render.LABEL_TOP_K]:
+            placed = [fitted[m] for m in clusters[cluster_index] if m in fitted]
+            if not placed:
+                continue
+            cx = sum(p[0] for p in placed) / len(placed)
+            cy = sum(p[1] for p in placed) / len(placed)
+            text = ET.SubElement(labels_group, "text",
+                                 {"x": f"{cx + offset_x:.2f}", "y": f"{cy:.2f}", "text-anchor": "middle"})
+            text.text = f"#{cluster_index} {partition.labels.get(cluster_index, '')}".rstrip()
+
+
+def etree_render_map(network, positions, partition=None, projection=None) -> str:
+    """The map as the element-tree writer laid it out (built, indented, then
+    serialised). ``render_map`` must equal it byte for byte."""
+    width, height, pad = render.MAP_WIDTH, render.MAP_HEIGHT, 30.0
+    fitted = render._fit_positions(positions, width, height, pad)
+    radii = render._node_radii(network)
+    palette = DATASET_PALETTE
+    if projection is None or len(projection.dataset_names) <= 2:
+        def fill(node):
+            if projection is not None:
+                bits = projection.membership.get(node, ())
+                return blend_colors([palette[i % len(palette)] for i, bit in enumerate(bits) if bit])
+            if partition is None:
+                return "#4878a8"
+            return palette[partition.assignment.get(node, 0) % len(palette)]
+
+        root = etree_svg_root(width, height)
+        etree_panel(root, network, fitted, radii, fill, partition)
+        return etree_document(root)
+    names = projection.dataset_names
+    root = etree_svg_root(width * len(names), height)
+    for panel, name in enumerate(names):
+        color = palette[panel % len(palette)]
+
+        def panel_fill(node, _pos=panel, _color=color):
+            bits = projection.membership.get(node, ())
+            return _color if len(bits) > _pos and bits[_pos] else "#d9d9d9"
+
+        group = ET.SubElement(root, "g", {"class": f"panel-{name}"})
+        caption = ET.SubElement(group, "text", {"x": f"{panel * width + pad:.2f}", "y": "18", "font-size": "14"})
+        caption.text = name
+        etree_panel(group, network, fitted, radii, panel_fill, partition, offset_x=panel * width)
+    return etree_document(root)
+
+
+def etree_render_distribution(distributions, log=False) -> str:
+    """The year chart as the element-tree writer laid it out; ``render_distribution``
+    must equal it byte for byte."""
+    ranges = [d.range for d in distributions if d.range is not None]
+    lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
+
+    def value(dist, year):
+        return dist.log_counts.get(year, 0.0) if log else float(dist.counts.get(year, 0))
+
+    peak = max(value(d, y) for d in distributions for y in range(lo, hi + 1)) or 1.0
+    width, height, pad = 720.0, 360.0, 40.0
+    root = etree_svg_root(width, height)
+    axes = ET.SubElement(root, "g", {"class": "axes", "stroke": "#333333"})
+    ET.SubElement(axes, "line", {"x1": f"{pad:.2f}", "y1": f"{height - pad:.2f}",
+                                 "x2": f"{width - pad:.2f}", "y2": f"{height - pad:.2f}"})
+    ET.SubElement(axes, "line", {"x1": f"{pad:.2f}", "y1": f"{pad:.2f}",
+                                 "x2": f"{pad:.2f}", "y2": f"{height - pad:.2f}"})
+
+    def x_of(year):
+        return width / 2.0 if hi == lo else pad + (year - lo) / (hi - lo) * (width - 2 * pad)
+
+    def y_of(v):
+        return height - pad - (v / peak) * (height - 2 * pad)
+
+    series_group = ET.SubElement(root, "g", {"class": "series", "fill": "none"})
+    for i, dist in enumerate(distributions):
+        points = " ".join(f"{x_of(y):.2f},{y_of(value(dist, y)):.2f}" for y in range(lo, hi + 1))
+        ET.SubElement(series_group, "polyline", {"points": points, "stroke": DATASET_PALETTE[i % len(DATASET_PALETTE)]})
+    labels = ET.SubElement(root, "g", {"class": "axis-labels", "font-size": "11"})
+    ET.SubElement(labels, "text", {"x": f"{pad:.2f}", "y": f"{height - pad + 16:.2f}"}).text = str(lo)
+    ET.SubElement(labels, "text", {"x": f"{width - pad:.2f}", "y": f"{height - pad + 16:.2f}",
+                                   "text-anchor": "end"}).text = str(hi)
+    ET.SubElement(labels, "text", {"x": f"{pad:.2f}", "y": f"{pad - 8:.2f}"}).text = (
+        ("ln(1+articles)" if log else "articles") + f" (max {peak:g})")
+    legend = ET.SubElement(root, "g", {"class": "legend", "font-size": "11"})
+    for i, dist in enumerate(distributions):
+        y = pad + 14 * i
+        ET.SubElement(legend, "rect", {"x": f"{width - pad - 110:.2f}", "y": f"{y - 9:.2f}", "width": "10",
+                                       "height": "10", "fill": DATASET_PALETTE[i % len(DATASET_PALETTE)]})
+        ET.SubElement(legend, "text", {"x": f"{width - pad - 96:.2f}", "y": f"{y:.2f}"}).text = dist.dataset_name
+    return etree_document(root)
+
+
+# Label text as cluster labelling may write it: any characters, trailing blanks too.
+label_texts = st.text(alphabet=st.one_of(st.sampled_from("&<>\"' é\t"), st.characters(blacklist_categories=("Cs",))),
+                      max_size=8)
+
+
+@st.composite
+def drawn_maps(draw):
+    """A network with positions, and maybe a labelled partition (whose clusters may
+    hold ids the network lacks, so a label group can come out empty) and a
+    projection onto 1-4 datasets."""
+    ids = draw(st.lists(network_ids, min_size=1, max_size=8, unique=True))
+    network = simple_network(
+        {pair: (draw(st.integers(1, 50)), draw(st.integers(1990, 2020)))
+         for pair in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=12))
+         if pair[0] != pair[1]},
+        extra_nodes=tuple(ids),
+    )
+    coordinate = st.floats(-50.0, 50.0)
+    positions = {n: (draw(coordinate), draw(coordinate)) for n in sorted(network.nodes)}
+    partition = None
+    if draw(st.booleans()):
+        members = ids + draw(st.lists(network_ids.filter(lambda n: n not in network.nodes), max_size=3))
+        partition = ClusterPartition(assignment={n: draw(st.integers(0, 6)) for n in members})
+        partition.labels = draw(st.dictionaries(st.integers(0, 6), label_texts, max_size=7))
+    projection = None
+    if draw(st.booleans()):
+        names = draw(st.lists(network_ids, min_size=1, max_size=4, unique=True))
+        membership = {n: tuple(draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names))))
+                      for n in draw(st.lists(st.sampled_from(ids), unique=True))}
+        projection = OverlayProjection(names, membership)
+    return network, positions, partition, projection
+
+
+def year_distribution(name: str, counts: dict[int, int]) -> YearDistribution:
+    years = [y for y, c in counts.items() if c > 0]
+    span = (min(years), max(years)) if years else None
+    return YearDistribution(name, counts, 0, span, {y: math.log1p(c) for y, c in counts.items()})
+
+
+@st.composite
+def year_charts(draw):
+    """1-4 distributions, the first with at least one dated article, and the scale."""
+    names = draw(st.lists(network_ids, min_size=1, max_size=4, unique=True))
+    counts = st.dictionaries(st.integers(1990, 2010), st.integers(0, 500), max_size=8)
+    first = draw(st.dictionaries(st.integers(1990, 2010), st.integers(1, 500), min_size=1, max_size=8))
+    dists = [year_distribution(names[0], first)] + [year_distribution(n, draw(counts)) for n in names[1:]]
+    return dists, draw(st.booleans())
+
+
+class TestWritersMatchTheOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=drawn_maps())
+    @example(drawn=(simple_network({}, extra_nodes=("a&b", "<c>")), {"a&b": (0.0, 0.0), "<c>": (1.0, 2.0)},
+                    ClusterPartition(assignment={"ghost": 0}), None))
+    @example(drawn=(simple_network({("a", "b\"'é"): (2, 2000)}), {"a": (0.0, 0.0), "b\"'é": (1.0, 1.0)},
+                    ClusterPartition(assignment={"a": 0, "b\"'é": 1}, labels={1: "x<y> & 'z'  "}),
+                    OverlayProjection(["d&1", "<d2>", "d\"3", "é"], {"a": (True, False, True, False)})))
+    def test_maps_equal_the_element_tree_writer(self, drawn):
+        network, positions, partition, projection = drawn
+        expected = etree_render_map(network, positions, partition, projection)
+        assert render_map(network, positions, partition, projection) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(chart=year_charts())
+    @example(chart=([year_distribution("single & <only>", {2000: 3})], False))
+    @example(chart=([year_distribution("a\"é", {1990: 1, 1995: 0, 2000: 9}), year_distribution("b", {})], True))
+    def test_year_charts_equal_the_element_tree_writer(self, chart):
+        dists, log = chart
+        assert render_distribution(dists, log=log) == etree_render_distribution(dists, log=log)
+
+    def test_bundled_maps_equal_the_element_tree_writer(self, bundled_world):
+        network, _store = bundled_world
+        positions = layout(network, LAYOUT_SEED)
+        partition = ClusterPartition(assignment={n: i % 7 for i, n in enumerate(sorted(network.nodes))},
+                                     labels={i: f"theme <{i}> & co" for i in range(7)})
+        members = sorted(network.nodes)
+        datasets = [Dataset(f"D{i}", set(members[i::3])) for i in range(3)]
+        for projection in (None, project_overlay(network, datasets[:2], partition),
+                           project_overlay(network, datasets, partition)):
+            assert render_map(network, positions, partition, projection) == etree_render_map(
+                network, positions, partition, projection)
+
+
+class TestHtmlWrapper:
+    def test_title_is_escaped(self):
+        html = wrap_html(draw(simple_network({("a", "b"): (1, 2000)})), title="x<y&z map")
+        assert "<title>x&lt;y&amp;z map</title>" in html
+        assert ET.fromstring(html).find("head/title").text == "x<y&z map"
