@@ -3,7 +3,10 @@
 Records come from JSONL exports or header-driven Dimensions-style CSV files,
 get normalized into :class:`ArticleRecord`, and live in a :class:`RecordStore`
 (in-memory index, saved as one JSONL line per record), which also answers the
-citation queries: what a record cites and who cites it. Named article-id sets are
+citation queries: what a record cites and who cites it, the latter from a list
+of citers per cited id. Every article id read from a file, as a record id, a
+reference or a dataset member, is interned, so the process holds one string
+object per id however often it is cited. Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
 :class:`YearDistribution` objects. :func:`json_text` is the one JSON layout
 of every artifact the package writes, :func:`csv_text` the one CSV layout of
@@ -14,12 +17,15 @@ of GraphML, SVG and the HTML map pages.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import re
+import sys
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -29,6 +35,7 @@ from .errors import EmptyDatasetError, FormatError, UnknownPublicationError, Val
 MIN_YEAR = 1500
 
 _WS_RE = re.compile(r"\s+")
+_CONTROL_RE = re.compile(r"[\x00-\x1f]")
 
 
 def json_text(payload) -> str:
@@ -61,8 +68,10 @@ def xml_attribute(text: str) -> str:
     )
 
 
+@functools.cache
 def max_plausible_year() -> int:
-    """Latest year a record may carry (next calendar year)."""
+    """Latest year a record may carry: the calendar year after the one in which the
+    process first asks. The bound is fixed for the life of the process."""
     return date.today().year + 1
 
 
@@ -101,20 +110,17 @@ class ArticleRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("record id must be nonempty")
-        if any(ch < " " for ch in self.id):
+        if _CONTROL_RE.search(self.id):
             raise ValidationError(f"record id {self.id!r} holds a control character")
         if self.year is not None and not (MIN_YEAR <= self.year <= max_plausible_year()):
             raise ValidationError(f"year {self.year} outside [{MIN_YEAR}, {max_plausible_year()}]")
         if self.global_citation_count is not None and self.global_citation_count < 0:
             raise ValidationError("global_citation_count must be >= 0")
-        # Reference lists keep their order but never contain dups or the record itself.
-        seen: set[str] = set()
-        refs: list[str] = []
-        for ref in self.reference_ids:
-            if ref and ref != self.id and ref not in seen:
-                seen.add(ref)
-                refs.append(ref)
-        self.reference_ids = refs
+        # Reference lists keep their order but never contain dups, "" or the record itself.
+        refs = dict.fromkeys(self.reference_ids)
+        refs.pop(self.id, None)
+        refs.pop("", None)
+        self.reference_ids = list(refs)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -192,14 +198,18 @@ class RecordStore:
     order, each as the current state of its id, so a later line supersedes an
     earlier one: a log that older versions appended to loads the same way.
 
-    The citation lookups read the inverse reference index (id -> ids of the
-    stored records citing it), built on the first lookup that needs it and
-    dropped by every :meth:`insert` or :meth:`replace`.
+    A loaded store holds one string object per article id: each record id and
+    each reference is interned as its record is built.
+
+    The citation lookups read the inverse reference index (cited id -> list of
+    the ids of the stored records citing it, one entry per citing record; ids
+    no stored record cites have no entry), built on the first lookup that needs
+    it and dropped by every :meth:`insert` or :meth:`replace`.
     """
 
     def __init__(self) -> None:
         self._records: dict[str, ArticleRecord] = {}
-        self._citer_index: dict[str, set[str]] | None = None
+        self._citer_index: dict[str, list[str]] | None = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -230,13 +240,15 @@ class RecordStore:
 
     # -- citation lookups ----------------------------------------------------
 
-    def _citers(self) -> dict[str, set[str]]:
+    def _citers(self) -> dict[str, list[str]]:
+        # A record's references hold no duplicates and each record is visited
+        # once, so no citer list holds an id twice.
         if self._citer_index is None:
-            index: dict[str, set[str]] = {i: set() for i in self._records}
+            index: dict[str, list[str]] = defaultdict(list)
             for record in self._records.values():
                 for ref in record.reference_ids:
-                    if ref in index:
-                        index[ref].add(record.id)
+                    if ref in self._records:
+                        index[ref].append(record.id)
             self._citer_index = index
         return self._citer_index
 
@@ -257,7 +269,7 @@ class RecordStore:
     def get_citers(self, pub_id: str) -> list[str]:
         """Sorted ids of stored records whose reference list contains ``pub_id``."""
         self.record(pub_id)  # an unknown id raises
-        return sorted(self._citers()[pub_id])
+        return sorted(self._citers().get(pub_id, ()))
 
     def citation_count(self, pub_id: str) -> int:
         """Universe-wide citation count when the source reported one, else the
@@ -265,7 +277,7 @@ class RecordStore:
         record = self.record(pub_id)
         if record.global_citation_count is not None:
             return record.global_citation_count
-        return len(self._citers()[pub_id])
+        return len(self._citers().get(pub_id, ()))
 
     # -- persistence ---------------------------------------------------------
 
@@ -403,10 +415,10 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
         return None, "authors is not a list"
     try:
         record = ArticleRecord(
-            id=str(raw_id),
+            id=sys.intern(str(raw_id)),
             title=str(title),
             year=year,
-            reference_ids=[str(r) for r in row["reference_ids"]],
+            reference_ids=[sys.intern(str(r)) for r in row["reference_ids"]],
             venue=row.get("venue"),
             authors=list(row["authors"]) if row.get("authors") is not None else None,
             abstract=row.get("abstract"),
@@ -535,11 +547,15 @@ class Dataset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dataset":
-        return cls(
-            name=data["name"],
-            member_ids=set(data["member_ids"]),
-            provenance=data.get("provenance", {}),
-        )
+        """A dataset from its JSON form; ValueError when ``name`` is not a string,
+        ``member_ids`` not a list of strings or ``provenance`` not an object. Members
+        are interned, like the ids of the records they name."""
+        name, members, provenance = data["name"], data["member_ids"], data.get("provenance", {})
+        if not isinstance(members, list) or not all(type(m) is str for m in members):
+            raise ValueError("member_ids is not a list of strings")
+        if type(name) is not str or type(provenance) is not dict:
+            raise ValueError("name is not a string or provenance is not an object")
+        return cls(name=name, member_ids=set(map(sys.intern, members)), provenance=provenance)
 
 
 def dataset_union(datasets: list[Dataset], name: str) -> Dataset:

@@ -1,10 +1,10 @@
 """Property: no input a user can supply makes ``cli.main`` raise.
 
 Damaged store logs, ingest and enrichment files, and numeric flags are
-generated at random and fed to commands run in a copy of a small finished
-session. Every run must end with exit code 0, 2, 3 or 4 (argparse's
-``SystemExit`` counted as its code), and a failing run must print exactly one
-``error:`` line to stderr.
+generated at random, dataset files of the wrong shape are written by hand, and
+each is fed to commands run in a copy of a small finished session. Every run
+must end with exit code 0, 2, 3 or 4 (argparse's ``SystemExit`` counted as its
+code), and a failing run must print exactly one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -159,3 +159,18 @@ def test_numeric_flags(finished_session, flag, value, joined):
     with session_copy(finished_session) as work:
         argv = [f"{flag}={value}"] if joined else [flag, value]
         run_cli(work / "sess", *FLAG_COMMANDS[flag], *argv)
+
+
+@pytest.mark.parametrize("fields, commands", [
+    ({"member_ids": "P001"}, [["report", "--kind", "datasets"], ["union", "--name", "u", "--datasets", "bad,a"]]),
+    ({"member_ids": [1, 2]}, [["union", "--name", "u", "--datasets", "bad,a"], ["network", "--dataset", "bad", "--name", "n"]]),
+    ({"name": 5}, [["render", "--distributions", "bad,a"]]),
+    ({"provenance": []}, [["report", "--kind", "datasets"]]),
+])
+def test_dataset_file_of_the_wrong_shape(finished_session, fields, commands):
+    with session_copy(finished_session) as work:
+        session = work / "sess"
+        bad = session / "datasets" / "bad.json"
+        bad.write_text(json.dumps({"name": "bad", "member_ids": ["c00"], "provenance": {}, **fields}))
+        for argv in commands:
+            assert run_cli(session, *argv) == 4, argv

@@ -1,4 +1,4 @@
-"""Record store: ingestion, merge rules, datasets, year distributions."""
+"""Record store: ingestion, merge rules, citer index, shared ids, datasets, year distributions."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from citecascade.cli import main
 from citecascade.errors import EmptyDatasetError, FormatError, ValidationError
 from citecascade.records import (
+    _CONTROL_RE,
     ArticleRecord,
     Dataset,
     RecordStore,
@@ -19,6 +21,7 @@ from citecascade.records import (
     normalize_title,
     year_distribution,
 )
+from citecascade.session import Session
 
 from conftest import make_record
 
@@ -463,3 +466,87 @@ class TestPersistence:
         rewrite(path, loaded)
         assert path.read_text(encoding="utf-8").count("\n") == 2
         assert RecordStore.load(path).get("p1").to_json_dict() == updated.to_json_dict()
+
+
+# -- oracles: the reference dedup loop and the set-based citer index ---------------
+
+
+def reference_oracle(pub_id, refs):
+    """A record's references as the per-reference loop keeps them: first-seen order,
+    no duplicates, no "" and not the record itself."""
+    seen: set[str] = set()
+    out: list[str] = []
+    for ref in refs:
+        if ref and ref != pub_id and ref not in seen:
+            seen.add(ref)
+            out.append(ref)
+    return out
+
+
+def citers_oracle(store):
+    """The inverse reference index as one set per stored id."""
+    index: dict[str, set[str]] = {i: set() for i in store.ids()}
+    for record in store:
+        for ref in record.reference_ids:
+            if ref in index:
+                index[ref].add(record.id)
+    return index
+
+
+STORE_IDS = ["p0", "p1", "p2", "p3", "p4"]
+STORE_CHANGES = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace"]),
+        st.sampled_from(STORE_IDS),
+        st.lists(st.sampled_from([*STORE_IDS, "ghost", ""]), max_size=8),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestCiterIndex:
+    @given(changes=STORE_CHANGES)
+    def test_lookups_match_the_oracles_after_every_change(self, changes):
+        # Every change comes after the previous check built the index.
+        store = RecordStore()
+        given_refs: dict[str, list[str]] = {}  # each id's winning reference list, as given
+        for op, pub_id, refs in changes:
+            if op == "replace" or pub_id not in given_refs or (
+                len(reference_oracle(pub_id, refs)) > len(reference_oracle(pub_id, given_refs[pub_id]))
+            ):
+                given_refs[pub_id] = refs
+            getattr(store, op)(make_record(pub_id, refs=refs))
+            oracle = citers_oracle(store)
+            for i in STORE_IDS:
+                if i not in store:
+                    continue
+                assert store.get(i).reference_ids == reference_oracle(i, given_refs[i])
+                assert store.get_citers(i) == sorted(oracle[i])
+                assert store.citation_count(i) == len(oracle[i])
+
+    @given(text=st.text(
+        alphabet=st.sampled_from(["\x00", "\t", "\x1f", "\x20", "\x7f", "\x85", "\u00e9", "\u2028"])
+        | st.characters(),
+        max_size=12,
+    ))
+    def test_control_character_regex_matches_the_scan(self, text):
+        assert (_CONTROL_RE.search(text) is not None) == any(ch < " " for ch in text)
+
+
+def test_loaded_ids_are_one_object_per_id(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [
+        valid_row("p1", refs=["p2", "p3", "ghost"]),
+        valid_row("p2", refs=["p3", "p1", "p3"]),
+        valid_row("p3"),
+        valid_row("p4", refs=["p1", "p2", "p3", "ghost"]),
+    ])
+    assert main(["--session", str(tmp_path / "s"), "ingest", str(corpus), "--dataset", "d"]) == 0
+    session = Session(tmp_path / "s")
+    store = session.load_store()
+    dataset = session.load_dataset("d")
+    resolved = [ref for record in store for ref in record.reference_ids if ref in store]
+    assert len(resolved) == 7 and len(dataset) == 4
+    for pub_id in [*resolved, *dataset.member_ids]:
+        assert pub_id is store.get(pub_id).id, pub_id
