@@ -105,11 +105,6 @@ def detect_communities(network: CoCitationNetwork) -> ClusterPartition:
         raise ValidationError("network is empty")
 
     total_weight = sum(info.weight for info in network.edges.values())
-    if total_weight == 0:
-        groups = [{n} for n in network.nodes]
-        partition = ClusterPartition(assignment=_renumber(groups, network))
-        partition.modularity_q = 0.0
-        return partition
     two_w = 2.0 * total_weight
 
     # Cluster state, keyed by smallest member id; links[i][j] is the weight

@@ -6,6 +6,13 @@ contributes the unordered pairs of its references that pass the look-back
 filter. Edge weight counts distinct co-citing citers; each edge remembers the
 earliest year it was co-cited. A link-to-node-ratio bound prunes the weakest
 edges of the merged network.
+
+Cost: one grouping pass places each dated member under its slice start with
+its citation count, read once. Each selected citer's eligible references are
+sorted once into its pairs, which go into one pair map of ``EdgeInfo``; node
+counts take one pass over the members' references. Pruning sorts the links
+once, and only when the link-to-node bound is exceeded. So building a network
+costs O(members x references + pairs), with no rescan of the dataset per slice.
 """
 
 from __future__ import annotations
@@ -139,14 +146,18 @@ class CoCitationNetwork:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
         """The network ``data`` holds; a ValueError when a node id is not a string,
-        an edge names a node it does not list, or an edge joins a node to itself."""
-        nodes = {n["id"]: NodeInfo(int(n["count"]), int(n["year"])) for n in data["nodes"]}
+        a node count or an edge weight is not an integer >= 1, an edge names a node
+        it does not list, or an edge joins a node to itself."""
+        nodes = {
+            n["id"]: NodeInfo(_at_least_one(n["count"], "node count"), int(n["year"]))
+            for n in data["nodes"]
+        }
         for node in nodes:
             if not isinstance(node, str):
                 raise ValueError(f"node id {node!r} is not a string")
         edges = {
             canonical_pair(e["source"], e["target"]): EdgeInfo(
-                int(e["weight"]), int(e["first_cocited_year"])
+                _at_least_one(e["weight"], "edge weight"), int(e["first_cocited_year"])
             )
             for e in data["edges"]
         }
@@ -195,6 +206,13 @@ _GRAPHML_HEAD = (
     '  <key id="d4" for="graph" attr.name="config" attr.type="string" />\n'
     '  <graph id="cocitation" edgedefault="undirected">\n'
 )
+
+
+def _at_least_one(value, what: str) -> int:
+    """``value`` when it is an integer >= 1, else a ValueError naming ``what``."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} {value!r} is not an integer >= 1")
+    return value
 
 
 def _json_list(rows: list[str], indent: str) -> str:
@@ -247,8 +265,10 @@ def slice_citers(
     """Partition the dataset into year slices and pick each slice's top citers.
 
     Members without a year cannot be placed in a slice and are skipped with a
-    warning. Within a slice, citers at or above ``min_citations`` are ranked
-    by citation count descending (ties: id ascending); the top_n survive.
+    warning. Slices of ``slice_years`` years start at the earliest member year;
+    a slice without members is left out. Within a slice, citers at or above
+    ``min_citations`` are ranked by citation count descending (ties: id
+    ascending); the top_n survive.
     """
     if not dataset.member_ids:
         raise EmptyDatasetError(f"dataset {dataset.name!r} is empty")
@@ -265,18 +285,15 @@ def slice_citers(
     if not years:
         return []
 
-    lo, hi = min(years.values()), max(years.values())
-    slices: list[tuple[tuple[int, int], list[str]]] = []
-    start = lo
-    while start <= hi:
-        end = start + config.slice_years - 1
-        members = [p for p, y in years.items() if start <= y <= end]
-        qualified = [p for p in members if store.citation_count(p) >= config.min_citations]
-        ranked = sorted(qualified, key=lambda p: (-store.citation_count(p), p))
-        selected = ranked[: config.top_n]
-        if members:
-            slices.append(((start, end), selected))
-        start = end + 1
+    lo, width = min(years.values()), config.slice_years
+    ranked: dict[int, list[tuple[int, str]]] = {}  # slice start -> (-count, id) of its members
+    for pub_id, year in years.items():
+        start = lo + (year - lo) // width * width
+        ranked.setdefault(start, []).append((-store.citation_count(pub_id), pub_id))
+    slices = []
+    for start in sorted(ranked):
+        qualified = [p for negative, p in sorted(ranked[start]) if -negative >= config.min_citations]
+        slices.append(((start, start + width - 1), qualified[: config.top_n]))
     return slices
 
 
@@ -286,20 +303,19 @@ def cocite_pairs(
     """Unordered reference pairs a citer contributes, after the look-back filter.
 
     A reference participates only when its year is known, not after the
-    citer's, and within ``lby`` years before it.
+    citer's, and within ``lby`` years before it. Each pair is sorted, as the
+    network's edge keys are.
     """
-    citer = store.record(citer_id)
-    if citer.year is None:
+    year = store.record(citer_id).year
+    if year is None:
         return set()
+    earliest = -math.inf if config.lby is None else year - config.lby
     eligible = []
     for ref in store.get_references(citer_id):
         ref_year = store.record(ref).year
-        if ref_year is None or ref_year > citer.year:
-            continue
-        if config.lby is not None and citer.year - ref_year > config.lby:
-            continue
-        eligible.append(ref)
-    return {canonical_pair(a, b) for a, b in combinations(sorted(eligible), 2)}
+        if ref_year is not None and earliest <= ref_year <= year:
+            eligible.append(ref)
+    return set(combinations(sorted(eligible), 2))
 
 
 def build_network(
@@ -312,69 +328,55 @@ def build_network(
     citations from all dataset members (not just selected citers). Pruning
     applies one link-to-node ratio to the merged network.
     """
-    if not dataset.member_ids:
-        raise EmptyDatasetError(f"dataset {dataset.name!r} is empty")
     slices = slice_citers(dataset, store, config)
 
     # Each selected citer lies in exactly one slice.
-    pair_weight: dict[tuple[str, str], int] = {}
-    pair_year: dict[tuple[str, str], int] = {}
+    edges: dict[tuple[str, str], EdgeInfo] = {}
     for _interval, citers in slices:
         for citer_id in citers:
-            citer_year = store.record(citer_id).year
+            year = store.record(citer_id).year
             for pair in cocite_pairs(citer_id, store, config):
-                pair_weight[pair] = pair_weight.get(pair, 0) + 1
-                if pair not in pair_year or citer_year < pair_year[pair]:
-                    pair_year[pair] = citer_year
-
-    if not pair_weight:
+                info = edges.get(pair)
+                edges[pair] = (
+                    EdgeInfo(1, year) if info is None
+                    else EdgeInfo(info.weight + 1, min(info.first_cocited_year, year))
+                )
+    if not edges:
         warnings.warn(f"dataset {dataset.name!r} produced no co-citation pairs", stacklevel=2)
-        return CoCitationNetwork({}, {}, config, [SliceInfo(s[0][0], s[0][1], s[1]) for s in slices])
 
-    node_ids = {n for pair in pair_weight for n in pair}
-    node_count: dict[str, int] = {n: 0 for n in node_ids}
-    node_first: dict[str, int | None] = {n: None for n in node_ids}
-    for member_id in sorted(dataset.member_ids):
+    # Every node is cited by a selected citer, a dated member, so it gets a first year.
+    count = dict.fromkeys((n for pair in edges for n in pair), 0)
+    first: dict[str, int] = {}
+    for member_id in dataset.member_ids:
         member = store.get(member_id)
         if member is None:
             continue
         for ref in member.reference_ids:
-            if ref in node_ids:
-                node_count[ref] += 1
-                if member.year is not None and (
-                    node_first[ref] is None or member.year < node_first[ref]
-                ):
-                    node_first[ref] = member.year
-
-    nodes = {
-        n: NodeInfo(node_count[n], node_first[n] if node_first[n] is not None else 0)
-        for n in node_ids
-    }
-    edges = {pair: EdgeInfo(pair_weight[pair], pair_year[pair]) for pair in pair_weight}
-    network = CoCitationNetwork(
-        nodes, edges, config, [SliceInfo(s[0][0], s[0][1], s[1]) for s in slices]
-    )
+            if ref in count:
+                count[ref] += 1
+                if member.year is not None:
+                    first[ref] = min(first.get(ref, member.year), member.year)
+    nodes = {n: NodeInfo(c, first[n]) for n, c in count.items()}
+    network = CoCitationNetwork(nodes, edges, config, [SliceInfo(s, e, c) for (s, e), c in slices])
     return prune_links(network, config.lrf)
 
 
-def prune_links(network: CoCitationNetwork, lrf: float | None = None) -> CoCitationNetwork:
+def prune_links(network: CoCitationNetwork, lrf: float) -> CoCitationNetwork:
     """Keep at most floor(lrf × |nodes|) strongest edges.
 
     Strength order: weight descending, then earlier first co-citation year,
     then lexicographic pair. Nodes isolated by pruning stay in the network.
+    ``lrf`` is required. The result shares the node map, the slices and, when
+    nothing is pruned, the edge map with ``network``.
     """
-    ratio = network.config.lrf if lrf is None else lrf
-    bound = ratio * len(network.nodes)  # may overflow to inf: compared before it is floored
-    if len(network.edges) <= bound:
-        return CoCitationNetwork(
-            dict(network.nodes), dict(network.edges), network.config, list(network.slices)
+    bound = lrf * len(network.nodes)  # may overflow to inf: compared before it is floored
+    edges = network.edges
+    if len(edges) > bound:
+        ranked = sorted(
+            edges.items(), key=lambda item: (-item[1].weight, item[1].first_cocited_year, item[0])
         )
-    ranked = sorted(
-        network.edges.items(),
-        key=lambda item: (-item[1].weight, item[1].first_cocited_year, item[0]),
-    )
-    kept = dict(ranked[: math.floor(bound)])
-    return CoCitationNetwork(dict(network.nodes), kept, network.config, list(network.slices))
+        edges = dict(ranked[: math.floor(bound)])
+    return CoCitationNetwork(network.nodes, edges, network.config, network.slices)
 
 
 # -- component analysis ---------------------------------------------------------

@@ -523,6 +523,28 @@ class TestDamagedArtifacts:
         err = one_error_line(capsys)
         assert f"unreadable session file {path}" in err and "node id 5 is not a string" in err
 
+    @pytest.mark.parametrize(
+        "what, value",
+        [("edge weight", 0), ("edge weight", -1), ("edge weight", 2.5), ("node count", 0)],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["report", "--kind", "networks"], ["cluster", "--network", "F"], ["render", "--network", "F"]]
+    )
+    def test_weight_or_count_below_one_exits_4(self, tmp_path, corpus, capsys, argv, what, value):
+        # A weight of -1 once drew a complex stroke width, and 2.5 was read as 2.
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if what == "edge weight":
+            data["edges"][0]["weight"] = value
+        else:
+            data["nodes"][0]["count"] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and f"{what} {value!r} is not an integer >= 1" in err
+
 
 def cluster_files(session_dir: Path, name: str) -> list[Path]:
     networks = session_dir / "networks"
@@ -1044,6 +1066,14 @@ BUNDLED_TABLE_SHA256 = {
 }
 
 
+# sha256 of the bundled pipeline's network files, recorded before network
+# construction became one pass per stage (slice grouping, pair map, prune).
+BUNDLED_NETWORK_SHA256 = {
+    "networks/combined.json": "5b9fcdb23aced10af2f3a0b19da1a0f9cab1ab986b9cb8f045fd6d476b38d7c5",
+    "networks/combined.graphml": "7a6f28af0d093cf85ed63417bc4ffc3d011bf365c49cb11dfa662206ac28d170",
+}
+
+
 # sha256 of the bundled pipeline's maps and year chart; the maps re-recorded
 # when each component got its own layout, packed and fitted with one scale, and
 # the map page added when the SVG moved from xml.etree to template rows.
@@ -1075,6 +1105,9 @@ def test_bundled_tables_are_pinned(bundled_session):
     renders = {rel: hashlib.sha256((bundled_session / rel).read_bytes()).hexdigest()
                for rel in BUNDLED_RENDER_SHA256}
     assert renders == BUNDLED_RENDER_SHA256
+    networks = {rel: hashlib.sha256((bundled_session / rel).read_bytes()).hexdigest()
+                for rel in BUNDLED_NETWORK_SHA256}
+    assert networks == BUNDLED_NETWORK_SHA256
 
 
 def table_rows(path: Path) -> list[list[str]]:

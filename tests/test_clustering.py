@@ -146,6 +146,14 @@ class TestDetectCommunities:
         with pytest.raises(ValidationError):
             detect_communities(CoCitationNetwork({}, {}, NetworkConfig()))
 
+    def test_linkless_network_is_singletons_in_order_with_zero_q(self):
+        years = {"a": 2005, "b": 2000, "c": 2000, "d": 1990, "e": 2010}
+        nodes = {n: NodeInfo(1, years[n]) for n in ("e", "c", "a", "d", "b")}
+        partition = detect_communities(CoCitationNetwork(nodes, {}, NetworkConfig()))
+        # All size 1: older year first, then smaller id.
+        assert partition.clusters() == [{"d"}, {"b"}, {"c"}, {"a"}, {"e"}]
+        assert partition.modularity_q == 0.0
+
     def test_ordering_largest_first_then_older_mean_year(self):
         # Two same-size cliques: the one with older nodes must take index 0.
         years = {"a": 2010, "b": 2010, "c": 2010, "x": 1990, "y": 1990, "z": 1990}

@@ -215,6 +215,117 @@ def brute_force_pairs(store, citer_ids, lby):
     return weight, first
 
 
+# The construction as it stood before each stage became one pass: a rescan of
+# the members per slice, two parallel pair maps and a copying prune. The new
+# code must write the same bytes and warn the same warnings.
+
+
+def reference_slice_citers(dataset, store, config):
+    if not dataset.member_ids:
+        raise EmptyDatasetError(f"dataset {dataset.name!r} is empty")
+    years: dict[str, int] = {}
+    skipped = 0
+    for pub_id in dataset.member_ids:
+        record = store.get(pub_id)
+        if record is None or record.year is None:
+            skipped += 1
+            continue
+        years[pub_id] = record.year
+    if skipped:
+        warnings.warn(f"{skipped} dataset member(s) without a usable year skipped", stacklevel=2)
+    if not years:
+        return []
+
+    lo, hi = min(years.values()), max(years.values())
+    slices: list[tuple[tuple[int, int], list[str]]] = []
+    start = lo
+    while start <= hi:
+        end = start + config.slice_years - 1
+        members = [p for p, y in years.items() if start <= y <= end]
+        qualified = [p for p in members if store.citation_count(p) >= config.min_citations]
+        ranked = sorted(qualified, key=lambda p: (-store.citation_count(p), p))
+        selected = ranked[: config.top_n]
+        if members:
+            slices.append(((start, end), selected))
+        start = end + 1
+    return slices
+
+
+def reference_cocite_pairs(citer_id, store, config):
+    citer = store.record(citer_id)
+    if citer.year is None:
+        return set()
+    eligible = []
+    for ref in store.get_references(citer_id):
+        ref_year = store.record(ref).year
+        if ref_year is None or ref_year > citer.year:
+            continue
+        if config.lby is not None and citer.year - ref_year > config.lby:
+            continue
+        eligible.append(ref)
+    return {canonical_pair(a, b) for a, b in combinations(sorted(eligible), 2)}
+
+
+def reference_build_network(dataset, store, config):
+    if not dataset.member_ids:
+        raise EmptyDatasetError(f"dataset {dataset.name!r} is empty")
+    slices = reference_slice_citers(dataset, store, config)
+
+    pair_weight: dict[tuple[str, str], int] = {}
+    pair_year: dict[tuple[str, str], int] = {}
+    for _interval, citers in slices:
+        for citer_id in citers:
+            citer_year = store.record(citer_id).year
+            for pair in reference_cocite_pairs(citer_id, store, config):
+                pair_weight[pair] = pair_weight.get(pair, 0) + 1
+                if pair not in pair_year or citer_year < pair_year[pair]:
+                    pair_year[pair] = citer_year
+
+    if not pair_weight:
+        warnings.warn(f"dataset {dataset.name!r} produced no co-citation pairs", stacklevel=2)
+        return CoCitationNetwork({}, {}, config, [SliceInfo(s[0][0], s[0][1], s[1]) for s in slices])
+
+    node_ids = {n for pair in pair_weight for n in pair}
+    node_count: dict[str, int] = {n: 0 for n in node_ids}
+    node_first: dict[str, int | None] = {n: None for n in node_ids}
+    for member_id in sorted(dataset.member_ids):
+        member = store.get(member_id)
+        if member is None:
+            continue
+        for ref in member.reference_ids:
+            if ref in node_ids:
+                node_count[ref] += 1
+                if member.year is not None and (
+                    node_first[ref] is None or member.year < node_first[ref]
+                ):
+                    node_first[ref] = member.year
+
+    nodes = {
+        n: NodeInfo(node_count[n], node_first[n] if node_first[n] is not None else 0)
+        for n in node_ids
+    }
+    edges = {pair: EdgeInfo(pair_weight[pair], pair_year[pair]) for pair in pair_weight}
+    network = CoCitationNetwork(
+        nodes, edges, config, [SliceInfo(s[0][0], s[0][1], s[1]) for s in slices]
+    )
+    return reference_prune_links(network, config.lrf)
+
+
+def reference_prune_links(network, lrf=None):
+    ratio = network.config.lrf if lrf is None else lrf
+    bound = ratio * len(network.nodes)
+    if len(network.edges) <= bound:
+        return CoCitationNetwork(
+            dict(network.nodes), dict(network.edges), network.config, list(network.slices)
+        )
+    ranked = sorted(
+        network.edges.items(),
+        key=lambda item: (-item[1].weight, item[1].first_cocited_year, item[0]),
+    )
+    kept = dict(ranked[: math.floor(bound)])
+    return CoCitationNetwork(dict(network.nodes), kept, network.config, list(network.slices))
+
+
 def network_from_edges(edge_spec: dict[tuple[str, str], tuple[int, int]]) -> CoCitationNetwork:
     nodes = {}
     edges = {}
@@ -224,6 +335,47 @@ def network_from_edges(edge_spec: dict[tuple[str, str], tuple[int, int]]) -> CoC
         for node in pair:
             nodes.setdefault(node, NodeInfo(1, 2000))
     return CoCitationNetwork(nodes, edges, loose_config())
+
+
+@st.composite
+def cocitation_worlds(draw):
+    """A store, a dataset and a config as the network command may meet them: tied
+    citation counts, members without a year or missing from the store, references
+    to undated, future and unstored records, and a config whose pruning bites on
+    tied weights and years."""
+    pool = [f"p{i:02d}" for i in range(draw(st.integers(4, 16)))]
+    unstored = draw(st.sets(st.sampled_from(pool), max_size=2))
+    records = [
+        make_record(
+            p,
+            year=draw(st.sampled_from([None, *range(1995, 2004)])),
+            refs=draw(st.lists(st.sampled_from(pool), min_size=2, max_size=7, unique=True)),
+            count=draw(st.sampled_from([None, None, 0, 1, 2, 3])),
+        )
+        for p in pool
+        if p not in unstored
+    ]
+    dataset = Dataset("d", set(pool) - draw(st.sets(st.sampled_from(pool), max_size=4)))
+    config = NetworkConfig(
+        lrf=draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 4.0, 10**9])),
+        lby=draw(st.sampled_from([None, 1, 3])),
+        min_citations=draw(st.integers(0, 2)),
+        top_n=draw(st.integers(1, 5)),
+        slice_years=draw(st.integers(1, 4)),
+    )
+    return make_store(records), dataset, config
+
+
+def construction_outcome(build, dataset, store, config):
+    """The bytes ``build`` writes and the warnings it gives, or the error it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            network = build(dataset, store, config)
+            result = (network.to_json(), network.to_graphml())
+        except EmptyDatasetError as exc:
+            result = repr(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 class TestSliceCiters:
@@ -363,6 +515,15 @@ class TestBuildNetwork:
         weight, first = brute_force_pairs(store, sorted(dataset.member_ids), lby)
         assert {p: e.weight for p, e in network.edges.items()} == weight
         assert {p: e.first_cocited_year for p, e in network.edges.items()} == first
+
+    @settings(max_examples=300, deadline=None)
+    @given(world=cocitation_worlds())
+    @example(world=(make_store([]), Dataset("d", set()), NetworkConfig()))
+    def test_same_bytes_and_warnings_as_the_reference_construction(self, world):
+        store, dataset, config = world
+        assert construction_outcome(build_network, dataset, store, config) == construction_outcome(
+            reference_build_network, dataset, store, config
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
