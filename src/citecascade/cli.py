@@ -137,12 +137,9 @@ def _parse_stages(text: str) -> list[ExpansionStage]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" in chunk:
-            direction, _, gens = chunk.partition(":")
-        else:
-            direction, gens = chunk, "1"
+        direction, colon, gens = chunk.partition(":")
         try:
-            stages.append(ExpansionStage(direction, int(gens)))
+            stages.append(ExpansionStage(direction, int(gens) if colon else 1))
         except ValueError:
             raise ValidationError(f"bad stage syntax: {chunk!r} (expected e.g. F:3)") from None
     if not stages:

@@ -5,6 +5,12 @@ from singletons, repeatedly merge the cluster pair with the largest positive
 modularity gain (ties: smallest canonical pair), stop when no merge helps.
 Clusters are numbered 0..k-1 by size descending; ties go to the cluster with
 the older mean node year, then the smallest member id.
+
+Cost: community detection reads the links once from the sorted-id CSR that
+silhouette and layout share (``network_arrays``), into one weight row per
+cluster. The heap holds only positive gains, and each merge re-offers only
+the merged cluster's pairs: a pair's gain changes only when one of its two
+clusters merges, so a pair left out can never be the next merge.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .cocitation import CoCitationNetwork, network_arrays
+from .cocitation import CoCitationNetwork, _typed, network_arrays
 from .errors import ValidationError
 from .records import RecordStore, csv_text
 
@@ -60,22 +66,27 @@ class ClusterPartition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClusterPartition":
+        """The partition ``data`` holds; a ValueError unless each cluster's ``index`` is its
+        position, its ``members`` strings that no cluster lists twice, every field of its kind."""
         partition = cls(
-            assignment={
-                member: cluster["index"]
-                for cluster in data["clusters"]
-                for member in cluster["members"]
-            },
-            level=int(data.get("level", 1)),
-            parent=data.get("parent"),
-            modularity_q=data.get("modularity"),
-            mean_silhouette=data.get("mean_silhouette"),
+            assignment={},
+            level=_typed(data.get("level", 1), "an integer", "level"),
+            parent=_typed(data.get("parent"), "an integer or null", "parent"),
+            modularity_q=_typed(data.get("modularity"), "a number or null", "modularity"),
+            mean_silhouette=_typed(data.get("mean_silhouette"), "a number or null", "mean_silhouette"),
         )
-        for cluster in data["clusters"]:
-            if cluster.get("label") is not None:
-                partition.labels[cluster["index"]] = cluster["label"]
-            if cluster.get("silhouette") is not None:
-                partition.cluster_silhouettes[cluster["index"]] = cluster["silhouette"]
+        for position, cluster in enumerate(data["clusters"]):
+            if _typed(cluster["index"], "an integer", "cluster index") != position:
+                raise ValueError(f"cluster index {cluster['index']} is not its position {position}")
+            members = _typed(cluster["members"], "a list of strings", f"members of cluster {position}")
+            listed = len(partition.assignment) + len(members)
+            partition.assignment.update(dict.fromkeys(members, position))
+            if not members or len(partition.assignment) != listed:
+                raise ValueError(f"cluster {position} lists no member, or one listed before")
+            if _typed(cluster.get("label"), "a string or null", "label") is not None:
+                partition.labels[position] = cluster["label"]
+            if _typed(cluster.get("silhouette"), "a number or null", "silhouette") is not None:
+                partition.cluster_silhouettes[position] = cluster["silhouette"]
         return partition
 
 
@@ -97,50 +108,46 @@ def _renumber(groups: list[set[str]], network: CoCitationNetwork) -> dict[str, i
 def detect_communities(network: CoCitationNetwork) -> ClusterPartition:
     """Greedy agglomerative modularity maximization on edge weights.
 
-    Cluster ids during agglomeration are each cluster's smallest member id,
-    so the tie rule "smallest canonical pair" is well defined. Isolated nodes
-    stay singletons.
+    A cluster is keyed by the position of its smallest member in the sorted ids
+    of ``network_arrays``, so the tie rule "smallest canonical pair" compares
+    ints in id order. Isolated nodes stay singletons.
     """
     if not network.nodes:
         raise ValidationError("network is empty")
 
+    arrays = network_arrays(network)
     total_weight = sum(info.weight for info in network.edges.values())
     two_w = 2.0 * total_weight
 
-    # Cluster state, keyed by smallest member id; links[i][j] is the weight
-    # between clusters i and j, held in both rows.
-    members: dict[str, set[str]] = {n: {n} for n in network.nodes}
-    strength: dict[str, float] = {n: 0.0 for n in network.nodes}
-    links: dict[str, dict[str, float]] = {n: {} for n in network.nodes}
-    for (a, b), info in network.edges.items():
-        strength[a] += info.weight
-        strength[b] += info.weight
-        links[a][b] = links[b][a] = float(info.weight)
+    # Cluster state by key; links[i][j] is the weight between clusters i and j,
+    # held in both rows (a merged-away cluster's row is empty). The weights are
+    # integers, so their float sums are exact in any order.
+    bounds, cols, weights = arrays.indptr.tolist(), arrays.cols.tolist(), arrays.weights.tolist()
+    links = [dict(zip(cols[lo:hi], weights[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    strength = [sum(row.values()) for row in links]
+    members = {i: {node} for i, node in enumerate(arrays.node_ids)}
 
-    def gain(i: str, j: str) -> float:
+    def gain(i: int, j: int) -> float:
         # Merging i and j changes Q by w_ij/W - s_i*s_j/(2W^2).
         return links[i][j] / total_weight - (strength[i] * strength[j]) / (two_w * total_weight)
 
-    heap = [(-gain(i, j), (i, j)) for i, row in links.items() for j in row if i < j]
+    heap = [(-g, i, j) for i, row in enumerate(links) for j in row if i < j and (g := gain(i, j)) > 0]
     heapq.heapify(heap)
     while heap:
-        neg_delta, (keep, drop) = heapq.heappop(heap)
-        if drop not in links.get(keep, ()) or -neg_delta != gain(keep, drop):
+        neg_delta, keep, drop = heapq.heappop(heap)
+        if drop not in links[keep] or -neg_delta != gain(keep, drop):
             continue  # stale entry
-        if -neg_delta <= 0:
-            break
         members[keep] |= members.pop(drop)
-        strength[keep] += strength.pop(drop)
-        row = links[keep]
-        del row[drop]
-        dropped = links.pop(drop)
-        del dropped[keep]
-        for other in sorted(dropped):
+        strength[keep] += strength[drop]
+        row, dropped = links[keep], links[drop]
+        links[drop] = {}
+        del row[drop], dropped[keep]
+        for other, weight in dropped.items():
             del links[other][drop]
-            row[other] = links[other][keep] = row.get(other, 0.0) + dropped[other]
-        for other in sorted(row):
-            pair = (min(keep, other), max(keep, other))
-            heapq.heappush(heap, (-gain(*pair), pair))
+            row[other] = links[other][keep] = row.get(other, 0.0) + weight
+        for other in row:
+            if (g := gain(keep, other)) > 0:
+                heapq.heappush(heap, (-g, min(keep, other), max(keep, other)))
 
     partition = ClusterPartition(assignment=_renumber(list(members.values()), network))
     partition.modularity_q = modularity(network, partition.assignment)

@@ -60,8 +60,13 @@ class NetworkConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NetworkConfig":
-        """The fields ``data`` holds, over the defaults."""
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        """The fields ``data`` holds, over the defaults; a ValueError unless ``lrf`` is a
+        number, ``lby`` an integer or null and every other field an integer."""
+        kinds = {"lrf": "a number", "lby": "an integer or null"}
+        return cls(**{
+            f.name: _typed(data[f.name], kinds.get(f.name, "an integer"), f"config {f.name}")
+            for f in fields(cls) if f.name in data
+        })
 
 
 class NodeInfo(NamedTuple):
@@ -145,19 +150,18 @@ class CoCitationNetwork:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
-        """The network ``data`` holds; a ValueError when a node id is not a string,
-        a node count or an edge weight is not an integer >= 1, an edge names a node
-        it does not list, or an edge joins a node to itself."""
+        """The network ``data`` holds; a ValueError when a field is not of its kind (a node
+        count or an edge weight must be an integer >= 1, slice citers a list of strings),
+        an edge names a node it does not list, or an edge joins a node to itself."""
         nodes = {
-            n["id"]: NodeInfo(_at_least_one(n["count"], "node count"), int(n["year"]))
+            _typed(n["id"], "a string", "node id"):
+                NodeInfo(_at_least_one(n["count"], "node count"), _typed(n["year"], "an integer", "node year"))
             for n in data["nodes"]
         }
-        for node in nodes:
-            if not isinstance(node, str):
-                raise ValueError(f"node id {node!r} is not a string")
         edges = {
             canonical_pair(e["source"], e["target"]): EdgeInfo(
-                _at_least_one(e["weight"], "edge weight"), int(e["first_cocited_year"])
+                _at_least_one(e["weight"], "edge weight"),
+                _typed(e["first_cocited_year"], "an integer", "first_cocited_year"),
             )
             for e in data["edges"]
         }
@@ -168,7 +172,10 @@ class CoCitationNetwork:
         if loops:
             raise ValueError(f"edge from {min(loops)!r} to itself")
         slices = [
-            SliceInfo(int(s["start"]), int(s["end"]), list(s["citers"]))
+            SliceInfo(
+                _typed(s["start"], "an integer", "slice start"), _typed(s["end"], "an integer", "slice end"),
+                _typed(s["citers"], "a list of strings", "slice citers"),
+            )
             for s in data.get("slices", [])
         ]
         return cls(nodes, edges, NetworkConfig.from_json_dict(data.get("config", {})), slices)
@@ -212,6 +219,22 @@ def _at_least_one(value, what: str) -> int:
     """``value`` when it is an integer >= 1, else a ValueError naming ``what``."""
     if type(value) is not int or value < 1:
         raise ValueError(f"{what} {value!r} is not an integer >= 1")
+    return value
+
+
+# The JSON value types of each kind of field, matched exactly: a bool is no integer.
+_KINDS = {
+    "a string": (str,), "a string or null": (str, type(None)), "a list of strings": (list,),
+    "an integer": (int,), "an integer or null": (int, type(None)),
+    "a number": (int, float), "a number or null": (int, float, type(None)),
+}
+
+
+def _typed(value, kind: str, what: str):
+    """``value`` when it is ``kind``, one of ``_KINDS``, else a ValueError naming ``what``."""
+    if type(value) not in _KINDS[kind] or (
+            kind == "a list of strings" and not all(type(v) is str for v in value)):
+        raise ValueError(f"{what} {value!r} is not {kind}")
     return value
 
 

@@ -104,11 +104,8 @@ def log_likelihood_ratio(k11: int, k12: int, k21: int, k22: int) -> float:
         return 0.0
     row1, row2 = k11 + k12, k21 + k22
     col1, col2 = k11 + k21, k12 + k22
-    e11 = row1 * col1 / total
-    e12 = row1 * col2 / total
-    e21 = row2 * col1 / total
-    e22 = row2 * col2 / total
-    return 2.0 * (term(k11, e11) + term(k12, e12) + term(k21, e21) + term(k22, e22))
+    return 2.0 * (term(k11, row1 * col1 / total) + term(k12, row1 * col2 / total)
+                  + term(k21, row2 * col1 / total) + term(k22, row2 * col2 / total))
 
 
 def cited_by(members: Iterable[str], store: RecordStore) -> Counter[str]:

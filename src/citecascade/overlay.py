@@ -56,24 +56,14 @@ def overlap_matrix(datasets: list[Dataset]) -> OverlapMatrix:
     names = [ds.name for ds in datasets]
     if len(set(names)) != len(names):
         raise ValidationError("dataset names must be unique in a comparison")
-    raw: list[list[float]] = []
-    shared_counts: list[list[int]] = []
-    for row in datasets:
-        raw_row = []
-        shared_row = []
-        for col in datasets:
-            shared = len(row.member_ids & col.member_ids)
-            shared_row.append(shared)
-            raw_row.append(100.0 * shared / len(col.member_ids))
-        raw.append(raw_row)
-        shared_counts.append(shared_row)
-    rounded = [[round(v, 2) for v in row] for row in raw]
+    shared = [[len(row.member_ids & col.member_ids) for col in datasets] for row in datasets]
+    raw = [[100.0 * n / len(col.member_ids) for n, col in zip(counts, datasets)] for counts in shared]
     return OverlapMatrix(
         names=names,
         sizes={ds.name: len(ds.member_ids) for ds in datasets},
-        values=rounded,
+        values=[[round(v, 2) for v in row] for row in raw],
         raw_values=raw,
-        intersections=shared_counts,
+        intersections=shared,
     )
 
 
@@ -129,11 +119,12 @@ def project_overlay(
         node: tuple(node in ds.member_ids for ds in datasets) for node in base_network.nodes
     }
     projection = OverlayProjection(dataset_names=names, membership=membership)
-    missing = set(base_network.nodes) - set(partition.assignment)
+    missing = base_network.nodes.keys() - partition.assignment.keys()
     if missing:
-        raise ValidationError(
-            f"partition does not cover the base network ({len(missing)} nodes missing)"
-        )
+        raise ValidationError(f"partition does not cover the base network ({len(missing)} nodes missing)")
+    unknown = partition.assignment.keys() - base_network.nodes.keys()
+    if unknown:
+        raise ValidationError(f"partition member {min(unknown)!r} is not a node of the base network")
     for index, members in enumerate(partition.clusters()):
         fractions: dict[str, float] = {}
         for pos, name in enumerate(names):

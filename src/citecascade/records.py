@@ -88,6 +88,9 @@ def canonical_id(title: str, year: int | None) -> str:
     return hashlib.sha1(key.encode("utf-8")).hexdigest()
 
 
+_OPTIONAL_FIELDS = ("venue", "authors", "abstract", "global_citation_count", "source_tag")
+
+
 @dataclass
 class ArticleRecord:
     """One publication: identity, text fields, outgoing references, citation count.
@@ -123,22 +126,12 @@ class ArticleRecord:
         self.reference_ids = list(refs)
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "title": self.title,
-            "year": self.year,
-            "reference_ids": list(self.reference_ids),
-        }
-        if self.venue is not None:
-            out["venue"] = self.venue
-        if self.authors is not None:
-            out["authors"] = list(self.authors)
-        if self.abstract is not None:
-            out["abstract"] = self.abstract
-        if self.global_citation_count is not None:
-            out["global_citation_count"] = self.global_citation_count
-        if self.source_tag is not None:
-            out["source_tag"] = self.source_tag
+        """The fields as JSON, each optional field only when it is set."""
+        out = {"id": self.id, "title": self.title, "year": self.year,
+               "reference_ids": list(self.reference_ids)}
+        for name in _OPTIONAL_FIELDS:
+            if getattr(self, name) is not None:
+                out[name] = getattr(self, name)
         return out
 
 
@@ -176,17 +169,11 @@ def _merge_records(first: ArticleRecord, second: ArticleRecord) -> ArticleRecord
     return ArticleRecord(
         id=winner.id,
         title=winner.title or loser.title,
-        year=winner.year if winner.year is not None else loser.year,
         reference_ids=list(winner.reference_ids),
-        venue=winner.venue if winner.venue is not None else loser.venue,
-        authors=winner.authors if winner.authors is not None else loser.authors,
-        abstract=winner.abstract if winner.abstract is not None else loser.abstract,
-        global_citation_count=(
-            winner.global_citation_count
-            if winner.global_citation_count is not None
-            else loser.global_citation_count
-        ),
-        source_tag=winner.source_tag if winner.source_tag is not None else loser.source_tag,
+        **{
+            name: getattr(winner, name) if getattr(winner, name) is not None else getattr(loser, name)
+            for name in ("year", *_OPTIONAL_FIELDS)
+        },
     )
 
 

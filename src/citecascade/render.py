@@ -271,14 +271,12 @@ def _fit_positions(
 
 
 def _node_radii(network: CoCitationNetwork) -> dict[str, float]:
-    counts = {n: info.count for n, info in network.nodes.items()}
-    hi = max(counts.values()) if counts else 1
+    hi = max((info.count for info in network.nodes.values()), default=1)
     lo_r, hi_r = NODE_RADIUS
-    radii = {}
-    for node, count in counts.items():
-        fraction = (count / hi) ** 0.5 if hi > 0 else 0.0
-        radii[node] = lo_r + fraction * (hi_r - lo_r)
-    return radii
+    return {
+        node: lo_r + ((info.count / hi) ** 0.5 if hi > 0 else 0.0) * (hi_r - lo_r)
+        for node, info in network.nodes.items()
+    }
 
 
 def _draw_panel(

@@ -545,6 +545,111 @@ class TestDamagedArtifacts:
         err = one_error_line(capsys)
         assert f"unreadable session file {path}" in err and f"{what} {value!r} is not an integer >= 1" in err
 
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("node year", "1999", "node year '1999' is not an integer"),
+            ("node year", True, "node year True is not an integer"),
+            ("first_cocited_year", 2000.7, "first_cocited_year 2000.7 is not an integer"),
+            ("slice start", 1999.5, "slice start 1999.5 is not an integer"),
+            ("slice citers", "P001", "slice citers 'P001' is not a list of strings"),
+            ("slice citers", [1], "slice citers [1] is not a list of strings"),
+            ("top_n", 2.5, "config top_n 2.5 is not an integer"),
+            ("lrf", "4", "config lrf '4' is not a number"),
+            ("lby", 2.5, "config lby 2.5 is not an integer or null"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["report", "--kind", "networks"], ["cluster", "--network", "F"], ["render", "--network", "F"]]
+    )
+    def test_mistyped_network_value_exits_4(self, tmp_path, corpus, capsys, argv, where, value, message):
+        # Each was once read: "1999" and 2000.7 through int(), "P001" as four citers.
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if where == "node year":
+            data["nodes"][0]["year"] = value
+        elif where == "first_cocited_year":
+            data["edges"][0]["first_cocited_year"] = value
+        elif where == "slice start":
+            data["slices"][0]["start"] = value
+        elif where == "slice citers":
+            data["slices"][0]["citers"] = value
+        else:
+            data["config"][where] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and message in err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("index '0'", "cluster index '0' is not an integer"),
+            ("index 99", "cluster index 99 is not its position 0"),
+            ("members a string", "is not a list of strings"),
+            ("members not strings", "members of cluster 0 [7] is not a list of strings"),
+            ("no members", "cluster 0 lists no member, or one listed before"),
+            ("member twice", "cluster 1 lists no member, or one listed before"),
+            ("label 5", "label 5 is not a string or null"),
+            ("silhouette true", "silhouette True is not a number or null"),
+            ("modularity 'x'", "modularity 'x' is not a number or null"),
+            ("mean_silhouette false", "mean_silhouette False is not a number or null"),
+            ("level '1'", "level '1' is not an integer"),
+            ("parent 0.5", "parent 0.5 is not an integer or null"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["render", "--network", "F"], ["compare", "--datasets", "F,S", "--base", "F"],
+         ["report", "--kind", "networks"]],
+    )
+    def test_damaged_clusters_file_exits_4(self, tmp_path, corpus, capsys, argv, damage, message):
+        # The inputs key still matches, so the damaged file counts as current. "index '0'"
+        # and "modularity 'x'" once ended in tracebacks, and a string of members was read
+        # as its characters.
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.clusters.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        level1 = data["level1"]
+        first, second = level1["clusters"][0], level1["clusters"][1]
+        if damage == "index '0'":
+            first["index"] = "0"
+        elif damage == "index 99":
+            first["index"] = 99
+        elif damage == "members a string":
+            first["members"] = first["members"][0]
+        elif damage == "members not strings":
+            first["members"] = [7]
+        elif damage == "no members":
+            first["members"] = []
+        elif damage == "member twice":
+            second["members"].append(first["members"][0])
+        elif damage == "label 5":
+            first["label"] = 5
+        elif damage == "silhouette true":
+            first["silhouette"] = True
+        else:
+            field, value = damage.split(" ")
+            level1[field] = json.loads(value.replace("'", '"'))
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and message in err
+
+    def test_partition_member_outside_the_base_network_exits_3(self, tmp_path, corpus, capsys):
+        # Once a KeyError traceback.
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.clusters.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["level1"]["clusters"][0]["members"].append("ghost")
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, "compare", "--datasets", "F,S", "--base", "F") == 3
+        assert "partition member 'ghost' is not a node of the base network" in one_error_line(capsys)
+
 
 def cluster_files(session_dir: Path, name: str) -> list[Path]:
     networks = session_dir / "networks"

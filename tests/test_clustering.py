@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import pytest
@@ -72,6 +74,91 @@ def random_weighted_network(rng: random.Random, n: int, p: float) -> CoCitationN
                 edge_spec[(f"v{i:03d}", f"v{j:03d}")] = rng.randint(1, 5)
     years = {f"v{i:03d}": rng.randint(1980, 2019) for i in range(n)}
     return weighted_network(edge_spec, years, extra_nodes=tuple(years))
+
+
+def reference_detect_communities(network: CoCitationNetwork) -> ClusterPartition:
+    """The partition oracle: greedy modularity on string-keyed link maps, every pair
+    pushed after a merge in sorted order, stopping at the first non-positive pop.
+    ``detect_communities`` must give the same assignment and the same Q, bit for bit."""
+    if not network.nodes:
+        raise ValidationError("network is empty")
+
+    total_weight = sum(info.weight for info in network.edges.values())
+    two_w = 2.0 * total_weight
+
+    # Cluster state, keyed by smallest member id; links[i][j] is the weight between
+    # clusters i and j, held in both rows.
+    members: dict[str, set[str]] = {n: {n} for n in network.nodes}
+    strength: dict[str, float] = {n: 0.0 for n in network.nodes}
+    links: dict[str, dict[str, float]] = {n: {} for n in network.nodes}
+    for (a, b), info in network.edges.items():
+        strength[a] += info.weight
+        strength[b] += info.weight
+        links[a][b] = links[b][a] = float(info.weight)
+
+    def gain(i: str, j: str) -> float:
+        return links[i][j] / total_weight - (strength[i] * strength[j]) / (two_w * total_weight)
+
+    heap = [(-gain(i, j), (i, j)) for i, row in links.items() for j in row if i < j]
+    heapq.heapify(heap)
+    while heap:
+        neg_delta, (keep, drop) = heapq.heappop(heap)
+        if drop not in links.get(keep, ()) or -neg_delta != gain(keep, drop):
+            continue  # stale entry
+        if -neg_delta <= 0:
+            break
+        members[keep] |= members.pop(drop)
+        strength[keep] += strength.pop(drop)
+        row = links[keep]
+        del row[drop]
+        dropped = links.pop(drop)
+        del dropped[keep]
+        for other in sorted(dropped):
+            del links[other][drop]
+            row[other] = links[other][keep] = row.get(other, 0.0) + dropped[other]
+        for other in sorted(row):
+            pair = (min(keep, other), max(keep, other))
+            heapq.heappush(heap, (-gain(*pair), pair))
+
+    partition = ClusterPartition(assignment=clustering._renumber(list(members.values()), network))
+    partition.modularity_q = modularity(network, partition.assignment)
+    return partition
+
+
+@st.composite
+def tied_networks(draw) -> CoCitationNetwork:
+    """Up to 14 nodes with ids in no particular order, in up to three components
+    (links join only nodes of one), weights 1-3 so that many gains tie exactly;
+    nodes without links stay in as isolated nodes."""
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=14, unique=True))
+    component = {n: draw(st.integers(0, 2)) for n in ids}
+    spec = draw(st.dictionaries(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)), st.integers(1, 3), max_size=40
+    ))
+    edges = {
+        tuple(sorted(pair)): EdgeInfo(weight, 2000)
+        for pair, weight in spec.items()
+        if pair[0] != pair[1] and component[pair[0]] == component[pair[1]]
+    }
+    years = st.integers(1995, 2000)
+    return CoCitationNetwork({n: NodeInfo(1, draw(years)) for n in ids}, edges, NetworkConfig())
+
+
+def assert_same_as_reference(network: CoCitationNetwork) -> None:
+    """detect_communities equals the oracle on ``network`` and, through ``sub_cluster``,
+    on every level-1 cluster."""
+    want = reference_detect_communities(network)
+    got = detect_communities(network)
+    assert got.assignment == want.assignment
+    assert got.modularity_q == want.modularity_q
+    for index, members in enumerate(want.clusters()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a parent of fewer than 3 members warns
+            sub = sub_cluster(members, network, index)
+        if len(members) >= 3:
+            sub_want = reference_detect_communities(induced_subnetwork(network, members))
+            assert sub.assignment == sub_want.assignment
+            assert sub.modularity_q == sub_want.modularity_q
 
 
 class TestModularity:
@@ -153,6 +240,33 @@ class TestDetectCommunities:
         # All size 1: older year first, then smaller id.
         assert partition.clusters() == [{"d"}, {"b"}, {"c"}, {"a"}, {"e"}]
         assert partition.modularity_q == 0.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(network=tied_networks())
+    def test_matches_the_reference_on_tied_weights(self, network):
+        assert_same_as_reference(network)
+
+    def test_matches_the_reference_on_one_node_and_linkless_networks(self):
+        assert_same_as_reference(CoCitationNetwork({"a": NodeInfo(1, 2000)}, {}, NetworkConfig()))
+        nodes = {n: NodeInfo(1, 2000 - i) for i, n in enumerate("dbca")}
+        assert_same_as_reference(CoCitationNetwork(nodes, {}, NetworkConfig()))
+
+    def test_matches_the_reference_where_a_gain_is_exactly_zero(self):
+        # Clusters {a, f, g} and {c, e} end linked with a gain of exactly 0: no merge.
+        edges = {
+            ("a", "c"): 1, ("a", "d"): 3, ("a", "e"): 1, ("a", "f"): 2, ("a", "g"): 3, ("b", "d"): 3,
+            ("b", "g"): 1, ("b", "h"): 1, ("c", "d"): 1, ("c", "e"): 3, ("c", "h"): 1, ("d", "f"): 1,
+            ("d", "g"): 2, ("e", "f"): 3, ("e", "g"): 2, ("f", "g"): 2,
+        }
+        network = weighted_network(edges)
+        assert_same_as_reference(network)
+        assert sorted(map(sorted, detect_communities(network).clusters())) == [
+            ["a", "f", "g"], ["b", "d", "h"], ["c", "e"]
+        ]
+
+    def test_matches_the_reference_on_the_bundled_network(self, bundled_world):
+        network, _store = bundled_world
+        assert_same_as_reference(network)
 
     def test_ordering_largest_first_then_older_mean_year(self):
         # Two same-size cliques: the one with older nodes must take index 0.
