@@ -3,7 +3,8 @@
 All commands operate inside a session directory (``--session``, default
 ``./session``) and are re-runnable: identical inputs overwrite their outputs
 byte-identically. Errors print a single machine-parseable line to stderr;
-exit codes: 0 ok, 2 bad command line, 3 validation failure, 4 data error.
+exit codes: 0 ok, 2 bad command line, 3 validation failure, 4 data error. A
+command that succeeds prints each warning it raised as one ``warning:`` line.
 
 Every setting is a flag of the command that uses it: a network flag left out
 takes the default of its ``NetworkConfig`` field. Render settings (layout
@@ -246,9 +247,7 @@ def _cmd_network(args, session: Session) -> int:
     dataset = session.load_dataset(args.dataset)
     store = session.load_store()
     config = _network_config(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        network = build_network(dataset, store, config)
+    network = build_network(dataset, store, config)
     name = args.name or args.dataset
     session.save_network(name, network)
     stats = network_stats(network)
@@ -265,9 +264,7 @@ def _cmd_cluster(args, session: Session) -> int:
     network = session.load_network(args.network)
     store = session.load_store()
     partition = clustering.detect_communities(network)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        silhouettes = clustering.silhouette(network, partition)
+    silhouettes = clustering.silhouette(network, partition)
     partition.cluster_silhouettes = silhouettes.cluster_scores
     partition.mean_silhouette = silhouettes.mean
     phrase_index = labeling.PhraseIndex(store)
@@ -287,9 +284,7 @@ def _cmd_cluster(args, session: Session) -> int:
     if args.levels >= 2:
         level2: dict[str, dict] = {}
         for index in top_indices:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sub = clustering.sub_cluster(clusters[index], network, index)
+            sub = clustering.sub_cluster(clusters[index], network, index)
             sub_citers = [labeling.cited_by(members, store) for members in sub.clusters()]
             labeling.label_all_clusters(sub, sub_citers, citers[index], phrase_index)
             level2[str(index)] = sub.to_json_dict()
@@ -327,7 +322,7 @@ def _cmd_compare(args, session: Session) -> int:
     datasets, overlap_text = _overlap_csv(session, args.datasets, session.load_store())
     if args.base:  # every check passes before anything is written
         network = session.load_network(args.base)
-        partition = session.load_partition(args.base)
+        partition = session.load_partition(args.base, network)
         projection = project_overlay(network, datasets, partition)
         coverage = coverage_report(projection, args.threshold, args.epsilon).to_csv(partition.labels)
     outputs = [str(session.write_text(session.report_path("compare.csv"), overlap_text))]
@@ -341,7 +336,7 @@ def _cmd_render(args, session: Session) -> int:
     wrote: list[str] = []
     if args.network:
         network = session.load_network(args.network)
-        partition = session.load_partition(args.network, required=False)
+        partition = session.load_partition(args.network, network, required=False)
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
         positions = session.layout_positions(args.network, network)
@@ -387,8 +382,9 @@ def _cmd_report(args, session: Session) -> int:
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",
                  "mean_silhouette")]
         for name in session.network_names():
-            stats = network_stats(session.load_network(name))
-            partition = session.load_partition(name, required=False)
+            network = session.load_network(name)
+            stats = network_stats(network)
+            partition = session.load_partition(name, network, required=False)
             scores = (partition.modularity_q, partition.mean_silhouette) if partition else (None, None)
             rows.append((
                 name, stats.nodes, stats.edges, stats.lcc_size, stats.lcc_pct, stats.lcc_pct_floor,
@@ -423,8 +419,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         session = Session(args.session)
-        with session.lock():
-            return _HANDLERS[args.command](args, session)
+        with session.lock(), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _HANDLERS[args.command](args, session)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

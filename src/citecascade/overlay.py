@@ -102,6 +102,16 @@ class OverlayProjection:
         return projection
 
 
+def check_partition(network: CoCitationNetwork, partition: ClusterPartition) -> None:
+    """A ValidationError unless ``partition`` assigns exactly the nodes of ``network``."""
+    missing = network.nodes.keys() - partition.assignment.keys()
+    if missing:
+        raise ValidationError(f"partition does not cover the base network ({len(missing)} nodes missing)")
+    unknown = partition.assignment.keys() - network.nodes.keys()
+    if unknown:
+        raise ValidationError(f"partition member {min(unknown)!r} is not a node of the base network")
+
+
 def project_overlay(
     base_network: CoCitationNetwork,
     datasets: list[Dataset],
@@ -119,12 +129,7 @@ def project_overlay(
         node: tuple(node in ds.member_ids for ds in datasets) for node in base_network.nodes
     }
     projection = OverlayProjection(dataset_names=names, membership=membership)
-    missing = base_network.nodes.keys() - partition.assignment.keys()
-    if missing:
-        raise ValidationError(f"partition does not cover the base network ({len(missing)} nodes missing)")
-    unknown = partition.assignment.keys() - base_network.nodes.keys()
-    if unknown:
-        raise ValidationError(f"partition member {min(unknown)!r} is not a node of the base network")
+    check_partition(base_network, partition)
     for index, members in enumerate(partition.clusters()):
         fractions: dict[str, float] = {}
         for pos, name in enumerate(names):

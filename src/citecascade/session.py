@@ -7,7 +7,7 @@ A session holds everything one analysis produces::
       datasets/      # <name>.json: member ids and provenance
       networks/      # <name>.json and .graphml; after `cluster`, <name>.clusters.json,
                      # .clusters.csv and .concepts.txt
-      renders/       # maps and charts; <name>.positions.csv caches the layout
+      renders/       # maps and charts; <name>.positions.json caches the layout
       reports/ traces/
 
 One command runs at a time per session, enforced with an advisory lock on
@@ -19,8 +19,10 @@ each file either old or new, never half written. That holds for
 Each derived artifact (clustering, layout positions, projection, coverage)
 holds the key of its inputs in a top-level ``"inputs"`` field or a first
 ``# inputs <key>`` line: see ``Session._input_key``. One that is stale,
-unkeyed or names a missing input counts as missing; damage is still a
-``FormatError``, checked before the key.
+unkeyed or names a missing input counts as missing. Those a command reads back
+are JSON, read by ``Session._read_json``: damage, or a value the loader
+rejects, is a ``FormatError`` naming the file, checked before the key; only a
+damaged layout cache is laid out again instead.
 
 A session holds no settings: each command takes its settings from its flags,
 and rendering from the constants of :mod:`citecascade.render`. A settings
@@ -29,10 +31,8 @@ file that an older version kept in the session is neither read nor rewritten.
 
 from __future__ import annotations
 
-import csv
 import fcntl
 import hashlib
-import io
 import json
 import math
 import os
@@ -43,8 +43,8 @@ from pathlib import Path
 from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
-from .overlay import OverlayProjection
-from .records import Dataset, RecordStore, csv_text, json_text
+from .overlay import OverlayProjection, check_partition
+from .records import Dataset, RecordStore, json_text
 from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, LAYOUT_VERSION, layout
 
 SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
@@ -71,17 +71,18 @@ class Session:
 
     # -- reading and writing ----------------------------------------------------------
 
-    def _read_json(self, path: Path, build, inputs=None):
-        """``build`` applied to the JSON in ``path``; damage is a FormatError naming the file.
-        Given ``inputs``, None when the file is missing or, once built, holds a key other
-        than the one ``inputs(data)`` gives now."""
+    def _read_json(self, path: Path, build, inputs=None, **params):
+        """``build`` applied to the JSON in ``path``; damage, or a value ``build`` rejects, is
+        a FormatError naming the file. Given ``inputs``, None when the file is missing or,
+        once built, holds a key other than the one ``inputs(data)`` and ``params`` give now."""
         if inputs is not None and not path.exists():
             return None
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
             artifact = build(data)
-            return artifact if inputs is None or data.get("inputs") == self._input_key(inputs(data)) else None
-        except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UsageError) as exc:
+            current = inputs is None or data.get("inputs") == self._input_key(inputs(data), **params)
+            return artifact if current else None
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError, CiteCascadeError) as exc:
             raise FormatError(f"unreadable session file {path}: {exc!r}") from None
 
     def write_text(self, path: Path, text: str | Iterable[str]) -> Path:
@@ -187,13 +188,16 @@ class Session:
         self.write_text(csv_path, [f"# inputs {key}\n", table])
         self.write_text(concepts_path, [f"# inputs {key}\n", concepts])
 
-    def load_partition(self, name: str, required: bool = True) -> ClusterPartition | None:
-        """The partition of network ``name`` if current; else None, or an error if ``required``."""
+    def load_partition(self, name: str, network: CoCitationNetwork, required: bool = True) -> ClusterPartition | None:
+        """The partition of network ``name`` if current; else None, or an error if ``required``.
+        A current one that does not cover exactly the nodes of ``network`` is a ValidationError."""
         partition = self._read_json(
             self.cluster_paths(name)[0], lambda data: ClusterPartition.from_json_dict(data["level1"]),
             inputs=lambda _data: [self.network_paths(name)[1]],
         )
-        if partition is None and required:
+        if partition is not None:
+            check_partition(network, partition)
+        elif required:
             raise CiteCascadeError(f"no current clustering of network {name!r}; run cluster --network {name}")
         return partition
 
@@ -236,17 +240,33 @@ class Session:
     # -- layout positions ---------------------------------------------------------------
 
     def layout_positions(self, name: str, network: CoCitationNetwork) -> dict[str, tuple[float, float]]:
-        """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from its
-        positions file when that file is current; computed and written otherwise."""
-        key = self._input_key([self.network_paths(name)[1]], seed=LAYOUT_SEED, iterations=LAYOUT_ITERATIONS,
-                              layout=LAYOUT_VERSION)
-        key = f"# inputs {key}\n"
-        path = self.render_path(f"{name}.positions.csv")
-        positions = _read_positions(path, key, network)
+        """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from
+        ``renders/<name>.positions.json`` when that file is current; computed and
+        written otherwise. The file holds the key and the ``x`` and ``y`` lists in
+        sorted node-id order: the key pins the network, so it pins the ids too."""
+        path = self.render_path(f"{name}.positions.json")
+        inputs = [self.network_paths(name)[1]]
+        params = {"seed": LAYOUT_SEED, "iterations": LAYOUT_ITERATIONS, "layout": LAYOUT_VERSION}
+        nodes = sorted(network.nodes)
+
+        def build(data: dict) -> dict[str, tuple[float, float]]:
+            xs, ys = data["x"], data["y"]
+            if not (isinstance(xs, list) and isinstance(ys, list) and len(xs) == len(ys) == len(nodes)
+                    and all(type(v) is float and math.isfinite(v) for v in (*xs, *ys))):
+                raise ValueError("x and y are not one finite float per node")
+            return dict(zip(nodes, zip(xs, ys)))
+
+        try:
+            positions = self._read_json(path, build, inputs=lambda _data: inputs, **params)
+        except FormatError:  # only a cache: a damaged one costs one layout, not the command
+            positions = None
         if positions is None:
             positions = layout(network, LAYOUT_SEED)
-            rows = ((node, repr(x), repr(y)) for node, (x, y) in positions.items())
-            self.write_text(path, [key, csv_text([("id", "x", "y"), *rows])])
+            self.write_text(path, json_text({
+                "inputs": self._input_key(inputs, **params),
+                "x": [positions[node][0] for node in nodes],
+                "y": [positions[node][1] for node in nodes],
+            }))
         return positions
 
     # -- simple path helpers ----------------------------------------------------------
@@ -260,31 +280,3 @@ class Session:
     def trace_path(self, filename: str) -> Path:
         return self.root / "traces" / filename
 
-
-def _read_positions(
-    path: Path, key: str, network: CoCitationNetwork
-) -> dict[str, tuple[float, float]] | None:
-    """The positions stored in ``path`` under ``key`` for exactly the nodes of
-    ``network``, or None when the file is missing, keyed otherwise, cut short
-    or otherwise damaged."""
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, ValueError):
-        return None
-    if not text.startswith(key) or not text.endswith("\n"):
-        return None
-    positions: dict[str, tuple[float, float]] = {}
-    try:
-        rows = csv.reader(io.StringIO(text[len(key):]))
-        if next(rows, None) != ["id", "x", "y"]:
-            return None
-        for row in rows:
-            if len(row) != 3 or row[0] in positions:
-                return None
-            x, y = float(row[1]), float(row[2])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                return None
-            positions[row[0]] = (x, y)
-    except (ValueError, csv.Error):
-        return None
-    return positions if positions.keys() == network.nodes.keys() else None

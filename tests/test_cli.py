@@ -11,14 +11,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citecascade
+import citecascade.cli as cli_module
 import citecascade.session as session_module
 from citecascade.cli import main
-from citecascade.records import RecordStore
+from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo
+from citecascade.errors import ValidationError
+from citecascade.records import RecordStore, csv_text, json_text
 from citecascade.render import layout
 from citecascade.session import Session
 
@@ -337,6 +345,36 @@ def one_error_line(capsys) -> str:
     return err
 
 
+class TestWarnings:
+    """A command that succeeds prints each warning it raised as one ``warning:`` line."""
+
+    def test_network_reports_the_member_without_a_year(self, tmp_path, capsys):
+        session_dir = tmp_path / "sess"
+        for argv in BUNDLED_PIPELINE[:4]:
+            assert run(session_dir, *argv) == 0
+        assert BUNDLED_PIPELINE[4][0] == "network"
+        capsys.readouterr()
+        assert run(session_dir, *BUNDLED_PIPELINE[4]) == 0
+        assert capsys.readouterr().err == "warning: 1 dataset member(s) without a usable year skipped\n"
+
+    def test_small_top_cluster_warns_at_level_2(self, tmp_path, corpus, capsys):
+        session_dir = finished_session(tmp_path, corpus)
+        assert run(session_dir, "network", "--dataset", "F", "--name", "G", "--min-citations", "0") == 0
+        capsys.readouterr()
+        assert run(session_dir, "cluster", "--network", "G", "--levels", "2", "--top-k", "3") == 0
+        assert capsys.readouterr().err == (
+            "warning: cluster #2 has fewer than 3 members; returning one sub-cluster\n")
+
+    def test_warning_then_failure_prints_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def warn_then_fail(args, session):
+            warnings.warn("dropped with the failure")
+            raise ValidationError("the failure")
+
+        monkeypatch.setitem(cli_module._HANDLERS, "report", warn_then_fail)
+        assert run(tmp_path / "sess", "report", "--kind", "datasets") == 3
+        assert one_error_line(capsys) == "error: the failure\n"
+
+
 class TestBadInput:
     """Damaged session logs and unreadable user files end in one error line."""
 
@@ -584,6 +622,30 @@ class TestDamagedArtifacts:
         assert f"unreadable session file {path}" in err and message in err
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("top_n", 0, "top_n and slice_years must be >= 1"),
+            ("slice_years", 0, "top_n and slice_years must be >= 1"),
+            ("lby", 0, "lby must be >= 1 when set"),
+            ("lrf", -1.0, "lrf must be a finite positive number"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["report", "--kind", "networks"], ["cluster", "--network", "F"], ["render", "--network", "F"]]
+    )
+    def test_network_config_out_of_range_exits_4(self, tmp_path, corpus, capsys, argv, field, value, message):
+        # Once exit 3 with the config's own message, naming no file.
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["config"][field] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and message in err
+
+    @pytest.mark.parametrize(
         "damage, message",
         [
             ("index '0'", "cluster index '0' is not an integer"),
@@ -650,6 +712,30 @@ class TestDamagedArtifacts:
         assert run(session_dir, "compare", "--datasets", "F,S", "--base", "F") == 3
         assert "partition member 'ghost' is not a node of the base network" in one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("ghost", "partition member 'ghost' is not a node of the base network"),
+            ("missing member", "partition does not cover the base network (1 nodes missing)"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["render", "--network", "F"], ["report", "--kind", "networks"]])
+    def test_partition_of_other_nodes_exits_3(self, tmp_path, corpus, capsys, argv, change, message):
+        # Both once exited 0: the render skipped the ghost, the report printed the scores.
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "networks" / "F.clusters.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        largest = max(data["level1"]["clusters"], key=lambda cluster: len(cluster["members"]))
+        assert len(largest["members"]) >= 2
+        if change == "ghost":
+            largest["members"].append("ghost")
+        else:
+            largest["members"].pop()
+        path.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, *argv) == 3
+        assert message in one_error_line(capsys)
+
 
 def cluster_files(session_dir: Path, name: str) -> list[Path]:
     networks = session_dir / "networks"
@@ -686,8 +772,8 @@ class TestRebuiltNetwork:
 
 
 def strip_keys(session_dir: Path) -> None:
-    """Rewrite the keyed artifacts of network F as the previous version wrote them:
-    no ``inputs`` field or line, and the positions file under its old key line."""
+    """Rewrite the keyed artifacts of network F as earlier versions wrote them: no
+    ``inputs`` field or line, and the layout cache as a CSV file in place of the JSON."""
     for rel in ("networks/F.clusters.json", "reports/projection.json"):
         path = session_dir / rel
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -698,10 +784,13 @@ def strip_keys(session_dir: Path) -> None:
         first, rest = path.read_text(encoding="utf-8").split("\n", 1)
         assert first.startswith("# inputs ")
         path.write_text(rest, encoding="utf-8")
-    positions = session_dir / "renders" / "F.positions.csv"
-    digest = hashlib.sha256((session_dir / "networks" / "F.json").read_bytes()).hexdigest()
-    rows = positions.read_text(encoding="utf-8").split("\n", 1)[1]
-    positions.write_text(f"# layout seed=42 iterations=50 network-sha256={digest}\n{rows}", encoding="utf-8")
+    positions = session_dir / "renders" / "F.positions.json"
+    cached = json.loads(positions.read_text(encoding="utf-8"))
+    positions.unlink()
+    nodes = sorted(Session(session_dir).load_network("F").nodes)
+    rows = [(node, repr(x), repr(y)) for node, x, y in zip(nodes, cached["x"], cached["y"])]
+    (session_dir / "renders" / "F.positions.csv").write_text(
+        csv_text([("id", "x", "y"), *rows], comments=[f"inputs {cached['inputs']}"]), encoding="utf-8")
 
 
 class TestInputKeys:
@@ -722,16 +811,17 @@ class TestInputKeys:
         projection = json.loads((session_dir / "reports" / "projection.json").read_text(encoding="utf-8"))
         assert projection["inputs"] == projection_key
         assert sorted(projection) == ["coverage", "datasets", "inputs", "membership"]
+        positions = json.loads((session_dir / "renders" / "F.positions.json").read_text(encoding="utf-8"))
+        assert positions["inputs"] == f"{network_key} seed=42 iterations=50 layout=2"
+        assert sorted(positions) == ["inputs", "x", "y"]
         first_lines = {
             rel: (session_dir / rel).read_text(encoding="utf-8").split("\n", 1)[0]
-            for rel in ("networks/F.clusters.csv", "networks/F.concepts.txt",
-                        "reports/coverage.csv", "renders/F.positions.csv")
+            for rel in ("networks/F.clusters.csv", "networks/F.concepts.txt", "reports/coverage.csv")
         }
         assert first_lines == {
             "networks/F.clusters.csv": f"# inputs {network_key}",
             "networks/F.concepts.txt": f"# inputs {network_key}",
             "reports/coverage.csv": f"# inputs {projection_key}",
-            "renders/F.positions.csv": f"# inputs {network_key} seed=42 iterations=50 layout=2",
         }
         coverage = (session_dir / "reports" / "coverage.csv").read_text(encoding="utf-8")
         assert coverage.splitlines()[1] == "# threshold=0.1 epsilon=0.05"
@@ -808,15 +898,17 @@ class TestInputKeys:
     def test_session_of_the_previous_format(self, tmp_path, corpus, capsys, layout_calls):
         session_dir = finished_session(tmp_path, corpus)
         assert run(session_dir, "render", "--network", "F") == 0
-        fresh = (session_dir / "renders" / "F.positions.csv").read_bytes()
+        fresh = (session_dir / "renders" / "F.positions.json").read_bytes()
         strip_keys(session_dir)
+        older = (session_dir / "renders" / "F.positions.csv").read_bytes()
         capsys.readouterr()
         assert run(session_dir, "report", "--kind", "networks") == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith(",,")  # no modularity, no silhouette
         for _ in range(2):
             assert run(session_dir, "render", "--network", "F") == 0
         assert layout_calls == [42, 42]  # recomputed once, then read back
-        assert (session_dir / "renders" / "F.positions.csv").read_bytes() == fresh
+        assert (session_dir / "renders" / "F.positions.json").read_bytes() == fresh
+        assert (session_dir / "renders" / "F.positions.csv").read_bytes() == older  # neither read nor deleted
         svg = (session_dir / "renders" / "F.map.svg").read_text(encoding="utf-8")
         assert set(re.findall(r'<circle [^>]*fill="([^"]+)"', svg)) == {"#4878a8"}
         capsys.readouterr()
@@ -837,6 +929,27 @@ def layout_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(session_module, "layout", counting_layout)
     return calls
+
+
+@st.composite
+def cache_networks(draw) -> CoCitationNetwork:
+    """Up to 10 nodes whose ids hold quotes, commas, spaces and non-ASCII letters,
+    linked at random; nodes left without a link stay in as isolated nodes."""
+    ids = draw(st.lists(st.text('a",é€ ', min_size=1, max_size=4), min_size=1, max_size=10, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=15))
+    edges = {tuple(sorted(pair)): EdgeInfo(1, 2000) for pair in pairs if pair[0] != pair[1]}
+    return CoCitationNetwork({node: NodeInfo(1, 2000) for node in ids}, edges, NetworkConfig())
+
+
+# One bad value in a layout cache, each of which must be laid out again.
+ONE_VALUE_DAMAGE = {
+    "short list": lambda cached: cached["x"].pop(),
+    "extra value": lambda cached: cached["y"].append(0.5),
+    "NaN": lambda cached: cached["x"].__setitem__(0, float("nan")),
+    "true": lambda cached: cached["y"].__setitem__(0, True),
+    "string": lambda cached: cached["x"].__setitem__(0, "1.0"),
+    "no y": lambda cached: cached.pop("y"),
+}
 
 
 class TestLayoutCache:
@@ -863,7 +976,7 @@ class TestLayoutCache:
 
     def test_changed_network_or_seed_recomputes(self, tmp_path, corpus, layout_calls):
         session_dir = finished_session(tmp_path, corpus)
-        positions = session_dir / "renders" / "F.positions.csv"
+        positions = session_dir / "renders" / "F.positions.json"
         assert run(session_dir, "render", "--network", "F") == 0
         first = positions.read_bytes()
         assert run(session_dir, "network", "--dataset", "combined", "--name", "F",
@@ -871,21 +984,20 @@ class TestLayoutCache:
         assert run(session_dir, "render", "--network", "F") == 0
         assert layout_calls == [42, 42]
         assert positions.read_bytes() != first
-        key = positions.read_text(encoding="utf-8").splitlines()[0]
-        assert re.fullmatch(r"# inputs networks/F\.json=[0-9a-f]{64} seed=42 iterations=50 layout=2", key)
+        key = json.loads(positions.read_text(encoding="utf-8"))["inputs"]
+        assert re.fullmatch(r"networks/F\.json=[0-9a-f]{64} seed=42 iterations=50 layout=2", key)
 
     def test_positions_of_the_previous_layout_are_recomputed(self, tmp_path, corpus, layout_calls):
         session_dir = finished_session(tmp_path, corpus)
-        positions = session_dir / "renders" / "F.positions.csv"
+        positions = session_dir / "renders" / "F.positions.json"
         assert run(session_dir, "render", "--network", "F") == 0
         fresh = positions.read_bytes()
         svg = (session_dir / "renders" / "F.map.svg").read_bytes()
-        key, table = fresh.decode("utf-8").split("\n", 1)
-        assert key.endswith(" seed=42 iterations=50 layout=2")
+        cached = json.loads(fresh)
+        assert cached["inputs"].endswith(" seed=42 iterations=50 layout=2")
         # The key the whole-network layout wrote, over positions that are not this layout's.
-        rows = [line.split(",") for line in table.splitlines()]
-        older = "".join(f"{node},{y},{x}\n" for node, x, y in rows)
-        positions.write_text(key.removesuffix(" layout=2") + "\n" + older, encoding="utf-8")
+        older = {"inputs": cached["inputs"].removesuffix(" layout=2"), "x": cached["y"], "y": cached["x"]}
+        positions.write_text(json_text(older), encoding="utf-8")
         assert run(session_dir, "render", "--network", "F") == 0
         assert layout_calls == [42, 42]
         assert positions.read_bytes() == fresh
@@ -894,29 +1006,51 @@ class TestLayoutCache:
     @pytest.mark.parametrize("damage", ["truncated", "non-numeric", "missing-node", "extra-node"])
     def test_damaged_positions_are_recomputed(self, tmp_path, corpus, capsys, layout_calls, damage):
         session_dir = finished_session(tmp_path, corpus)
-        positions = session_dir / "renders" / "F.positions.csv"
+        positions = session_dir / "renders" / "F.positions.json"
         assert run(session_dir, "render", "--network", "F") == 0
         fresh = positions.read_bytes()
-        lines = fresh.decode("utf-8").splitlines(keepends=True)
+        cached = json.loads(fresh)
         if damage == "truncated":
             positions.write_bytes(fresh[:-7])
-        elif damage == "non-numeric":
-            node, _x, y = lines[-1].split(",")
-            positions.write_text("".join(lines[:-1]) + f"{node},abc,{y}", encoding="utf-8")
-        elif damage == "missing-node":
-            positions.write_text("".join(lines[:-1]), encoding="utf-8")
         else:
-            positions.write_text("".join(lines) + "ghost,0.5,0.5\n", encoding="utf-8")
+            if damage == "non-numeric":
+                cached["x"][-1] = "abc"
+            elif damage == "missing-node":
+                del cached["x"][-1], cached["y"][-1]
+            else:
+                cached["x"].append(0.5)
+                cached["y"].append(0.5)
+            positions.write_text(json_text(cached), encoding="utf-8")
         capsys.readouterr()
         assert run(session_dir, "render", "--network", "F") == 0
         assert capsys.readouterr().err == ""
         assert layout_calls == [42, 42]
         assert positions.read_bytes() == fresh
 
+    @settings(max_examples=25, deadline=None)
+    @given(network=cache_networks(), damage=st.sampled_from(sorted(ONE_VALUE_DAMAGE)))
+    def test_positions_read_back_exactly_and_one_bad_value_recomputes(self, network, damage):
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch.object(session_module, "layout", wraps=layout) as counted:
+            session = Session(root)
+            session.save_network("N", network)
+            first = session.layout_positions("N", network)
+            assert list(first) == sorted(network.nodes)
+            assert list(session.layout_positions("N", network).items()) == list(first.items())  # exact floats
+            assert counted.call_count == 1
+            path = session.render_path("N.positions.json")
+            fresh = path.read_bytes()
+            cached = json.loads(fresh)
+            ONE_VALUE_DAMAGE[damage](cached)
+            path.write_text(json.dumps(cached), encoding="utf-8")
+            assert list(session.layout_positions("N", network).items()) == list(first.items())
+            assert counted.call_count == 2
+            assert path.read_bytes() == fresh
+
     def test_networks_report_does_not_list_the_positions(self, tmp_path, corpus, capsys):
         session_dir = finished_session(tmp_path, corpus)
         assert run(session_dir, "render", "--network", "F") == 0
-        assert (session_dir / "renders" / "F.positions.csv").exists()
+        assert (session_dir / "renders" / "F.positions.json").exists()
         capsys.readouterr()
         assert run(session_dir, "report", "--kind", "networks") == 0
         rows = capsys.readouterr().out.splitlines()[2:]
@@ -1204,7 +1338,6 @@ def test_bundled_tables_are_pinned(bundled_session):
     digests = {
         path.relative_to(bundled_session).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in bundled_session.rglob("*.csv")
-        if not path.name.endswith(".positions.csv")
     }
     assert digests == BUNDLED_TABLE_SHA256
     renders = {rel: hashlib.sha256((bundled_session / rel).read_bytes()).hexdigest()
@@ -1221,7 +1354,7 @@ def table_rows(path: Path) -> list[list[str]]:
     return [row for row in rows if not row[0].startswith("#")]
 
 
-def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path):
+def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path, layout_calls):
     node, name = 'P0,"10', 'say "x"'
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(SYNTHETIC_CORPUS.read_text(encoding="utf-8").replace('"P010"', json.dumps(node)),
@@ -1237,10 +1370,13 @@ def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path):
         ["report", "--kind", "datasets"],
     ):
         assert run(session_dir, *argv) == 0
-    for table in ("networks/all.clusters.csv", "renders/all.positions.csv"):
-        rows = table_rows(session_dir / table)
-        assert all(len(row) == 3 for row in rows)
-        assert node in [row[0] for row in rows]
+    rows = table_rows(session_dir / "networks" / "all.clusters.csv")
+    assert all(len(row) == 3 for row in rows)
+    assert node in [row[0] for row in rows]
+    session = Session(session_dir)
+    network = session.load_network("all")
+    assert session.layout_positions("all", network) == layout(network, 42)  # read back, whole ids
+    assert layout_calls == [42]
     reports = session_dir / "reports"
     assert [row[0] for row in table_rows(reports / "datasets.csv")] == ["name", "F", name]
     overlap = table_rows(reports / "compare.csv")
