@@ -248,9 +248,11 @@ def _cmd_network(args, session: Session) -> int:
     store = session.load_store()
     config = _network_config(args)
     network = build_network(dataset, store, config)
+    if not network.nodes:
+        raise ValidationError(f"dataset {args.dataset!r} gives a network with no node; nothing written")
     name = args.name or args.dataset
-    session.save_network(name, network)
     stats = network_stats(network)
+    session.save_network(name, network, stats)
     print(
         f"network {name}: {stats.nodes} nodes, {stats.edges} links, "
         f"LCC {stats.lcc_size} ({stats.lcc_pct}% rounded / {stats.lcc_pct_floor}% truncated)"
@@ -382,9 +384,13 @@ def _cmd_report(args, session: Session) -> int:
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",
                  "mean_silhouette")]
         for name in session.network_names():
-            network = session.load_network(name)
-            stats = network_stats(network)
-            partition = session.load_partition(name, network, required=False)
+            # The network is parsed only when its counts file is not current, or to
+            # check a clustering against its nodes.
+            stats, partition = session.network_counts(name), None
+            if stats is None or session.cluster_paths(name)[0].exists():
+                network = session.load_network(name)
+                stats = stats or network_stats(network)
+                partition = session.load_partition(name, network, required=False)
             scores = (partition.modularity_q, partition.mean_silhouette) if partition else (None, None)
             rows.append((
                 name, stats.nodes, stats.edges, stats.lcc_size, stats.lcc_pct, stats.lcc_pct_floor,

@@ -9,10 +9,13 @@ edges of the merged network.
 
 Cost: one grouping pass places each dated member under its slice start with
 its citation count, read once. Each selected citer's eligible references are
-sorted once into its pairs, which go into one pair map of ``EdgeInfo``; node
-counts take one pass over the members' references. Pruning sorts the links
-once, and only when the link-to-node bound is exceeded. So building a network
-costs O(members x references + pairs), with no rescan of the dataset per slice.
+sorted once into its pairs. A counter of the pairs gives the weights; with the
+citers taken latest year first, one dict update per citer leaves each pair its
+earliest year. Pairs of equal weight and year share one ``EdgeInfo``. Node
+counts take one pass over the members' references. Pruning, only when the
+link-to-node bound is exceeded, groups the links by strength and sorts only
+the group the bound cuts through. So building a network costs
+O(members x references + pairs), with no rescan of the dataset per slice.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyDatasetError, ValidationError
@@ -187,14 +191,15 @@ class CoCitationNetwork:
         and the edges sorted. One template string per row; ``tests/test_cocitation.py``
         holds the element-tree writer as the byte oracle."""
         config = xml_text(json.dumps(self.config.to_json_dict(), sort_keys=True))
+        escaped = {n: xml_attribute(n) for n in self.nodes}  # once per node, not per edge endpoint
         nodes = [
-            f'    <node id="{xml_attribute(n)}">\n'
+            f'    <node id="{escaped[n]}">\n'
             f'      <data key="d0">{info.count}</data>\n'
             f'      <data key="d1">{info.year}</data>\n    </node>\n'
             for n, info in sorted(self.nodes.items())
         ]
         edges = [
-            f'    <edge source="{xml_attribute(a)}" target="{xml_attribute(b)}">\n'
+            f'    <edge source="{escaped[a]}" target="{escaped[b]}">\n'
             f'      <data key="d2">{info.weight}</data>\n'
             f'      <data key="d3">{info.first_cocited_year}</data>\n    </edge>\n'
             for (a, b), info in sorted(self.edges.items(), key=itemgetter(0))
@@ -329,14 +334,15 @@ def cocite_pairs(
     citer's, and within ``lby`` years before it. Each pair is sorted, as the
     network's edge keys are.
     """
-    year = store.record(citer_id).year
+    citer = store.record(citer_id)
+    year = citer.year
     if year is None:
         return set()
     earliest = -math.inf if config.lby is None else year - config.lby
     eligible = []
-    for ref in store.get_references(citer_id):
-        ref_year = store.record(ref).year
-        if ref_year is not None and earliest <= ref_year <= year:
+    for ref in citer.reference_ids:
+        record = store.get(ref)  # None: a reference the store does not hold
+        if record is not None and record.year is not None and earliest <= record.year <= year:
             eligible.append(ref)
     return set(combinations(sorted(eligible), 2))
 
@@ -353,33 +359,38 @@ def build_network(
     """
     slices = slice_citers(dataset, store, config)
 
-    # Each selected citer lies in exactly one slice.
-    edges: dict[tuple[str, str], EdgeInfo] = {}
-    for _interval, citers in slices:
-        for citer_id in citers:
-            year = store.record(citer_id).year
-            for pair in cocite_pairs(citer_id, store, config):
-                info = edges.get(pair)
-                edges[pair] = (
-                    EdgeInfo(1, year) if info is None
-                    else EdgeInfo(info.weight + 1, min(info.first_cocited_year, year))
-                )
+    # Each selected citer lies in exactly one slice. The citers go latest year
+    # first, so the last year a pair is written with is its earliest.
+    citers = sorted(
+        ((store.record(citer_id).year, citer_id) for _interval, ids in slices for citer_id in ids),
+        key=itemgetter(0), reverse=True,
+    )
+    weights: Counter[tuple[str, str]] = Counter()
+    first_year: dict[tuple[str, str], int] = {}
+    for year, citer_id in citers:
+        pairs = cocite_pairs(citer_id, store, config)
+        weights.update(pairs)
+        first_year.update(dict.fromkeys(pairs, year))
+
+    def infos():  # each pair's (weight, first year), in the order of ``weights``
+        return zip(weights.values(), map(first_year.__getitem__, weights))
+
+    # Few (weight, year) values occur: the pairs of one value share one EdgeInfo.
+    shared = {info: EdgeInfo(*info) for info in set(infos())}
+    edges = dict(zip(weights, map(shared.__getitem__, infos())))
     if not edges:
         warnings.warn(f"dataset {dataset.name!r} produced no co-citation pairs", stacklevel=2)
 
-    # Every node is cited by a selected citer, a dated member, so it gets a first year.
-    count = dict.fromkeys((n for pair in edges for n in pair), 0)
+    # Every node is cited by a selected citer, a dated member, so it gets a first
+    # year. The dated members go latest year first, as the citers above.
+    members = [member for member in map(store.get, dataset.member_ids) if member is not None]
+    cited: Counter[str] = Counter()
     first: dict[str, int] = {}
-    for member_id in dataset.member_ids:
-        member = store.get(member_id)
-        if member is None:
-            continue
-        for ref in member.reference_ids:
-            if ref in count:
-                count[ref] += 1
-                if member.year is not None:
-                    first[ref] = min(first.get(ref, member.year), member.year)
-    nodes = {n: NodeInfo(c, first[n]) for n, c in count.items()}
+    for member in members:
+        cited.update(member.reference_ids)
+    for member in sorted((m for m in members if m.year is not None), key=attrgetter("year"), reverse=True):
+        first.update(dict.fromkeys(member.reference_ids, member.year))
+    nodes = {n: NodeInfo(cited[n], first[n]) for n in dict.fromkeys(chain.from_iterable(edges))}
     network = CoCitationNetwork(nodes, edges, config, [SliceInfo(s, e, c) for (s, e), c in slices])
     return prune_links(network, config.lrf)
 
@@ -395,10 +406,20 @@ def prune_links(network: CoCitationNetwork, lrf: float) -> CoCitationNetwork:
     bound = lrf * len(network.nodes)  # may overflow to inf: compared before it is floored
     edges = network.edges
     if len(edges) > bound:
-        ranked = sorted(
-            edges.items(), key=lambda item: (-item[1].weight, item[1].first_cocited_year, item[0])
-        )
-        edges = dict(ranked[: math.floor(bound)])
+        # Edges of equal strength form one group; only the group the bound cuts
+        # through is sorted by pair.
+        groups: dict[EdgeInfo, list[tuple[str, str]]] = {}
+        for pair, info in edges.items():
+            groups.setdefault(info, []).append(pair)
+        room, kept = math.floor(bound), []
+        for info in sorted(groups, key=lambda info: (-info.weight, info.first_cocited_year)):
+            pairs = groups[info]
+            if len(pairs) >= room:
+                kept += sorted(pairs)[:room]
+                break
+            kept += pairs
+            room -= len(pairs)
+        edges = {pair: edges[pair] for pair in kept}
     return CoCitationNetwork(network.nodes, edges, network.config, network.slices)
 
 

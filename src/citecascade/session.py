@@ -5,7 +5,8 @@ A session holds everything one analysis produces::
     <session>/
       store.jsonl    # record store, one JSON line per record
       datasets/      # <name>.json: member ids and provenance
-      networks/      # <name>.json and .graphml; after `cluster`, <name>.clusters.json,
+      networks/      # <name>.json and .graphml, and <name>.stats: the network's node,
+                     # link and LCC counts; after `cluster`, <name>.clusters.json,
                      # .clusters.csv and .concepts.txt
       renders/       # maps and charts; <name>.positions.json caches the layout
       reports/ traces/
@@ -16,13 +17,14 @@ is written to a temp file and renamed into place, so a killed command leaves
 each file either old or new, never half written. That holds for
 ``store.jsonl`` too: ``ingest`` and ``enrich`` write it whole.
 
-Each derived artifact (clustering, layout positions, projection, coverage)
-holds the key of its inputs in a top-level ``"inputs"`` field or a first
-``# inputs <key>`` line: see ``Session._input_key``. One that is stale,
-unkeyed or names a missing input counts as missing. Those a command reads back
-are JSON, read by ``Session._read_json``: damage, or a value the loader
-rejects, is a ``FormatError`` naming the file, checked before the key; only a
-damaged layout cache is laid out again instead.
+Each derived artifact (network counts, clustering, layout positions,
+projection, coverage) holds the key of its inputs in a top-level ``"inputs"``
+field or a first ``# inputs <key>`` line: see ``Session._input_key``. One that
+is stale, unkeyed or names a missing input counts as missing. Those a command
+reads back are JSON, read by ``Session._read_json``: damage, or a value the
+loader rejects, is a ``FormatError`` naming the file, checked before the key;
+only a damaged layout cache is laid out again instead, and damaged network
+counts are counted again from the network.
 
 A session holds no settings: each command takes its settings from its flags,
 and rendering from the constants of :mod:`citecascade.render`. A settings
@@ -38,10 +40,11 @@ import math
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .clustering import ClusterPartition
-from .cocitation import CoCitationNetwork
+from .cocitation import CoCitationNetwork, NetworkStats
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection, check_partition
 from .records import Dataset, RecordStore, json_text
@@ -156,10 +159,30 @@ class Session:
         check_name(name)
         return base / f"{name}.graphml", base / f"{name}.json"
 
-    def save_network(self, name: str, network: CoCitationNetwork) -> None:
+    def save_network(self, name: str, network: CoCitationNetwork, stats: NetworkStats) -> None:
+        """Write network ``name`` as GraphML and JSON, then its counts ``stats``
+        keyed to that JSON."""
         graphml_path, json_path = self.network_paths(name)
         self.write_text(graphml_path, network.to_graphml())
         self.write_text(json_path, network.to_json())
+        key = self._input_key([json_path])
+        self.write_text(json_path.with_suffix(".stats"), json_text({**asdict(stats), "inputs": key}))
+
+    def network_counts(self, name: str) -> NetworkStats | None:
+        """The counts of network ``name`` from ``networks/<name>.stats`` if current;
+        None when that file is missing, stale or damaged."""
+        json_path = self.network_paths(name)[1]
+
+        def build(data: dict) -> NetworkStats:
+            values = {field.name: data[field.name] for field in fields(NetworkStats)}
+            if any(type(value) is not int for value in values.values()):
+                raise ValueError("a count is not an integer")
+            return NetworkStats(**values)
+
+        try:
+            return self._read_json(json_path.with_suffix(".stats"), build, inputs=lambda _data: [json_path])
+        except FormatError:  # only a shortcut: damaged counts are counted again from the network
+            return None
 
     def load_network(self, name: str) -> CoCitationNetwork:
         _graphml_path, json_path = self.network_paths(name)
@@ -226,10 +249,11 @@ class Session:
     def _input_key(self, inputs: Iterable[Path], **params) -> str:
         """The key of an artifact computed from session files ``inputs`` and ``params``:
         each file's path and sha256 (``missing`` once it is gone), then each parameter.
-        The clustering's input is its network's JSON; the positions' that, the layout
-        seed, the iteration count and the layout version; the projection's and
-        coverage's the base network, its clustering and each compared dataset. A
-        stored key is current when it equals the key its inputs give now."""
+        The network counts' and the clustering's input is the network's JSON; the
+        positions' that, the layout seed, the iteration count and the layout version;
+        the projection's and coverage's the base network, its clustering and each
+        compared dataset. A stored key is current when it equals the key its inputs
+        give now."""
         parts = [
             f"{path.relative_to(self.root).as_posix()}="
             + (hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing")

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +25,7 @@ import citecascade
 import citecascade.cli as cli_module
 import citecascade.session as session_module
 from citecascade.cli import main
-from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo
+from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo, network_stats
 from citecascade.errors import ValidationError
 from citecascade.records import RecordStore, csv_text, json_text
 from citecascade.render import layout
@@ -1033,7 +1034,7 @@ class TestLayoutCache:
         with tempfile.TemporaryDirectory() as root, \
                 mock.patch.object(session_module, "layout", wraps=layout) as counted:
             session = Session(root)
-            session.save_network("N", network)
+            session.save_network("N", network, network_stats(network))
             first = session.layout_positions("N", network)
             assert list(first) == sorted(network.nodes)
             assert list(session.layout_positions("N", network).items()) == list(first.items())  # exact floats
@@ -1108,6 +1109,138 @@ def test_network_report_reads_no_store(tmp_path, corpus, monkeypatch):
     monkeypatch.setattr(Session, "load_store", refuse)
     assert run(session_dir, "report", "--kind", "networks") == 0
     assert table.read_bytes() == expected
+
+
+def counted_session(tmp_path, corpus) -> Path:
+    """A session holding networks A and B, built from one dataset with two link
+    bounds, and no clustering."""
+    session_dir = tmp_path / "sess"
+    for argv in (
+        ["ingest", str(corpus)],
+        ["search", "--name", "F", "--phrase", "topic alpha"],
+        ["expand", "--name", "S", "--seed", "seed", "--stages", "F:2",
+         "--theta-citer", "0", "--theta-ref", "0"],
+        ["union", "--name", "combined", "--datasets", "F,S"],
+        ["network", "--dataset", "combined", "--name", "A", "--min-citations", "0"],
+        ["network", "--dataset", "combined", "--name", "B", "--min-citations", "0", "--lrf", "1"],
+    ):
+        assert run(session_dir, *argv) == 0
+    return session_dir
+
+
+def parsed_networks_report(session_dir: Path) -> bytes:
+    """``reports/networks.csv`` as the report writes it when it parses every network,
+    counted in a copy of the session without its counts files."""
+    with tempfile.TemporaryDirectory() as root:
+        copy = Path(root) / "sess"
+        copy.mkdir()
+        for rel, data in session_files(session_dir).items():
+            if not rel.endswith(".stats") and rel != ".lock":
+                (copy / rel).parent.mkdir(parents=True, exist_ok=True)
+                (copy / rel).write_bytes(data)
+        assert main(["--session", str(copy), "report", "--kind", "networks"]) == 0
+        return (copy / "reports" / "networks.csv").read_bytes()
+
+
+class TestNetworkCounts:
+    """``network`` writes ``networks/<name>.stats``, keyed to the network JSON, and
+    ``report --kind networks`` reads it instead of the network when it is current."""
+
+    @pytest.mark.parametrize("case", [
+        "current", "deleted", "stale", "truncated", "non-int count", "bool count", "missing field", "not an object",
+    ])
+    def test_report_is_the_same_whatever_the_counts_file(self, tmp_path, corpus, capsys, case):
+        session_dir = finished_session(tmp_path, corpus)  # F has a clustering
+        for argv in (["network", "--dataset", "combined", "--name", "A", "--min-citations", "0"],
+                     ["network", "--dataset", "combined", "--name", "B", "--min-citations", "0", "--lrf", "1"]):
+            assert run(session_dir, *argv) == 0
+        counts = session_dir / "networks" / "A.stats"
+        fresh = json.loads(counts.read_text(encoding="utf-8"))
+        if case == "deleted":
+            counts.unlink()
+        elif case == "stale":  # rebuilt under the same name with other flags, old counts put back
+            old = counts.read_bytes()
+            assert run(session_dir, "network", "--dataset", "combined", "--name", "A",
+                       "--min-citations", "0", "--lrf", "1") == 0
+            assert json.loads(counts.read_text(encoding="utf-8"))["edges"] != fresh["edges"]
+            counts.write_bytes(old)
+        elif case == "truncated":
+            counts.write_bytes(counts.read_bytes()[:-9])
+        elif case != "current":
+            damaged = dict(fresh)
+            if case == "non-int count":
+                damaged["edges"] = float(fresh["edges"])
+            elif case == "bool count":
+                damaged["lcc_pct_floor"] = True
+            elif case == "missing field":
+                del damaged["lcc_size"]
+            else:
+                damaged = [damaged]
+            counts.write_text(json_text(damaged), encoding="utf-8")
+        expected = parsed_networks_report(session_dir)
+        networks = {rel: data for rel, data in session_files(session_dir).items() if rel.startswith("networks/")}
+        capsys.readouterr()
+        assert run(session_dir, "report", "--kind", "networks") == 0
+        assert capsys.readouterr().err == ""
+        assert (session_dir / "reports" / "networks.csv").read_bytes() == expected
+        assert [row.split(",")[0] for row in expected.decode().splitlines()[2:]] == ["A", "B", "F"]
+        assert {rel: data for rel, data in session_files(session_dir).items()
+                if rel.startswith("networks/")} == networks  # the report writes nothing there
+
+    def test_current_counts_parse_no_network(self, tmp_path, corpus, monkeypatch):
+        session_dir = counted_session(tmp_path, corpus)
+        expected = parsed_networks_report(session_dir)
+
+        def refuse(cls, data):
+            raise AssertionError("report --kind networks parsed a network")
+
+        monkeypatch.setattr(CoCitationNetwork, "from_json_dict", classmethod(refuse))
+        assert run(session_dir, "report", "--kind", "networks") == 0
+        assert (session_dir / "reports" / "networks.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+    def test_damaged_network_next_to_its_old_counts_exits_4(self, tmp_path, corpus, capsys, damage):
+        session_dir = counted_session(tmp_path, corpus)
+        path = session_dir / "networks" / "A.json"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-9])
+        else:
+            path.write_text(WRONG_SHAPE["networks/F.json"], encoding="utf-8")
+        capsys.readouterr()
+        assert run(session_dir, "report", "--kind", "networks") == 4
+        assert f"unreadable session file {path}" in one_error_line(capsys)
+
+    def test_bundled_counts_agree_with_the_network(self, bundled_session):
+        session = Session(bundled_session)
+        stats = network_stats(session.load_network("combined"))
+        assert asdict(stats) == {"nodes": 341, "edges": 1364, "lcc_size": 205, "lcc_pct": 60, "lcc_pct_floor": 60}
+        network_json = (bundled_session / "networks" / "combined.json").read_bytes()
+        key = "networks/combined.json=" + hashlib.sha256(network_json).hexdigest()
+        counts = (bundled_session / "networks" / "combined.stats").read_text(encoding="utf-8")
+        assert counts == json_text({**asdict(stats), "inputs": key})
+        assert session.network_counts("combined") == stats
+
+    @settings(max_examples=25, deadline=None)
+    @given(network=cache_networks())
+    def test_counts_read_back_for_odd_ids(self, network):
+        with tempfile.TemporaryDirectory() as root:
+            session = Session(root)
+            stats = network_stats(network)
+            session.save_network("N", network, stats)
+            assert session.network_counts("N") == stats
+            assert session.network_names() == ["N"]
+            assert session.load_network("N").nodes == network.nodes
+
+    def test_empty_network_is_not_written(self, tmp_path, corpus, capsys):
+        session_dir = finished_session(tmp_path, corpus)
+        capsys.readouterr()
+        assert run(session_dir, "network", "--dataset", "F", "--name", "E", "--min-citations", "0",
+                   "--lby", "1") == 3
+        assert "dataset 'F'" in one_error_line(capsys)
+        assert not list((session_dir / "networks").glob("E.*"))
+        assert run(session_dir, "report", "--kind", "networks") == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["F"]
 
 
 def store_lines(session_dir: Path) -> list[dict]:

@@ -609,6 +609,18 @@ class TestPruneLinks:
         assert len(pruned.edges) <= int(lrf * len(pruned.nodes))
         assert pruned.nodes == network.nodes
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edge_spec=st.dictionaries(
+            st.tuples(st.sampled_from("abcdefg"), st.sampled_from("abcdefg")).filter(lambda p: p[0] != p[1]),
+            st.tuples(st.integers(1, 3), st.integers(2000, 2002)),
+        ),
+        lrf=st.sampled_from([0.1, 0.5, 1.0, 1.5, 2.5]),
+    )
+    def test_same_links_as_the_full_sort_on_tied_strengths(self, edge_spec, lrf):
+        network = network_from_edges(edge_spec)
+        assert prune_links(network, lrf).edges == reference_prune_links(network, lrf).edges
+
 
 class TestComponents:
     def test_triangle_is_one_component(self):
