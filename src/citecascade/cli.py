@@ -165,8 +165,7 @@ def _cmd_ingest(args, session: Session) -> int:
     report = store.ingest(args.path, args.format)
     if report.loaded:
         session.save_store(store)
-    report_path = session.report_path(f"{Path(args.path).stem}.load-report.csv")
-    session.write_text(report_path, report.to_csv())
+    report_file = session.write_text(session.path("load_report", Path(args.path).stem, check=False), report.to_csv())
     if args.dataset is not None:
         dataset = Dataset(
             name=args.dataset,
@@ -176,7 +175,7 @@ def _cmd_ingest(args, session: Session) -> int:
         session.save_dataset(dataset)
     print(
         f"loaded {report.loaded} records ({report.merged} merged), "
-        f"{len(report.rejected)} rejected; report: {report_path}"
+        f"{len(report.rejected)} rejected; report: {report_file}"
     )
     return EXIT_OK
 
@@ -222,10 +221,8 @@ def _cmd_expand(args, session: Session) -> int:
     store = session.load_store()
     dataset, trace = run_cascade(store, spec, args.name)
     session.save_dataset(dataset)
-    csv_path = session.trace_path(f"{args.name}.trace.csv")
-    session.write_text(csv_path, trace_report(trace))
-    json_path = session.trace_path(f"{args.name}.trace.json")
-    session.write_text(json_path, json_text(trace.to_json_dict()))
+    csv_path = session.write_text(session.path("trace_table", args.name), trace_report(trace))
+    session.write_text(session.path("trace", args.name), json_text(trace.to_json_dict()))
     print(
         f"dataset {dataset.name}: {len(dataset)} articles after "
         f"{len(trace.generations)} generation(s); terminal: {trace.terminal_reason}; "
@@ -244,13 +241,13 @@ def _network_config(args) -> NetworkConfig:
 
 
 def _cmd_network(args, session: Session) -> int:
+    name = check_name(args.name or args.dataset)
     dataset = session.load_dataset(args.dataset)
     store = session.load_store()
     config = _network_config(args)
     network = build_network(dataset, store, config)
     if not network.nodes:
         raise ValidationError(f"dataset {args.dataset!r} gives a network with no node; nothing written")
-    name = args.name or args.dataset
     stats = network_stats(network)
     session.save_network(name, network, stats)
     print(
@@ -327,7 +324,7 @@ def _cmd_compare(args, session: Session) -> int:
         partition = session.load_partition(args.base, network)
         projection = project_overlay(network, datasets, partition)
         coverage = coverage_report(projection, args.threshold, args.epsilon).to_csv(partition.labels)
-    outputs = [str(session.write_text(session.report_path("compare.csv"), overlap_text))]
+    outputs = [str(session.write_text(session.path("compare"), overlap_text))]
     if args.base:
         outputs += map(str, session.save_projection(args.base, projection, coverage))
     print("wrote " + ", ".join(outputs))
@@ -343,10 +340,9 @@ def _cmd_render(args, session: Session) -> int:
         kind = "overlay" if args.overlay else "map"
         positions = session.layout_positions(args.network, network)
         svg = render_map(network, positions, partition, projection)
-        svg_path = session.render_path(f"{args.network}.{kind}.svg")
-        session.write_text(svg_path, svg)
-        html_path = session.render_path(f"{args.network}.{kind}.html")
-        session.write_text(html_path, wrap_html(svg, title=f"{args.network} {kind}"))
+        svg_path = session.write_text(session.path(kind, args.network), svg)
+        html_path = session.write_text(session.path(f"{kind}_page", args.network),
+                                       wrap_html(svg, title=f"{args.network} {kind}"))
         wrote += [str(svg_path), str(html_path)]
     if args.distributions:
         names = _split_names(args.distributions)
@@ -355,9 +351,7 @@ def _cmd_render(args, session: Session) -> int:
             year_distribution(session.load_dataset(name), store) for name in names
         ]
         svg = render_distribution(distributions, log=args.log)
-        svg_path = session.render_path("-".join(names) + ".years.svg")
-        session.write_text(svg_path, svg)
-        wrote.append(str(svg_path))
+        wrote.append(str(session.write_text(session.path("years", *names), svg)))
     if not wrote:
         raise ValidationError("render needs --network and/or --distributions")
     print("wrote " + ", ".join(wrote))
@@ -368,26 +362,24 @@ def _cmd_report(args, session: Session) -> int:
     if args.kind == "datasets":
         store = session.load_store()
         rows = [("name", "kind", "records", "with_abstracts", "range")]
-        for name in session.dataset_names():
+        for name in session.names("dataset"):
             dataset = session.load_dataset(name)
             with_abstracts = sum(1 for record in map(store.get, dataset.member_ids) if record and record.abstract)
             rows.append((name, dataset.provenance.get("kind", ""), len(dataset), with_abstracts,
                          _dataset_year_range(dataset, store)))
         text = csv_text(rows)
-        path = session.report_path("datasets.csv")
     elif args.kind == "overlap":
         if not args.datasets:
             raise ValidationError("report --kind overlap needs --datasets")
         _datasets, text = _overlap_csv(session, args.datasets, session.load_store())
-        path = session.report_path("overlap.csv")
     else:  # networks
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",
                  "mean_silhouette")]
-        for name in session.network_names():
+        for name in session.names("network"):
             # The network is parsed only when its counts file is not current, or to
             # check a clustering against its nodes.
             stats, partition = session.network_counts(name), None
-            if stats is None or session.cluster_paths(name)[0].exists():
+            if stats is None or session.path("clusters", name).exists():
                 network = session.load_network(name)
                 stats = stats or network_stats(network)
                 partition = session.load_partition(name, network, required=False)
@@ -400,8 +392,7 @@ def _cmd_report(args, session: Session) -> int:
             "lcc_pct_rounded uses round-half-up; lcc_pct_truncated floors the same ratio"
             " (both emitted on purpose); silhouette is the unweighted mean over clusters",
         ])
-        path = session.report_path("networks.csv")
-    session.write_text(path, text)
+    session.write_text(session.path(f"{args.kind}_report"), text)
     print(text, end="")
     return EXIT_OK
 

@@ -8,14 +8,23 @@ A session holds everything one analysis produces::
       networks/      # <name>.json and .graphml, and <name>.stats: the network's node,
                      # link and LCC counts; after `cluster`, <name>.clusters.json,
                      # .clusters.csv and .concepts.txt
-      renders/       # maps and charts; <name>.positions.json caches the layout
-      reports/ traces/
+      renders/       # <name>.map and .overlay (.svg, .html); <name>.positions.json caches
+                     # the layout; <a>,<b>,<c>.years.svg charts datasets a, b and c
+      reports/       # <ingested file stem>.load-report.csv, compare.csv, projection.json,
+                     # coverage.csv, datasets.csv, overlap.csv, networks.csv
+      traces/        # <name>.trace.csv and .trace.json
+
+``ARTIFACTS`` is this layout as a table, and ``Session.path`` forms every path
+but ``store.jsonl`` and ``.lock`` from it. A name may not end in an ending that
+would turn one kind's file into another kind's in the same directory, such as
+``.clusters``: ``reserved_endings`` derives them from the table.
 
 One command runs at a time per session, enforced with an advisory lock on
 ``.lock`` that the OS releases when its holder exits or dies. Every artifact
 is written to a temp file and renamed into place, so a killed command leaves
 each file either old or new, never half written. That holds for
-``store.jsonl`` too: ``ingest`` and ``enrich`` write it whole.
+``store.jsonl`` too: ``ingest`` and ``enrich`` write it whole. The temp files
+a killed command leaves are removed by the next command once it holds the lock.
 
 Each derived artifact (network counts, clustering, layout positions,
 projection, coverage) holds the key of its inputs in a top-level ``"inputs"``
@@ -39,7 +48,7 @@ import json
 import math
 import os
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -50,16 +59,41 @@ from .overlay import OverlayProjection, check_partition
 from .records import Dataset, RecordStore, json_text
 from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, LAYOUT_VERSION, layout
 
-SUBDIRS = ("datasets", "networks", "reports", "renders", "traces")
+# Each artifact kind's directory, and the suffix after its names joined by ","; a suffix
+# that does not start with "." is a whole file name, of a kind that takes no name.
+ARTIFACTS = {kind: (directory, suffix) for directory, kinds in {
+    "datasets": {"dataset": ".json"},
+    "networks": {"network": ".json", "graphml": ".graphml", "counts": ".stats", "clusters": ".clusters.json",
+                 "cluster_table": ".clusters.csv", "concepts": ".concepts.txt"},
+    "renders": {"map": ".map.svg", "map_page": ".map.html", "overlay": ".overlay.svg",
+                "overlay_page": ".overlay.html", "years": ".years.svg", "positions": ".positions.json"},
+    "reports": {"load_report": ".load-report.csv", "compare": "compare.csv", "projection": "projection.json",
+                "coverage": "coverage.csv", "datasets_report": "datasets.csv", "overlap_report": "overlap.csv",
+                "networks_report": "networks.csv"},
+    "traces": {"trace_table": ".trace.csv", "trace": ".trace.json"},
+}.items() for kind, suffix in kinds.items()}
+DIRECTORIES = sorted({directory for directory, _suffix in ARTIFACTS.values()})
+
+
+def reserved_endings(table: dict[str, tuple[str, str]]) -> tuple[str, ...]:
+    """Each ``x`` that one kind's suffix holds before another kind's suffix in the same
+    directory: name ``a`` + ``x`` of the second kind would name the first kind's file of ``a``."""
+    return tuple(sorted({long[: -len(short)] for directory, long in table.values() for other, short in table.values()
+                         if other == directory and long != short and long.endswith(short)}))
+
+
+RESERVED_ENDINGS = reserved_endings(ARTIFACTS)
 
 
 def check_name(name: str) -> str:
-    """A dataset or network name, which must stay one file name in its directory and
-    one item of a comma-separated ``--datasets`` list."""
+    """A dataset or network name, which must stay one file name of one kind in its
+    directory and one item of a comma-separated ``--datasets`` list."""
     forbidden = {"/", os.sep, os.altsep, ","} - {None}
-    if name in ("", ".", "..") or any(ch in forbidden or ch < " " for ch in name):
-        raise UsageError(f"invalid name {name!r}: names must be non-empty, not '.' or '..', "
-                         "and contain no path separator, comma or control character")
+    if (name in ("", ".", "..") or name != name.strip() or name.endswith(RESERVED_ENDINGS)
+            or any(ch in forbidden or ch < " " for ch in name)):
+        raise UsageError(f"invalid name {name!r}: names must be non-empty, not '.' or '..', contain no "
+                         "path separator, comma or control character, neither start nor end with a space, "
+                         f"and not end in {' or '.join(RESERVED_ENDINGS)}")
     return name
 
 
@@ -69,8 +103,23 @@ class Session:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        for sub in SUBDIRS:
-            (self.root / sub).mkdir(exist_ok=True)
+        for directory in DIRECTORIES:
+            (self.root / directory).mkdir(exist_ok=True)
+
+    def path(self, kind: str, *names: str, check: bool = True) -> Path:
+        """The file of artifact ``kind`` for ``names``, each a checked session name unless
+        ``check`` is false (a load report's is the ingested file's stem)."""
+        directory, suffix = ARTIFACTS[kind]
+        return self.root / directory / (",".join(map(check_name, names) if check else names) + suffix)
+
+    def names(self, kind: str) -> list[str]:
+        """The names of the session's ``kind`` files; a name ``check_name`` rejects is another kind's."""
+        directory, suffix = ARTIFACTS[kind]
+        found = []
+        for path in (self.root / directory).glob("*" + suffix):
+            with suppress(UsageError):
+                found.append(check_name(path.name[: -len(suffix)]))
+        return sorted(found)
 
     # -- reading and writing ----------------------------------------------------------
 
@@ -119,6 +168,10 @@ class Session:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise ValidationError(f"session {self.root} is locked by another command") from None
+            # The lock holder is the only writer, so each temp file is a killed command's.
+            for directory in ["", *DIRECTORIES]:
+                for temp in (self.root / directory).glob(".*.tmp"):
+                    temp.unlink(missing_ok=True)
             yield self
         finally:
             os.close(fd)
@@ -137,27 +190,19 @@ class Session:
 
     # -- datasets -------------------------------------------------------------------
 
-    def dataset_path(self, name: str) -> Path:
-        return self.root / "datasets" / f"{check_name(name)}.json"
-
     def save_dataset(self, dataset: Dataset) -> Path:
-        return self.write_text(self.dataset_path(dataset.name), json_text(dataset.to_json_dict()))
+        return self.write_text(self.path("dataset", dataset.name), json_text(dataset.to_json_dict()))
 
     def load_dataset(self, name: str) -> Dataset:
-        path = self.dataset_path(name)
+        path = self.path("dataset", name)
         if not path.exists():
             raise CiteCascadeError(f"no dataset named {name!r} in session")
         return self._read_json(path, Dataset.from_json_dict)
 
-    def dataset_names(self) -> list[str]:
-        return sorted(p.stem for p in (self.root / "datasets").glob("*.json"))
-
     # -- networks & partitions ---------------------------------------------------------
 
     def network_paths(self, name: str) -> tuple[Path, Path]:
-        base = self.root / "networks"
-        check_name(name)
-        return base / f"{name}.graphml", base / f"{name}.json"
+        return self.path("graphml", name), self.path("network", name)
 
     def save_network(self, name: str, network: CoCitationNetwork, stats: NetworkStats) -> None:
         """Write network ``name`` as GraphML and JSON, then its counts ``stats``
@@ -166,12 +211,12 @@ class Session:
         self.write_text(graphml_path, network.to_graphml())
         self.write_text(json_path, network.to_json())
         key = self._input_key([json_path])
-        self.write_text(json_path.with_suffix(".stats"), json_text({**asdict(stats), "inputs": key}))
+        self.write_text(self.path("counts", name), json_text({**asdict(stats), "inputs": key}))
 
     def network_counts(self, name: str) -> NetworkStats | None:
         """The counts of network ``name`` from ``networks/<name>.stats`` if current;
         None when that file is missing, stale or damaged."""
-        json_path = self.network_paths(name)[1]
+        json_path = self.path("network", name)
 
         def build(data: dict) -> NetworkStats:
             values = {field.name: data[field.name] for field in fields(NetworkStats)}
@@ -180,43 +225,29 @@ class Session:
             return NetworkStats(**values)
 
         try:
-            return self._read_json(json_path.with_suffix(".stats"), build, inputs=lambda _data: [json_path])
+            return self._read_json(self.path("counts", name), build, inputs=lambda _data: [json_path])
         except FormatError:  # only a shortcut: damaged counts are counted again from the network
             return None
 
     def load_network(self, name: str) -> CoCitationNetwork:
-        _graphml_path, json_path = self.network_paths(name)
+        json_path = self.path("network", name)
         if not json_path.exists():
             raise CiteCascadeError(f"no network named {name!r} in session")
         return self._read_json(json_path, CoCitationNetwork.from_json_dict)
 
-    def network_names(self) -> list[str]:
-        return sorted(
-            p.stem
-            for p in (self.root / "networks").glob("*.json")
-            if not p.name.endswith(".clusters.json")
-        )
-
-    def cluster_paths(self, name: str) -> tuple[Path, Path, Path]:
-        """The clustering of network ``name``: its JSON, its CSV table and its concept trees."""
-        base = self.root / "networks"
-        check_name(name)
-        return base / f"{name}.clusters.json", base / f"{name}.clusters.csv", base / f"{name}.concepts.txt"
-
     def save_clusters(self, name: str, payload: dict, table: str, concepts: str) -> None:
         """Write the clustering of network ``name``: its JSON, CSV table and concept trees."""
-        json_path, csv_path, concepts_path = self.cluster_paths(name)
-        key = self._input_key([self.network_paths(name)[1]])
-        self.write_text(json_path, json_text({**payload, "inputs": key}))
-        self.write_text(csv_path, [f"# inputs {key}\n", table])
-        self.write_text(concepts_path, [f"# inputs {key}\n", concepts])
+        key = self._input_key([self.path("network", name)])
+        self.write_text(self.path("clusters", name), json_text({**payload, "inputs": key}))
+        self.write_text(self.path("cluster_table", name), [f"# inputs {key}\n", table])
+        self.write_text(self.path("concepts", name), [f"# inputs {key}\n", concepts])
 
     def load_partition(self, name: str, network: CoCitationNetwork, required: bool = True) -> ClusterPartition | None:
         """The partition of network ``name`` if current; else None, or an error if ``required``.
         A current one that does not cover exactly the nodes of ``network`` is a ValidationError."""
         partition = self._read_json(
-            self.cluster_paths(name)[0], lambda data: ClusterPartition.from_json_dict(data["level1"]),
-            inputs=lambda _data: [self.network_paths(name)[1]],
+            self.path("clusters", name), lambda data: ClusterPartition.from_json_dict(data["level1"]),
+            inputs=lambda _data: [self.path("network", name)],
         )
         if partition is not None:
             check_partition(network, partition)
@@ -224,14 +255,13 @@ class Session:
             raise CiteCascadeError(f"no current clustering of network {name!r}; run cluster --network {name}")
         return partition
 
-    def _projection_inputs(self, base: str, dataset_names: list[str]) -> list[Path]:
-        network, clustering = self.network_paths(base)[1], self.cluster_paths(base)[0]
-        return [network, clustering, *map(self.dataset_path, dataset_names)]
+    def _projection_inputs(self, base: str, names: list[str]) -> list[Path]:
+        return [self.path("network", base), self.path("clusters", base), *(self.path("dataset", n) for n in names)]
 
     def save_projection(self, base: str, projection: OverlayProjection, coverage: str) -> list[Path]:
         """Write the projection onto network ``base`` and its coverage table."""
         key = self._input_key(self._projection_inputs(base, projection.dataset_names))
-        paths = [self.report_path("projection.json"), self.report_path("coverage.csv")]
+        paths = [self.path("projection"), self.path("coverage")]
         self.write_text(paths[0], json_text({**projection.to_json_dict(), "inputs": key}))
         self.write_text(paths[1], [f"# inputs {key}\n", coverage])
         return paths
@@ -239,7 +269,7 @@ class Session:
     def load_projection(self, base: str) -> OverlayProjection:
         """The projection onto network ``base`` if it is current; else an error."""
         projection = self._read_json(
-            self.report_path("projection.json"), OverlayProjection.from_json_dict,
+            self.path("projection"), OverlayProjection.from_json_dict,
             inputs=lambda data: self._projection_inputs(base, data["datasets"]),
         )
         if projection is None:
@@ -268,8 +298,8 @@ class Session:
         ``renders/<name>.positions.json`` when that file is current; computed and
         written otherwise. The file holds the key and the ``x`` and ``y`` lists in
         sorted node-id order: the key pins the network, so it pins the ids too."""
-        path = self.render_path(f"{name}.positions.json")
-        inputs = [self.network_paths(name)[1]]
+        path = self.path("positions", name)
+        inputs = [self.path("network", name)]
         params = {"seed": LAYOUT_SEED, "iterations": LAYOUT_ITERATIONS, "layout": LAYOUT_VERSION}
         nodes = sorted(network.nodes)
 
@@ -292,15 +322,3 @@ class Session:
                 "y": [positions[node][1] for node in nodes],
             }))
         return positions
-
-    # -- simple path helpers ----------------------------------------------------------
-
-    def report_path(self, filename: str) -> Path:
-        return self.root / "reports" / filename
-
-    def render_path(self, filename: str) -> Path:
-        return self.root / "renders" / filename
-
-    def trace_path(self, filename: str) -> Path:
-        return self.root / "traces" / filename
-

@@ -143,7 +143,7 @@ class TestPipeline:
         assert (session_dir / "renders" / "combined.overlay.svg").exists()
         assert (session_dir / "renders" / "combined.overlay.html").exists()
         assert run(session_dir, "render", "--distributions", "F,S", "--log") == 0
-        assert (session_dir / "renders" / "F-S.years.svg").exists()
+        assert (session_dir / "renders" / "F,S.years.svg").exists()
 
         for kind in ("datasets", "networks"):
             assert run(session_dir, "report", "--kind", kind) == 0
@@ -280,7 +280,7 @@ class TestExitCodes:
         assert one_error_line(capsys) == "error: query phrases must not be blank\n"
         assert session_files(session_dir) == before
 
-    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", "", "a,b", "a\nb"])
+    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", "", "a,b", "a\nb", " G", "G ", "a.clusters"])
     def test_bad_names_exit_2_and_write_nothing_outside(self, tmp_path, corpus, capsys, name):
         session_dir = tmp_path / "outer" / "sess"
         run(session_dir, "ingest", str(corpus))
@@ -1039,7 +1039,7 @@ class TestLayoutCache:
             assert list(first) == sorted(network.nodes)
             assert list(session.layout_positions("N", network).items()) == list(first.items())  # exact floats
             assert counted.call_count == 1
-            path = session.render_path("N.positions.json")
+            path = session.path("positions", "N")
             fresh = path.read_bytes()
             cached = json.loads(fresh)
             ONE_VALUE_DAMAGE[damage](cached)
@@ -1228,7 +1228,7 @@ class TestNetworkCounts:
             stats = network_stats(network)
             session.save_network("N", network, stats)
             assert session.network_counts("N") == stats
-            assert session.network_names() == ["N"]
+            assert session.names("network") == ["N"]
             assert session.load_network("N").nodes == network.nodes
 
     def test_empty_network_is_not_written(self, tmp_path, corpus, capsys):
@@ -1448,13 +1448,14 @@ BUNDLED_NETWORK_SHA256 = {
 
 # sha256 of the bundled pipeline's maps and year chart; the maps re-recorded
 # when each component got its own layout, packed and fitted with one scale, and
-# the map page added when the SVG moved from xml.etree to template rows.
+# the map page added when the SVG moved from xml.etree to template rows. The year
+# chart's key renamed, same digest, when its file took the charted names joined by ",".
 BUNDLED_RENDER_SHA256 = {
     "renders/combined.map.svg": "c724639cc241cabc0356c2b6e4f961805d75570cddcb3d54d1a37d62e138f081",
     "renders/combined.overlay.svg": "79dca943752b05c29c954e3bb15cf09b9b20544627314982786442251530abe6",
     "renders/combined.map.html": "fa76da6a405072cc604ae6ecda0f46865fbabd348acb8799cb2fa47037bdf7eb",
     "renders/combined.overlay.html": "df2fa2130398819df74c05eafe92fa679f09c4c344ce399ecf36630323e3acac",
-    "renders/F-S3-combined.years.svg": "0a38cde894b9c8df6b3a53dbb54c744b3bb0417f258abb9b5b0c6cbe6cf004cc",
+    "renders/F,S3,combined.years.svg": "0a38cde894b9c8df6b3a53dbb54c744b3bb0417f258abb9b5b0c6cbe6cf004cc",
 }
 
 
