@@ -4,7 +4,9 @@ All commands operate inside a session directory (``--session``, default
 ``./session``) and are re-runnable: identical inputs overwrite their outputs
 byte-identically. Errors print a single machine-parseable line to stderr;
 exit codes: 0 ok, 2 bad command line, 3 validation failure, 4 data error. A
-command that succeeds prints each warning it raised as one ``warning:`` line.
+command that fails writes nothing: each writes its files in one
+``Session.write`` call after its last check. A command that succeeds prints
+each warning it raised as one ``warning:`` line.
 
 Every setting is a flag of the command that uses it: a network flag left out
 takes the default of its ``NetworkConfig`` field. Render settings (layout
@@ -159,20 +161,16 @@ def _dataset_year_range(dataset: Dataset, store: RecordStore) -> str:
 
 
 def _cmd_ingest(args, session: Session) -> int:
-    if args.dataset is not None:
-        check_name(args.dataset)  # before the store changes
     store = session.load_store()
     report = store.ingest(args.path, args.format)
+    files = {session.path("load_report", Path(args.path).stem, check=False): report.to_csv()}
     if report.loaded:
-        session.save_store(store)
-    report_file = session.write_text(session.path("load_report", Path(args.path).stem, check=False), report.to_csv())
+        files[session.store_path] = store.json_lines()
     if args.dataset is not None:
-        dataset = Dataset(
-            name=args.dataset,
-            member_ids=set(report.loaded_ids),
-            provenance={"kind": "ingest", "source": Path(args.path).name, "format": args.format},
-        )
-        session.save_dataset(dataset)
+        dataset = Dataset(args.dataset, set(report.loaded_ids),
+                          {"kind": "ingest", "source": Path(args.path).name, "format": args.format})
+        files[session.path("dataset", args.dataset)] = lambda: json_text(dataset.to_json_dict())
+    report_file = session.write(files)[0]
     print(
         f"loaded {report.loaded} records ({report.merged} merged), "
         f"{len(report.rejected)} rejected; report: {report_file}"
@@ -184,7 +182,7 @@ def _cmd_enrich(args, session: Session) -> int:
     store = session.load_store()
     report = store.enrich_abstracts(args.path)
     if report.enriched:
-        session.save_store(store)
+        session.write({session.store_path: store.json_lines()})
     print(
         f"enriched {report.enriched} records, {len(report.unmatched)} unmatched, "
         f"{len(report.skipped_rows)} rows skipped"
@@ -220,9 +218,11 @@ def _cmd_expand(args, session: Session) -> int:
     )
     store = session.load_store()
     dataset, trace = run_cascade(store, spec, args.name)
-    session.save_dataset(dataset)
-    csv_path = session.write_text(session.path("trace_table", args.name), trace_report(trace))
-    session.write_text(session.path("trace", args.name), json_text(trace.to_json_dict()))
+    csv_path = session.write({
+        session.path("trace_table", args.name): trace_report(trace),
+        session.path("trace", args.name): lambda: json_text(trace.to_json_dict()),
+        session.path("dataset", dataset.name): lambda: json_text(dataset.to_json_dict()),
+    })[0]
     print(
         f"dataset {dataset.name}: {len(dataset)} articles after "
         f"{len(trace.generations)} generation(s); terminal: {trace.terminal_reason}; "
@@ -319,20 +319,20 @@ def _overlap_csv(session: Session, names_text: str, store: RecordStore) -> tuple
 
 def _cmd_compare(args, session: Session) -> int:
     datasets, overlap_text = _overlap_csv(session, args.datasets, session.load_store())
-    if args.base:  # every check passes before anything is written
+    files, keyed = {session.path("compare"): overlap_text}, {}
+    if args.base:
         network = session.load_network(args.base)
         partition = session.load_partition(args.base, network)
         projection = project_overlay(network, datasets, partition)
-        coverage = coverage_report(projection, args.threshold, args.epsilon).to_csv(partition.labels)
-    outputs = [str(session.write_text(session.path("compare"), overlap_text))]
-    if args.base:
-        outputs += map(str, session.save_projection(args.base, projection, coverage))
-    print("wrote " + ", ".join(outputs))
+        files[session.path("projection")] = session.projection_text(args.base, projection)
+        coverage = coverage_report(projection, args.threshold, args.epsilon)
+        keyed[session.path("coverage")] = coverage.to_csv(partition.labels)
+    print("wrote " + ", ".join(map(str, session.write(files, keyed))))
     return EXIT_OK
 
 
 def _cmd_render(args, session: Session) -> int:
-    wrote: list[str] = []
+    files = {}
     if args.network:
         network = session.load_network(args.network)
         partition = session.load_partition(args.network, network, required=False)
@@ -340,21 +340,16 @@ def _cmd_render(args, session: Session) -> int:
         kind = "overlay" if args.overlay else "map"
         positions = session.layout_positions(args.network, network)
         svg = render_map(network, positions, partition, projection)
-        svg_path = session.write_text(session.path(kind, args.network), svg)
-        html_path = session.write_text(session.path(f"{kind}_page", args.network),
-                                       wrap_html(svg, title=f"{args.network} {kind}"))
-        wrote += [str(svg_path), str(html_path)]
+        files[session.path(kind, args.network)] = svg
+        files[session.path(f"{kind}_page", args.network)] = wrap_html(svg, title=f"{args.network} {kind}")
     if args.distributions:
         names = _split_names(args.distributions)
         store = session.load_store()
-        distributions = [
-            year_distribution(session.load_dataset(name), store) for name in names
-        ]
-        svg = render_distribution(distributions, log=args.log)
-        wrote.append(str(session.write_text(session.path("years", *names), svg)))
-    if not wrote:
+        distributions = [year_distribution(session.load_dataset(name), store) for name in names]
+        files[session.path("years", *names)] = render_distribution(distributions, log=args.log)
+    if not files:
         raise ValidationError("render needs --network and/or --distributions")
-    print("wrote " + ", ".join(wrote))
+    print("wrote " + ", ".join(map(str, session.write(files))))
     return EXIT_OK
 
 
@@ -392,7 +387,7 @@ def _cmd_report(args, session: Session) -> int:
             "lcc_pct_rounded uses round-half-up; lcc_pct_truncated floors the same ratio"
             " (both emitted on purpose); silhouette is the unweighted mean over clusters",
         ])
-    session.write_text(session.path(f"{args.kind}_report"), text)
+    session.write({session.path(f"{args.kind}_report"): text})
     print(text, end="")
     return EXIT_OK
 

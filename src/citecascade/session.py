@@ -20,14 +20,14 @@ would turn one kind's file into another kind's in the same directory, such as
 ``.clusters``: ``reserved_endings`` derives them from the table.
 
 One command runs at a time per session, enforced with an advisory lock on
-``.lock`` that the OS releases when its holder exits or dies. Every artifact
-is written to a temp file and renamed into place, so a killed command leaves
-each file either old or new, never half written. That holds for
-``store.jsonl`` too: ``ingest`` and ``enrich`` write it whole. The temp files
-a killed command leaves are removed by the next command once it holds the lock.
+``.lock`` that the OS releases when its holder exits or dies. Each command
+writes its group of files in one ``Session.write`` call after its last check,
+so a failing one writes nothing: every temp file, then one rename per file,
+the file a later command reads back last and each keyed sibling keyed to it.
+A killed command leaves each file old or new, never half written (the whole
+``store.jsonl`` too), and the next command removes its temp files.
 
-Each derived artifact (network counts, clustering, layout positions,
-projection, coverage) holds the key of its inputs in a top-level ``"inputs"``
+Each derived artifact holds the key of its inputs in a top-level ``"inputs"``
 field or a first ``# inputs <key>`` line: see ``Session._input_key``. One that
 is stale, unkeyed or names a missing input counts as missing. Those a command
 reads back are JSON, read by ``Session._read_json``: damage, or a value the
@@ -47,7 +47,7 @@ import hashlib
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -97,11 +97,26 @@ def check_name(name: str) -> str:
     return name
 
 
+def _write_temp(temp: Path, text, digest: bool = False) -> str:
+    """Write ``text``, whole or in chunks, or what the function ``text`` builds, to ``temp``;
+    given ``digest``, the sha256 of a whole text."""
+    if callable(text):
+        text = text()
+    if isinstance(text, str):
+        with open(temp, "wb") as fh:
+            fh.write(data := text.encode())
+        return hashlib.sha256(data).hexdigest() if digest else ""
+    with open(temp, "w", encoding="utf-8") as fh:
+        fh.writelines(text)
+    return ""
+
+
 class Session:
     """Filesystem wrapper for one analysis directory."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.store_path = self.root / "store.jsonl"
         self.root.mkdir(parents=True, exist_ok=True)
         for directory in DIRECTORIES:
             (self.root / directory).mkdir(exist_ok=True)
@@ -137,32 +152,39 @@ class Session:
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError, CiteCascadeError) as exc:
             raise FormatError(f"unreadable session file {path}: {exc!r}") from None
 
-    def write_text(self, path: Path, text: str | Iterable[str]) -> Path:
-        """Write a session file, given whole or as a stream of chunks, through a
-        temp file and a rename over ``path``. The temp name ends in ``.tmp``,
-        so no ``*.json``/``*.csv``/``*.svg`` scan sees it."""
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    def write(self, files: dict[Path, str | Iterable[str] | Callable],
+              keyed: dict[Path, str | dict] | None = None) -> list[Path]:
+        """Write one command's group through temp files, then rename each; return the paths of
+        ``files``, then of ``keyed``. A value of ``files`` is a text, whole or in chunks, or a
+        function that builds it when its temp file is written, so one large text is alive at a
+        time. The last of ``files`` is the file a later command reads back, and it is renamed
+        last. Each of ``keyed`` is keyed to it, by its session path and the sha256 of its text:
+        a text under a first ``# inputs <key>`` line, a JSON object with an ``"inputs"`` field."""
+        *siblings, last = files
+        keyed = keyed or {}
+        temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in [*files, *keyed]}
         try:
-            with open(temp, "w", encoding="utf-8") as fh:
-                fh.writelines([text] if isinstance(text, str) else text)
-            os.replace(temp, path)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
-        return path
+            for path in siblings:
+                _write_temp(temps[path], files[path])
+            key = f"{last.relative_to(self.root).as_posix()}=" + _write_temp(temps[last], files[last], digest=True)
+            for path, value in keyed.items():
+                _write_temp(temps[path], json_text({**value, "inputs": key}) if isinstance(value, dict)
+                            else [f"# inputs {key}\n", value])
+            for path in [*siblings, *keyed, last]:
+                os.replace(temps[path], path)
+        finally:  # a temp file is left only when a write or a rename raised
+            for temp in temps.values():
+                temp.unlink(missing_ok=True)
+        return list(temps)
 
     # -- locking ----------------------------------------------------------------
-
-    @property
-    def lock_path(self) -> Path:
-        return self.root / ".lock"
 
     @contextmanager
     def lock(self):
         # The lock file is never unlinked: a command that opened it just before
         # an unlink would lock the removed file while the next command locks a
         # new one, and both would run.
-        fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
+        fd = os.open(self.root / ".lock", os.O_CREAT | os.O_WRONLY, 0o644)
         try:
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -178,20 +200,13 @@ class Session:
 
     # -- store --------------------------------------------------------------------
 
-    @property
-    def store_path(self) -> Path:
-        return self.root / "store.jsonl"
-
     def load_store(self) -> RecordStore:
         return RecordStore.load(self.store_path)
-
-    def save_store(self, store: RecordStore) -> None:
-        self.write_text(self.store_path, store.json_lines())
 
     # -- datasets -------------------------------------------------------------------
 
     def save_dataset(self, dataset: Dataset) -> Path:
-        return self.write_text(self.path("dataset", dataset.name), json_text(dataset.to_json_dict()))
+        return self.write({self.path("dataset", dataset.name): json_text(dataset.to_json_dict())})[0]
 
     def load_dataset(self, name: str) -> Dataset:
         path = self.path("dataset", name)
@@ -205,18 +220,13 @@ class Session:
         return self.path("graphml", name), self.path("network", name)
 
     def save_network(self, name: str, network: CoCitationNetwork, stats: NetworkStats) -> None:
-        """Write network ``name`` as GraphML and JSON, then its counts ``stats``
-        keyed to that JSON."""
-        graphml_path, json_path = self.network_paths(name)
-        self.write_text(graphml_path, network.to_graphml())
-        self.write_text(json_path, network.to_json())
-        key = self._input_key([json_path])
-        self.write_text(self.path("counts", name), json_text({**asdict(stats), "inputs": key}))
+        """Write network ``name``: its GraphML, its counts ``stats`` keyed to its JSON, then that."""
+        self.write({self.path("graphml", name): network.to_graphml, self.path("network", name): network.to_json},
+                   {self.path("counts", name): asdict(stats)})
 
     def network_counts(self, name: str) -> NetworkStats | None:
         """The counts of network ``name`` from ``networks/<name>.stats`` if current;
         None when that file is missing, stale or damaged."""
-        json_path = self.path("network", name)
 
         def build(data: dict) -> NetworkStats:
             values = {field.name: data[field.name] for field in fields(NetworkStats)}
@@ -225,7 +235,7 @@ class Session:
             return NetworkStats(**values)
 
         try:
-            return self._read_json(self.path("counts", name), build, inputs=lambda _data: [json_path])
+            return self._read_json(self.path("counts", name), build, inputs=lambda _data: [self.path("network", name)])
         except FormatError:  # only a shortcut: damaged counts are counted again from the network
             return None
 
@@ -236,11 +246,10 @@ class Session:
         return self._read_json(json_path, CoCitationNetwork.from_json_dict)
 
     def save_clusters(self, name: str, payload: dict, table: str, concepts: str) -> None:
-        """Write the clustering of network ``name``: its JSON, CSV table and concept trees."""
-        key = self._input_key([self.path("network", name)])
-        self.write_text(self.path("clusters", name), json_text({**payload, "inputs": key}))
-        self.write_text(self.path("cluster_table", name), [f"# inputs {key}\n", table])
-        self.write_text(self.path("concepts", name), [f"# inputs {key}\n", concepts])
+        """Write the clustering of network ``name``: its table and concept trees keyed to its JSON, then that."""
+        inputs = self._input_key([self.path("network", name)])
+        self.write({self.path("clusters", name): json_text({**payload, "inputs": inputs})},
+                   {self.path("cluster_table", name): table, self.path("concepts", name): concepts})
 
     def load_partition(self, name: str, network: CoCitationNetwork, required: bool = True) -> ClusterPartition | None:
         """The partition of network ``name`` if current; else None, or an error if ``required``.
@@ -258,13 +267,10 @@ class Session:
     def _projection_inputs(self, base: str, names: list[str]) -> list[Path]:
         return [self.path("network", base), self.path("clusters", base), *(self.path("dataset", n) for n in names)]
 
-    def save_projection(self, base: str, projection: OverlayProjection, coverage: str) -> list[Path]:
-        """Write the projection onto network ``base`` and its coverage table."""
-        key = self._input_key(self._projection_inputs(base, projection.dataset_names))
-        paths = [self.path("projection"), self.path("coverage")]
-        self.write_text(paths[0], json_text({**projection.to_json_dict(), "inputs": key}))
-        self.write_text(paths[1], [f"# inputs {key}\n", coverage])
-        return paths
+    def projection_text(self, base: str, projection: OverlayProjection) -> str:
+        """The projection onto network ``base`` as written, with the key of its inputs."""
+        inputs = self._input_key(self._projection_inputs(base, projection.dataset_names))
+        return json_text({**projection.to_json_dict(), "inputs": inputs})
 
     def load_projection(self, base: str) -> OverlayProjection:
         """The projection onto network ``base`` if it is current; else an error."""
@@ -279,11 +285,10 @@ class Session:
     def _input_key(self, inputs: Iterable[Path], **params) -> str:
         """The key of an artifact computed from session files ``inputs`` and ``params``:
         each file's path and sha256 (``missing`` once it is gone), then each parameter.
-        The network counts' and the clustering's input is the network's JSON; the
-        positions' that, the layout seed, the iteration count and the layout version;
-        the projection's and coverage's the base network, its clustering and each
-        compared dataset. A stored key is current when it equals the key its inputs
-        give now."""
+        The clustering's input is the network's JSON; the positions' that, the layout seed,
+        the iteration count and the layout version; the projection's the base network, its
+        clustering and each compared dataset. ``write`` keys a group's siblings to the file
+        read back. A stored key is current when it equals the key its inputs give now."""
         parts = [
             f"{path.relative_to(self.root).as_posix()}="
             + (hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing")
@@ -294,10 +299,10 @@ class Session:
     # -- layout positions ---------------------------------------------------------------
 
     def layout_positions(self, name: str, network: CoCitationNetwork) -> dict[str, tuple[float, float]]:
-        """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from
-        ``renders/<name>.positions.json`` when that file is current; computed and
-        written otherwise. The file holds the key and the ``x`` and ``y`` lists in
-        sorted node-id order: the key pins the network, so it pins the ids too."""
+        """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from ``renders/<name>.positions.json``
+        when that file is current; computed and written otherwise, the one write apart from a command's group.
+        The file holds the key and the ``x`` and ``y`` lists in sorted node-id order: the key pins the
+        network, so it pins the ids too."""
         path = self.path("positions", name)
         inputs = [self.path("network", name)]
         params = {"seed": LAYOUT_SEED, "iterations": LAYOUT_ITERATIONS, "layout": LAYOUT_VERSION}
@@ -316,9 +321,9 @@ class Session:
             positions = None
         if positions is None:
             positions = layout(network, LAYOUT_SEED)
-            self.write_text(path, json_text({
+            self.write({path: json_text({
                 "inputs": self._input_key(inputs, **params),
                 "x": [positions[node][0] for node in nodes],
                 "y": [positions[node][1] for node in nodes],
-            }))
+            })})
         return positions

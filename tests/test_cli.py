@@ -162,11 +162,16 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "lcc_pct_rounded" in out and "lcc_pct_truncated" in out
 
-    def test_expand_forward_then_backward_by_flags(self, tmp_path, corpus):
+    def test_expand_forward_then_backward_by_flags(self, tmp_path, corpus, capsys):
         session_dir = tmp_path / "sess"
         run(session_dir, "ingest", str(corpus))
         assert run(session_dir, "expand", "--name", "NB", "--seed", "seed", "--stages", "F:1,B:1",
                    "--theta-citer", "0", "--theta-ref", "0") == 0
+        before = session_files(session_dir)
+        capsys.readouterr()
+        assert run(session_dir, "expand", "--name", "NB", "--seed", "ghost", "--stages", "F:1") == 4
+        assert "ghost" in one_error_line(capsys)
+        assert session_files(session_dir) == before  # the cascade failed after reading the store
         dataset = json.loads((session_dir / "datasets" / "NB.json").read_text())
         assert "seed" in dataset["member_ids"]
         assert dataset["provenance"]["spec"] == {
@@ -285,13 +290,16 @@ class TestExitCodes:
         session_dir = tmp_path / "outer" / "sess"
         run(session_dir, "ingest", str(corpus))
         capsys.readouterr()
-        before = sorted(p for p in tmp_path.rglob("*"))
+        more = tmp_path / "more.jsonl"  # a record the store lacks
+        more.write_text(json.dumps({"id": "new", "title": "a new record", "year": 2000, "reference_ids": []}) + "\n",
+                        encoding="utf-8")
+        before = session_files(tmp_path)
         assert run(session_dir, "search", "--name", name, "--phrase", "topic") == 2
-        assert run(session_dir, "ingest", str(corpus), "--dataset", name) == 2
+        assert run(session_dir, "ingest", str(more), "--dataset", name) == 2  # after ingesting in memory
         assert run(session_dir, "cluster", "--network", name) == 2
         err = capsys.readouterr().err
         assert err.count("error: invalid name") == 3 and err.count("\n") == 3
-        assert sorted(p for p in tmp_path.rglob("*")) == before
+        assert session_files(tmp_path) == before
 
     def test_locked_session_exits_3(self, tmp_path, corpus, capsys):
         session_dir = tmp_path / "sess"
@@ -819,10 +827,11 @@ class TestInputKeys:
             rel: (session_dir / rel).read_text(encoding="utf-8").split("\n", 1)[0]
             for rel in ("networks/F.clusters.csv", "networks/F.concepts.txt", "reports/coverage.csv")
         }
+        clusters_key = f"networks/F.clusters.json={sha('networks/F.clusters.json')}"
         assert first_lines == {
-            "networks/F.clusters.csv": f"# inputs {network_key}",
-            "networks/F.concepts.txt": f"# inputs {network_key}",
-            "reports/coverage.csv": f"# inputs {projection_key}",
+            "networks/F.clusters.csv": f"# inputs {clusters_key}",
+            "networks/F.concepts.txt": f"# inputs {clusters_key}",
+            "reports/coverage.csv": f"# inputs reports/projection.json={sha('reports/projection.json')}",
         }
         coverage = (session_dir / "reports" / "coverage.csv").read_text(encoding="utf-8")
         assert coverage.splitlines()[1] == "# threshold=0.1 epsilon=0.05"
@@ -872,6 +881,10 @@ class TestInputKeys:
         assert run(session_dir, "render", "--network", "G", "--overlay") == 4
         assert "no current projection onto network 'G'; run compare --base G" in one_error_line(capsys)
         assert not list((session_dir / "renders").glob("G.overlay.*"))
+        before = session_files(session_dir)
+        assert run(session_dir, "compare", "--datasets", "F,S", "--base", "G") == 4  # G has no clustering
+        assert "run cluster --network G" in one_error_line(capsys)
+        assert session_files(session_dir) == before
 
     @pytest.mark.parametrize("change", ["re-searched", "deleted"])
     def test_changed_or_missing_dataset_needs_a_new_compare(self, tmp_path, corpus, capsys, change):
@@ -1233,11 +1246,13 @@ class TestNetworkCounts:
 
     def test_empty_network_is_not_written(self, tmp_path, corpus, capsys):
         session_dir = finished_session(tmp_path, corpus)
+        before = session_files(session_dir)
         capsys.readouterr()
-        assert run(session_dir, "network", "--dataset", "F", "--name", "E", "--min-citations", "0",
-                   "--lby", "1") == 3
-        assert "dataset 'F'" in one_error_line(capsys)
-        assert not list((session_dir / "networks").glob("E.*"))
+        for name in ("E", "F"):  # a new name, and the name of a network with its clustering
+            assert run(session_dir, "network", "--dataset", "F", "--name", name, "--min-citations", "0",
+                       "--lby", "1") == 3
+            assert "dataset 'F'" in one_error_line(capsys)
+        assert session_files(session_dir) == before
         assert run(session_dir, "report", "--kind", "networks") == 0
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.split(",")[0] for row in rows] == ["F"]
@@ -1426,10 +1441,12 @@ def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
 # positions are pinned by the layout digest and TestLayoutCache instead.
 # coverage.csv re-recorded again when the blocked silhouette join moved the last
 # digit of stored silhouettes in the clusters file its ``# inputs`` line names.
+# clusters.csv and coverage.csv re-recorded when their ``# inputs`` line came to name
+# the file of their own group that is read back: clusters.json and projection.json.
 BUNDLED_TABLE_SHA256 = {
-    "networks/combined.clusters.csv": "3c15c7aa1ae4a24da7dd2aca85fefba8e651454343b3b3c30c995fd24d2a080e",
+    "networks/combined.clusters.csv": "ee920bc607781381bfcf14972f634e014965dbf70752d98fc44b4ae56d5f2176",
     "reports/compare.csv": "a245a79a4fd330b243e6372dbefa6860b68ef00fd1ec0dfbef395461769d0302",
-    "reports/coverage.csv": "4e3bb90d1960164ab82b41f61d604fa0fef7c44d0cc61edbae6ae0bb731644de",
+    "reports/coverage.csv": "89059ae58cac7eb494ca487f5c9fa655e92ef27c2a0663e63df1cccbbe668952",
     "reports/datasets.csv": "283de53b742be45fd8ba4ac6b2ec9300d0b5aeb2b7461eedec50f4e85a9a7922",
     "reports/networks.csv": "7d43bd05d73e7058ea570694d30e33ed79eb9343155e0f13667adfa503529aa1",
     "reports/overlap.csv": "4ce43f77b326db532f5d02638b57cb7b4c576d63d4a65ca2f9644f9ff9675d6d",
