@@ -29,7 +29,7 @@ from .cocitation import NetworkConfig, build_network, network_stats
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
 from .overlay import coverage_report, overlap_matrix, project_overlay
-from .records import Dataset, RecordStore, csv_text, dataset_union, json_text, year_distribution
+from .records import Dataset, RecordStore, csv_text, dataset_union, json_chunks, year_distribution
 from .render import render_distribution, render_map, wrap_html
 from .session import Session, check_name
 from .sources import QUERY_KINDS, SourceQuery, search
@@ -169,7 +169,7 @@ def _cmd_ingest(args, session: Session) -> int:
     if args.dataset is not None:
         dataset = Dataset(args.dataset, set(report.loaded_ids),
                           {"kind": "ingest", "source": Path(args.path).name, "format": args.format})
-        files[session.path("dataset", args.dataset)] = lambda: json_text(dataset.to_json_dict())
+        files[session.path("dataset", args.dataset)] = json_chunks(dataset.to_json_dict())
     report_file = session.write(files)[0]
     print(
         f"loaded {report.loaded} records ({report.merged} merged), "
@@ -220,8 +220,8 @@ def _cmd_expand(args, session: Session) -> int:
     dataset, trace = run_cascade(store, spec, args.name)
     csv_path = session.write({
         session.path("trace_table", args.name): trace_report(trace),
-        session.path("trace", args.name): lambda: json_text(trace.to_json_dict()),
-        session.path("dataset", dataset.name): lambda: json_text(dataset.to_json_dict()),
+        session.path("trace", args.name): json_chunks(trace.to_json_dict()),
+        session.path("dataset", dataset.name): json_chunks(dataset.to_json_dict()),
     })[0]
     print(
         f"dataset {dataset.name}: {len(dataset)} articles after "
@@ -339,9 +339,9 @@ def _cmd_render(args, session: Session) -> int:
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
         positions = session.layout_positions(args.network, network)
-        svg = render_map(network, positions, partition, projection)
-        files[session.path(kind, args.network)] = svg
-        files[session.path(f"{kind}_page", args.network)] = wrap_html(svg, title=f"{args.network} {kind}")
+        rows = render_map(network, positions, partition, projection)
+        files[session.path(kind, args.network)] = rows
+        files[session.path(f"{kind}_page", args.network)] = wrap_html(rows, title=f"{args.network} {kind}")
     if args.distributions:
         names = _split_names(args.distributions)
         store = session.load_store()

@@ -24,6 +24,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _json_string
@@ -123,34 +124,33 @@ class CoCitationNetwork:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> str:
-        """The network as ``json_text`` lays it out (two-space indent, sorted keys,
-        ASCII escapes, final newline): config, then the edges and nodes sorted,
+    def to_json(self) -> Iterator[str]:
+        """The rows of the network as ``json_text`` lays it out (two-space indent, sorted
+        keys, ASCII escapes, final newline): config, then the edges and nodes sorted,
         then the slices. One template string per row; ``tests/test_cocitation.py``
         holds the ``json_text`` of the dict form as the byte oracle."""
         config = json_text(self.config.to_json_dict()).rstrip("\n").replace("\n", "\n  ")
-        edges = [
+        yield f'{{\n  "config": {config},\n  "edges": '
+        yield from _json_list((
             f'    {{\n      "first_cocited_year": {info.first_cocited_year},\n'
             f'      "source": {_json_string(a)},\n      "target": {_json_string(b)},\n'
             f'      "weight": {info.weight}\n    }}'
-            for (a, b), info in sorted(self.edges.items(), key=itemgetter(0))
-        ]
-        nodes = [
+            for (a, b), info in _sorted_items(self.edges)
+        ), "  ")
+        yield ',\n  "nodes": '
+        yield from _json_list((
             f'    {{\n      "count": {info.count},\n      "id": {_json_string(n)},\n'
             f'      "year": {info.year}\n    }}'
-            for n, info in sorted(self.nodes.items())
-        ]
-        slices = []
-        for s in self.slices:
-            citers = _json_list([f"        {_json_string(c)}" for c in s.citer_ids], "      ")
-            slices.append(
-                f'    {{\n      "citers": {citers},\n      "end": {s.end},\n'
-                f'      "start": {s.start}\n    }}'
-            )
-        return (
-            f'{{\n  "config": {config},\n  "edges": {_json_list(edges, "  ")},\n'
-            f'  "nodes": {_json_list(nodes, "  ")},\n  "slices": {_json_list(slices, "  ")}\n}}\n'
-        )
+            for n, info in _sorted_items(self.nodes)
+        ), "  ")
+        yield ',\n  "slices": '
+        citers = ("".join(_json_list((f"        {_json_string(c)}" for c in s.citer_ids), "      "))
+                  for s in self.slices)
+        yield from _json_list((
+            f'    {{\n      "citers": {rows},\n      "end": {s.end},\n      "start": {s.start}\n    }}'
+            for s, rows in zip(self.slices, citers)
+        ), "  ")
+        yield "\n}\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
@@ -184,28 +184,24 @@ class CoCitationNetwork:
         ]
         return cls(nodes, edges, NetworkConfig.from_json_dict(data.get("config", {})), slices)
 
-    def to_graphml(self) -> str:
-        """The network as GraphML, byte for byte as ``xml.etree`` writes it after
+    def to_graphml(self) -> Iterator[str]:
+        """The rows of the network as GraphML, byte for byte as ``xml.etree`` writes it after
         ``indent`` (two-space indent, ``" />"`` for an empty element, attribute
         values escaped like its ``_escape_attrib``): keys, then the config, the nodes
         and the edges sorted. One template string per row; ``tests/test_cocitation.py``
         holds the element-tree writer as the byte oracle."""
         config = xml_text(json.dumps(self.config.to_json_dict(), sort_keys=True))
         escaped = {n: xml_attribute(n) for n in self.nodes}  # once per node, not per edge endpoint
-        nodes = [
-            f'    <node id="{escaped[n]}">\n'
-            f'      <data key="d0">{info.count}</data>\n'
-            f'      <data key="d1">{info.year}</data>\n    </node>\n'
-            for n, info in sorted(self.nodes.items())
-        ]
-        edges = [
-            f'    <edge source="{escaped[a]}" target="{escaped[b]}">\n'
-            f'      <data key="d2">{info.weight}</data>\n'
-            f'      <data key="d3">{info.first_cocited_year}</data>\n    </edge>\n'
-            for (a, b), info in sorted(self.edges.items(), key=itemgetter(0))
-        ]
-        return "".join([_GRAPHML_HEAD, f'    <data key="d4">{config}</data>\n', *nodes, *edges,
-                        "  </graph>\n</graphml>\n"])
+        yield _GRAPHML_HEAD + f'    <data key="d4">{config}</data>\n'
+        for n, info in _sorted_items(self.nodes):
+            yield (f'    <node id="{escaped[n]}">\n'
+                   f'      <data key="d0">{info.count}</data>\n'
+                   f'      <data key="d1">{info.year}</data>\n    </node>\n')
+        for (a, b), info in _sorted_items(self.edges):
+            yield (f'    <edge source="{escaped[a]}" target="{escaped[b]}">\n'
+                   f'      <data key="d2">{info.weight}</data>\n'
+                   f'      <data key="d3">{info.first_cocited_year}</data>\n    </edge>\n')
+        yield "  </graph>\n</graphml>\n"
 
 
 _GRAPHML_HEAD = (
@@ -243,9 +239,18 @@ def _typed(value, kind: str, what: str):
     return value
 
 
-def _json_list(rows: list[str], indent: str) -> str:
-    """A JSON list of laid-out rows, its closing bracket at ``indent``."""
-    return "[\n" + ",\n".join(rows) + f"\n{indent}]" if rows else "[]"
+def _sorted_items(mapping: dict) -> Iterator[tuple]:
+    """The items of ``mapping`` in key order; only the keys are sorted, into one list."""
+    return ((key, mapping[key]) for key in sorted(mapping))
+
+
+def _json_list(rows: Iterable[str], indent: str) -> Iterator[str]:
+    """The chunks of a JSON list of laid-out rows, its closing bracket at ``indent``."""
+    separator = "[\n"
+    for row in rows:
+        yield separator + row
+        separator = ",\n"
+    yield "[]" if separator == "[\n" else f"\n{indent}]"
 
 
 class NetworkArrays(NamedTuple):

@@ -9,16 +9,18 @@ phrases by token containment with document-frequency support.
 Cost: ``cited_by`` walks each cluster's citers once into a citer table
 (citer -> distinct members cited); labels, top citers and concept trees read
 that table. One ``PhraseIndex`` per command then tokenizes each distinct
-citer text once. Labeling a partition counts the background's document
-frequencies once (level 1: all clusters' citers; level 2: the parent's),
-then each cluster only its own citers' phrase sets; out-of-cluster counts
-are background minus cluster. So labeling all clusters costs O(citation
+citer text once and scores each distinct contingency table once: the
+clusters of a partition repeat most tables. Labeling a partition counts the
+background's document frequencies once (level 1: all clusters' citers;
+level 2: the parent's), then each cluster only its own citers' phrase sets;
+out-of-cluster counts are background minus cluster. So labeling all clusters costs O(citation
 links into the network x phrases per title), not one background rescan per
 cluster; memory is one phrase set per distinct text.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -67,12 +69,14 @@ class PhraseIndex:
     """Phrase sets of citing-article texts; each distinct text is tokenized once.
 
     Labels read citer titles and concept trees read title + abstract, so one
-    index shared by every cluster of a command serves both.
+    index shared by every cluster of a command serves both. Its
+    ``log_likelihood_ratio`` is that pure function, cached for the index's life.
     """
 
     def __init__(self, store: RecordStore):
         self.store = store
         self._phrases: dict[str, frozenset[str]] = {}
+        self.log_likelihood_ratio = functools.cache(log_likelihood_ratio)
 
     def phrases(self, text: str) -> frozenset[str]:
         found = self._phrases.get(text)
@@ -146,7 +150,7 @@ def label_cluster(
         overall_rate = (k11 + k12) / (n_cluster + n_other)
         if observed_rate <= overall_rate:
             continue
-        score = log_likelihood_ratio(k11, k12, k21, k22)
+        score = phrase_index.log_likelihood_ratio(k11, k12, k21, k22)
         if score <= 0:
             continue
         key = (-score, -k11, phrase)

@@ -8,10 +8,10 @@ of citers per cited id. Every article id read from a file, as a record id, a
 reference or a dataset member, is interned, so the process holds one string
 object per id however often it is cited. Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
-:class:`YearDistribution` objects. :func:`json_text` is the one JSON layout
-of every artifact the package writes, :func:`csv_text` the one CSV layout of
-every table, and :func:`xml_text` and :func:`xml_attribute` the one XML escaping
-of GraphML, SVG and the HTML map pages.
+:class:`YearDistribution` objects. :func:`json_chunks` is the one JSON layout
+of every artifact the package writes (:func:`json_text` joins it),
+:func:`csv_text` the one CSV layout of every table, and :func:`xml_text` and
+:func:`xml_attribute` the one XML escaping of GraphML, SVG and the HTML pages.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 import sys
 import unicodedata
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -38,9 +39,15 @@ _WS_RE = re.compile(r"\s+")
 _CONTROL_RE = re.compile(r"[\x00-\x1f]")
 
 
+def json_chunks(payload) -> Iterator[str]:
+    """The JSON layout of every written artifact, in chunks: indented, sorted keys, final newline."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    yield "\n"
+
+
 def json_text(payload) -> str:
-    """The JSON layout of every written artifact: indented, sorted keys, final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json_chunks`` of ``payload`` joined."""
+    return "".join(json_chunks(payload))
 
 
 def csv_text(rows, comments=()) -> str:
@@ -75,10 +82,21 @@ def max_plausible_year() -> int:
     return date.today().year + 1
 
 
+class _PunctuationToSpace(dict):
+    """A ``str.translate`` table that maps each punctuation character (Unicode category P)
+    to a space and every other character to itself, filled as characters are first seen."""
+
+    def __missing__(self, code: int) -> str | int:
+        self[code] = value = " " if unicodedata.category(chr(code)).startswith("P") else code
+        return value
+
+
+_PUNCTUATION_TO_SPACE = _PunctuationToSpace()
+
+
 def normalize_title(title: str) -> str:
     """Normalize a title for matching: NFC, lowercase, no punctuation, single spaces."""
-    text = unicodedata.normalize("NFC", title).lower()
-    text = "".join(" " if unicodedata.category(ch).startswith("P") else ch for ch in text)
+    text = unicodedata.normalize("NFC", title).lower().translate(_PUNCTUATION_TO_SPACE)
     return _WS_RE.sub(" ", text).strip()
 
 

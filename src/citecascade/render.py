@@ -19,6 +19,8 @@ row per element, with text and attribute values escaped by
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .clustering import ClusterPartition
@@ -238,21 +240,23 @@ def _svg_head(width: float, height: float) -> str:
     )
 
 
-def _group(indent: str, attributes: str, rows: list[str]) -> str:
-    """A ``<g>`` row at ``indent`` around ``rows``, laid out one level deeper."""
+def _group(indent: str, attributes: str, rows: list[str]) -> list[str]:
+    """The rows of a ``<g>`` at ``indent`` around ``rows``, laid out one level deeper."""
     if not rows:
-        return f"{indent}<g {attributes} />\n"
-    return f"{indent}<g {attributes}>\n" + "".join(rows) + f"{indent}</g>\n"
+        return [f"{indent}<g {attributes} />\n"]
+    return [f"{indent}<g {attributes}>\n", *rows, f"{indent}</g>\n"]
 
 
-def wrap_html(svg_document: str, title: str = "network map") -> str:
-    """Self-contained HTML: the SVG inline, tooltips via its <title> elements."""
-    body = svg_document.split("?>", 1)[-1].strip()
-    return (
+def wrap_html(rows: list[str], title: str = "network map") -> Iterator[str]:
+    """The rows of a self-contained HTML page around the SVG ``rows`` of :func:`render_map`:
+    the SVG inline without its XML declaration, tooltips via its <title> elements."""
+    yield (
         "<!DOCTYPE html>\n<html>\n<head>\n"
         f"<meta charset=\"utf-8\"/>\n<title>{xml_text(title)}</title>\n"
-        "</head>\n<body>\n" + body + "\n</body>\n</html>\n"
+        "</head>\n<body>\n" + rows[0].split("?>", 1)[-1].lstrip()
     )
+    yield from islice(rows, 1, None)
+    yield "</body>\n</html>\n"
 
 
 def _fit_positions(
@@ -287,8 +291,8 @@ def _draw_panel(
     partition: ClusterPartition | None,
     offset_x: float = 0.0,
     indent: str = "  ",
-) -> str:
-    """The edge, node and label groups of one map panel, at ``indent``."""
+) -> list[str]:
+    """The rows of the edge, node and label groups of one map panel, at ``indent``."""
     inner = indent + "  "
     year_lo = min((e.first_cocited_year for e in network.edges.values()), default=0)
     year_hi = max((e.first_cocited_year for e in network.edges.values()), default=0)
@@ -332,10 +336,10 @@ def render_map(
     positions: dict[str, tuple[float, float]],
     partition: ClusterPartition | None = None,
     projection: OverlayProjection | None = None,
-) -> str:
-    """Draw the network at ``positions`` (its :func:`layout`): nodes sized by
-    citation count, edges colored by the first co-citation year, cluster labels
-    at centroids.
+) -> list[str]:
+    """The rows of an SVG map of the network at ``positions`` (its :func:`layout`):
+    nodes sized by citation count, edges colored by the first co-citation year,
+    cluster labels at centroids.
 
     With a projection, nodes are colored by dataset membership: blended for up
     to two datasets, in small multiples (one panel per dataset, shared layout)
@@ -357,7 +361,7 @@ def render_map(
                 return "#4878a8"
             return palette[partition.assignment.get(node, 0) % len(palette)]
 
-        return _svg_head(width, height) + _draw_panel(network, fitted, radii, fill, partition) + "</svg>\n"
+        return [_svg_head(width, height), *_draw_panel(network, fitted, radii, fill, partition), "</svg>\n"]
 
     names = projection.dataset_names
     panels = []
@@ -370,8 +374,8 @@ def render_map(
 
         caption = f'    <text x="{panel * width + pad:.2f}" y="18" font-size="14">{xml_text(name)}</text>\n'
         drawn = _draw_panel(network, fitted, radii, panel_fill, partition, offset_x=panel * width, indent="    ")
-        panels.append(_group("  ", f'class="panel-{xml_attribute(name)}"', [caption, drawn]))
-    return _svg_head(width * len(names), height) + "".join(panels) + "</svg>\n"
+        panels += _group("  ", f'class="panel-{xml_attribute(name)}"', [caption, *drawn])
+    return [_svg_head(width * len(names), height), *panels, "</svg>\n"]
 
 
 def render_distribution(distributions: list[YearDistribution], log: bool = False) -> str:
@@ -422,9 +426,9 @@ def render_distribution(distributions: list[YearDistribution], log: bool = False
     ]
     return "".join([
         _svg_head(width, height),
-        _group("  ", 'class="axes" stroke="#333333"', axes),
-        _group("  ", 'class="series" fill="none"', series),
-        _group("  ", 'class="axis-labels" font-size="11"', labels),
-        _group("  ", 'class="legend" font-size="11"', legend),
+        *_group("  ", 'class="axes" stroke="#333333"', axes),
+        *_group("  ", 'class="series" fill="none"', series),
+        *_group("  ", 'class="axis-labels" font-size="11"', labels),
+        *_group("  ", 'class="legend" font-size="11"', legend),
         "</svg>\n",
     ])

@@ -24,6 +24,9 @@ One command runs at a time per session, enforced with an advisory lock on
 writes its group of files in one ``Session.write`` call after its last check,
 so a failing one writes nothing: every temp file, then one rename per file,
 the file a later command reads back last and each keyed sibling keyed to it.
+Each file is a text or a stream of text chunks, written as UTF-8 into its temp
+file as it comes, so the large ones (the network, the clustering, the maps) are
+never held whole; a key's sha256 is taken from the bytes written.
 A killed command leaves each file old or new, never half written (the whole
 ``store.jsonl`` too), and the next command removes its temp files.
 
@@ -47,7 +50,7 @@ import hashlib
 import json
 import math
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -56,7 +59,7 @@ from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, NetworkStats
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection, check_partition
-from .records import Dataset, RecordStore, json_text
+from .records import Dataset, RecordStore, json_chunks, json_text
 from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, LAYOUT_VERSION, layout
 
 # Each artifact kind's directory, and the suffix after its names joined by ","; a suffix
@@ -97,18 +100,19 @@ def check_name(name: str) -> str:
     return name
 
 
-def _write_temp(temp: Path, text, digest: bool = False) -> str:
-    """Write ``text``, whole or in chunks, or what the function ``text`` builds, to ``temp``;
-    given ``digest``, the sha256 of a whole text."""
-    if callable(text):
-        text = text()
-    if isinstance(text, str):
-        with open(temp, "wb") as fh:
-            fh.write(data := text.encode())
-        return hashlib.sha256(data).hexdigest() if digest else ""
-    with open(temp, "w", encoding="utf-8") as fh:
-        fh.writelines(text)
-    return ""
+def _write_temp(temp: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, whole or in chunks, to ``temp`` as UTF-8, line ends as given."""
+    with open(temp, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
+def _sha256(path: Path) -> str:
+    """The sha256 of the bytes in ``path``, read a block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class Session:
@@ -152,24 +156,24 @@ class Session:
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError, CiteCascadeError) as exc:
             raise FormatError(f"unreadable session file {path}: {exc!r}") from None
 
-    def write(self, files: dict[Path, str | Iterable[str] | Callable],
-              keyed: dict[Path, str | dict] | None = None) -> list[Path]:
+    def write(self, files: dict[Path, str | Iterable[str]], keyed: dict[Path, str | dict] | None = None) -> list[Path]:
         """Write one command's group through temp files, then rename each; return the paths of
-        ``files``, then of ``keyed``. A value of ``files`` is a text, whole or in chunks, or a
-        function that builds it when its temp file is written, so one large text is alive at a
-        time. The last of ``files`` is the file a later command reads back, and it is renamed
-        last. Each of ``keyed`` is keyed to it, by its session path and the sha256 of its text:
+        ``files``, then of ``keyed``. A value of ``files`` is a text, or an iterable of text
+        chunks written as they come, so a generator of rows never holds its whole text. The last
+        of ``files`` is the file a later command reads back, and it is renamed last. Each of
+        ``keyed`` is keyed to it, by its session path and the sha256 of the bytes written to it:
         a text under a first ``# inputs <key>`` line, a JSON object with an ``"inputs"`` field."""
         *siblings, last = files
         keyed = keyed or {}
         temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in [*files, *keyed]}
         try:
-            for path in siblings:
+            for path in files:
                 _write_temp(temps[path], files[path])
-            key = f"{last.relative_to(self.root).as_posix()}=" + _write_temp(temps[last], files[last], digest=True)
-            for path, value in keyed.items():
-                _write_temp(temps[path], json_text({**value, "inputs": key}) if isinstance(value, dict)
-                            else [f"# inputs {key}\n", value])
+            if keyed:
+                key = f"{last.relative_to(self.root).as_posix()}={_sha256(temps[last])}"
+                for path, value in keyed.items():
+                    _write_temp(temps[path], json_chunks({**value, "inputs": key}) if isinstance(value, dict)
+                                else [f"# inputs {key}\n", value])
             for path in [*siblings, *keyed, last]:
                 os.replace(temps[path], path)
         finally:  # a temp file is left only when a write or a rename raised
@@ -206,7 +210,7 @@ class Session:
     # -- datasets -------------------------------------------------------------------
 
     def save_dataset(self, dataset: Dataset) -> Path:
-        return self.write({self.path("dataset", dataset.name): json_text(dataset.to_json_dict())})[0]
+        return self.write({self.path("dataset", dataset.name): json_chunks(dataset.to_json_dict())})[0]
 
     def load_dataset(self, name: str) -> Dataset:
         path = self.path("dataset", name)
@@ -221,7 +225,7 @@ class Session:
 
     def save_network(self, name: str, network: CoCitationNetwork, stats: NetworkStats) -> None:
         """Write network ``name``: its GraphML, its counts ``stats`` keyed to its JSON, then that."""
-        self.write({self.path("graphml", name): network.to_graphml, self.path("network", name): network.to_json},
+        self.write({self.path("graphml", name): network.to_graphml(), self.path("network", name): network.to_json()},
                    {self.path("counts", name): asdict(stats)})
 
     def network_counts(self, name: str) -> NetworkStats | None:
@@ -248,7 +252,7 @@ class Session:
     def save_clusters(self, name: str, payload: dict, table: str, concepts: str) -> None:
         """Write the clustering of network ``name``: its table and concept trees keyed to its JSON, then that."""
         inputs = self._input_key([self.path("network", name)])
-        self.write({self.path("clusters", name): json_text({**payload, "inputs": inputs})},
+        self.write({self.path("clusters", name): json_chunks({**payload, "inputs": inputs})},
                    {self.path("cluster_table", name): table, self.path("concepts", name): concepts})
 
     def load_partition(self, name: str, network: CoCitationNetwork, required: bool = True) -> ClusterPartition | None:
@@ -291,7 +295,7 @@ class Session:
         read back. A stored key is current when it equals the key its inputs give now."""
         parts = [
             f"{path.relative_to(self.root).as_posix()}="
-            + (hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing")
+            + (_sha256(path) if path.exists() else "missing")
             for path in inputs
         ]
         return " ".join(parts + [f"{name}={value}" for name, value in params.items()])
@@ -321,7 +325,7 @@ class Session:
             positions = None
         if positions is None:
             positions = layout(network, LAYOUT_SEED)
-            self.write({path: json_text({
+            self.write({path: json_chunks({
                 "inputs": self._input_key(inputs, **params),
                 "x": [positions[node][0] for node in nodes],
                 "y": [positions[node][1] for node in nodes],

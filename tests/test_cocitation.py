@@ -372,7 +372,7 @@ def construction_outcome(build, dataset, store, config):
         warnings.simplefilter("always")
         try:
             network = build(dataset, store, config)
-            result = (network.to_json(), network.to_graphml())
+            result = ("".join(network.to_json()), "".join(network.to_graphml()))
         except EmptyDatasetError as exc:
             result = repr(exc)
     return result, [(w.category, str(w.message)) for w in caught]
@@ -596,8 +596,8 @@ class TestPruneLinks:
         network = network_from_edges(edge_spec)
         once = prune_links(network, 1.5)
         twice = prune_links(once, 1.5)
-        assert once.to_graphml() == twice.to_graphml()
-        assert once.to_json() == twice.to_json()
+        assert "".join(once.to_graphml()) == "".join(twice.to_graphml())
+        assert "".join(once.to_json()) == "".join(twice.to_json())
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), lrf=st.sampled_from([0.5, 1.0, 2.0, 4.0]))
@@ -746,30 +746,30 @@ class TestRoundTrips:
 
     def test_graphml_roundtrip_equal(self):
         network = self._sample_network()
-        again = network_from_graphml(network.to_graphml())
+        again = network_from_graphml("".join(network.to_graphml()))
         assert again == network
         assert again.config.lrf == 4
 
     def test_json_roundtrip_equal(self):
         network = self._sample_network()
-        again = CoCitationNetwork.from_json_dict(json.loads(network.to_json()))
+        again = CoCitationNetwork.from_json_dict(json.loads("".join(network.to_json())))
         assert again == network
         assert again.config.lby == 10
         # A network file written while the config had an unused ``e_param``.
-        older = json.loads(network.to_json())
+        older = json.loads("".join(network.to_json()))
         older["config"]["e_param"] = 2.0
         again = CoCitationNetwork.from_json_dict(older)
         assert again == network and again.config == network.config
 
     def test_graphml_is_wellformed_xml(self):
-        text = self._sample_network().to_graphml()
+        text = "".join(self._sample_network().to_graphml())
         root = ET.fromstring(text)
         assert root.tag.endswith("graphml")
 
     def test_exports_deterministic(self):
         network = self._sample_network()
-        assert network.to_graphml() == self._sample_network().to_graphml()
-        assert network.to_json() == self._sample_network().to_json()
+        assert "".join(network.to_graphml()) == "".join(self._sample_network().to_graphml())
+        assert "".join(network.to_json()) == "".join(self._sample_network().to_json())
 
 
 # Ids as the store admits them: no C0 control and no surrogate, but markup
@@ -837,8 +837,8 @@ class TestWritersMatchTheOracle:
         [SliceInfo(2000, 2000, []), SliceInfo(2001, 2002, ["é", "\U0001f600"])],
     ))
     def test_bytes_equal_the_reference_writers(self, network):
-        assert network.to_json() == reference_json(network)
-        assert network.to_graphml() == reference_graphml(network)
+        assert "".join(network.to_json()) == reference_json(network)
+        assert "".join(network.to_graphml()) == reference_graphml(network)
 
     @pytest.mark.parametrize("node_id", ["tab\there", "cr\rlf\n", "&amp;\t<\"x\">"])
     def test_attribute_whitespace_escapes_match(self, node_id):
@@ -847,8 +847,8 @@ class TestWritersMatchTheOracle:
             {canonical_pair(node_id, "z"): EdgeInfo(1, 2000)},
             NetworkConfig(),
         )
-        assert network.to_graphml() == reference_graphml(network)
-        assert network.to_json() == reference_json(network)
+        assert "".join(network.to_graphml()) == reference_graphml(network)
+        assert "".join(network.to_json()) == reference_json(network)
 
     def test_forty_thousand_links_serialise_in_small_memory(self):
         # Both writers together peaked at about 65 MB with the element tree and
@@ -856,8 +856,8 @@ class TestWritersMatchTheOracle:
         network = synthetic_network(10_000, 40_000)
         tracemalloc.start()
         try:
-            network.to_json()
-            network.to_graphml()
+            "".join(network.to_json())
+            "".join(network.to_graphml())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

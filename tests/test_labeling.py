@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citecascade.clustering import detect_communities, sub_cluster
+from citecascade.clustering import ClusterPartition, detect_communities, sub_cluster
 from citecascade.cocitation import CoCitationNetwork, NetworkConfig, NodeInfo
 from citecascade.labeling import (
     ConceptTree,
@@ -98,6 +98,55 @@ class TestLogLikelihoodRatio:
 
     def test_empty_table(self):
         assert log_likelihood_ratio(0, 0, 0, 0) == 0.0
+
+
+class TestCachedLogLikelihoodRatio:
+    """Each ``PhraseIndex`` scores a contingency table once; its cache is the pure function's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_clusters=st.integers(1, 5),
+        citers=st.lists(
+            st.tuples(st.lists(st.sampled_from(["gene", "drug", "cell", "the", "trial"]), min_size=1, max_size=5),
+                      st.lists(st.integers(0, 4), min_size=1, max_size=3)),
+            max_size=16,
+        ),
+    )
+    def test_labels_and_scores_equal_the_uncached_function(self, n_clusters, citers):
+        # Each cluster is one member; a citer may cite several, so cluster citer sets overlap.
+        records = [make_record(f"m{i}", year=1990) for i in range(n_clusters)]
+        for j, (words, cited) in enumerate(citers):
+            refs = sorted({f"m{i % n_clusters}" for i in cited})
+            records.append(make_record(f"c{j:02d}", year=2005, refs=refs, title=" ".join(words)))
+        store = make_store(records)
+        cached, uncached = PhraseIndex(store), PhraseIndex(store)
+        scored = []
+
+        def recording(*table):
+            scored.append((table, log_likelihood_ratio(*table)))
+            return scored[-1][1]
+
+        uncached.log_likelihood_ratio = recording
+        tables = [cited_by({f"m{i}"}, store) for i in range(n_clusters)]
+        # Level 1 against every citer, then the first two clusters against their own citers,
+        # as ``cluster`` labels both levels with one index.
+        for members, background in ((range(n_clusters), set().union(*tables)),
+                                    (range(min(2, n_clusters)), set().union(*tables[:2]))):
+            labels = []
+            for index in (cached, uncached):
+                partition = ClusterPartition(assignment={f"m{i}": i for i in members})
+                label_all_clusters(partition, [tables[i] for i in members], background, index)
+                labels.append(partition.labels)
+            assert labels[0] == labels[1]
+        # Every score, the winners among them, is the very float the uncached function gives.
+        assert all(cached.log_likelihood_ratio(*table).hex() == score.hex() for table, score in scored)
+
+    def test_each_index_has_its_own_cache(self):
+        store = make_store([])
+        first, second = PhraseIndex(store), PhraseIndex(store)
+        assert first.log_likelihood_ratio(3, 0, 0, 3) == log_likelihood_ratio(3, 0, 0, 3)
+        assert first.log_likelihood_ratio.cache_info().currsize == 1
+        assert second.log_likelihood_ratio.cache_info().currsize == 0
 
 
 def _two_cluster_world(cluster_titles: dict[str, list[str]]):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from citecascade.cli import main
 from citecascade.errors import EmptyDatasetError, FormatError, ValidationError
 from citecascade.records import (
     _CONTROL_RE,
+    _PunctuationToSpace,
     ArticleRecord,
     Dataset,
     RecordStore,
@@ -261,7 +264,23 @@ class TestEnrichment:
         assert len(report.skipped_rows) == 2
 
 
+def punctuation_to_space(text: str) -> str:
+    """Per-character reference: each punctuation character (category P) a space."""
+    return "".join(" " if unicodedata.category(ch).startswith("P") else ch for ch in text)
+
+
 class TestNormalization:
+    def test_translate_table_is_the_per_character_map_on_every_code_point(self):
+        # One fresh table per plane-sized block, so the test holds no table of every code point.
+        for start in range(0, 0x110000, 0x10000):
+            block = "".join(chr(c) for c in range(start, start + 0x10000) if not 0xD800 <= c <= 0xDFFF)
+            assert block.translate(_PunctuationToSpace()) == punctuation_to_space(block)
+
+    @given(st.text())
+    def test_titles_normalize_as_the_per_character_reference_does(self, title):
+        text = punctuation_to_space(unicodedata.normalize("NFC", title).lower())
+        assert normalize_title(title) == re.sub(r"\s+", " ", text).strip()
+
     def test_case_punctuation_whitespace(self):
         assert normalize_title("  Fish-Oil,  And   Health! ") == normalize_title(
             "fish oil and health"

@@ -8,6 +8,7 @@ import math
 import random
 import xml.etree.ElementTree as ET
 from itertools import combinations
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -242,8 +243,24 @@ def overlapping(boxes) -> list[tuple]:
 
 
 def draw(network: CoCitationNetwork, **kwargs) -> str:
-    """The map at the positions every map is drawn at."""
-    return render_map(network, layout(network, LAYOUT_SEED), **kwargs)
+    """The map at the positions every map is drawn at, its rows joined."""
+    return "".join(render_map(network, layout(network, LAYOUT_SEED), **kwargs))
+
+
+def page(network: CoCitationNetwork, title: str) -> str:
+    """The HTML page of ``draw(network)``, its rows joined."""
+    return "".join(wrap_html(render_map(network, layout(network, LAYOUT_SEED)), title=title))
+
+
+def reference_page(svg_document: str, title: str) -> str:
+    """The HTML page as it was first written, from the whole SVG text: ``wrap_html`` must
+    equal it byte for byte."""
+    body = svg_document.split("?>", 1)[-1].strip()
+    return (
+        "<!DOCTYPE html>\n<html>\n<head>\n"
+        f"<meta charset=\"utf-8\"/>\n<title>{escape(title)}</title>\n"
+        "</head>\n<body>\n" + body + "\n</body>\n</html>\n"
+    )
 
 
 class TestRenderMap:
@@ -303,8 +320,7 @@ class TestRenderMap:
         assert any("cited" in (t.text or "") for t in titles)
 
     def test_html_wrapper_self_contained(self):
-        svg = draw(self._triangle())
-        html = wrap_html(svg, title="demo")
+        html = page(self._triangle(), title="demo")
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html and "</html>" in html
         assert "http-equiv" not in html and "src=" not in html  # no external fetches
@@ -559,7 +575,9 @@ class TestWritersMatchTheOracle:
     def test_maps_equal_the_element_tree_writer(self, drawn):
         network, positions, partition, projection = drawn
         expected = etree_render_map(network, positions, partition, projection)
-        assert render_map(network, positions, partition, projection) == expected
+        rows = render_map(network, positions, partition, projection)
+        assert "".join(rows) == expected
+        assert "".join(wrap_html(rows, title="a<b> & 'c'")) == reference_page(expected, title="a<b> & 'c'")
 
     @settings(max_examples=200, deadline=None)
     @given(chart=year_charts())
@@ -578,12 +596,12 @@ class TestWritersMatchTheOracle:
         datasets = [Dataset(f"D{i}", set(members[i::3])) for i in range(3)]
         for projection in (None, project_overlay(network, datasets[:2], partition),
                            project_overlay(network, datasets, partition)):
-            assert render_map(network, positions, partition, projection) == etree_render_map(
+            assert "".join(render_map(network, positions, partition, projection)) == etree_render_map(
                 network, positions, partition, projection)
 
 
 class TestHtmlWrapper:
     def test_title_is_escaped(self):
-        html = wrap_html(draw(simple_network({("a", "b"): (1, 2000)})), title="x<y&z map")
+        html = page(simple_network({("a", "b"): (1, 2000)}), title="x<y&z map")
         assert "<title>x&lt;y&amp;z map</title>" in html
         assert ET.fromstring(html).find("head/title").text == "x<y&z map"

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citecascade
+from citecascade.clustering import ClusterPartition
 from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo, network_stats
 from citecascade.errors import UsageError
 from citecascade.records import Dataset
@@ -25,6 +27,7 @@ from citecascade.session import ARTIFACTS, RESERVED_ENDINGS, Session, check_name
 
 from conftest import SYNTHETIC_CORPUS
 from test_cli import BUNDLED_PIPELINE, run, session_files
+from test_cocitation import synthetic_network
 
 # Runs one command in a child whose k-th rename exits the process the way SIGKILL would:
 # no except or finally block runs, so the temp files of that command's group stay behind.
@@ -94,6 +97,59 @@ def test_names_are_the_saved_networks_and_datasets(names):
             session.save_network(name, NETWORK, network_stats(NETWORK))
             session.save_clusters(name, {}, "", "")
         assert session.names("network") == session.names("dataset") == sorted(names)
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["text", "stream"])
+def test_siblings_are_keyed_to_the_bytes_written(tmp_path, stream):
+    """The sha256 in each sibling's key is that of the last file's bytes on disk, whether
+    that file came as one text or as a stream of chunks; the bytes are the UTF-8 of the
+    text, line ends as given."""
+    session = Session(tmp_path / "sess")
+    text = '{"name": "\u00e9 \U0001f600",\r\n"rows": [1, 2]}\n'
+    last = session.path("network", "n")
+    session.write({session.path("graphml", "n"): "<graphml />\n",
+                   last: iter(text.splitlines(keepends=True)) if stream else text},
+                  {session.path("concepts", "n"): "tree\n", session.path("counts", "n"): {"nodes": 1}})
+    assert last.read_bytes() == text.encode("utf-8")
+    key = f"networks/n.json={hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+    assert session.path("concepts", "n").read_text(encoding="utf-8") == f"# inputs {key}\ntree\n"
+    assert json.loads(session.path("counts", "n").read_text(encoding="utf-8")) == {"inputs": key, "nodes": 1}
+
+
+def traced_peak(write) -> int:
+    """The peak of the memory Python allocates while ``write()`` runs."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_saving_a_network_holds_neither_of_its_texts_whole(tmp_path):
+    """Its GraphML and JSON stream into their temp files, and the key reads the JSON back a
+    block at a time, so the peak stays below half the JSON file's size."""
+    network = synthetic_network(10_000, 40_000)
+    session = Session(tmp_path / "sess")
+    peak = traced_peak(lambda: session.save_network("n", network, network_stats(network)))
+    size = session.path("network", "n").stat().st_size
+    assert size > 4_000_000 and peak < size / 2, (peak, size)
+
+
+def test_saving_a_clustering_holds_no_whole_text(tmp_path):
+    """``clusters.json`` streams into its temp file, and its key reads the network back a
+    block at a time, so the peak stays below half the size of either file."""
+    network = synthetic_network(10_000, 40_000)
+    session = Session(tmp_path / "sess")
+    session.save_network("n", network, network_stats(network))
+    ids = [f"P{i:06d}" for i in range(100_000)]
+    partition = ClusterPartition(assignment={n: i % 2_000 for i, n in enumerate(ids)}, modularity_q=0.25,
+                                 labels={c: f"label {c}" for c in range(2_000)},
+                                 cluster_silhouettes={c: c / 2_000 for c in range(2_000)}, mean_silhouette=0.5)
+    payload = {"level1": partition.to_json_dict()}
+    peak = traced_peak(lambda: session.save_clusters("n", payload, "table\n", "trees\n"))
+    size = session.path("clusters", "n").stat().st_size
+    assert size > 2_000_000 and peak < min(size, session.path("network", "n").stat().st_size) / 2, (peak, size)
 
 
 def test_reserved_endings_come_from_the_table():
