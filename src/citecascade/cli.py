@@ -29,7 +29,7 @@ from .cocitation import NetworkConfig, build_network, network_stats
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
 from .overlay import coverage_report, overlap_matrix, project_overlay
-from .records import Dataset, RecordStore, csv_text, dataset_union, json_chunks, year_distribution
+from .records import Dataset, StoreSummary, csv_text, dataset_union, json_chunks, year_distribution
 from .render import render_distribution, render_map, wrap_html
 from .session import Session, check_name
 from .sources import QUERY_KINDS, SourceQuery, search
@@ -150,10 +150,10 @@ def _parse_stages(text: str) -> list[ExpansionStage]:
     return stages
 
 
-def _dataset_year_range(dataset: Dataset, store: RecordStore) -> str:
+def _dataset_year_range(dataset: Dataset, summary: StoreSummary) -> str:
     """The dataset's year range as the year chart reads it, ``first-last``; empty
     when it has no dated member."""
-    span = year_distribution(dataset, store).range if dataset.member_ids else None
+    span = year_distribution(dataset, summary).range if dataset.member_ids else None
     return f"{span[0]}-{span[1]}" if span else ""
 
 
@@ -163,14 +163,15 @@ def _dataset_year_range(dataset: Dataset, store: RecordStore) -> str:
 def _cmd_ingest(args, session: Session) -> int:
     store = session.load_store()
     report = store.ingest(args.path, args.format)
-    files = {session.path("load_report", Path(args.path).stem, check=False): report.to_csv()}
+    files, keyed = {session.path("load_report", Path(args.path).stem, check=False): report.to_csv()}, {}
     if report.loaded:
         files[session.store_path] = store.json_lines()
+        keyed[session.summary_path] = StoreSummary.of(store).to_json_dict()
     if args.dataset is not None:
         dataset = Dataset(args.dataset, set(report.loaded_ids),
                           {"kind": "ingest", "source": Path(args.path).name, "format": args.format})
         files[session.path("dataset", args.dataset)] = json_chunks(dataset.to_json_dict())
-    report_file = session.write(files)[0]
+    report_file = session.write(files, keyed, keyed_to=session.store_path)[0]
     print(
         f"loaded {report.loaded} records ({report.merged} merged), "
         f"{len(report.rejected)} rejected; report: {report_file}"
@@ -182,7 +183,8 @@ def _cmd_enrich(args, session: Session) -> int:
     store = session.load_store()
     report = store.enrich_abstracts(args.path)
     if report.enriched:
-        session.write({session.store_path: store.json_lines()})
+        session.write({session.store_path: store.json_lines()},
+                      {session.summary_path: StoreSummary.of(store).to_json_dict()})
     print(
         f"enriched {report.enriched} records, {len(report.unmatched)} unmatched, "
         f"{len(report.skipped_rows)} rows skipped"
@@ -308,17 +310,17 @@ def _cmd_cluster(args, session: Session) -> int:
     return EXIT_OK
 
 
-def _overlap_csv(session: Session, names_text: str, store: RecordStore) -> tuple[list[Dataset], str]:
+def _overlap_csv(session: Session, names_text: str, summary: StoreSummary) -> tuple[list[Dataset], str]:
     """The named datasets and their overlap matrix CSV, with a Range row of years."""
     names = _split_names(names_text)
     if len(names) < 2:
         raise ValidationError("need at least 2 datasets")
     datasets = [session.load_dataset(n) for n in names]
-    return datasets, overlap_matrix(datasets).to_csv([_dataset_year_range(ds, store) for ds in datasets])
+    return datasets, overlap_matrix(datasets).to_csv([_dataset_year_range(ds, summary) for ds in datasets])
 
 
 def _cmd_compare(args, session: Session) -> int:
-    datasets, overlap_text = _overlap_csv(session, args.datasets, session.load_store())
+    datasets, overlap_text = _overlap_csv(session, args.datasets, session.store_summary())
     files, keyed = {session.path("compare"): overlap_text}, {}
     if args.base:
         network = session.load_network(args.base)
@@ -344,8 +346,8 @@ def _cmd_render(args, session: Session) -> int:
         files[session.path(f"{kind}_page", args.network)] = wrap_html(rows, title=f"{args.network} {kind}")
     if args.distributions:
         names = _split_names(args.distributions)
-        store = session.load_store()
-        distributions = [year_distribution(session.load_dataset(name), store) for name in names]
+        summary = session.store_summary()
+        distributions = [year_distribution(session.load_dataset(name), summary) for name in names]
         files[session.path("years", *names)] = render_distribution(distributions, log=args.log)
     if not files:
         raise ValidationError("render needs --network and/or --distributions")
@@ -355,18 +357,17 @@ def _cmd_render(args, session: Session) -> int:
 
 def _cmd_report(args, session: Session) -> int:
     if args.kind == "datasets":
-        store = session.load_store()
+        summary = session.store_summary()
         rows = [("name", "kind", "records", "with_abstracts", "range")]
         for name in session.names("dataset"):
             dataset = session.load_dataset(name)
-            with_abstracts = sum(1 for record in map(store.get, dataset.member_ids) if record and record.abstract)
-            rows.append((name, dataset.provenance.get("kind", ""), len(dataset), with_abstracts,
-                         _dataset_year_range(dataset, store)))
+            rows.append((name, dataset.provenance.get("kind", ""), len(dataset),
+                         len(dataset.member_ids & summary.with_abstract), _dataset_year_range(dataset, summary)))
         text = csv_text(rows)
     elif args.kind == "overlap":
         if not args.datasets:
             raise ValidationError("report --kind overlap needs --datasets")
-        _datasets, text = _overlap_csv(session, args.datasets, session.load_store())
+        _datasets, text = _overlap_csv(session, args.datasets, session.store_summary())
     else:  # networks
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",
                  "mean_silhouette")]

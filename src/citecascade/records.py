@@ -8,7 +8,8 @@ of citers per cited id. Every article id read from a file, as a record id, a
 reference or a dataset member, is interned, so the process holds one string
 object per id however often it is cited. Named article-id sets are
 :class:`Dataset` objects; per-dataset year statistics are
-:class:`YearDistribution` objects. :func:`json_chunks` is the one JSON layout
+:class:`YearDistribution` objects, counted from a :class:`StoreSummary` of the
+store's years and abstract flags. :func:`json_chunks` is the one JSON layout
 of every artifact the package writes (:func:`json_text` joins it),
 :func:`csv_text` the one CSV layout of every table, and :func:`xml_text` and
 :func:`xml_attribute` the one XML escaping of GraphML, SVG and the HTML pages.
@@ -595,17 +596,79 @@ class YearDistribution:
         return sum(self.counts.values()) + self.unknown
 
 
-def year_distribution(dataset: Dataset, store: RecordStore) -> YearDistribution:
+_UNDATED = "undated"
+
+
+@dataclass
+class StoreSummary:
+    """What year charts and dataset tables ask of a store: each stored id's year (None
+    when undated) and the ids whose record has an abstract (one that is neither None
+    nor ``""``).
+
+    Its JSON form groups the ids by year, ``"undated"`` for None, under
+    ``"with_abstract"`` and ``"without_abstract"``; each group is its sorted ids joined
+    by ``"\\n"``, which no id holds (:class:`ArticleRecord` rejects control characters).
+    """
+
+    years: dict[str, int | None]
+    with_abstract: frozenset[str]
+
+    @classmethod
+    def of(cls, store: RecordStore) -> "StoreSummary":
+        return cls({record.id: record.year for record in store},
+                   frozenset(record.id for record in store if record.abstract))
+
+    def to_json_dict(self) -> dict:
+        groups: dict[str, defaultdict[str, list[str]]] = {
+            "with_abstract": defaultdict(list), "without_abstract": defaultdict(list)}
+        for pub_id, year in self.years.items():
+            side = "with_abstract" if pub_id in self.with_abstract else "without_abstract"
+            groups[side][_UNDATED if year is None else str(year)].append(pub_id)
+        return {side: {year: "\n".join(sorted(ids)) for year, ids in by_year.items()}
+                for side, by_year in groups.items()}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "StoreSummary":
+        """A summary from its JSON form; ValueError when a side is not an object, a key is
+        neither ``"undated"`` nor a year as written, or a group is not a string of ids each
+        non-empty, free of control characters and found once in the whole summary."""
+        years: dict[str, int | None] = {}
+        with_abstract: set[str] = set()
+        listed = 0
+        for side in ("with_abstract", "without_abstract"):
+            if type(data[side]) is not dict:
+                raise ValueError(f"{side} is not an object")
+            for key, text in data[side].items():
+                year = None if key == _UNDATED else int(key)
+                if year is not None and (str(year) != key or not MIN_YEAR <= year <= max_plausible_year()):
+                    raise ValueError(f"{key!r} is not a year")
+                if type(text) is not str or _CONTROL_RE.search(text.replace("\n", " ")):
+                    raise ValueError(f"the ids of {side} {key} are not a text of ids")
+                ids = text.split("\n")
+                if "" in ids:
+                    raise ValueError(f"an id of {side} {key} is empty")
+                years.update(dict.fromkeys(ids, year))
+                if side == "with_abstract":
+                    with_abstract.update(ids)
+                listed += len(ids)
+        if listed != len(years):
+            raise ValueError("an id is listed twice")
+        return cls(years, frozenset(with_abstract))
+
+
+def year_distribution(dataset: Dataset, summary: StoreSummary) -> YearDistribution:
+    """The year counts of ``dataset``'s members, each dated by ``summary``; a member the
+    summary does not hold, or holds undated, counts as unknown."""
     if not dataset.member_ids:
         raise EmptyDatasetError(f"dataset {dataset.name!r} is empty; nothing to summarize")
     counts: dict[int, int] = {}
     unknown = 0
     for pub_id in dataset.member_ids:
-        record = store.get(pub_id)
-        if record is None or record.year is None:
+        year = summary.years.get(pub_id)
+        if year is None:
             unknown += 1
             continue
-        counts[record.year] = counts.get(record.year, 0) + 1
+        counts[year] = counts.get(year, 0) + 1
     year_range = (min(counts), max(counts)) if counts else None
     log_counts = {year: math.log1p(n) for year, n in counts.items()}
     return YearDistribution(

@@ -4,6 +4,10 @@ A session holds everything one analysis produces::
 
     <session>/
       store.jsonl    # record store, one JSON line per record
+      store.summary.json
+                     # each stored id's year and abstract flag, keyed to store.jsonl;
+                     # written by ingest and enrich, read by compare, render
+                     # --distributions and report --kind datasets|overlap
       datasets/      # <name>.json: member ids and provenance
       networks/      # <name>.json and .graphml, and <name>.stats: the network's node,
                      # link and LCC counts; after `cluster`, <name>.clusters.json,
@@ -15,15 +19,17 @@ A session holds everything one analysis produces::
       traces/        # <name>.trace.csv and .trace.json
 
 ``ARTIFACTS`` is this layout as a table, and ``Session.path`` forms every path
-but ``store.jsonl`` and ``.lock`` from it. A name may not end in an ending that
-would turn one kind's file into another kind's in the same directory, such as
-``.clusters``: ``reserved_endings`` derives them from the table.
+but ``store.jsonl``, ``store.summary.json`` and ``.lock`` from it. A name may not
+end in an ending that would turn one kind's file into another kind's in the same
+directory, such as ``.clusters``: ``reserved_endings`` derives them from the table.
 
 One command runs at a time per session, enforced with an advisory lock on
 ``.lock`` that the OS releases when its holder exits or dies. Each command
 writes its group of files in one ``Session.write`` call after its last check,
 so a failing one writes nothing: every temp file, then one rename per file,
-the file a later command reads back last and each keyed sibling keyed to it.
+the file a later command reads back last and each keyed sibling keyed to it,
+renamed just before it (``ingest`` keys the store summary to ``store.jsonl``
+and renames the dataset of ``--dataset`` last).
 Each file is a text or a stream of text chunks, written as UTF-8 into its temp
 file as it comes, so the large ones (the network, the clustering, the maps) are
 never held whole; a key's sha256 is taken from the bytes written.
@@ -35,8 +41,9 @@ field or a first ``# inputs <key>`` line: see ``Session._input_key``. One that
 is stale, unkeyed or names a missing input counts as missing. Those a command
 reads back are JSON, read by ``Session._read_json``: damage, or a value the
 loader rejects, is a ``FormatError`` naming the file, checked before the key;
-only a damaged layout cache is laid out again instead, and damaged network
-counts are counted again from the network.
+only a damaged layout cache is laid out again instead, damaged network
+counts are counted again from the network, and a damaged store summary is
+summarized again from the replayed store.
 
 A session holds no settings: each command takes its settings from its flags,
 and rendering from the constants of :mod:`citecascade.render`. A settings
@@ -59,7 +66,7 @@ from .clustering import ClusterPartition
 from .cocitation import CoCitationNetwork, NetworkStats
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection, check_partition
-from .records import Dataset, RecordStore, json_chunks, json_text
+from .records import Dataset, RecordStore, StoreSummary, json_chunks, json_text
 from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, LAYOUT_VERSION, layout
 
 # Each artifact kind's directory, and the suffix after its names joined by ","; a suffix
@@ -121,6 +128,7 @@ class Session:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.store_path = self.root / "store.jsonl"
+        self.summary_path = self.root / "store.summary.json"
         self.root.mkdir(parents=True, exist_ok=True)
         for directory in DIRECTORIES:
             (self.root / directory).mkdir(exist_ok=True)
@@ -156,25 +164,31 @@ class Session:
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError, CiteCascadeError) as exc:
             raise FormatError(f"unreadable session file {path}: {exc!r}") from None
 
-    def write(self, files: dict[Path, str | Iterable[str]], keyed: dict[Path, str | dict] | None = None) -> list[Path]:
-        """Write one command's group through temp files, then rename each; return the paths of
-        ``files``, then of ``keyed``. A value of ``files`` is a text, or an iterable of text
-        chunks written as they come, so a generator of rows never holds its whole text. The last
-        of ``files`` is the file a later command reads back, and it is renamed last. Each of
-        ``keyed`` is keyed to it, by its session path and the sha256 of the bytes written to it:
-        a text under a first ``# inputs <key>`` line, a JSON object with an ``"inputs"`` field."""
-        *siblings, last = files
+    def write(self, files: dict[Path, str | Iterable[str]], keyed: dict[Path, str | dict] | None = None,
+              keyed_to: Path | None = None) -> list[Path]:
+        """Write one command's group through temp files, then rename each in the order of
+        ``files``; return the paths of ``files``, then of ``keyed``. A value of ``files`` is a
+        text, or an iterable of text chunks written as they come, so a generator of rows never
+        holds its whole text. The last of ``files`` is the file a later command reads back, and
+        it is renamed last. Each of ``keyed`` is keyed to ``keyed_to`` (by default that last
+        file), by its session path and the sha256 of the bytes written to it, and renamed just
+        before it: a text under a first ``# inputs <key>`` line, a JSON object with an
+        ``"inputs"`` field."""
         keyed = keyed or {}
+        order = list(files)
         temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in [*files, *keyed]}
         try:
             for path in files:
                 _write_temp(temps[path], files[path])
             if keyed:
-                key = f"{last.relative_to(self.root).as_posix()}={_sha256(temps[last])}"
+                keyed_to = order[-1] if keyed_to is None else keyed_to
+                key = f"{keyed_to.relative_to(self.root).as_posix()}={_sha256(temps[keyed_to])}"
                 for path, value in keyed.items():
                     _write_temp(temps[path], json_chunks({**value, "inputs": key}) if isinstance(value, dict)
                                 else [f"# inputs {key}\n", value])
-            for path in [*siblings, *keyed, last]:
+                at = order.index(keyed_to)
+                order[at:at] = keyed
+            for path in order:
                 os.replace(temps[path], path)
         finally:  # a temp file is left only when a write or a rename raised
             for temp in temps.values():
@@ -206,6 +220,17 @@ class Session:
 
     def load_store(self) -> RecordStore:
         return RecordStore.load(self.store_path)
+
+    def store_summary(self) -> StoreSummary:
+        """The years and abstract flags of the stored records, from ``store.summary.json`` when
+        its key matches ``store.jsonl`` as it is now; summarized from the replayed store when
+        that file is missing, stale or damaged."""
+        try:
+            summary = self._read_json(self.summary_path, StoreSummary.from_json_dict,
+                                      inputs=lambda _data: [self.store_path])
+        except FormatError:  # only a shortcut: a damaged summary is summarized again from the store
+            summary = None
+        return summary if summary is not None else StoreSummary.of(self.load_store())
 
     # -- datasets -------------------------------------------------------------------
 
@@ -291,8 +316,9 @@ class Session:
         each file's path and sha256 (``missing`` once it is gone), then each parameter.
         The clustering's input is the network's JSON; the positions' that, the layout seed,
         the iteration count and the layout version; the projection's the base network, its
-        clustering and each compared dataset. ``write`` keys a group's siblings to the file
-        read back. A stored key is current when it equals the key its inputs give now."""
+        clustering and each compared dataset; the store summary's ``store.jsonl``.
+        ``write`` keys a group's siblings to the file read back, or to the store. A stored
+        key is current when it equals the key its inputs give now."""
         parts = [
             f"{path.relative_to(self.root).as_posix()}="
             + (_sha256(path) if path.exists() else "missing")

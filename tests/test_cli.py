@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -27,7 +28,7 @@ import citecascade.session as session_module
 from citecascade.cli import main
 from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo, network_stats
 from citecascade.errors import ValidationError
-from citecascade.records import RecordStore, csv_text, json_text
+from citecascade.records import RecordStore, StoreSummary, csv_text, json_text
 from citecascade.render import layout
 from citecascade.session import Session
 
@@ -1590,3 +1591,98 @@ class TestSessionConfig:
             session.save_dataset(Dataset("d", {"b"}))
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["d.json"]
+
+
+# The bundled commands that read the store summary, not the store.
+SUMMARY_READERS = [BUNDLED_PIPELINE[index] for index in (6, 9, 10, 11)]
+# Damage done by hand to the bundled store.summary.json; each keeps a current key, if any.
+SUMMARY_DAMAGE = {
+    "wrong-type": lambda text: json_text({**json.loads(text), "with_abstract": []}),
+    "year-key": lambda text: re.sub(r'"(\d)(\d{3})":', r'"\1_\2":', text, count=1),
+    "truncated": lambda text: text[: len(text) // 2],
+}
+
+
+def summary_reader_outputs(session_dir: Path, capsys, monkeypatch) -> tuple[list, dict[str, bytes], int]:
+    """Each summary reader's exit code, stdout and stderr; the report and render files after
+    them; and how many times they replayed the store."""
+    replays, load = [], Session.load_store
+    capsys.readouterr()
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Session, "load_store", lambda self: replays.append(self) or load(self))
+        for argv in SUMMARY_READERS:
+            code = run(session_dir, *argv)
+            results.append((code, *capsys.readouterr()))
+    files = {rel: data for rel, data in session_files(session_dir).items() if rel.startswith(("reports/", "renders/"))}
+    return results, files, len(replays)
+
+
+def bundled_copy(bundled_session: Path, session_dir: Path) -> tuple[Path, Path]:
+    """A fresh copy of the bundled session at ``session_dir``; its store and summary paths."""
+    shutil.rmtree(session_dir, ignore_errors=True)
+    shutil.copytree(bundled_session, session_dir)
+    return session_dir / "store.jsonl", session_dir / "store.summary.json"
+
+
+class TestStoreSummary:
+    """compare, render --distributions and report --kind datasets|overlap read the keyed store
+    summary instead of replaying the store; a missing, stale or damaged one is not used."""
+
+    def test_ingest_and_enrich_key_the_summary_to_the_store(self, tmp_path, bundled_session):
+        store, summary = (bundled_session / name for name in ("store.jsonl", "store.summary.json"))
+        key = "store.jsonl=" + hashlib.sha256(store.read_bytes()).hexdigest()
+        expected = StoreSummary.of(RecordStore.load(store))
+        assert summary.read_text(encoding="utf-8") == json_text({**expected.to_json_dict(), "inputs": key})
+        session_dir = tmp_path / "sess"
+        enrichment = tmp_path / "abstracts.jsonl"
+        enrichment.write_text(json.dumps({"id": "P010", "abstract": "enriched"}) + "\n", encoding="utf-8")
+        bundled_copy(bundled_session, session_dir)
+        assert run(session_dir, "enrich", str(enrichment)) == 0
+        session = Session(session_dir)
+        enriched = StoreSummary.of(session.load_store())
+        assert enriched.with_abstract == expected.with_abstract | {"P010"} != expected.with_abstract
+        assert StoreSummary.from_json_dict(json.loads(session.summary_path.read_text(encoding="utf-8"))) == enriched
+        assert session.store_summary() == enriched
+
+    def test_ingest_with_a_dataset_renames_it_last(self, tmp_path, corpus, monkeypatch):
+        renamed, replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(Path(dst).name) or replace(src, dst))
+        assert run(tmp_path / "sess", "ingest", str(corpus), "--dataset", "all") == 0
+        assert renamed == ["corpus.load-report.csv", "store.summary.json", "store.jsonl", "all.json"]
+        assert Session(tmp_path / "sess").store_summary() == StoreSummary.of(Session(tmp_path / "sess").load_store())
+
+    @pytest.mark.parametrize("state", ["deleted", "stale", *SUMMARY_DAMAGE])
+    def test_readers_write_the_same_bytes_without_a_usable_summary(self, tmp_path, bundled_session, capsys,
+                                                                   monkeypatch, state):
+        session_dir = tmp_path / "sess"
+        bundled_copy(bundled_session, session_dir)
+        results, files, replays = summary_reader_outputs(session_dir, capsys, monkeypatch)
+        assert [code for code, _out, _err in results] == [0] * len(SUMMARY_READERS) and replays == 0
+        assert files == {rel: data for rel, data in session_files(bundled_session).items() if rel in files}
+        store, summary = bundled_copy(bundled_session, session_dir)
+        if state == "deleted":
+            summary.unlink()
+        elif state == "stale":  # the same records, their lines in reverse order
+            store.write_text("".join(reversed(store.read_text(encoding="utf-8").splitlines(True))), encoding="utf-8")
+        else:
+            damaged = SUMMARY_DAMAGE[state](summary.read_text(encoding="utf-8"))
+            assert damaged != summary.read_text(encoding="utf-8")
+            summary.write_text(damaged, encoding="utf-8")
+        assert summary_reader_outputs(session_dir, capsys, monkeypatch) == (results, files, len(SUMMARY_READERS))
+
+    def test_a_stale_summary_is_not_read(self, tmp_path, bundled_session, capsys, monkeypatch):
+        """store.jsonl rewritten by hand with every year 1999: the readers give what that store
+        holds, as they do with no summary, not what the summary holds."""
+        session_dir = tmp_path / "sess"
+        outputs = []
+        for keep_summary in (False, True):
+            store, summary = bundled_copy(bundled_session, session_dir)
+            lines = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+            store.write_text("".join(json.dumps({**line, "year": 1999}) + "\n" for line in lines), encoding="utf-8")
+            if not keep_summary:
+                summary.unlink()
+            outputs.append(summary_reader_outputs(session_dir, capsys, monkeypatch))
+        assert outputs[0] == outputs[1]
+        report = outputs[0][1]["reports/datasets.csv"].decode()
+        assert "1999-1999" in report and report != (bundled_session / "reports" / "datasets.csv").read_text()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citecascade.cli import main
+from citecascade.cli import _dataset_year_range, main
 from citecascade.errors import EmptyDatasetError, FormatError, ValidationError
 from citecascade.records import (
     _CONTROL_RE,
@@ -19,6 +19,8 @@ from citecascade.records import (
     ArticleRecord,
     Dataset,
     RecordStore,
+    StoreSummary,
+    YearDistribution,
     canonical_id,
     dataset_union,
     normalize_title,
@@ -305,12 +307,29 @@ class TestRecordInvariants:
             make_record("p1", count=-1)
 
 
+def year_distribution_reference(dataset: Dataset, store: RecordStore) -> YearDistribution:
+    """The year distribution read from the store's records, as it was before the summary."""
+    if not dataset.member_ids:
+        raise EmptyDatasetError(f"dataset {dataset.name!r} is empty; nothing to summarize")
+    counts: dict[int, int] = {}
+    unknown = 0
+    for pub_id in dataset.member_ids:
+        record = store.get(pub_id)
+        if record is None or record.year is None:
+            unknown += 1
+            continue
+        counts[record.year] = counts.get(record.year, 0) + 1
+    year_range = (min(counts), max(counts)) if counts else None
+    log_counts = {year: math.log1p(n) for year, n in counts.items()}
+    return YearDistribution(dataset.name, counts, unknown, year_range, log_counts)
+
+
 class TestYearDistribution:
     def test_three_records_same_year(self):
         store = RecordStore()
         for i in range(3):
             store.insert(make_record(f"p{i}", year=2010))
-        dist = year_distribution(Dataset("d", {"p0", "p1", "p2"}), store)
+        dist = year_distribution(Dataset("d", {"p0", "p1", "p2"}), StoreSummary.of(store))
         assert dist.counts == {2010: 3}
         assert dist.range == (2010, 2010)
         assert dist.log_counts[2010] == pytest.approx(math.log(4))
@@ -319,21 +338,21 @@ class TestYearDistribution:
         store = RecordStore()
         store.insert(make_record("old", year=1936))
         store.insert(make_record("new", year=2019))
-        dist = year_distribution(Dataset("d", {"old", "new"}), store)
+        dist = year_distribution(Dataset("d", {"old", "new"}), StoreSummary.of(store))
         assert dist.range == (1936, 2019)
 
     def test_unknown_year_bucket_excluded_from_range(self):
         store = RecordStore()
         store.insert(make_record("p1", year=2000))
         store.insert(make_record("p2", year=None))
-        dist = year_distribution(Dataset("d", {"p1", "p2"}), store)
+        dist = year_distribution(Dataset("d", {"p1", "p2"}), StoreSummary.of(store))
         assert dist.unknown == 1
         assert dist.range == (2000, 2000)
         assert dist.total() == 2
 
     def test_empty_dataset_errors(self):
         with pytest.raises(EmptyDatasetError):
-            year_distribution(Dataset("d", set()), RecordStore())
+            year_distribution(Dataset("d", set()), StoreSummary.of(RecordStore()))
 
     @given(
         st.lists(
@@ -349,8 +368,79 @@ class TestYearDistribution:
             pub_id = f"p{i}_{suffix}"
             store.insert(make_record(pub_id, year=year))
             members.add(pub_id)
-        dist = year_distribution(Dataset("d", members), store)
+        dist = year_distribution(Dataset("d", members), StoreSummary.of(store))
         assert dist.total() == len(members)
+
+
+# Ids with quotes, spaces, commas and non-ASCII characters, but no control character.
+SUMMARY_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x2FF), min_size=1, max_size=4)
+SUMMARY_RECORDS = st.dictionaries(
+    SUMMARY_IDS,
+    st.tuples(st.one_of(st.none(), st.integers(1990, 1994)), st.sampled_from([None, "", "an abstract"])),
+    max_size=25,
+)
+
+
+class TestStoreSummary:
+    """The summary answers what the store answered: years, Range cells, abstract counts."""
+
+    @given(records=SUMMARY_RECORDS,
+           members=st.lists(st.sets(SUMMARY_IDS, max_size=12), min_size=1, max_size=3),
+           picks=st.lists(st.sets(st.integers(0, 30), max_size=12), min_size=3, max_size=3))
+    def test_summary_read_back_answers_as_the_store(self, tmp_path_factory, records, members, picks):
+        store = RecordStore()
+        for pub_id, (year, abstract) in records.items():
+            store.insert(make_record(pub_id, year=year, abstract=abstract))
+        stored = sorted(records)
+        # Each dataset holds stored ids and ids the store lacks.
+        datasets = [Dataset(f"d{i}", extra | {stored[j] for j in pick if j < len(stored)})
+                    for i, (extra, pick) in enumerate(zip(members, picks))]
+        session = Session(tmp_path_factory.mktemp("summary"))
+        summary = StoreSummary.of(store)
+        session.write({session.store_path: store.json_lines()}, {session.summary_path: summary.to_json_dict()})
+
+        def refuse():
+            raise AssertionError("the store was replayed")
+
+        session.load_store = refuse
+        assert session.store_summary() == summary
+        assert summary.years == {pub_id: year for pub_id, (year, _abstract) in records.items()}
+        for dataset in datasets:
+            with_abstracts = sum(1 for record in map(store.get, dataset.member_ids) if record and record.abstract)
+            assert len(dataset.member_ids & summary.with_abstract) == with_abstracts
+            if not dataset.member_ids:
+                continue
+            assert year_distribution(dataset, summary) == year_distribution_reference(dataset, store)
+            span = year_distribution_reference(dataset, store).range
+            assert _dataset_year_range(dataset, summary) == (f"{span[0]}-{span[1]}" if span else "")
+
+    def test_groups_are_sorted_ids_joined_by_newlines(self):
+        store = RecordStore()
+        for pub_id, year, abstract in [("b", 2001, "x"), ("a", 2001, "y"), ("c", None, ""), ("d", 2001, None)]:
+            store.insert(make_record(pub_id, year=year, abstract=abstract))
+        assert StoreSummary.of(store).to_json_dict() == {
+            "with_abstract": {"2001": "a\nb"}, "without_abstract": {"2001": "d", "undated": "c"}}
+
+    @pytest.mark.parametrize("damage", [
+        {"with_abstract": []},
+        {"with_abstract": {"2001": ["a"]}},
+        {"with_abstract": {"1_999": "a"}},
+        {"with_abstract": {"01999": "a"}},
+        {"with_abstract": {" 1999": "a"}},
+        {"with_abstract": {"\u0661\u0669\u0669\u0669": "a"}},
+        {"with_abstract": {"1499": "a"}},
+        {"with_abstract": {"Undated": "a"}},
+        {"with_abstract": {"2001": ""}},
+        {"with_abstract": {"2001": "a\n"}},
+        {"with_abstract": {"2001": "a\tb"}},
+        {"with_abstract": {"2001": "b", "2002": "b"}},
+        {"with_abstract": {"2001": "z"}, "without_abstract": {"undated": "z"}},
+        {"without_abstract": None},
+    ], ids=repr)
+    def test_damaged_form_is_rejected(self, damage):
+        data = {"with_abstract": {"2001": "a\nb"}, "without_abstract": {"2001": "c", "undated": "d"}, **damage}
+        with pytest.raises((ValueError, TypeError, KeyError)):
+            StoreSummary.from_json_dict(data)
 
 
 class TestDatasetUnion:

@@ -211,27 +211,31 @@ def test_next_command_removes_a_killed_commands_temp_file(tmp_path):
     assert report and after == {rel: data for rel, data in before.items() if rel not in temps}
 
 
-# Each bundled command that writes a group of files: its index in BUNDLED_PIPELINE; runs
-# after the bundled commands before it that leave older files of its group, from other
-# flags or an older input file ({older}); the file of the group a later command reads back;
-# and its renames (render's first is the layout cache's).
+# Each command that writes a group of files: it runs after the first <index> commands of
+# BUNDLED_PIPELINE and the commands that leave older files of its group, from other flags or
+# an older input file ({older}); then the file of the group a later command reads back; and
+# its renames (render's first is the layout cache's). A bundled command is BUNDLED_PIPELINE's
+# <index>-th; enrich attaches abstracts ({abstracts}) to the bundled store.
 KILL_CASES = {
-    "ingest": (0, [["ingest", "{older}"]], "store.jsonl", 2),
-    "expand": (2, [["expand", "--name", "S3", "--seed", "P010", "--stages", "F:2", "--theta-citer", "1",
-                    "--theta-ref", "1"]], "datasets/S3.json", 3),
-    "network": (4, [["network", "--dataset", "combined", "--min-citations", "0", "--top-n", "50"]],
-                "networks/combined.json", 3),
-    "cluster": (5, [["cluster", "--network", "combined", "--levels", "1", "--top-k", "1"]],
+    "ingest": (0, BUNDLED_PIPELINE[0], [["ingest", "{older}"]], "store.jsonl", 3),
+    "enrich": (1, ["enrich", "{abstracts}"], [], "store.jsonl", 2),
+    "expand": (2, BUNDLED_PIPELINE[2], [["expand", "--name", "S3", "--seed", "P010", "--stages", "F:2",
+                                         "--theta-citer", "1", "--theta-ref", "1"]], "datasets/S3.json", 3),
+    "network": (4, BUNDLED_PIPELINE[4], [["network", "--dataset", "combined", "--min-citations", "0",
+                                          "--top-n", "50"]], "networks/combined.json", 3),
+    "cluster": (5, BUNDLED_PIPELINE[5], [["cluster", "--network", "combined", "--levels", "1", "--top-k", "1"]],
                 "networks/combined.clusters.json", 3),
-    "compare": (6, [["compare", "--datasets", "S3,F", "--base", "combined"]], "reports/projection.json", 3),
-    "render-overlay": (7, [], None, 3),
-    "render": (8, [], None, 2),
+    "compare": (6, BUNDLED_PIPELINE[6], [["compare", "--datasets", "S3,F", "--base", "combined"]],
+                "reports/projection.json", 3),
+    "render-overlay": (7, BUNDLED_PIPELINE[7], [], None, 3),
+    "render": (8, BUNDLED_PIPELINE[8], [], None, 2),
 }
 # Readers of a session that a kill may have left mixed.
 PROBES = [
     ["report", "--kind", "networks"],
     ["render", "--network", "combined"],
     ["compare", "--datasets", "F,S3", "--base", "combined"],
+    ["report", "--kind", "datasets"],
 ]
 
 
@@ -244,7 +248,8 @@ def current_key(files: dict[str, bytes], rel: str) -> bool:
         key = json.loads(text).get("inputs") if text.startswith("{") else None
     else:
         return False
-    entries = [entry.partition("=") for entry in (key or "").split(" ") if "/" in entry]
+    entries = [entry.partition("=") for entry in (key or "").split(" ")
+               if "/" in entry or entry.startswith("store.jsonl=")]
     return bool(entries) and all(
         hashlib.sha256(files[path]).hexdigest() == digest if path in files else digest == "missing"
         for path, _eq, digest in entries)
@@ -255,11 +260,15 @@ def test_a_command_killed_at_any_rename_leaves_a_consistent_session(tmp_path, ca
     """Pillai et al.'s crash states, at each rename of the command: a sibling whose key says
     it goes with the file read back as it is now was written with it, readers exit cleanly,
     and the command run again gives the clean run's session."""
-    index, others, read_back, renames = KILL_CASES[case]
-    argv = BUNDLED_PIPELINE[index]
+    index, argv, others, read_back, renames = KILL_CASES[case]
+    corpus = SYNTHETIC_CORPUS.read_text(encoding="utf-8").splitlines(True)
     older = tmp_path / "older" / SYNTHETIC_CORPUS.name  # every other record of the bundled corpus
     older.parent.mkdir()
-    older.write_text("".join(SYNTHETIC_CORPUS.read_text(encoding="utf-8").splitlines(True)[::2]), encoding="utf-8")
+    older.write_text("".join(corpus[::2]), encoding="utf-8")
+    abstracts = tmp_path / "abstracts.jsonl"  # for every third record
+    abstracts.write_text("".join(json.dumps({"id": json.loads(line)["id"], "abstract": "enriched"}) + "\n"
+                                 for line in corpus[::3]), encoding="utf-8")
+    argv = [arg.format(abstracts=abstracts) for arg in argv]
     before_dir, clean_dir = tmp_path / "before", tmp_path / "clean"
     for step in [*BUNDLED_PIPELINE[:index], *others]:
         assert run(before_dir, *(arg.format(older=older) for arg in step)) == 0
