@@ -281,7 +281,7 @@ def _cmd_cluster(args, session: Session) -> int:
         ]
     payload: dict = {"level1": payload_level1}
 
-    top_indices = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))[: args.top_k]
+    top_indices = range(min(args.top_k, len(clusters)))  # clusters are numbered largest first
     if args.levels >= 2:
         level2: dict[str, dict] = {}
         for index in top_indices:
@@ -334,13 +334,13 @@ def _cmd_compare(args, session: Session) -> int:
 
 
 def _cmd_render(args, session: Session) -> int:
-    files = {}
+    files, cache = {}, {}
     if args.network:
         network = session.load_network(args.network)
         partition = session.load_partition(args.network, network, required=False)
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
-        positions = session.layout_positions(args.network, network)
+        positions, cache = session.layout_positions(args.network, network)
         rows = render_map(network, positions, partition, projection)
         files[session.path(kind, args.network)] = rows
         files[session.path(f"{kind}_page", args.network)] = wrap_html(rows, title=f"{args.network} {kind}")
@@ -351,7 +351,8 @@ def _cmd_render(args, session: Session) -> int:
         files[session.path("years", *names)] = render_distribution(distributions, log=args.log)
     if not files:
         raise ValidationError("render needs --network and/or --distributions")
-    print("wrote " + ", ".join(map(str, session.write(files))))
+    session.write({**files, **cache})  # the layout cache, read back by the next render, last
+    print("wrote " + ", ".join(map(str, files)))
     return EXIT_OK
 
 

@@ -392,17 +392,24 @@ class RecordStore:
         return report
 
 
+def _is_id(value) -> bool:
+    """Whether ``value`` may be a record or reference id: a string, or an integer kept as its digits."""
+    return type(value) in (str, int)
+
+
 def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]:
     """Build a record from a parsed JSONL row; (None, reason) when rejected."""
     if not isinstance(row, dict):
         return None, "row is not an object"
-    raw_id = row.get("id")
+    raw_id = row.get("id", "")
     title = row.get("title")
     if "year" not in row:
         return None, "missing year"
     year = row.get("year")
-    if year is not None and not isinstance(year, int):
+    if year is not None and type(year) is not int:  # a bool is not an integer
         return None, "year is not an integer"
+    if not _is_id(raw_id):
+        return None, "id is not a string or an integer"
     if not raw_id:
         # No source id: derive one from title+year when possible.
         if not title:
@@ -412,8 +419,10 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
         return None, "missing title"
     if "reference_ids" not in row or not isinstance(row["reference_ids"], list):
         return None, "missing reference_ids"
+    if not all(map(_is_id, row["reference_ids"])):
+        return None, "a reference id is not a string or an integer"
     gcc = row.get("global_citation_count")
-    if gcc is not None and (not isinstance(gcc, int) or gcc < 0):
+    if gcc is not None and (type(gcc) is not int or gcc < 0):
         return None, "global_citation_count must be a non-negative integer"
     if row.get("abstract") is not None and not isinstance(row["abstract"], str):
         return None, "abstract is not a string"

@@ -40,10 +40,10 @@ Each derived artifact holds the key of its inputs in a top-level ``"inputs"``
 field or a first ``# inputs <key>`` line: see ``Session._input_key``. One that
 is stale, unkeyed or names a missing input counts as missing. Those a command
 reads back are JSON, read by ``Session._read_json``: damage, or a value the
-loader rejects, is a ``FormatError`` naming the file, checked before the key;
-only a damaged layout cache is laid out again instead, damaged network
-counts are counted again from the network, and a damaged store summary is
-summarized again from the replayed store.
+loader rejects, is a ``FormatError`` naming the file, checked before the key.
+Three files are only shortcuts, read by ``Session._cached``: a damaged layout
+cache is laid out again, damaged network counts are counted again from the
+network, and a damaged store summary is summarized again from the replayed store.
 
 A session holds no settings: each command takes its settings from its flags,
 and rendering from the constants of :mod:`citecascade.render`. A settings
@@ -164,6 +164,13 @@ class Session:
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError, CiteCascadeError) as exc:
             raise FormatError(f"unreadable session file {path}: {exc!r}") from None
 
+    def _cached(self, path: Path, build, inputs: list[Path], **params):
+        """``build`` applied to the JSON in ``path`` if its key matches ``inputs`` and ``params``;
+        None when the file is missing, stale or damaged, for a file that is only a shortcut."""
+        with suppress(FormatError):
+            return self._read_json(path, build, lambda _data: inputs, **params)
+        return None
+
     def write(self, files: dict[Path, str | Iterable[str]], keyed: dict[Path, str | dict] | None = None,
               keyed_to: Path | None = None) -> list[Path]:
         """Write one command's group through temp files, then rename each in the order of
@@ -225,11 +232,7 @@ class Session:
         """The years and abstract flags of the stored records, from ``store.summary.json`` when
         its key matches ``store.jsonl`` as it is now; summarized from the replayed store when
         that file is missing, stale or damaged."""
-        try:
-            summary = self._read_json(self.summary_path, StoreSummary.from_json_dict,
-                                      inputs=lambda _data: [self.store_path])
-        except FormatError:  # only a shortcut: a damaged summary is summarized again from the store
-            summary = None
+        summary = self._cached(self.summary_path, StoreSummary.from_json_dict, [self.store_path])
         return summary if summary is not None else StoreSummary.of(self.load_store())
 
     # -- datasets -------------------------------------------------------------------
@@ -263,10 +266,7 @@ class Session:
                 raise ValueError("a count is not an integer")
             return NetworkStats(**values)
 
-        try:
-            return self._read_json(self.path("counts", name), build, inputs=lambda _data: [self.path("network", name)])
-        except FormatError:  # only a shortcut: damaged counts are counted again from the network
-            return None
+        return self._cached(self.path("counts", name), build, [self.path("network", name)])
 
     def load_network(self, name: str) -> CoCitationNetwork:
         json_path = self.path("network", name)
@@ -328,11 +328,12 @@ class Session:
 
     # -- layout positions ---------------------------------------------------------------
 
-    def layout_positions(self, name: str, network: CoCitationNetwork) -> dict[str, tuple[float, float]]:
+    def layout_positions(self, name: str, network: CoCitationNetwork
+                         ) -> tuple[dict[str, tuple[float, float]], dict[Path, Iterable[str]]]:
         """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from ``renders/<name>.positions.json``
-        when that file is current; computed and written otherwise, the one write apart from a command's group.
-        The file holds the key and the ``x`` and ``y`` lists in sorted node-id order: the key pins the
-        network, so it pins the ids too."""
+        when that file is current, and the file to add to the command's group: none then, else the
+        positions computed. The file holds the key and the ``x`` and ``y`` lists in sorted node-id
+        order: the key pins the network, so it pins the ids too."""
         path = self.path("positions", name)
         inputs = [self.path("network", name)]
         params = {"seed": LAYOUT_SEED, "iterations": LAYOUT_ITERATIONS, "layout": LAYOUT_VERSION}
@@ -345,15 +346,12 @@ class Session:
                 raise ValueError("x and y are not one finite float per node")
             return dict(zip(nodes, zip(xs, ys)))
 
-        try:
-            positions = self._read_json(path, build, inputs=lambda _data: inputs, **params)
-        except FormatError:  # only a cache: a damaged one costs one layout, not the command
-            positions = None
-        if positions is None:
-            positions = layout(network, LAYOUT_SEED)
-            self.write({path: json_chunks({
-                "inputs": self._input_key(inputs, **params),
-                "x": [positions[node][0] for node in nodes],
-                "y": [positions[node][1] for node in nodes],
-            })})
-        return positions
+        positions = self._cached(path, build, inputs, **params)
+        if positions is not None:
+            return positions, {}
+        positions = layout(network, LAYOUT_SEED)
+        return positions, {path: json_chunks({
+            "inputs": self._input_key(inputs, **params),
+            "x": [positions[node][0] for node in nodes],
+            "y": [positions[node][1] for node in nodes],
+        })}

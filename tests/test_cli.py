@@ -477,6 +477,40 @@ class TestBadInput:
         assert run(session_dir, "enrich", str(enrichment)) == 0
         assert "enriched 1 records, 0 unmatched, 2 rows skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("global_citation_count", True, "global_citation_count must be a non-negative integer"),
+        ("year", True, "year is not an integer"),
+        ("year", False, "year is not an integer"),
+        ("id", None, "id is not a string or an integer"),
+        ("id", True, "id is not a string or an integer"),
+        ("id", ["b"], "id is not a string or an integer"),
+        ("id", {"b": 1}, "id is not a string or an integer"),
+        ("reference_ids", [None, 5], "a reference id is not a string or an integer"),
+        ("reference_ids", ["r", False], "a reference id is not a string or an integer"),
+        ("reference_ids", [["r"]], "a reference id is not a string or an integer"),
+        ("reference_ids", [{"id": "r"}], "a reference id is not a string or an integer"),
+    ])
+    def test_a_bool_is_not_an_integer_and_an_id_is_a_string_or_an_integer(self, tmp_path, capsys, field, value,
+                                                                           reason):
+        """A rejected row at ingest, and a store line that fails replay with exit 4."""
+        path = tmp_path / "rows.jsonl"
+        rows = [{"id": 7, "title": "t", "year": 2000, "reference_ids": ["r", 5], "global_citation_count": 0},
+                {"id": "b", "title": "t", "year": 2000, "reference_ids": [], field: value}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        session_dir = tmp_path / "sess"
+        assert run(session_dir, "ingest", str(path)) == 0
+        report = (session_dir / "reports" / "rows.load-report.csv").read_text()
+        assert report.splitlines()[1:] == [f"2,{reason}"]
+        store_path = session_dir / "store.jsonl"
+        stored = [json.loads(line) for line in store_path.read_text().splitlines()]
+        assert [(line["id"], line["reference_ids"]) for line in stored] == [("7", ["r", "5"])]  # integers as digits
+        with open(store_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rows[1]) + "\n")
+        capsys.readouterr()
+        assert run(session_dir, "search", "--name", "F", "--phrase", "t") == 4
+        err = one_error_line(capsys)
+        assert "line 2" in err and reason in err
+
 
 def finished_session(tmp_path, corpus) -> Path:
     """A session holding datasets F and S, network F with its clusters, and a projection."""
@@ -975,7 +1009,7 @@ class TestLayoutCache:
         assert layout_calls == [42]
         session = Session(session_dir)
         network = session.load_network("F")
-        assert session.layout_positions("F", network) == layout(network, 42)  # exact floats
+        assert session.layout_positions("F", network) == (layout(network, 42), {})  # exact floats, nothing to write
         assert layout_calls == [42]
 
     def test_cached_and_fresh_renders_are_byte_identical(self, tmp_path, corpus, layout_calls):
@@ -1049,17 +1083,22 @@ class TestLayoutCache:
                 mock.patch.object(session_module, "layout", wraps=layout) as counted:
             session = Session(root)
             session.save_network("N", network, network_stats(network))
-            first = session.layout_positions("N", network)
-            assert list(first) == sorted(network.nodes)
-            assert list(session.layout_positions("N", network).items()) == list(first.items())  # exact floats
-            assert counted.call_count == 1
             path = session.path("positions", "N")
+            first, cache = session.layout_positions("N", network)
+            assert list(first) == sorted(network.nodes)
+            assert list(cache) == [path] and not path.exists()  # the caller writes it in its group
+            session.write(cache)
+            read_back, cache = session.layout_positions("N", network)
+            assert list(read_back.items()) == list(first.items()) and cache == {}  # exact floats
+            assert counted.call_count == 1
             fresh = path.read_bytes()
             cached = json.loads(fresh)
             ONE_VALUE_DAMAGE[damage](cached)
             path.write_text(json.dumps(cached), encoding="utf-8")
-            assert list(session.layout_positions("N", network).items()) == list(first.items())
+            again, cache = session.layout_positions("N", network)
+            assert list(again.items()) == list(first.items())
             assert counted.call_count == 2
+            session.write(cache)
             assert path.read_bytes() == fresh
 
     def test_networks_report_does_not_list_the_positions(self, tmp_path, corpus, capsys):
@@ -1500,6 +1539,37 @@ def test_bundled_tables_are_pinned(bundled_session):
     assert networks == BUNDLED_NETWORK_SHA256
 
 
+# One failing command line per command that writes, and its exit code; render fails after
+# it has laid the network out. "{missing}" is a file that does not exist.
+FAILING_COMMANDS = [
+    (["ingest", "{missing}", "--dataset", "G"], 4),
+    (["enrich", "{missing}"], 4),
+    (["search", "--name", "G"], 3),
+    (["union", "--name", "G", "--datasets", "F,nosuch"], 4),
+    (["expand", "--name", "G", "--seed", "P010", "--stages", "F:3", "--theta-citer", "-1"], 3),
+    (["network", "--dataset", "combined", "--name", "combined.clusters"], 2),
+    (["cluster", "--network", "combined", "--top-k", "-1"], 2),
+    (["compare", "--datasets", "F,S3", "--base", "nosuch"], 4),
+    (["render", "--network", "combined", "--distributions", "nosuch"], 4),
+    (["render", "--network", "combined", "--overlay", "--distributions", "F,S3,nosuch"], 4),
+    (["report", "--kind", "overlap", "--datasets", "F,nosuch"], 4),
+]
+
+
+def test_a_failing_command_writes_nothing(tmp_path, bundled_session, capsys):
+    """Without a layout cache too: render lays the network out, then fails on a dataset, and
+    the cache it computed is not written."""
+    session_dir = tmp_path / "sess"
+    shutil.copytree(bundled_session, session_dir)
+    (session_dir / "renders" / "combined.positions.json").unlink()
+    before = session_files(session_dir)
+    capsys.readouterr()
+    for argv, code in FAILING_COMMANDS:
+        assert run(session_dir, *(arg.format(missing=tmp_path / "missing.jsonl") for arg in argv)) == code, argv
+        one_error_line(capsys)
+        assert session_files(session_dir) == before, argv
+
+
 def table_rows(path: Path) -> list[list[str]]:
     """The rows of a written table, comment lines left out."""
     rows = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
@@ -1527,7 +1597,7 @@ def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path, layout_
     assert node in [row[0] for row in rows]
     session = Session(session_dir)
     network = session.load_network("all")
-    assert session.layout_positions("all", network) == layout(network, 42)  # read back, whole ids
+    assert session.layout_positions("all", network) == (layout(network, 42), {})  # read back, whole ids
     assert layout_calls == [42]
     reports = session_dir / "reports"
     assert [row[0] for row in table_rows(reports / "datasets.csv")] == ["name", "F", name]

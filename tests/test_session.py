@@ -213,8 +213,8 @@ def test_next_command_removes_a_killed_commands_temp_file(tmp_path):
 
 # Each command that writes a group of files: it runs after the first <index> commands of
 # BUNDLED_PIPELINE and the commands that leave older files of its group, from other flags or
-# an older input file ({older}); then the file of the group a later command reads back; and
-# its renames (render's first is the layout cache's). A bundled command is BUNDLED_PIPELINE's
+# an older input file ({older}); then the file of the group a later command reads back (render's
+# is the layout cache, renamed last); and its renames. A bundled command is BUNDLED_PIPELINE's
 # <index>-th; enrich attaches abstracts ({abstracts}) to the bundled store.
 KILL_CASES = {
     "ingest": (0, BUNDLED_PIPELINE[0], [["ingest", "{older}"]], "store.jsonl", 3),
@@ -227,7 +227,7 @@ KILL_CASES = {
                 "networks/combined.clusters.json", 3),
     "compare": (6, BUNDLED_PIPELINE[6], [["compare", "--datasets", "S3,F", "--base", "combined"]],
                 "reports/projection.json", 3),
-    "render-overlay": (7, BUNDLED_PIPELINE[7], [], None, 3),
+    "render-overlay": (7, BUNDLED_PIPELINE[7], [], "renders/combined.positions.json", 3),
     "render": (8, BUNDLED_PIPELINE[8], [], None, 2),
 }
 # Readers of a session that a kill may have left mixed.
