@@ -30,7 +30,7 @@ from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationE
 from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
 from .overlay import coverage_report, overlap_matrix, project_overlay
 from .records import Dataset, StoreSummary, csv_text, dataset_union, json_chunks, year_distribution
-from .render import render_distribution, render_map, wrap_html
+from .render import LAYOUT_KEY, LAYOUT_SEED, layout, render_distribution, render_map, wrap_html
 from .session import Session, check_name
 from .sources import QUERY_KINDS, SourceQuery, search
 
@@ -148,6 +148,11 @@ def _parse_stages(text: str) -> list[ExpansionStage]:
     if not stages:
         raise ValidationError("no stages given")
     return stages
+
+
+def _store_summary(session: Session) -> StoreSummary:
+    """The store summary, summarized from the replayed store when its file is not current."""
+    return session.store_summary() or StoreSummary.of(session.load_store())
 
 
 def _dataset_year_range(dataset: Dataset, summary: StoreSummary) -> str:
@@ -320,7 +325,7 @@ def _overlap_csv(session: Session, names_text: str, summary: StoreSummary) -> tu
 
 
 def _cmd_compare(args, session: Session) -> int:
-    datasets, overlap_text = _overlap_csv(session, args.datasets, session.store_summary())
+    datasets, overlap_text = _overlap_csv(session, args.datasets, _store_summary(session))
     files, keyed = {session.path("compare"): overlap_text}, {}
     if args.base:
         network = session.load_network(args.base)
@@ -340,13 +345,16 @@ def _cmd_render(args, session: Session) -> int:
         partition = session.load_partition(args.network, network, required=False)
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
-        positions, cache = session.layout_positions(args.network, network)
+        positions = session.layout_positions(args.network, network, **LAYOUT_KEY)
+        if positions is None:
+            positions = layout(network, LAYOUT_SEED)
+            cache = session.positions_file(args.network, positions, **LAYOUT_KEY)
         rows = render_map(network, positions, partition, projection)
         files[session.path(kind, args.network)] = rows
         files[session.path(f"{kind}_page", args.network)] = wrap_html(rows, title=f"{args.network} {kind}")
     if args.distributions:
         names = _split_names(args.distributions)
-        summary = session.store_summary()
+        summary = _store_summary(session)
         distributions = [year_distribution(session.load_dataset(name), summary) for name in names]
         files[session.path("years", *names)] = render_distribution(distributions, log=args.log)
     if not files:
@@ -358,7 +366,7 @@ def _cmd_render(args, session: Session) -> int:
 
 def _cmd_report(args, session: Session) -> int:
     if args.kind == "datasets":
-        summary = session.store_summary()
+        summary = _store_summary(session)
         rows = [("name", "kind", "records", "with_abstracts", "range")]
         for name in session.names("dataset"):
             dataset = session.load_dataset(name)
@@ -368,7 +376,7 @@ def _cmd_report(args, session: Session) -> int:
     elif args.kind == "overlap":
         if not args.datasets:
             raise ValidationError("report --kind overlap needs --datasets")
-        _datasets, text = _overlap_csv(session, args.datasets, session.store_summary())
+        _datasets, text = _overlap_csv(session, args.datasets, _store_summary(session))
     else:  # networks
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",
                  "mean_silhouette")]

@@ -128,7 +128,7 @@ def _qualified_step(
     """One step's candidates (frontier neighbours not in ``known``) and, sorted,
     those whose citation count reaches ``theta``."""
     candidates: set[str] = set()
-    for pub_id in sorted(frontier):
+    for pub_id in frontier:
         if direction == FORWARD:
             candidates.update(store.get_citers(pub_id))
         else:

@@ -348,8 +348,10 @@ class RecordStore:
         """Attach abstracts from an enrichment file (JSONL).
 
         Each row carries ``abstract`` plus either ``id`` or ``title``+``year``;
-        title matching uses the same normalization as id derivation. Existing
-        abstracts are never overwritten.
+        title matching uses the same normalization as id derivation. An id is a
+        string or an integer, a title a string and a year an integer or null
+        (undated), as ingest takes them; a row with another type is skipped with
+        its reason. Existing abstracts are never overwritten.
         """
         enrichment_path = Path(enrichment_path)
         if not enrichment_path.exists():
@@ -373,12 +375,20 @@ class RecordStore:
             if not isinstance(abstract, str) or not abstract:
                 report.skipped_rows.append((line_no, "missing abstract"))
                 continue
-            target: str | None = None
-            if row.get("id"):
-                target = str(row["id"])
-            elif row.get("title") and "year" in row:
-                year = row["year"] if isinstance(row["year"], int) else None
-                target = by_title_year.get((normalize_title(str(row["title"])), year))
+            raw_id, title, year = row.get("id", ""), row.get("title"), row.get("year")
+            if not _is_id(raw_id):
+                report.skipped_rows.append((line_no, "id is not a string or an integer"))
+                continue
+            if raw_id:
+                target = str(raw_id)
+            elif title and "year" in row:
+                if not isinstance(title, str):
+                    report.skipped_rows.append((line_no, "title is not a string"))
+                    continue
+                if year is not None and type(year) is not int:  # a bool is not an integer
+                    report.skipped_rows.append((line_no, "year is not an integer"))
+                    continue
+                target = by_title_year.get((normalize_title(title), year))
             else:
                 report.skipped_rows.append((line_no, "needs id or title+year"))
                 continue

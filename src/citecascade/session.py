@@ -41,9 +41,11 @@ field or a first ``# inputs <key>`` line: see ``Session._input_key``. One that
 is stale, unkeyed or names a missing input counts as missing. Those a command
 reads back are JSON, read by ``Session._read_json``: damage, or a value the
 loader rejects, is a ``FormatError`` naming the file, checked before the key.
-Three files are only shortcuts, read by ``Session._cached``: a damaged layout
-cache is laid out again, damaged network counts are counted again from the
-network, and a damaged store summary is summarized again from the replayed store.
+Three files are only shortcuts, and one rule reads them all (``Session._cached``):
+the layout cache, the network counts and the store summary each read back as
+their content when current and None when missing, stale or damaged. The command
+then does the work itself: it lays the network out, counts it, or replays the
+store. A ``Session`` only stores and reads; it computes nothing.
 
 A session holds no settings: each command takes its settings from its flags,
 and rendering from the constants of :mod:`citecascade.render`. A settings
@@ -67,7 +69,6 @@ from .cocitation import CoCitationNetwork, NetworkStats
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
 from .overlay import OverlayProjection, check_partition
 from .records import Dataset, RecordStore, StoreSummary, json_chunks, json_text
-from .render import LAYOUT_ITERATIONS, LAYOUT_SEED, LAYOUT_VERSION, layout
 
 # Each artifact kind's directory, and the suffix after its names joined by ","; a suffix
 # that does not start with "." is a whole file name, of a kind that takes no name.
@@ -228,12 +229,11 @@ class Session:
     def load_store(self) -> RecordStore:
         return RecordStore.load(self.store_path)
 
-    def store_summary(self) -> StoreSummary:
-        """The years and abstract flags of the stored records, from ``store.summary.json`` when
-        its key matches ``store.jsonl`` as it is now; summarized from the replayed store when
-        that file is missing, stale or damaged."""
-        summary = self._cached(self.summary_path, StoreSummary.from_json_dict, [self.store_path])
-        return summary if summary is not None else StoreSummary.of(self.load_store())
+    def store_summary(self) -> StoreSummary | None:
+        """The years and abstract flags of the stored records, read back from ``store.summary.json``
+        when its key matches ``store.jsonl`` as it is now; None when that file is missing, stale or
+        damaged, and the caller summarizes the replayed store."""
+        return self._cached(self.summary_path, StoreSummary.from_json_dict, [self.store_path])
 
     # -- datasets -------------------------------------------------------------------
 
@@ -257,8 +257,8 @@ class Session:
                    {self.path("counts", name): asdict(stats)})
 
     def network_counts(self, name: str) -> NetworkStats | None:
-        """The counts of network ``name`` from ``networks/<name>.stats`` if current;
-        None when that file is missing, stale or damaged."""
+        """The counts of network ``name``, read back from ``networks/<name>.stats`` when current;
+        None when that file is missing, stale or damaged, and the caller counts the network."""
 
         def build(data: dict) -> NetworkStats:
             values = {field.name: data[field.name] for field in fields(NetworkStats)}
@@ -314,9 +314,9 @@ class Session:
     def _input_key(self, inputs: Iterable[Path], **params) -> str:
         """The key of an artifact computed from session files ``inputs`` and ``params``:
         each file's path and sha256 (``missing`` once it is gone), then each parameter.
-        The clustering's input is the network's JSON; the positions' that, the layout seed,
-        the iteration count and the layout version; the projection's the base network, its
-        clustering and each compared dataset; the store summary's ``store.jsonl``.
+        The clustering's input is the network's JSON; the positions' that, with the layout
+        seed, iteration count and version of ``render.LAYOUT_KEY``; the projection's the base
+        network, its clustering and each compared dataset; the store summary's ``store.jsonl``.
         ``write`` keys a group's siblings to the file read back, or to the store. A stored
         key is current when it equals the key its inputs give now."""
         parts = [
@@ -328,15 +328,9 @@ class Session:
 
     # -- layout positions ---------------------------------------------------------------
 
-    def layout_positions(self, name: str, network: CoCitationNetwork
-                         ) -> tuple[dict[str, tuple[float, float]], dict[Path, Iterable[str]]]:
-        """``layout(network, LAYOUT_SEED)`` for network ``name``, read back from ``renders/<name>.positions.json``
-        when that file is current, and the file to add to the command's group: none then, else the
-        positions computed. The file holds the key and the ``x`` and ``y`` lists in sorted node-id
-        order: the key pins the network, so it pins the ids too."""
-        path = self.path("positions", name)
-        inputs = [self.path("network", name)]
-        params = {"seed": LAYOUT_SEED, "iterations": LAYOUT_ITERATIONS, "layout": LAYOUT_VERSION}
+    def layout_positions(self, name: str, network: CoCitationNetwork, **key) -> dict[str, tuple[float, float]] | None:
+        """The positions of network ``name`` laid out under ``key``, read back from ``renders/<name>.positions.json``
+        when that file is current; None when it is missing, stale or damaged, and the caller lays it out."""
         nodes = sorted(network.nodes)
 
         def build(data: dict) -> dict[str, tuple[float, float]]:
@@ -346,12 +340,15 @@ class Session:
                 raise ValueError("x and y are not one finite float per node")
             return dict(zip(nodes, zip(xs, ys)))
 
-        positions = self._cached(path, build, inputs, **params)
-        if positions is not None:
-            return positions, {}
-        positions = layout(network, LAYOUT_SEED)
-        return positions, {path: json_chunks({
-            "inputs": self._input_key(inputs, **params),
+        return self._cached(self.path("positions", name), build, [self.path("network", name)], **key)
+
+    def positions_file(self, name: str, positions: dict[str, tuple[float, float]], **key) -> dict[Path, Iterable[str]]:
+        """``positions`` of network ``name`` laid out under ``key`` as the file to add to a ``write`` group:
+        the key, then the ``x`` and ``y`` lists in sorted node-id order. The key pins the network, so
+        it pins the ids too."""
+        nodes = sorted(positions)
+        return {self.path("positions", name): json_chunks({
+            "inputs": self._input_key([self.path("network", name)], **key),
             "x": [positions[node][0] for node in nodes],
             "y": [positions[node][1] for node in nodes],
         })}

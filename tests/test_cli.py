@@ -24,12 +24,11 @@ from hypothesis import strategies as st
 
 import citecascade
 import citecascade.cli as cli_module
-import citecascade.session as session_module
 from citecascade.cli import main
 from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo, network_stats
 from citecascade.errors import ValidationError
 from citecascade.records import RecordStore, StoreSummary, csv_text, json_text
-from citecascade.render import layout
+from citecascade.render import LAYOUT_KEY, LAYOUT_SEED, layout
 from citecascade.session import Session
 
 from conftest import SYNTHETIC_CORPUS
@@ -969,14 +968,16 @@ class TestInputKeys:
 
 @pytest.fixture
 def layout_calls(monkeypatch) -> list[int]:
-    """The seed of every layout the session computes, in call order."""
+    """The seed of every layout the commands compute, in call order. A command lays the
+    network out itself when ``Session.layout_positions`` gives None, as it does for a
+    missing, stale or damaged layout cache; a ``Session`` lays nothing out."""
     calls: list[int] = []
 
     def counting_layout(network, seed):
         calls.append(seed)
         return layout(network, seed)
 
-    monkeypatch.setattr(session_module, "layout", counting_layout)
+    monkeypatch.setattr(cli_module, "layout", counting_layout)
     return calls
 
 
@@ -1009,7 +1010,7 @@ class TestLayoutCache:
         assert layout_calls == [42]
         session = Session(session_dir)
         network = session.load_network("F")
-        assert session.layout_positions("F", network) == (layout(network, 42), {})  # exact floats, nothing to write
+        assert session.layout_positions("F", network, **LAYOUT_KEY) == layout(network, 42)  # exact floats
         assert layout_calls == [42]
 
     def test_cached_and_fresh_renders_are_byte_identical(self, tmp_path, corpus, layout_calls):
@@ -1080,22 +1081,31 @@ class TestLayoutCache:
     @given(network=cache_networks(), damage=st.sampled_from(sorted(ONE_VALUE_DAMAGE)))
     def test_positions_read_back_exactly_and_one_bad_value_recomputes(self, network, damage):
         with tempfile.TemporaryDirectory() as root, \
-                mock.patch.object(session_module, "layout", wraps=layout) as counted:
+                mock.patch.object(cli_module, "layout", wraps=layout) as counted:
             session = Session(root)
+
+            def layout_positions() -> tuple[dict[str, tuple[float, float]], dict[Path, object]]:
+                """As render gets them: the positions read back, else laid out with the file to write."""
+                cached = session.layout_positions("N", network, **LAYOUT_KEY)
+                if cached is not None:
+                    return cached, {}
+                laid_out = cli_module.layout(network, LAYOUT_SEED)
+                return laid_out, session.positions_file("N", laid_out, **LAYOUT_KEY)
+
             session.save_network("N", network, network_stats(network))
             path = session.path("positions", "N")
-            first, cache = session.layout_positions("N", network)
+            first, cache = layout_positions()
             assert list(first) == sorted(network.nodes)
             assert list(cache) == [path] and not path.exists()  # the caller writes it in its group
             session.write(cache)
-            read_back, cache = session.layout_positions("N", network)
+            read_back, cache = layout_positions()
             assert list(read_back.items()) == list(first.items()) and cache == {}  # exact floats
             assert counted.call_count == 1
             fresh = path.read_bytes()
             cached = json.loads(fresh)
             ONE_VALUE_DAMAGE[damage](cached)
             path.write_text(json.dumps(cached), encoding="utf-8")
-            again, cache = session.layout_positions("N", network)
+            again, cache = layout_positions()
             assert list(again.items()) == list(first.items())
             assert counted.call_count == 2
             session.write(cache)
@@ -1597,7 +1607,7 @@ def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path, layout_
     assert node in [row[0] for row in rows]
     session = Session(session_dir)
     network = session.load_network("all")
-    assert session.layout_positions("all", network) == (layout(network, 42), {})  # read back, whole ids
+    assert session.layout_positions("all", network, **LAYOUT_KEY) == layout(network, 42)  # read back, whole ids
     assert layout_calls == [42]
     reports = session_dir / "reports"
     assert [row[0] for row in table_rows(reports / "datasets.csv")] == ["name", "F", name]

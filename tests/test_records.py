@@ -265,6 +265,32 @@ class TestEnrichment:
         report = store.enrich_abstracts(path)
         assert len(report.skipped_rows) == 2
 
+    def test_rows_follow_ingest_type_rules(self, tmp_path):
+        """An id is a string or an integer, a title a string, a year an integer or null; other
+        rows are skipped with their reason, and a year "2003" does not match the undated record."""
+        store = RecordStore()
+        for record in (make_record("p1", year=2000, title="a b c"), make_record("u1", year=None, title="a b c"),
+                       make_record("7", year=2001), make_record("u2", year=None, title="d e f")):
+            store.insert(record)
+        path = tmp_path / "abs.jsonl"
+        rows = [
+            {"id": True}, {"id": [1]}, {"id": 1.5}, {"id": None, "title": "a b c", "year": 2000},
+            {"title": ["a b c"], "year": 2000}, {"title": "a b c", "year": True},
+            {"title": "a b c", "year": 2000.0}, {"title": "a b c", "year": "2003"},
+            {"id": 7}, {"title": "D-E-F", "year": None},
+        ]
+        write_jsonl(path, [{**row, "abstract": f"abstract {i}"} for i, row in enumerate(rows, start=1)])
+        report = store.enrich_abstracts(path)
+        assert report.skipped_rows == [
+            (1, "id is not a string or an integer"), (2, "id is not a string or an integer"),
+            (3, "id is not a string or an integer"), (4, "id is not a string or an integer"),
+            (5, "title is not a string"), (6, "year is not an integer"),
+            (7, "year is not an integer"), (8, "year is not an integer"),
+        ]
+        assert (report.enriched, report.unmatched) == (2, [])
+        assert [store.get(pub_id).abstract for pub_id in ("p1", "u1", "7", "u2")] == [
+            None, None, "abstract 9", "abstract 10"]  # integer ids match their digits, null years the undated
+
 
 def punctuation_to_space(text: str) -> str:
     """Per-character reference: each punctuation character (category P) a space."""

@@ -158,6 +158,15 @@ def test_reserved_endings_come_from_the_table():
     assert reserved_endings({**ARTIFACTS, "thumbnail": ("traces", ".small.map.svg")}) == (".clusters",)
 
 
+def test_the_session_does_not_load_render():
+    """A session only stores and reads: laying a network out is the render command's work."""
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, citecascade.session; sys.exit('citecascade.render' in sys.modules)"],
+        env=CHILD_ENV, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+
+
 def test_a_name_spelling_a_clustering_writes_nothing(tmp_path, capsys):
     session_dir = tmp_path / "sess"
     for argv in (
