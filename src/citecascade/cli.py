@@ -8,6 +8,9 @@ command that fails writes nothing: each writes its files in one
 ``Session.write`` call after its last check. A command that succeeds prints
 each warning it raised as one ``warning:`` line.
 
+Each command runs only the layers it uses: the layer modules are bound with
+:func:`citecascade.lazy`, so a module's body runs when a command first calls into it.
+
 Every setting is a flag of the command that uses it: a network flag left out
 takes the default of its ``NetworkConfig`` field. Render settings (layout
 seed, palettes, node radii, labelled clusters) are constants of
@@ -24,15 +27,18 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
-from . import clustering, labeling
-from .cocitation import NetworkConfig, build_network, network_stats
+from . import lazy
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
-from .expansion import ExpansionSpec, ExpansionStage, run_cascade, trace_report
-from .overlay import coverage_report, overlap_matrix, project_overlay
 from .records import Dataset, StoreSummary, csv_text, dataset_union, json_chunks, year_distribution
-from .render import LAYOUT_KEY, LAYOUT_SEED, layout, render_distribution, render_map, wrap_html
 from .session import Session, check_name
 from .sources import QUERY_KINDS, SourceQuery, search
+
+clustering = lazy("citecascade.clustering")
+cocitation = lazy("citecascade.cocitation")
+expansion = lazy("citecascade.expansion")
+labeling = lazy("citecascade.labeling")
+overlay = lazy("citecascade.overlay")
+render = lazy("citecascade.render")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,7 +140,7 @@ def _split_names(text: str) -> list[str]:
     return names
 
 
-def _parse_stages(text: str) -> list[ExpansionStage]:
+def _parse_stages(text: str) -> list[expansion.ExpansionStage]:
     stages = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -142,7 +148,7 @@ def _parse_stages(text: str) -> list[ExpansionStage]:
             continue
         direction, colon, gens = chunk.partition(":")
         try:
-            stages.append(ExpansionStage(direction, int(gens) if colon else 1))
+            stages.append(expansion.ExpansionStage(direction, int(gens) if colon else 1))
         except ValueError:
             raise ValidationError(f"bad stage syntax: {chunk!r} (expected e.g. F:3)") from None
     if not stages:
@@ -216,7 +222,7 @@ def _cmd_union(args, session: Session) -> int:
 def _cmd_expand(args, session: Session) -> int:
     if not args.seed or not args.stages:
         raise ValidationError("expand needs --seed and --stages")
-    spec = ExpansionSpec(
+    spec = expansion.ExpansionSpec(
         seed_ids=set(args.seed),
         stages=_parse_stages(args.stages),
         theta_citer=args.theta_citer,
@@ -224,9 +230,9 @@ def _cmd_expand(args, session: Session) -> int:
         per_generation_cap=args.cap,
     )
     store = session.load_store()
-    dataset, trace = run_cascade(store, spec, args.name)
+    dataset, trace = expansion.run_cascade(store, spec, args.name)
     csv_path = session.write({
-        session.path("trace_table", args.name): trace_report(trace),
+        session.path("trace_table", args.name): expansion.trace_report(trace),
         session.path("trace", args.name): json_chunks(trace.to_json_dict()),
         session.path("dataset", dataset.name): json_chunks(dataset.to_json_dict()),
     })[0]
@@ -238,13 +244,13 @@ def _cmd_expand(args, session: Session) -> int:
     return EXIT_OK
 
 
-def _network_config(args) -> NetworkConfig:
+def _network_config(args) -> cocitation.NetworkConfig:
     """The network flags given, over the ``NetworkConfig`` defaults; ``--no-lby`` wins."""
-    given = {f.name: getattr(args, f.name) for f in fields(NetworkConfig)}
+    given = {f.name: getattr(args, f.name) for f in fields(cocitation.NetworkConfig)}
     given = {name: value for name, value in given.items() if value is not None}
     if args.no_lby:
         given["lby"] = None
-    return NetworkConfig(**given)
+    return cocitation.NetworkConfig(**given)
 
 
 def _cmd_network(args, session: Session) -> int:
@@ -252,10 +258,10 @@ def _cmd_network(args, session: Session) -> int:
     dataset = session.load_dataset(args.dataset)
     store = session.load_store()
     config = _network_config(args)
-    network = build_network(dataset, store, config)
+    network = cocitation.build_network(dataset, store, config)
     if not network.nodes:
         raise ValidationError(f"dataset {args.dataset!r} gives a network with no node; nothing written")
-    stats = network_stats(network)
+    stats = cocitation.network_stats(network)
     session.save_network(name, network, stats)
     print(
         f"network {name}: {stats.nodes} nodes, {stats.edges} links, "
@@ -321,7 +327,7 @@ def _overlap_csv(session: Session, names_text: str, summary: StoreSummary) -> tu
     if len(names) < 2:
         raise ValidationError("need at least 2 datasets")
     datasets = [session.load_dataset(n) for n in names]
-    return datasets, overlap_matrix(datasets).to_csv([_dataset_year_range(ds, summary) for ds in datasets])
+    return datasets, overlay.overlap_matrix(datasets).to_csv([_dataset_year_range(ds, summary) for ds in datasets])
 
 
 def _cmd_compare(args, session: Session) -> int:
@@ -330,9 +336,9 @@ def _cmd_compare(args, session: Session) -> int:
     if args.base:
         network = session.load_network(args.base)
         partition = session.load_partition(args.base, network)
-        projection = project_overlay(network, datasets, partition)
+        projection = overlay.project_overlay(network, datasets, partition)
         files[session.path("projection")] = session.projection_text(args.base, projection)
-        coverage = coverage_report(projection, args.threshold, args.epsilon)
+        coverage = overlay.coverage_report(projection, args.threshold, args.epsilon)
         keyed[session.path("coverage")] = coverage.to_csv(partition.labels)
     print("wrote " + ", ".join(map(str, session.write(files, keyed))))
     return EXIT_OK
@@ -345,18 +351,18 @@ def _cmd_render(args, session: Session) -> int:
         partition = session.load_partition(args.network, network, required=False)
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
-        positions = session.layout_positions(args.network, network, **LAYOUT_KEY)
+        positions = session.layout_positions(args.network, network, **render.LAYOUT_KEY)
         if positions is None:
-            positions = layout(network, LAYOUT_SEED)
-            cache = session.positions_file(args.network, positions, **LAYOUT_KEY)
-        rows = render_map(network, positions, partition, projection)
+            positions = render.layout(network, render.LAYOUT_SEED)
+            cache = session.positions_file(args.network, positions, **render.LAYOUT_KEY)
+        rows = render.render_map(network, positions, partition, projection)
         files[session.path(kind, args.network)] = rows
-        files[session.path(f"{kind}_page", args.network)] = wrap_html(rows, title=f"{args.network} {kind}")
+        files[session.path(f"{kind}_page", args.network)] = render.wrap_html(rows, title=f"{args.network} {kind}")
     if args.distributions:
         names = _split_names(args.distributions)
         summary = _store_summary(session)
         distributions = [year_distribution(session.load_dataset(name), summary) for name in names]
-        files[session.path("years", *names)] = render_distribution(distributions, log=args.log)
+        files[session.path("years", *names)] = render.render_distribution(distributions, log=args.log)
     if not files:
         raise ValidationError("render needs --network and/or --distributions")
     session.write({**files, **cache})  # the layout cache, read back by the next render, last
@@ -386,7 +392,7 @@ def _cmd_report(args, session: Session) -> int:
             stats, partition = session.network_counts(name), None
             if stats is None or session.path("clusters", name).exists():
                 network = session.load_network(name)
-                stats = stats or network_stats(network)
+                stats = stats or cocitation.network_stats(network)
                 partition = session.load_partition(name, network, required=False)
             scores = (partition.modularity_q, partition.mean_silhouette) if partition else (None, None)
             rows.append((

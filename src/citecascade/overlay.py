@@ -11,11 +11,14 @@ every CSV export says so in its header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .clustering import ClusterPartition
-from .cocitation import CoCitationNetwork
 from .errors import EmptyDatasetError, ValidationError
 from .records import Dataset, csv_text
+
+if TYPE_CHECKING:
+    from .clustering import ClusterPartition
+    from .cocitation import CoCitationNetwork
 
 FORMULA_NOTE = (
     "values[i][j] = 100*|row_set ∩ col_set|/|col_set| (share of column dataset; "

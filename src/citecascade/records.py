@@ -408,7 +408,12 @@ def _is_id(value) -> bool:
 
 
 def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]:
-    """Build a record from a parsed JSONL row; (None, reason) when rejected."""
+    """Build a record from a parsed JSONL row; (None, reason) when rejected.
+
+    The id and each reference id are a string or an integer, the year an integer or
+    null, the title a string, the venue, source tag and abstract each a string or null,
+    and the authors null or a list of strings; a row with another type is rejected.
+    """
     if not isinstance(row, dict):
         return None, "row is not an object"
     raw_id = row.get("id", "")
@@ -420,11 +425,13 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
         return None, "year is not an integer"
     if not _is_id(raw_id):
         return None, "id is not a string or an integer"
+    if title is not None and not isinstance(title, str):
+        return None, "title is not a string"
     if not raw_id:
         # No source id: derive one from title+year when possible.
         if not title:
             return None, "missing id"
-        raw_id = canonical_id(str(title), year)
+        raw_id = canonical_id(title, year)
     if title is None:
         return None, "missing title"
     if "reference_ids" not in row or not isinstance(row["reference_ids"], list):
@@ -434,18 +441,22 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
     gcc = row.get("global_citation_count")
     if gcc is not None and (type(gcc) is not int or gcc < 0):
         return None, "global_citation_count must be a non-negative integer"
-    if row.get("abstract") is not None and not isinstance(row["abstract"], str):
-        return None, "abstract is not a string"
-    if row.get("authors") is not None and not isinstance(row["authors"], list):
+    for key in ("venue", "source_tag", "abstract"):
+        if row.get(key) is not None and not isinstance(row[key], str):
+            return None, f"{key} is not a string"
+    authors = row.get("authors")
+    if authors is not None and not isinstance(authors, list):
         return None, "authors is not a list"
+    if authors is not None and not all(isinstance(author, str) for author in authors):
+        return None, "an author is not a string"
     try:
         record = ArticleRecord(
             id=sys.intern(str(raw_id)),
-            title=str(title),
+            title=title,
             year=year,
             reference_ids=[sys.intern(str(r)) for r in row["reference_ids"]],
             venue=row.get("venue"),
-            authors=list(row["authors"]) if row.get("authors") is not None else None,
+            authors=authors,
             abstract=row.get("abstract"),
             global_citation_count=gcc,
             source_tag=row.get("source_tag"),

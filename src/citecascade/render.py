@@ -23,14 +23,16 @@ from collections.abc import Iterator
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .clustering import ClusterPartition
-from .cocitation import CoCitationNetwork, components, network_arrays
+from .cocitation import components, network_arrays
 from .errors import ValidationError
-from .overlay import OverlayProjection
 from .records import YearDistribution, xml_attribute, xml_text
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .clustering import ClusterPartition
+    from .cocitation import CoCitationNetwork
+    from .overlay import OverlayProjection
 
 YEAR_PALETTE = ["#2c7bb6", "#00a6ca", "#90eb9d", "#ffff8c", "#f9d057", "#d7191c"]
 DATASET_PALETTE = [

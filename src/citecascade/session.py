@@ -64,11 +64,13 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .clustering import ClusterPartition
-from .cocitation import CoCitationNetwork, NetworkStats
+from . import lazy
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
-from .overlay import OverlayProjection, check_partition
 from .records import Dataset, RecordStore, StoreSummary, json_chunks, json_text
+
+clustering = lazy("citecascade.clustering")
+cocitation = lazy("citecascade.cocitation")
+overlay = lazy("citecascade.overlay")
 
 # Each artifact kind's directory, and the suffix after its names joined by ","; a suffix
 # that does not start with "." is a whole file name, of a kind that takes no name.
@@ -251,28 +253,28 @@ class Session:
     def network_paths(self, name: str) -> tuple[Path, Path]:
         return self.path("graphml", name), self.path("network", name)
 
-    def save_network(self, name: str, network: CoCitationNetwork, stats: NetworkStats) -> None:
+    def save_network(self, name: str, network: cocitation.CoCitationNetwork, stats: cocitation.NetworkStats) -> None:
         """Write network ``name``: its GraphML, its counts ``stats`` keyed to its JSON, then that."""
         self.write({self.path("graphml", name): network.to_graphml(), self.path("network", name): network.to_json()},
                    {self.path("counts", name): asdict(stats)})
 
-    def network_counts(self, name: str) -> NetworkStats | None:
+    def network_counts(self, name: str) -> cocitation.NetworkStats | None:
         """The counts of network ``name``, read back from ``networks/<name>.stats`` when current;
         None when that file is missing, stale or damaged, and the caller counts the network."""
 
-        def build(data: dict) -> NetworkStats:
-            values = {field.name: data[field.name] for field in fields(NetworkStats)}
+        def build(data: dict) -> cocitation.NetworkStats:
+            values = {field.name: data[field.name] for field in fields(cocitation.NetworkStats)}
             if any(type(value) is not int for value in values.values()):
                 raise ValueError("a count is not an integer")
-            return NetworkStats(**values)
+            return cocitation.NetworkStats(**values)
 
         return self._cached(self.path("counts", name), build, [self.path("network", name)])
 
-    def load_network(self, name: str) -> CoCitationNetwork:
+    def load_network(self, name: str) -> cocitation.CoCitationNetwork:
         json_path = self.path("network", name)
         if not json_path.exists():
             raise CiteCascadeError(f"no network named {name!r} in session")
-        return self._read_json(json_path, CoCitationNetwork.from_json_dict)
+        return self._read_json(json_path, cocitation.CoCitationNetwork.from_json_dict)
 
     def save_clusters(self, name: str, payload: dict, table: str, concepts: str) -> None:
         """Write the clustering of network ``name``: its table and concept trees keyed to its JSON, then that."""
@@ -280,15 +282,17 @@ class Session:
         self.write({self.path("clusters", name): json_chunks({**payload, "inputs": inputs})},
                    {self.path("cluster_table", name): table, self.path("concepts", name): concepts})
 
-    def load_partition(self, name: str, network: CoCitationNetwork, required: bool = True) -> ClusterPartition | None:
+    def load_partition(
+        self, name: str, network: cocitation.CoCitationNetwork, required: bool = True
+    ) -> clustering.ClusterPartition | None:
         """The partition of network ``name`` if current; else None, or an error if ``required``.
         A current one that does not cover exactly the nodes of ``network`` is a ValidationError."""
         partition = self._read_json(
-            self.path("clusters", name), lambda data: ClusterPartition.from_json_dict(data["level1"]),
+            self.path("clusters", name), lambda data: clustering.ClusterPartition.from_json_dict(data["level1"]),
             inputs=lambda _data: [self.path("network", name)],
         )
         if partition is not None:
-            check_partition(network, partition)
+            overlay.check_partition(network, partition)
         elif required:
             raise CiteCascadeError(f"no current clustering of network {name!r}; run cluster --network {name}")
         return partition
@@ -296,15 +300,15 @@ class Session:
     def _projection_inputs(self, base: str, names: list[str]) -> list[Path]:
         return [self.path("network", base), self.path("clusters", base), *(self.path("dataset", n) for n in names)]
 
-    def projection_text(self, base: str, projection: OverlayProjection) -> str:
+    def projection_text(self, base: str, projection: overlay.OverlayProjection) -> str:
         """The projection onto network ``base`` as written, with the key of its inputs."""
         inputs = self._input_key(self._projection_inputs(base, projection.dataset_names))
         return json_text({**projection.to_json_dict(), "inputs": inputs})
 
-    def load_projection(self, base: str) -> OverlayProjection:
+    def load_projection(self, base: str) -> overlay.OverlayProjection:
         """The projection onto network ``base`` if it is current; else an error."""
         projection = self._read_json(
-            self.path("projection"), OverlayProjection.from_json_dict,
+            self.path("projection"), overlay.OverlayProjection.from_json_dict,
             inputs=lambda data: self._projection_inputs(base, data["datasets"]),
         )
         if projection is None:
@@ -328,7 +332,9 @@ class Session:
 
     # -- layout positions ---------------------------------------------------------------
 
-    def layout_positions(self, name: str, network: CoCitationNetwork, **key) -> dict[str, tuple[float, float]] | None:
+    def layout_positions(
+        self, name: str, network: cocitation.CoCitationNetwork, **key
+    ) -> dict[str, tuple[float, float]] | None:
         """The positions of network ``name`` laid out under ``key``, read back from ``renders/<name>.positions.json``
         when that file is current; None when it is missing, stale or damaged, and the caller lays it out."""
         nodes = sorted(network.nodes)

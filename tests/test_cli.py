@@ -510,6 +510,40 @@ class TestBadInput:
         err = one_error_line(capsys)
         assert "line 2" in err and reason in err
 
+    @pytest.mark.parametrize("row, reason", [
+        ({"id": "b", "title": ["x", "y"]}, "title is not a string"),
+        ({"id": "b", "title": True}, "title is not a string"),
+        ({"id": "b", "title": 5}, "title is not a string"),
+        ({"title": ["x"]}, "title is not a string"),  # no id to derive one from the title
+        ({"id": "b", "title": "t", "venue": [1]}, "venue is not a string"),
+        ({"id": "b", "title": "t", "venue": False}, "venue is not a string"),
+        ({"id": "b", "title": "t", "source_tag": 3}, "source_tag is not a string"),
+        ({"id": "b", "title": "t", "abstract": ["a"]}, "abstract is not a string"),
+        ({"id": "b", "title": "t", "authors": [1, None]}, "an author is not a string"),
+        ({"id": "b", "title": "t", "authors": ["Ann", ["Bo"]]}, "an author is not a string"),
+    ])
+    def test_text_fields_are_strings(self, tmp_path, capsys, row, reason):
+        """The title is a string; the venue, source tag and abstract each a string or null; the
+        authors null or a list of strings. A rejected row at ingest, and a store line that fails
+        replay with exit 4."""
+        path = tmp_path / "rows.jsonl"
+        rows = [{"id": "a", "title": "t", "year": 2000, "reference_ids": [], "venue": None, "source_tag": None,
+                 "abstract": None, "authors": ["Ann"]},
+                {"year": 2000, "reference_ids": [], **row}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        session_dir = tmp_path / "sess"
+        assert run(session_dir, "ingest", str(path)) == 0
+        report = (session_dir / "reports" / "rows.load-report.csv").read_text()
+        assert report.splitlines()[1:] == [f"2,{reason}"]
+        store_path = session_dir / "store.jsonl"
+        assert [json.loads(line)["id"] for line in store_path.read_text().splitlines()] == ["a"]
+        with open(store_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "b", **rows[1]}, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert run(session_dir, "search", "--name", "F", "--phrase", "t") == 4
+        err = one_error_line(capsys)
+        assert "line 2" in err and reason in err
+
 
 def finished_session(tmp_path, corpus) -> Path:
     """A session holding datasets F and S, network F with its clusters, and a projection."""
@@ -977,7 +1011,7 @@ def layout_calls(monkeypatch) -> list[int]:
         calls.append(seed)
         return layout(network, seed)
 
-    monkeypatch.setattr(cli_module, "layout", counting_layout)
+    monkeypatch.setattr("citecascade.render.layout", counting_layout)
     return calls
 
 
@@ -1081,7 +1115,7 @@ class TestLayoutCache:
     @given(network=cache_networks(), damage=st.sampled_from(sorted(ONE_VALUE_DAMAGE)))
     def test_positions_read_back_exactly_and_one_bad_value_recomputes(self, network, damage):
         with tempfile.TemporaryDirectory() as root, \
-                mock.patch.object(cli_module, "layout", wraps=layout) as counted:
+                mock.patch("citecascade.render.layout", wraps=layout) as counted:
             session = Session(root)
 
             def layout_positions() -> tuple[dict[str, tuple[float, float]], dict[Path, object]]:
@@ -1089,7 +1123,7 @@ class TestLayoutCache:
                 cached = session.layout_positions("N", network, **LAYOUT_KEY)
                 if cached is not None:
                     return cached, {}
-                laid_out = cli_module.layout(network, LAYOUT_SEED)
+                laid_out = cli_module.render.layout(network, LAYOUT_SEED)
                 return laid_out, session.positions_file("N", laid_out, **LAYOUT_KEY)
 
             session.save_network("N", network, network_stats(network))
@@ -1157,6 +1191,45 @@ def test_commands_without_arithmetic_do_not_load_numpy(tmp_path, corpus):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+# Imports the command line and notes which layers are then in sys.modules, runs the
+# commands given as JSON in one process, then prints those layers and the ones whose
+# module body has run. A module's own __dict__, read past its attribute hook, sets off
+# no lazy load; running the body puts __builtins__ into it.
+LAYERS_RUN = """
+import json, sys
+import citecascade.cli
+LAYERS = ("clustering", "labeling", "cocitation", "expansion", "overlay", "render")
+modules = [sys.modules.get(f"citecascade.{layer}") for layer in LAYERS]
+registered = [layer for layer, module in zip(LAYERS, modules) if module is not None]
+for argv in json.loads(sys.argv[2]):
+    assert citecascade.cli.main(["--session", sys.argv[1], *argv]) == 0, argv
+ran = [layer for layer, module in zip(LAYERS, modules)
+       if module is not None and "__builtins__" in object.__getattribute__(module, "__dict__")]
+print(json.dumps([registered, ran]))
+"""
+
+
+@pytest.mark.parametrize("commands, layers", [
+    ([], []),
+    ([["union", "--name", "U", "--datasets", "F,S"], ["search", "--name", "T", "--phrase", "topic"],
+      ["report", "--kind", "datasets"]], []),
+    ([["network", "--dataset", "combined", "--name", "N", "--min-citations", "0"]], ["cocitation"]),
+])
+def test_each_command_runs_only_the_layers_it_uses(tmp_path, corpus, commands, layers):
+    """Every layer is in sys.modules once the command line is imported, so a wrapper from
+    outside sees each one; a layer's body runs only when a command uses it."""
+    session_dir = finished_session(tmp_path, corpus)
+    env = dict(os.environ, PYTHONPATH=str(Path(citecascade.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", LAYERS_RUN, str(session_dir), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    registered, run_bodies = json.loads(result.stdout.splitlines()[-1])
+    assert registered == ["clustering", "labeling", "cocitation", "expansion", "overlay", "render"]
+    assert run_bodies == layers
 
 
 def test_network_report_reads_no_store(tmp_path, corpus, monkeypatch):
