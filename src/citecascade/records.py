@@ -30,6 +30,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .errors import EmptyDatasetError, FormatError, UnknownPublicationError, ValidationError
@@ -110,13 +111,17 @@ def canonical_id(title: str, year: int | None) -> str:
 _OPTIONAL_FIELDS = ("venue", "authors", "abstract", "global_citation_count", "source_tag")
 
 
-@dataclass
+@dataclass(slots=True)
 class ArticleRecord:
     """One publication: identity, text fields, outgoing references, citation count.
 
     ``year`` may be None (unknown); such records land in the UNKNOWN bucket of
     year distributions. ``global_citation_count`` is the citation count reported
     by the source for the whole publication universe, not just this store.
+
+    A record's store line is :meth:`json_line`, one template; ``tests/conftest.py``
+    holds ``json.dumps(sort_keys=True)`` of the dict form as its byte oracle.
+    Records are slotted, so a replayed store holds no attribute dict per record.
     """
 
     id: str
@@ -144,14 +149,19 @@ class ArticleRecord:
         refs.pop("", None)
         self.reference_ids = list(refs)
 
-    def to_json_dict(self) -> dict:
-        """The fields as JSON, each optional field only when it is set."""
-        out = {"id": self.id, "title": self.title, "year": self.year,
-               "reference_ids": list(self.reference_ids)}
-        for name in _OPTIONAL_FIELDS:
-            if getattr(self, name) is not None:
-                out[name] = getattr(self, name)
-        return out
+    def json_line(self) -> str:
+        """The store line: the fields as one JSON object with sorted keys, each optional
+        field only when it is set, ASCII escapes, then a newline."""
+        abstract = "" if self.abstract is None else f'"abstract": {_json_string(self.abstract)}, '
+        authors = "" if self.authors is None else f'"authors": [{", ".join(map(_json_string, self.authors))}], '
+        count = ("" if self.global_citation_count is None
+                 else f'"global_citation_count": {self.global_citation_count}, ')
+        tag = "" if self.source_tag is None else f'"source_tag": {_json_string(self.source_tag)}, '
+        venue = "" if self.venue is None else f'"venue": {_json_string(self.venue)}, '
+        year = "null" if self.year is None else self.year
+        return (f'{{{abstract}{authors}{count}"id": {_json_string(self.id)}, '
+                f'"reference_ids": [{", ".join(map(_json_string, self.reference_ids))}], '
+                f'{tag}"title": {_json_string(self.title)}, {venue}"year": {year}}}\n')
 
 
 @dataclass
@@ -200,7 +210,8 @@ class RecordStore:
     """In-memory id -> record index with JSONL persistence and citation lookups.
 
     The persistent form holds one JSON line per record, in first-seen order
-    (:meth:`json_lines`), and is written whole. Loading replays the lines in
+    (:meth:`json_lines`), and is written whole. Each line comes from the one
+    template, :meth:`ArticleRecord.json_line`. Loading replays the lines in
     order, each as the current state of its id, so a later line supersedes an
     earlier one: a log that older versions appended to loads the same way.
 
@@ -288,9 +299,9 @@ class RecordStore:
     # -- persistence ---------------------------------------------------------
 
     def json_lines(self):
-        """The persistent form, one sorted-key JSON line per record, first-seen order."""
+        """The persistent form, each record's :meth:`ArticleRecord.json_line`, first-seen order."""
         for record in self:
-            yield json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+            yield record.json_line()
 
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":
@@ -402,9 +413,13 @@ class RecordStore:
         return report
 
 
+_ID_TYPES = frozenset((str, int))
+_STR_TYPE = frozenset((str,))
+
+
 def _is_id(value) -> bool:
     """Whether ``value`` may be a record or reference id: a string, or an integer kept as its digits."""
-    return type(value) in (str, int)
+    return type(value) in _ID_TYPES
 
 
 def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]:
@@ -413,19 +428,20 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
     The id and each reference id are a string or an integer, the year an integer or
     null, the title a string, the venue, source tag and abstract each a string or null,
     and the authors null or a list of strings; a row with another type is rejected.
+    Each test is of the exact type, as JSON decodes values (a bool is not an integer).
     """
-    if not isinstance(row, dict):
+    if type(row) is not dict:
         return None, "row is not an object"
     raw_id = row.get("id", "")
     title = row.get("title")
     if "year" not in row:
         return None, "missing year"
-    year = row.get("year")
-    if year is not None and type(year) is not int:  # a bool is not an integer
+    year = row["year"]
+    if year is not None and type(year) is not int:
         return None, "year is not an integer"
-    if not _is_id(raw_id):
+    if type(raw_id) not in _ID_TYPES:
         return None, "id is not a string or an integer"
-    if title is not None and not isinstance(title, str):
+    if title is not None and type(title) is not str:
         return None, "title is not a string"
     if not raw_id:
         # No source id: derive one from title+year when possible.
@@ -434,32 +450,29 @@ def _record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]
         raw_id = canonical_id(title, year)
     if title is None:
         return None, "missing title"
-    if "reference_ids" not in row or not isinstance(row["reference_ids"], list):
+    refs = row.get("reference_ids")
+    if type(refs) is not list:
         return None, "missing reference_ids"
-    if not all(map(_is_id, row["reference_ids"])):
+    ref_types = set(map(type, refs))
+    if not ref_types <= _ID_TYPES:
         return None, "a reference id is not a string or an integer"
     gcc = row.get("global_citation_count")
     if gcc is not None and (type(gcc) is not int or gcc < 0):
         return None, "global_citation_count must be a non-negative integer"
-    for key in ("venue", "source_tag", "abstract"):
-        if row.get(key) is not None and not isinstance(row[key], str):
+    venue, tag, abstract = row.get("venue"), row.get("source_tag"), row.get("abstract")
+    for key, value in (("venue", venue), ("source_tag", tag), ("abstract", abstract)):
+        if value is not None and type(value) is not str:
             return None, f"{key} is not a string"
     authors = row.get("authors")
-    if authors is not None and not isinstance(authors, list):
+    if authors is not None and type(authors) is not list:
         return None, "authors is not a list"
-    if authors is not None and not all(isinstance(author, str) for author in authors):
+    if authors is not None and not set(map(type, authors)) <= _STR_TYPE:
         return None, "an author is not a string"
     try:
         record = ArticleRecord(
-            id=sys.intern(str(raw_id)),
-            title=title,
-            year=year,
-            reference_ids=[sys.intern(str(r)) for r in row["reference_ids"]],
-            venue=row.get("venue"),
-            authors=authors,
-            abstract=row.get("abstract"),
-            global_citation_count=gcc,
-            source_tag=row.get("source_tag"),
+            sys.intern(str(raw_id)), title, year,
+            list(map(sys.intern, refs if ref_types <= _STR_TYPE else map(str, refs))),
+            venue, authors, abstract, gcc, tag,
         )
     except ValidationError as exc:
         return None, str(exc)

@@ -32,6 +32,18 @@ def make_record(
     )
 
 
+def reference_dict(record: ArticleRecord) -> dict:
+    """The record as the store's dict form: its fields, each optional field only when
+    it is set. ``json.dumps(reference_dict(r), sort_keys=True) + "\\n"`` is the byte
+    oracle of ``r.json_line()``."""
+    out = {"id": record.id, "title": record.title, "year": record.year,
+           "reference_ids": list(record.reference_ids)}
+    for name in ("venue", "authors", "abstract", "global_citation_count", "source_tag"):
+        if getattr(record, name) is not None:
+            out[name] = getattr(record, name)
+    return out
+
+
 def make_store(records) -> RecordStore:
     store = RecordStore()
     for record in records:

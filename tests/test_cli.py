@@ -31,7 +31,7 @@ from citecascade.records import RecordStore, StoreSummary, csv_text, json_text
 from citecascade.render import LAYOUT_KEY, LAYOUT_SEED, layout
 from citecascade.session import Session
 
-from conftest import SYNTHETIC_CORPUS
+from conftest import SYNTHETIC_CORPUS, reference_dict
 
 # Takes the session lock the way a command does, reports it, then waits to be killed.
 HOLD_LOCK = """
@@ -1385,8 +1385,57 @@ def store_lines(session_dir: Path) -> list[dict]:
     return [json.loads(line) for line in (session_dir / "store.jsonl").read_bytes().splitlines()]
 
 
+# sha256 of store.jsonl and store.summary.json after the bundled corpus's ingest, and
+# after a second ingest and an enrich of the rows below, recorded before each store
+# line came from one template.
+BUNDLED_STORE_SHA256 = {
+    "ingest": {
+        "store.jsonl": "2682c3cf6565c5365412379f24f85fb72f15702fd9ff9e5efe8487147486594a",
+        "store.summary.json": "33ffd3a4aa4a7e2994b44c7ec4f1a0fa603e9ce777868e5cf74ffdfd365afa9f",
+    },
+    "ingest, ingest, enrich": {
+        "store.jsonl": "063230c8dc0c8d41d6e89085fe8e615dd252297613bf47de8fe34195c1a98ec6",
+        "store.summary.json": "e7d567b71ecdb80dfb2e98fc0b6ef52dacf82d5d86165d558789947f5eb992b8",
+    },
+}
+# Rows with every optional field, ids that are integers, and texts holding non-ASCII and
+# astral characters, a line separator, quotes, backslashes and control characters; P010
+# extends its reference list and so takes the merge path, and the abstracts match by an
+# integer id, by title and year, and by a string id.
+STORE_PIN_ROWS = [
+    {"id": 7, "title": "Café \"quoted\" \\ back\tslash", "year": 2001, "reference_ids": [3, "P000", 7],
+     "venue": "J. Études 中文", "authors": ["Adélaïde \U0001d4d0", "O'Brien"],
+     "global_citation_count": 0, "source_tag": "pin\x7f"},
+    {"id": "P010", "title": "extended \U0001f600 line\nbreak", "year": None,
+     "reference_ids": ["P000", "P004", 7, "xÿ"], "global_citation_count": 12, "authors": []},
+    {"id": "", "title": "no id \u2028 given \x01", "year": 1999, "reference_ids": [], "venue": ""},
+]
+STORE_PIN_ABSTRACTS = [
+    {"id": 7, "abstract": "résumé \"with\" \\ escapes \u0000 and \U0001f4da"},
+    {"title": "NO ID \u2028 GIVEN \x01", "year": 1999, "abstract": "matched by é title"},
+    {"id": "P032", "abstract": "lone \ud800 surrogate"},
+]
+
+
 class TestStoreWrites:
     """ingest and enrich write store.jsonl whole, one line per record."""
+
+    def test_store_bytes_are_pinned(self, tmp_path):
+        session_dir = tmp_path / "sess"
+
+        def digests() -> dict[str, str]:
+            return {name: hashlib.sha256((session_dir / name).read_bytes()).hexdigest()
+                    for name in ("store.jsonl", "store.summary.json")}
+
+        assert run(session_dir, "ingest", str(SYNTHETIC_CORPUS)) == 0
+        found = {"ingest": digests()}
+        rows, abstracts = tmp_path / "rows.jsonl", tmp_path / "abstracts.jsonl"
+        rows.write_text("".join(json.dumps(row) + "\n" for row in STORE_PIN_ROWS), encoding="utf-8")
+        abstracts.write_text("".join(json.dumps(row) + "\n" for row in STORE_PIN_ABSTRACTS), encoding="utf-8")
+        assert run(session_dir, "ingest", str(rows)) == 0
+        assert run(session_dir, "enrich", str(abstracts)) == 0
+        found["ingest, ingest, enrich"] = digests()
+        assert found == BUNDLED_STORE_SHA256
 
     @staticmethod
     def shards(tmp_path, corpus) -> tuple[Path, Path, Path]:
@@ -1414,10 +1463,10 @@ class TestStoreWrites:
         expected.ingest(shard2, "jsonl")
         assert expected.enrich_abstracts(enrichment).enriched == 2
         lines = store_lines(session_dir)
-        assert lines == [record.to_json_dict() for record in expected]
+        assert lines == [reference_dict(record) for record in expected]
         assert len({line["id"] for line in lines}) == len(lines) == len(expected) == 21
         loaded = RecordStore.load(session_dir / "store.jsonl")
-        assert [r.to_json_dict() for r in loaded] == lines
+        assert [reference_dict(r) for r in loaded] == lines
 
     @pytest.mark.parametrize("command", ["ingest", "enrich"])
     def test_older_append_log_loads_then_compacts(self, tmp_path, corpus, command):
@@ -1432,7 +1481,7 @@ class TestStoreWrites:
         store_path = session_dir / "store.jsonl"
         store_path.write_bytes("".join(log).encode() + b'{"id": "c03", "tit')
         replayed = RecordStore.load(store_path)
-        assert [r.to_json_dict() for r in replayed] == [r.to_json_dict() for r in store]
+        assert [reference_dict(r) for r in replayed] == [reference_dict(r) for r in store]
         if command == "ingest":
             assert run(session_dir, "ingest", str(shard2)) == 0
             store.ingest(shard2, "jsonl")

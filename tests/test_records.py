@@ -8,27 +8,32 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citecascade.cli import _dataset_year_range, main
 from citecascade.errors import EmptyDatasetError, FormatError, ValidationError
 from citecascade.records import (
     _CONTROL_RE,
+    MIN_YEAR,
     _PunctuationToSpace,
     ArticleRecord,
     Dataset,
     RecordStore,
     StoreSummary,
     YearDistribution,
+    _is_id,
+    _log_record,
+    _record_from_json_dict,
     canonical_id,
     dataset_union,
+    max_plausible_year,
     normalize_title,
     year_distribution,
 )
 from citecascade.session import Session
 
-from conftest import make_record
+from conftest import make_record, reference_dict
 
 
 def write_jsonl(path, rows):
@@ -168,8 +173,8 @@ class TestIngestJsonl:
         twice = RecordStore()
         twice.ingest(path, "jsonl")
         twice.ingest(path, "jsonl")
-        assert [r.to_json_dict() for r in map(once.get, once.ids())] == [
-            r.to_json_dict() for r in map(twice.get, twice.ids())
+        assert [reference_dict(r) for r in map(once.get, once.ids())] == [
+            reference_dict(r) for r in map(twice.get, twice.ids())
         ]
 
     def test_load_report_csv(self, tmp_path):
@@ -498,7 +503,7 @@ class TestDatasetUnion:
 
 def write_log(path, records, tail=b""):
     """A store file as older versions left it: one appended line per record state."""
-    lines = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
+    lines = "".join(json.dumps(reference_dict(r), sort_keys=True) + "\n" for r in records)
     path.write_bytes(lines.encode("utf-8") + tail)
 
 
@@ -514,12 +519,12 @@ class TestPersistence:
         store.insert(make_record("p2", count=7))
         path = tmp_path / "store.jsonl"
         path.write_text(
-            "".join(json.dumps(store.get(i).to_json_dict()) + "\n" for i in store.ids()),
+            "".join(json.dumps(reference_dict(store.get(i))) + "\n" for i in store.ids()),
             encoding="utf-8",
         )
         loaded = RecordStore.load(path)
-        assert [r.to_json_dict() for r in map(loaded.get, loaded.ids())] == [
-            r.to_json_dict() for r in map(store.get, store.ids())
+        assert [reference_dict(r) for r in map(loaded.get, loaded.ids())] == [
+            reference_dict(r) for r in map(store.get, store.ids())
         ]
 
     def test_json_lines_one_per_record_in_first_seen_order(self, tmp_path):
@@ -529,11 +534,11 @@ class TestPersistence:
         store.insert(make_record("p2", refs=["p1"]))  # merged in place, keeps its position
         lines = list(store.json_lines())
         assert [json.loads(line)["id"] for line in lines] == ["p2", "p1"]
-        assert lines[0] == json.dumps(store.get("p2").to_json_dict(), sort_keys=True) + "\n"
+        assert lines[0] == json.dumps(reference_dict(store.get("p2")), sort_keys=True) + "\n"
         path = tmp_path / "store.jsonl"
         rewrite(path, store)
         loaded = RecordStore.load(path)
-        assert [r.to_json_dict() for r in loaded] == [r.to_json_dict() for r in store]
+        assert [reference_dict(r) for r in loaded] == [reference_dict(r) for r in store]
 
     def test_torn_last_line_is_ignored(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -561,7 +566,7 @@ class TestPersistence:
         path = tmp_path / "store.jsonl"
         write_log(path, [make_record("p1")], line)
         with open(path, "ab") as fh:
-            fh.write(json.dumps(make_record("p2").to_json_dict()).encode() + b"\n")
+            fh.write(json.dumps(reference_dict(make_record("p2"))).encode() + b"\n")
         with pytest.raises(FormatError, match="line 2"):
             RecordStore.load(path)
 
@@ -577,13 +582,13 @@ class TestPersistence:
         store.insert(make_record("p2"))
         rewrite(path, store)
         assert path.read_bytes() == intact + json.dumps(
-            make_record("p2").to_json_dict(), sort_keys=True
+            reference_dict(make_record("p2")), sort_keys=True
         ).encode() + b"\n"
         assert RecordStore.load(path).ids() == ["p1", "p2"]
 
     def test_rewrite_keeps_a_complete_tail_line(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        path.write_text(json.dumps(make_record("p1").to_json_dict()), encoding="utf-8")
+        path.write_text(json.dumps(reference_dict(make_record("p1"))), encoding="utf-8")
         store = RecordStore.load(path)
         store.insert(make_record("p2"))
         rewrite(path, store)
@@ -600,7 +605,159 @@ class TestPersistence:
         assert [r.id for r in loaded] == ["p1", "p2"]  # first-seen order
         rewrite(path, loaded)
         assert path.read_text(encoding="utf-8").count("\n") == 2
-        assert RecordStore.load(path).get("p1").to_json_dict() == updated.to_json_dict()
+        assert reference_dict(RecordStore.load(path).get("p1")) == reference_dict(updated)
+
+    def test_replayed_records_are_slotted(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        write_log(path, [make_record("p1", refs=["p2"], abstract="text"), make_record("p2", count=3)])
+        for record in RecordStore.load(path):
+            assert not hasattr(record, "__dict__")
+
+
+# -- oracles: the store line and the row parser ---------------------------------------
+
+
+def reference_record_from_json_dict(row: dict) -> tuple[ArticleRecord | None, str | None]:
+    """The row parser as it was first written, with ``isinstance`` tests and one check
+    per reference and author. ``_record_from_json_dict`` must give the same record or
+    the same reason for every row."""
+    if not isinstance(row, dict):
+        return None, "row is not an object"
+    raw_id = row.get("id", "")
+    title = row.get("title")
+    if "year" not in row:
+        return None, "missing year"
+    year = row.get("year")
+    if year is not None and type(year) is not int:  # a bool is not an integer
+        return None, "year is not an integer"
+    if not _is_id(raw_id):
+        return None, "id is not a string or an integer"
+    if title is not None and not isinstance(title, str):
+        return None, "title is not a string"
+    if not raw_id:
+        if not title:
+            return None, "missing id"
+        raw_id = canonical_id(title, year)
+    if title is None:
+        return None, "missing title"
+    if "reference_ids" not in row or not isinstance(row["reference_ids"], list):
+        return None, "missing reference_ids"
+    if not all(map(_is_id, row["reference_ids"])):
+        return None, "a reference id is not a string or an integer"
+    gcc = row.get("global_citation_count")
+    if gcc is not None and (type(gcc) is not int or gcc < 0):
+        return None, "global_citation_count must be a non-negative integer"
+    for key in ("venue", "source_tag", "abstract"):
+        if row.get(key) is not None and not isinstance(row[key], str):
+            return None, f"{key} is not a string"
+    authors = row.get("authors")
+    if authors is not None and not isinstance(authors, list):
+        return None, "authors is not a list"
+    if authors is not None and not all(isinstance(author, str) for author in authors):
+        return None, "an author is not a string"
+    try:
+        record = ArticleRecord(
+            id=str(raw_id),
+            title=title,
+            year=year,
+            reference_ids=[str(r) for r in row["reference_ids"]],
+            venue=row.get("venue"),
+            authors=authors,
+            abstract=row.get("abstract"),
+            global_citation_count=gcc,
+            source_tag=row.get("source_tag"),
+        )
+    except ValidationError as exc:
+        return None, str(exc)
+    return record, None
+
+
+# Texts with what JSON escapes: quotes, backslashes, control characters, non-ASCII,
+# astral characters and lone surrogates. A high surrogate followed by a low one is
+# left out: JSON reads the pair back as the one astral character it spells.
+SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+CODEC_TEXTS = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800", "\udfff"]),
+), max_size=8).filter(lambda text: not SURROGATE_PAIR.search(text))
+CODEC_IDS = st.one_of(
+    st.text(st.one_of(st.characters(min_codepoint=0x20), st.sampled_from(['"', "\\", "\ud83d"])), min_size=1,
+            max_size=5),
+    st.integers().filter(bool),
+)
+CODEC_OPTIONAL = {
+    "venue": CODEC_TEXTS,
+    "authors": st.lists(CODEC_TEXTS, max_size=3),
+    "abstract": CODEC_TEXTS,
+    "global_citation_count": st.integers(min_value=0, max_value=10**20),
+    "source_tag": CODEC_TEXTS,
+}
+
+
+@st.composite
+def codec_rows(draw) -> dict:
+    """A valid row, each optional field absent, null or set."""
+    row = {
+        "id": draw(CODEC_IDS),
+        "title": draw(CODEC_TEXTS),
+        "year": draw(st.none() | st.integers(MIN_YEAR, max_plausible_year())),
+        "reference_ids": draw(st.lists(CODEC_IDS, max_size=4)),
+    }
+    for name, values in CODEC_OPTIONAL.items():
+        choice = draw(st.sampled_from(["absent", "null", "set"]))
+        if choice != "absent":
+            row[name] = None if choice == "null" else draw(values)
+    return row
+
+
+# The values a field of a parsed row takes in the parser oracle; MISSING leaves it out.
+MISSING = object()
+FIELD_VALUES = [MISSING, None, True, 0, 1, -3, 1.5, "", "x", "\x01", [], ["a"], [1], [True], {}]
+# Per field, the values of FIELD_VALUES that pass its checks, drawn for most fields
+# of a row so that rows also reach the later checks.
+PASSING_VALUES = {
+    "id": ["x", 1, -3],
+    "title": ["x", "\x01"],
+    "year": [None],
+    "reference_ids": [[], ["a"], [1]],
+    "venue": [MISSING, None, "", "x", "\x01"],
+    "authors": [MISSING, None, [], ["a"]],
+    "abstract": [MISSING, None, "", "x", "\x01"],
+    "global_citation_count": [MISSING, None, 0, 1],
+    "source_tag": [MISSING, None, "", "x", "\x01"],
+}
+
+
+@st.composite
+def oracle_rows(draw):
+    """A row whose every field is drawn from FIELD_VALUES, or a value that is no object."""
+    if draw(st.integers(0, 19)) == 19:
+        return draw(st.sampled_from(FIELD_VALUES[1:]))
+    row = {}
+    for name, passing in PASSING_VALUES.items():
+        value = draw(st.sampled_from(FIELD_VALUES if draw(st.integers(0, 3)) == 3 else passing))
+        if value is not MISSING:
+            row[name] = value
+    return row
+
+
+class TestCodecOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(codec_rows())
+    def test_json_line_is_the_sorted_dump_and_replays_to_the_record(self, row):
+        record, reason = _record_from_json_dict(row)
+        assert reason is None
+        line = record.json_line()
+        assert line == json.dumps(reference_dict(record), sort_keys=True) + "\n"
+        assert _log_record(line) == record
+
+    @settings(max_examples=1500, deadline=None)
+    @given(oracle_rows())
+    def test_row_parser_matches_the_reference_parser(self, row):
+        record, reason = _record_from_json_dict(row)
+        expected, expected_reason = reference_record_from_json_dict(row)
+        assert reason == expected_reason
+        assert record == expected
 
 
 # -- oracles: the reference dedup loop and the set-based citer index ---------------
