@@ -10,9 +10,10 @@ grid last, and the map is fitted to the canvas with one scale for both axes.
 Everything here is a pure function of its inputs: layouts run a fixed
 iteration budget from seed-derived starting positions, coordinates are
 emitted with fixed precision, and element order is canonical, so identical
-inputs produce byte-identical documents. The SVG is written as one template
-row per element, with text and attribute values escaped by
-:func:`~citecascade.records.xml_text` and
+inputs produce byte-identical documents. The SVG is written as template rows:
+a map's edges as one ``<path>`` per (stroke, stroke-width) style, oldest year
+first, and every other element as one row, with text and attribute values
+escaped by :func:`~citecascade.records.xml_text` and
 :func:`~citecascade.records.xml_attribute`.
 """
 
@@ -97,13 +98,19 @@ def _component_layouts(
     network: CoCitationNetwork, seed: int
 ) -> tuple[list[tuple[list[str], np.ndarray]], list[str]]:
     """The components of two or more nodes, largest first, each with its
-    kernel positions in the order of its sorted ids; then the isolated node ids."""
+    kernel positions in the order of its sorted ids; then the isolated node ids.
+
+    The kernel is a pure function of a component's CSR and the seed, so a
+    component whose CSR bytes equal an earlier one's reuses its positions:
+    each distinct component is laid out once.
+    """
     import numpy as np
 
     arrays = network_arrays(network)
     laid: list[tuple[list[str], np.ndarray]] = []
     isolated: list[str] = []
     local = np.empty(len(arrays.node_ids), dtype=np.intp)  # global index -> index in its component
+    done: dict[tuple[bytes, bytes, bytes], np.ndarray] = {}  # CSR bytes -> kernel positions
     for part in components(network):
         if len(part) == 1:
             isolated.append(part[0])
@@ -117,9 +124,12 @@ def _component_layouts(
         np.cumsum(counts, out=indptr[1:])
         entries = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
         local[idx] = np.arange(len(part))
-        rows = np.repeat(np.arange(len(part)), counts)
         cols, weights = local[arrays.cols[entries]], arrays.weights[entries]
-        laid.append((part, _force_layout(indptr, rows, cols, weights, seed)))
+        key = (indptr.tobytes(), cols.tobytes(), weights.tobytes())
+        if key not in done:
+            rows = np.repeat(np.arange(len(part)), counts)
+            done[key] = _force_layout(indptr, rows, cols, weights, seed)
+        laid.append((part, done[key]))
     return laid, isolated
 
 
@@ -295,19 +305,27 @@ def _draw_panel(
     offset_x: float = 0.0,
     indent: str = "  ",
 ) -> list[str]:
-    """The rows of the edge, node and label groups of one map panel, at ``indent``."""
+    """The rows of the edge, node and label groups of one map panel, at ``indent``.
+
+    The edges are grouped by style, (year colour, stroke width), and each style
+    is one ``<path>`` of ``M x1 y1 L x2 y2`` subpaths, one per link in sorted
+    pair order. Styles come by their colour's place in ``YEAR_PALETTE``, oldest
+    first so newer links are drawn on top, then by width, thinnest first.
+    """
     inner = indent + "  "
     year_lo = min((e.first_cocited_year for e in network.edges.values()), default=0)
     year_hi = max((e.first_cocited_year for e in network.edges.values()), default=0)
-    lines = []
+    segments: dict[tuple[str, str], list[str]] = {}  # (stroke, stroke-width) -> its subpaths
     for (a, b), info in sorted(network.edges.items()):
         xa, ya = fitted[a]
         xb, yb = fitted[b]
-        color = scale_year_color(info.first_cocited_year, year_lo, year_hi, YEAR_PALETTE)
-        lines.append(
-            f'{inner}<line x1="{xa + offset_x:.2f}" y1="{ya:.2f}" x2="{xb + offset_x:.2f}" y2="{yb:.2f}" '
-            f'stroke="{color}" stroke-width="{0.5 + 0.5 * info.weight ** 0.5:.2f}" />\n'
-        )
+        style = (scale_year_color(info.first_cocited_year, year_lo, year_hi, YEAR_PALETTE),
+                 f"{0.5 + 0.5 * info.weight ** 0.5:.2f}")
+        segments.setdefault(style, []).append(f"M{xa + offset_x:.2f} {ya:.2f}L{xb + offset_x:.2f} {yb:.2f}")
+    paths = [
+        f'{inner}<path d="{"".join(segments[style])}" stroke="{style[0]}" stroke-width="{style[1]}" />\n'
+        for style in sorted(segments, key=lambda s: (YEAR_PALETTE.index(s[0]), float(s[1])))
+    ]
     circles = []
     for node in sorted(network.nodes):
         x, y = fitted[node]
@@ -317,7 +335,8 @@ def _draw_panel(
             f"{inner}  <title>{xml_text(node)} (cited {info.count}x, first {info.year})</title>\n"
             f"{inner}</circle>\n"
         )
-    panel = _group(indent, 'class="edges" stroke-opacity="0.5"', lines) + _group(indent, 'class="nodes"', circles)
+    edges = _group(indent, 'class="edges" stroke-opacity="0.5" fill="none"', paths)
+    panel = edges + _group(indent, 'class="nodes"', circles)
     if partition is None:
         return panel
     texts = []

@@ -1636,14 +1636,16 @@ BUNDLED_NETWORK_SHA256 = {
 
 
 # sha256 of the bundled pipeline's maps and year chart; the maps re-recorded
-# when each component got its own layout, packed and fitted with one scale, and
-# the map page added when the SVG moved from xml.etree to template rows. The year
-# chart's key renamed, same digest, when its file took the charted names joined by ",".
+# when each component got its own layout, packed and fitted with one scale, the
+# map page added when the SVG moved from xml.etree to template rows, and the four
+# map files re-recorded when a panel's edges became one <path> per style (their
+# node, label and tooltip rows unchanged). The year chart's key renamed, same
+# digest, when its file took the charted names joined by ",".
 BUNDLED_RENDER_SHA256 = {
-    "renders/combined.map.svg": "c724639cc241cabc0356c2b6e4f961805d75570cddcb3d54d1a37d62e138f081",
-    "renders/combined.overlay.svg": "79dca943752b05c29c954e3bb15cf09b9b20544627314982786442251530abe6",
-    "renders/combined.map.html": "fa76da6a405072cc604ae6ecda0f46865fbabd348acb8799cb2fa47037bdf7eb",
-    "renders/combined.overlay.html": "df2fa2130398819df74c05eafe92fa679f09c4c344ce399ecf36630323e3acac",
+    "renders/combined.map.svg": "75a55483b342892422e655ee5088db80573ea73695c5677c663a1997a5c1bb99",
+    "renders/combined.overlay.svg": "3c64c3f02c7480e539beb8806d710752261bde8c8f656e02dc4c3da296f4534d",
+    "renders/combined.map.html": "8c406a68a95692772a974837f2933a4d63c263ba7f6a5eb78878e036b2a58623",
+    "renders/combined.overlay.html": "25d5983f82e602ffc3adf185634e9b1715e1e1a9e0a25f282393860fab60dfe3",
     "renders/F,S3,combined.years.svg": "0a38cde894b9c8df6b3a53dbb54c744b3bb0417f258abb9b5b0c6cbe6cf004cc",
 }
 

@@ -6,7 +6,9 @@ import hashlib
 import json
 import math
 import random
+import re
 import xml.etree.ElementTree as ET
+from collections import Counter, defaultdict
 from itertools import combinations
 from xml.sax.saxutils import escape
 
@@ -59,6 +61,33 @@ def simple_network(edge_spec: dict[tuple[str, str], tuple[int, int]],
 def elements(svg_text: str, tag: str) -> list[ET.Element]:
     root = ET.fromstring(svg_text)
     return [el for el in root.iter() if el.tag.rsplit("}", 1)[-1] == tag]
+
+
+EDGE_GROUP = re.compile(r'<g class="edges" stroke-opacity="0.5" fill="none"(?: />|>\n(.*?)\n *</g>)', re.S)
+PATH_ROW = re.compile(r' *<path d="([^"]*)" stroke="([^"]*)" stroke-width="([^"]*)" />')
+SEGMENT = re.compile(r"M(-?\d+\.\d\d) (-?\d+\.\d\d)L(-?\d+\.\d\d) (-?\d+\.\d\d)")
+
+
+def edge_paths(svg_text: str) -> list[list[tuple[str, str, str]]]:
+    """The (d, stroke, stroke-width) of each path of each edges group, one list per
+    panel in document order; an edges group holds path rows and nothing else."""
+    panels = []
+    for group in EDGE_GROUP.finditer(svg_text):
+        rows = [PATH_ROW.fullmatch(row) for row in (group[1] or "").splitlines()]
+        assert all(rows)
+        panels.append([row.groups() for row in rows])
+    return panels
+
+
+def segments(d: str) -> list[tuple[str, str, str, str]]:
+    """The (x1, y1, x2, y2) texts of each ``M x1 y1 L x2 y2`` subpath of a path's ``d``,
+    which must be made of them and nothing else."""
+    assert "".join(m[0] for m in SEGMENT.finditer(d)) == d
+    return SEGMENT.findall(d)
+
+
+def segment_count(svg_text: str) -> int:
+    return sum(len(segments(d)) for paths in edge_paths(svg_text) for d, _stroke, _width in paths)
 
 
 class TestYearScale:
@@ -225,6 +254,26 @@ class TestLayout:
                 oracle = einsum_layout(induced_subnetwork(network, set(ids)), seed)
                 assert xy.tolist() == [list(oracle[n]) for n in ids]
 
+    def test_each_distinct_component_is_laid_out_once(self, monkeypatch):
+        # Five equal pairs, three equal triangles, and two paths whose weights run
+        # opposite ways: ten components with four distinct CSRs, and two isolated nodes.
+        spec = {(f"p{i}a", f"p{i}b"): (1, 2000) for i in range(5)}
+        spec |= {pair: (2, 2000) for i in range(3) for pair in combinations((f"t{i}a", f"t{i}b", f"t{i}c"), 2)}
+        spec |= {("u0", "u1"): (1, 2000), ("u1", "u2"): (3, 2000), ("v0", "v1"): (3, 2000), ("v1", "v2"): (1, 2000)}
+        network = simple_network(spec, extra_nodes=("iso0", "iso1"))
+        kernel, runs = render._force_layout, []
+
+        def counted_kernel(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(render, "_force_layout", counted_kernel)
+        laid, isolated = render._component_layouts(network, seed=11)
+        assert (len(laid), isolated, len(runs)) == (10, ["iso0", "iso1"], 4)
+        for ids, xy in laid:
+            oracle = einsum_layout(induced_subnetwork(network, set(ids)), 11)
+            assert xy.tolist() == [list(oracle[n]) for n in ids]
+
 
 def component_boxes(network: CoCitationNetwork, positions) -> list[tuple[float, float, float, float]]:
     """The bounding box (lo_x, hi_x, lo_y, hi_y) of each connected component; an
@@ -272,7 +321,7 @@ class TestRenderMap:
     def test_three_nodes_valid_svg(self):
         svg = draw(self._triangle())
         assert len(elements(svg, "circle")) == 3
-        assert len(elements(svg, "line")) <= 3
+        assert segment_count(svg) <= 3
 
     def test_every_node_once_every_edge_at_most_once(self):
         network = simple_network(
@@ -280,7 +329,8 @@ class TestRenderMap:
         )
         svg = draw(network)
         assert len(elements(svg, "circle")) == len(network.nodes)
-        assert len(elements(svg, "line")) == len(network.edges)
+        assert segment_count(svg) == len(network.edges)
+        assert not elements(svg, "line")
 
     def test_single_dataset_projection_uses_its_color(self):
         network = self._triangle()
@@ -404,16 +454,16 @@ def etree_document(root: ET.Element) -> str:
 def etree_panel(parent, network, fitted, radii, node_fill, partition, offset_x=0.0) -> None:
     year_lo = min((e.first_cocited_year for e in network.edges.values()), default=0)
     year_hi = max((e.first_cocited_year for e in network.edges.values()), default=0)
-    edges_group = ET.SubElement(parent, "g", {"class": "edges", "stroke-opacity": "0.5"})
+    edges_group = ET.SubElement(parent, "g", {"class": "edges", "stroke-opacity": "0.5", "fill": "none"})
+    styles = defaultdict(list)
     for (a, b), info in sorted(network.edges.items()):
         xa, ya = fitted[a]
         xb, yb = fitted[b]
-        ET.SubElement(edges_group, "line", {
-            "x1": f"{xa + offset_x:.2f}", "y1": f"{ya:.2f}",
-            "x2": f"{xb + offset_x:.2f}", "y2": f"{yb:.2f}",
-            "stroke": scale_year_color(info.first_cocited_year, year_lo, year_hi, render.YEAR_PALETTE),
-            "stroke-width": f"{0.5 + 0.5 * info.weight ** 0.5:.2f}",
-        })
+        color = scale_year_color(info.first_cocited_year, year_lo, year_hi, render.YEAR_PALETTE)
+        styles[color, f"{0.5 + 0.5 * info.weight ** 0.5:.2f}"].append(
+            f"M{xa + offset_x:.2f} {ya:.2f}L{xb + offset_x:.2f} {yb:.2f}")
+    for color, width in sorted(styles, key=lambda style: (render.YEAR_PALETTE.index(style[0]), float(style[1]))):
+        ET.SubElement(edges_group, "path", {"d": "".join(styles[color, width]), "stroke": color, "stroke-width": width})
     nodes_group = ET.SubElement(parent, "g", {"class": "nodes"})
     for node in sorted(network.nodes):
         x, y = fitted[node]
@@ -562,6 +612,34 @@ def year_charts(draw):
     first = draw(st.dictionaries(st.integers(1990, 2010), st.integers(1, 500), min_size=1, max_size=8))
     dists = [year_distribution(names[0], first)] + [year_distribution(n, draw(counts)) for n in names[1:]]
     return dists, draw(st.booleans())
+
+
+class TestEdgePaths:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=drawn_maps())
+    def test_paths_hold_each_link_once_under_its_style_in_style_order(self, drawn):
+        # Per panel: the segments of all edge paths are the network's links, one each,
+        # each under its own year colour and width; styles by palette place, then width.
+        network, positions, partition, projection = drawn
+        svg = "".join(render_map(network, positions, partition, projection))
+        assert "<line " not in svg
+        fitted = render._fit_positions(positions, render.MAP_WIDTH, render.MAP_HEIGHT, 30.0)
+        years = [info.first_cocited_year for info in network.edges.values()]
+        panels = edge_paths(svg)
+        small_multiples = projection is not None and len(projection.dataset_names) > 2
+        assert len(panels) == (len(projection.dataset_names) if small_multiples else 1)
+        for panel, paths in enumerate(panels):
+            offset = panel * render.MAP_WIDTH
+            expected = Counter()
+            for (a, b), info in network.edges.items():
+                (xa, ya), (xb, yb) = fitted[a], fitted[b]
+                color = scale_year_color(info.first_cocited_year, min(years), max(years), render.YEAR_PALETTE)
+                width = f"{0.5 + 0.5 * info.weight ** 0.5:.2f}"
+                expected[color, width, f"{xa + offset:.2f}", f"{ya:.2f}", f"{xb + offset:.2f}", f"{yb:.2f}"] += 1
+            found = Counter((stroke, width, *segment) for d, stroke, width in paths for segment in segments(d))
+            assert found == expected
+            styles = [(render.YEAR_PALETTE.index(stroke), float(width)) for _d, stroke, width in paths]
+            assert styles == sorted(set(styles))
 
 
 class TestWritersMatchTheOracle:
