@@ -29,9 +29,9 @@ from pathlib import Path
 
 from . import lazy
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
-from .records import Dataset, StoreSummary, csv_text, dataset_union, json_chunks, year_distribution
+from .records import (QUERY_KINDS, Dataset, StoreSummary, csv_text, dataset_union, json_chunks, search,
+                      year_distribution)
 from .session import Session, check_name
-from .sources import QUERY_KINDS, SourceQuery, search
 
 clustering = lazy("citecascade.clustering")
 cocitation = lazy("citecascade.cocitation")
@@ -84,7 +84,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="phrase or id search over the record store")
     p.add_argument("--name", required=True, help="name for the result dataset")
     p.add_argument("--phrase", action="append", default=[], help="repeatable; OR-combined")
-    p.add_argument("--kind", choices=QUERY_KINDS, default="phrase-in-title-abstract")
+    p.add_argument("--kind", choices=QUERY_KINDS, default="phrase-in-title-abstract",
+                   help="phrase-in-title-abstract matches a phrase in the title or the abstract; "
+                        "phrase-in-fulltext-proxy matches the same fields, as records carry no full text; "
+                        "id-lookup takes each phrase as an id")
 
     p = sub.add_parser("union", help="union existing datasets into a new one")
     p.add_argument("--name", required=True)
@@ -120,7 +123,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=0.10)
     p.add_argument("--epsilon", type=float, default=0.05)
 
-    p = sub.add_parser("render", help="emit SVG/HTML artifacts")
+    p = sub.add_parser("render", help="emit SVG artifacts")
     p.add_argument("--network", help="render this network's map")
     p.add_argument("--overlay", action="store_true", help="color by the compare projection")
     p.add_argument("--distributions", help="comma-separated dataset names for a year chart")
@@ -204,8 +207,7 @@ def _cmd_enrich(args, session: Session) -> int:
 
 
 def _cmd_search(args, session: Session) -> int:
-    query = SourceQuery(kind=args.kind, phrases=args.phrase)
-    dataset = search(session.load_store(), query, name=args.name)
+    dataset = search(session.load_store(), args.kind, args.phrase, args.name)
     session.save_dataset(dataset)
     print(f"dataset {dataset.name}: {len(dataset)} articles")
     return EXIT_OK
@@ -345,6 +347,10 @@ def _cmd_compare(args, session: Session) -> int:
 
 
 def _cmd_render(args, session: Session) -> int:
+    if args.overlay and not args.network:
+        raise UsageError("--overlay needs --network")
+    if args.log and not args.distributions:
+        raise UsageError("--log needs --distributions")
     files, cache = {}, {}
     if args.network:
         network = session.load_network(args.network)
@@ -355,9 +361,7 @@ def _cmd_render(args, session: Session) -> int:
         if positions is None:
             positions = render.layout(network, render.LAYOUT_SEED)
             cache = session.positions_file(args.network, positions, **render.LAYOUT_KEY)
-        rows = render.render_map(network, positions, partition, projection)
-        files[session.path(kind, args.network)] = rows
-        files[session.path(f"{kind}_page", args.network)] = render.wrap_html(rows, title=f"{args.network} {kind}")
+        files[session.path(kind, args.network)] = render.render_map(network, positions, partition, projection)
     if args.distributions:
         names = _split_names(args.distributions)
         summary = _store_summary(session)

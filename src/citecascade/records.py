@@ -1,4 +1,4 @@
-"""Bibliographic record store: ingestion, dedup, datasets, year statistics.
+"""Bibliographic record store: ingestion, dedup, datasets, search, year statistics.
 
 Records come from JSONL exports or header-driven Dimensions-style CSV files,
 get normalized into :class:`ArticleRecord`, and live in a :class:`RecordStore`
@@ -7,12 +7,13 @@ citation queries: what a record cites and who cites it, the latter from a list
 of citers per cited id. Every article id read from a file, as a record id, a
 reference or a dataset member, is interned, so the process holds one string
 object per id however often it is cited. Named article-id sets are
-:class:`Dataset` objects; per-dataset year statistics are
-:class:`YearDistribution` objects, counted from a :class:`StoreSummary` of the
-store's years and abstract flags. :func:`json_chunks` is the one JSON layout
-of every artifact the package writes (:func:`json_text` joins it),
-:func:`csv_text` the one CSV layout of every table, and :func:`xml_text` and
-:func:`xml_attribute` the one XML escaping of GraphML, SVG and the HTML pages.
+:class:`Dataset` objects, such as a :func:`search` of the titles and abstracts;
+per-dataset year statistics are :class:`YearDistribution` objects, counted
+from a :class:`StoreSummary` of the store's years and abstract flags.
+:func:`json_chunks` is the one JSON layout of every artifact the package
+writes (:func:`json_text` joins it), :func:`csv_text` the one CSV layout of
+every table, and :func:`xml_text` and :func:`xml_attribute` the one XML
+escaping of GraphML and SVG.
 """
 
 from __future__ import annotations
@@ -619,6 +620,30 @@ def dataset_union(datasets: list[Dataset], name: str) -> Dataset:
         member_ids=members,
         provenance={"kind": "union", "inputs": [ds.name for ds in datasets]},
     )
+
+
+# phrase-in-fulltext-proxy matches title and abstract too (records carry no full text).
+QUERY_KINDS = ("phrase-in-fulltext-proxy", "phrase-in-title-abstract", "id-lookup")
+
+
+def search(store: RecordStore, kind: str, phrases: list[str], name: str) -> Dataset:
+    """The records that hold any of ``phrases`` (case-insensitive) in their title or
+    their abstract, or for ``id-lookup`` the stored ids among them, as a named dataset.
+    A phrase split across title and abstract does not match."""
+    if kind not in QUERY_KINDS:
+        raise ValidationError(f"unknown query kind: {kind}")
+    if not phrases:
+        raise ValidationError("query needs at least one phrase")
+    if not all(phrase.strip() for phrase in phrases):
+        raise ValidationError("query phrases must not be blank")
+    if kind == "id-lookup":
+        members = {p for p in phrases if p in store}
+    else:
+        needles = [p.lower() for p in phrases]
+        members = {record.id for record in store
+                   if any(needle in text for text in (record.title.lower(), (record.abstract or "").lower())
+                          for needle in needles)}
+    return Dataset(name, members, {"kind": "query", "query_kind": kind, "phrases": list(phrases)})
 
 
 @dataclass

@@ -14,14 +14,13 @@ inputs produce byte-identical documents. The SVG is written as template rows:
 a map's edges as one ``<path>`` per (stroke, stroke-width) style, oldest year
 first, and every other element as one row, with text and attribute values
 escaped by :func:`~citecascade.records.xml_text` and
-:func:`~citecascade.records.xml_attribute`.
+:func:`~citecascade.records.xml_attribute`. A map is one SVG file and no other:
+any browser opens it, and its ``<title>`` elements are the node tooltips.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .cocitation import components, network_arrays
@@ -258,18 +257,6 @@ def _group(indent: str, attributes: str, rows: list[str]) -> list[str]:
     if not rows:
         return [f"{indent}<g {attributes} />\n"]
     return [f"{indent}<g {attributes}>\n", *rows, f"{indent}</g>\n"]
-
-
-def wrap_html(rows: list[str], title: str = "network map") -> Iterator[str]:
-    """The rows of a self-contained HTML page around the SVG ``rows`` of :func:`render_map`:
-    the SVG inline without its XML declaration, tooltips via its <title> elements."""
-    yield (
-        "<!DOCTYPE html>\n<html>\n<head>\n"
-        f"<meta charset=\"utf-8\"/>\n<title>{xml_text(title)}</title>\n"
-        "</head>\n<body>\n" + rows[0].split("?>", 1)[-1].lstrip()
-    )
-    yield from islice(rows, 1, None)
-    yield "</body>\n</html>\n"
 
 
 def _fit_positions(

@@ -12,7 +12,7 @@ A session holds everything one analysis produces::
       networks/      # <name>.json and .graphml, and <name>.stats: the network's node,
                      # link and LCC counts; after `cluster`, <name>.clusters.json,
                      # .clusters.csv and .concepts.txt
-      renders/       # <name>.map and .overlay (.svg, .html); <name>.positions.json caches
+      renders/       # <name>.map.svg and <name>.overlay.svg; <name>.positions.json caches
                      # the layout; <a>,<b>,<c>.years.svg charts datasets a, b and c
       reports/       # <ingested file stem>.load-report.csv, compare.csv, projection.json,
                      # coverage.csv, datasets.csv, overlap.csv, networks.csv
@@ -78,8 +78,7 @@ ARTIFACTS = {kind: (directory, suffix) for directory, kinds in {
     "datasets": {"dataset": ".json"},
     "networks": {"network": ".json", "graphml": ".graphml", "counts": ".stats", "clusters": ".clusters.json",
                  "cluster_table": ".clusters.csv", "concepts": ".concepts.txt"},
-    "renders": {"map": ".map.svg", "map_page": ".map.html", "overlay": ".overlay.svg",
-                "overlay_page": ".overlay.html", "years": ".years.svg", "positions": ".positions.json"},
+    "renders": {"map": ".map.svg", "overlay": ".overlay.svg", "years": ".years.svg", "positions": ".positions.json"},
     "reports": {"load_report": ".load-report.csv", "compare": "compare.csv", "projection": "projection.json",
                 "coverage": "coverage.csv", "datasets_report": "datasets.csv", "overlap_report": "overlap.csv",
                 "networks_report": "networks.csv"},

@@ -97,13 +97,11 @@ def bundled_world():
     """
     from citecascade.cocitation import NetworkConfig, build_network
     from citecascade.expansion import ExpansionSpec, ExpansionStage, run_cascade
-    from citecascade.records import dataset_union
-    from citecascade.sources import SourceQuery, search
+    from citecascade.records import dataset_union, search
 
     store = RecordStore()
     store.ingest(SYNTHETIC_CORPUS, "jsonl")
-    query = SourceQuery(kind="phrase-in-title-abstract", phrases=["reinforcement learning"])
-    found = search(store, query, name="F")
+    found = search(store, "phrase-in-title-abstract", ["reinforcement learning"], name="F")
     spec = ExpansionSpec({"P010"}, [ExpansionStage("F", 3)], theta_citer=1, theta_ref=1)
     expanded, _trace = run_cascade(store, spec, "S3")
     combined = dataset_union([found, expanded], "combined")

@@ -141,7 +141,7 @@ class TestPipeline:
 
         assert run(session_dir, "render", "--network", "combined", "--overlay") == 0
         assert (session_dir / "renders" / "combined.overlay.svg").exists()
-        assert (session_dir / "renders" / "combined.overlay.html").exists()
+        assert not (session_dir / "renders" / "combined.overlay.html").exists()
         assert run(session_dir, "render", "--distributions", "F,S", "--log") == 0
         assert (session_dir / "renders" / "F,S.years.svg").exists()
 
@@ -283,6 +283,18 @@ class TestExitCodes:
         argv = [arg for phrase in phrases for arg in ("--phrase", phrase)]
         assert run(session_dir, "search", "--name", "X", *argv) == 3
         assert one_error_line(capsys) == "error: query phrases must not be blank\n"
+        assert session_files(session_dir) == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--distributions", "F", "--overlay"], "--overlay needs --network"),
+        (["--network", "F", "--log"], "--log needs --distributions"),
+    ])
+    def test_render_flag_it_would_ignore_exits_2_and_writes_nothing(self, tmp_path, corpus, capsys, argv, message):
+        session_dir = finished_session(tmp_path, corpus)
+        capsys.readouterr()
+        before = session_files(session_dir)
+        assert run(session_dir, "render", *argv) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
         assert session_files(session_dir) == before
 
     @pytest.mark.parametrize("name", ["../../escaped", "a/b", "..", ".", "", "a,b", "a\nb", " G", "G ", "a.clusters"])
@@ -1055,7 +1067,7 @@ class TestLayoutCache:
             assert run(session_dir, "render", "--network", "F", "--overlay") == 0
             outputs.append({p.name: p.read_bytes() for p in renders.glob("F.overlay.*")})
         assert layout_calls == [42]
-        assert sorted(outputs[0]) == ["F.overlay.html", "F.overlay.svg"]
+        assert sorted(outputs[0]) == ["F.overlay.svg"]
         assert outputs[0] == outputs[1]
 
     def test_changed_network_or_seed_recomputes(self, tmp_path, corpus, layout_calls):
@@ -1636,16 +1648,13 @@ BUNDLED_NETWORK_SHA256 = {
 
 
 # sha256 of the bundled pipeline's maps and year chart; the maps re-recorded
-# when each component got its own layout, packed and fitted with one scale, the
-# map page added when the SVG moved from xml.etree to template rows, and the four
-# map files re-recorded when a panel's edges became one <path> per style (their
-# node, label and tooltip rows unchanged). The year chart's key renamed, same
-# digest, when its file took the charted names joined by ",".
+# when each component got its own layout, packed and fitted with one scale, and
+# when a panel's edges became one <path> per style (their node, label and tooltip
+# rows unchanged). The year chart's key renamed, same digest, when its file took
+# the charted names joined by ",". A map is its SVG file alone: no HTML page.
 BUNDLED_RENDER_SHA256 = {
     "renders/combined.map.svg": "75a55483b342892422e655ee5088db80573ea73695c5677c663a1997a5c1bb99",
     "renders/combined.overlay.svg": "3c64c3f02c7480e539beb8806d710752261bde8c8f656e02dc4c3da296f4534d",
-    "renders/combined.map.html": "8c406a68a95692772a974837f2933a4d63c263ba7f6a5eb78878e036b2a58623",
-    "renders/combined.overlay.html": "25d5983f82e602ffc3adf185634e9b1715e1e1a9e0a25f282393860fab60dfe3",
     "renders/F,S3,combined.years.svg": "0a38cde894b9c8df6b3a53dbb54c744b3bb0417f258abb9b5b0c6cbe6cf004cc",
 }
 

@@ -10,7 +10,6 @@ import re
 import xml.etree.ElementTree as ET
 from collections import Counter, defaultdict
 from itertools import combinations
-from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from citecascade.render import (
     render_distribution,
     render_map,
     scale_year_color,
-    wrap_html,
 )
 
 from test_cocitation import connected_components_traversal, network_ids
@@ -296,22 +294,6 @@ def draw(network: CoCitationNetwork, **kwargs) -> str:
     return "".join(render_map(network, layout(network, LAYOUT_SEED), **kwargs))
 
 
-def page(network: CoCitationNetwork, title: str) -> str:
-    """The HTML page of ``draw(network)``, its rows joined."""
-    return "".join(wrap_html(render_map(network, layout(network, LAYOUT_SEED)), title=title))
-
-
-def reference_page(svg_document: str, title: str) -> str:
-    """The HTML page as it was first written, from the whole SVG text: ``wrap_html`` must
-    equal it byte for byte."""
-    body = svg_document.split("?>", 1)[-1].strip()
-    return (
-        "<!DOCTYPE html>\n<html>\n<head>\n"
-        f"<meta charset=\"utf-8\"/>\n<title>{escape(title)}</title>\n"
-        "</head>\n<body>\n" + body + "\n</body>\n</html>\n"
-    )
-
-
 class TestRenderMap:
     def _triangle(self):
         return simple_network(
@@ -368,12 +350,6 @@ class TestRenderMap:
         titles = elements(svg, "title")
         assert len(titles) == 3
         assert any("cited" in (t.text or "") for t in titles)
-
-    def test_html_wrapper_self_contained(self):
-        html = page(self._triangle(), title="demo")
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html and "</html>" in html
-        assert "http-equiv" not in html and "src=" not in html  # no external fetches
 
     def test_empty_network_errors(self):
         with pytest.raises(ValidationError):
@@ -653,9 +629,7 @@ class TestWritersMatchTheOracle:
     def test_maps_equal_the_element_tree_writer(self, drawn):
         network, positions, partition, projection = drawn
         expected = etree_render_map(network, positions, partition, projection)
-        rows = render_map(network, positions, partition, projection)
-        assert "".join(rows) == expected
-        assert "".join(wrap_html(rows, title="a<b> & 'c'")) == reference_page(expected, title="a<b> & 'c'")
+        assert "".join(render_map(network, positions, partition, projection)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(chart=year_charts())
@@ -676,10 +650,3 @@ class TestWritersMatchTheOracle:
                            project_overlay(network, datasets, partition)):
             assert "".join(render_map(network, positions, partition, projection)) == etree_render_map(
                 network, positions, partition, projection)
-
-
-class TestHtmlWrapper:
-    def test_title_is_escaped(self):
-        html = page(simple_network({("a", "b"): (1, 2000)}), title="x<y&z map")
-        assert "<title>x&lt;y&amp;z map</title>" in html
-        assert ET.fromstring(html).find("head/title").text == "x<y&z map"

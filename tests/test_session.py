@@ -236,8 +236,8 @@ KILL_CASES = {
                 "networks/combined.clusters.json", 3),
     "compare": (6, BUNDLED_PIPELINE[6], [["compare", "--datasets", "S3,F", "--base", "combined"]],
                 "reports/projection.json", 3),
-    "render-overlay": (7, BUNDLED_PIPELINE[7], [], "renders/combined.positions.json", 3),
-    "render": (8, BUNDLED_PIPELINE[8], [], None, 2),
+    "render-overlay": (7, BUNDLED_PIPELINE[7], [], "renders/combined.positions.json", 2),
+    "render": (8, BUNDLED_PIPELINE[8], [], None, 1),
 }
 # Readers of a session that a kill may have left mixed.
 PROBES = [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citecascade.errors import UnknownPublicationError, ValidationError
-from citecascade.sources import SourceQuery, search
+from citecascade.records import search
 
 from conftest import make_record, make_store, random_citation_dag
 
@@ -136,9 +136,7 @@ class TestSearch:
                 make_record("p2", title="shallow parsing"),
             ]
         )
-        result = search(
-            store, SourceQuery("phrase-in-title-abstract", ["deep kernel methods"]), name="hit"
-        )
+        result = search(store, "phrase-in-title-abstract", ["deep kernel methods"], name="hit")
         assert result.member_ids == {"p1"}
         assert result.provenance["kind"] == "query"
 
@@ -150,30 +148,32 @@ class TestSearch:
                 make_record("p3", title="gamma methods"),
             ]
         )
-        one = search(store, SourceQuery("phrase-in-title-abstract", ["alpha"]), "a")
-        other = search(store, SourceQuery("phrase-in-title-abstract", ["beta"]), "b")
-        both = search(store, SourceQuery("phrase-in-title-abstract", ["alpha", "beta"]), "ab")
+        one = search(store, "phrase-in-title-abstract", ["alpha"], "a")
+        other = search(store, "phrase-in-title-abstract", ["beta"], "b")
+        both = search(store, "phrase-in-title-abstract", ["alpha", "beta"], "ab")
         assert both.member_ids == one.member_ids | other.member_ids
 
     def test_matches_abstract_too_case_insensitive(self):
         store = make_store(
             [make_record("p1", title="untitled", abstract="Uses Latent Topic Models.")]
         )
-        hits = search(
-            store, SourceQuery("phrase-in-fulltext-proxy", ["latent topic"]), "q"
-        )
+        hits = search(store, "phrase-in-fulltext-proxy", ["latent topic"], "q")
         assert hits.member_ids == {"p1"}
 
     def test_equals_bruteforce_substring_scan(self, rng):
+        # Both phrase kinds scan title and abstract alike; only their provenance names them apart.
         store = random_citation_dag(rng, 100)
         phrase = "article n00"
-        hits = search(store, SourceQuery("phrase-in-title-abstract", [phrase]), "q")
         brute = set()
         for pub_id in store.ids():
             record = store.record(pub_id)
             if phrase in record.title.lower() or phrase in (record.abstract or "").lower():
                 brute.add(pub_id)
-        assert hits.member_ids == brute
+        plain = search(store, "phrase-in-title-abstract", [phrase], "q")
+        proxy = search(store, "phrase-in-fulltext-proxy", [phrase], "q")
+        assert plain.member_ids == proxy.member_ids == brute
+        assert plain.provenance["query_kind"] == "phrase-in-title-abstract"
+        assert proxy.provenance == {**plain.provenance, "query_kind": "phrase-in-fulltext-proxy"}
 
     def test_phrase_across_title_abstract_boundary_not_matched(self):
         store = make_store(
@@ -186,19 +186,19 @@ class TestSearch:
             ]
         )
         for kind in ("phrase-in-title-abstract", "phrase-in-fulltext-proxy"):
-            hits = search(store, SourceQuery(kind, ["reinforcement learning"]), "q")
+            hits = search(store, kind, ["reinforcement learning"], "q")
             assert hits.member_ids == set()
-        hits = search(store, SourceQuery("phrase-in-title-abstract", ["learning to act"]), "q")
+        hits = search(store, "phrase-in-title-abstract", ["learning to act"], "q")
         assert hits.member_ids == {"p1"}
 
     def test_id_lookup_kind(self):
         store = make_store([make_record("p1"), make_record("p2")])
-        hits = search(store, SourceQuery("id-lookup", ["p2", "ghost"]), "q")
+        hits = search(store, "id-lookup", ["p2", "ghost"], "q")
         assert hits.member_ids == {"p2"}
 
     def test_empty_phrase_list_rejected(self):
         with pytest.raises(ValidationError):
-            SourceQuery("phrase-in-title-abstract", [])
+            search(make_store([make_record("p1")]), "phrase-in-title-abstract", [], "q")
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.sampled_from(["alpha", "beta", "gamma", "zzz"]), min_size=1, max_size=3))
@@ -210,9 +210,7 @@ class TestSearch:
                 make_record("p3", title="gamma beta study"),
             ]
         )
-        base = search(store, SourceQuery("phrase-in-title-abstract", phrases), "q")
-        wider = search(
-            store, SourceQuery("phrase-in-title-abstract", phrases + ["study"]), "q2"
-        )
+        base = search(store, "phrase-in-title-abstract", phrases, "q")
+        wider = search(store, "phrase-in-title-abstract", phrases + ["study"], "q2")
         assert base.member_ids <= wider.member_ids
 
