@@ -284,7 +284,7 @@ def _cmd_cluster(args, session: Session) -> int:
     phrase_index = labeling.PhraseIndex(store)
     clusters = partition.clusters()
     citers = [labeling.cited_by(members, store) for members in clusters]
-    labeling.label_all_clusters(partition, citers, set().union(*citers), phrase_index)
+    partition.labels = labeling.label_all_clusters(citers, set().union(*citers), phrase_index)
 
     payload_level1 = partition.to_json_dict()
     for cluster, cluster_citers in zip(payload_level1["clusters"], citers):
@@ -300,21 +300,16 @@ def _cmd_cluster(args, session: Session) -> int:
         for index in top_indices:
             sub = clustering.sub_cluster(clusters[index], network, index)
             sub_citers = [labeling.cited_by(members, store) for members in sub.clusters()]
-            labeling.label_all_clusters(sub, sub_citers, citers[index], phrase_index)
+            sub.labels = labeling.label_all_clusters(sub_citers, citers[index], phrase_index)
             level2[str(index)] = sub.to_json_dict()
         payload["level2"] = level2
 
-    concept_json: dict[str, dict] = {}
-    concept_text_parts: list[str] = []
-    for index in top_indices:
-        tree = labeling.build_concept_tree(citers[index], store, phrase_index)
-        concept_json[str(index)] = tree.to_json_dict()
-        label = partition.labels.get(index, "")
-        concept_text_parts.append(f"== cluster #{index} {label}\n{tree.to_text()}")
-    payload["concept_trees"] = concept_json
+    payload["concept_trees"] = {
+        str(index): labeling.build_concept_tree(citers[index], store, phrase_index) for index in top_indices
+    }
 
     table = clustering.partition_to_csv(partition, silhouettes)
-    session.save_clusters(args.network, payload, table, "\n".join(concept_text_parts))
+    session.save_clusters(args.network, payload, table)
     print(
         f"network {args.network}: {partition.num_clusters()} clusters, "
         f"Q={partition.modularity_q:.4f}, mean silhouette={silhouettes.mean:.4f} "
@@ -347,6 +342,8 @@ def _cmd_compare(args, session: Session) -> int:
 
 
 def _cmd_render(args, session: Session) -> int:
+    if not (args.network or args.distributions):
+        raise UsageError("render needs --network and/or --distributions")
     if args.overlay and not args.network:
         raise UsageError("--overlay needs --network")
     if args.log and not args.distributions:
@@ -367,8 +364,6 @@ def _cmd_render(args, session: Session) -> int:
         summary = _store_summary(session)
         distributions = [year_distribution(session.load_dataset(name), summary) for name in names]
         files[session.path("years", *names)] = render.render_distribution(distributions, log=args.log)
-    if not files:
-        raise ValidationError("render needs --network and/or --distributions")
     session.write({**files, **cache})  # the layout cache, read back by the next render, last
     print("wrote " + ", ".join(map(str, files)))
     return EXIT_OK

@@ -30,8 +30,6 @@ class ClusterPartition:
     """Node -> cluster-index assignment plus ordering, metrics, and labels."""
 
     assignment: dict[str, int]
-    level: int = 1
-    parent: int | None = None
     modularity_q: float | None = None
     labels: dict[int, str] = field(default_factory=dict)
     cluster_silhouettes: dict[int, float] = field(default_factory=dict)
@@ -48,8 +46,6 @@ class ClusterPartition:
 
     def to_json_dict(self) -> dict:
         return {
-            "level": self.level,
-            "parent": self.parent,
             "modularity": self.modularity_q,
             "mean_silhouette": self.mean_silhouette,
             "clusters": [
@@ -70,8 +66,6 @@ class ClusterPartition:
         position, its ``members`` strings that no cluster lists twice, every field of its kind."""
         partition = cls(
             assignment={},
-            level=_typed(data.get("level", 1), "an integer", "level"),
-            parent=_typed(data.get("parent"), "an integer or null", "parent"),
             modularity_q=_typed(data.get("modularity"), "a number or null", "modularity"),
             mean_silhouette=_typed(data.get("mean_silhouette"), "a number or null", "mean_silhouette"),
         )
@@ -302,20 +296,15 @@ def induced_subnetwork(network: CoCitationNetwork, members: set[str]) -> CoCitat
 def sub_cluster(
     parent_members: set[str], network: CoCitationNetwork, parent_index: int
 ) -> ClusterPartition:
-    """Re-cluster a parent cluster's induced subgraph (original weights)."""
-    subnetwork = induced_subnetwork(network, parent_members)
-    if len(parent_members) < 3:
-        warnings.warn(
-            f"cluster #{parent_index} has fewer than 3 members; returning one sub-cluster",
-            stacklevel=2,
-        )
-        partition = ClusterPartition(assignment={n: 0 for n in parent_members})
-        partition.modularity_q = 0.0
-    else:
-        partition = detect_communities(subnetwork)
-    partition.level = 2
-    partition.parent = parent_index
-    return partition
+    """Re-cluster a parent cluster's induced subgraph (original weights); ``clusters.json``
+    holds the result under the ``level2`` key ``str(parent_index)``."""
+    if len(parent_members) >= 3:
+        return detect_communities(induced_subnetwork(network, parent_members))
+    warnings.warn(
+        f"cluster #{parent_index} has fewer than 3 members; returning one sub-cluster",
+        stacklevel=2,
+    )
+    return ClusterPartition(assignment={n: 0 for n in parent_members}, modularity_q=0.0)
 
 
 def top_citing_articles(

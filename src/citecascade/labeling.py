@@ -25,7 +25,6 @@ import math
 import re
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping
-from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
@@ -166,67 +165,32 @@ def label_cluster(
 
 
 def label_all_clusters(
-    partition, citers: list[Counter[str]], background: Collection[str], phrase_index: PhraseIndex
-) -> None:
-    """Fill partition.labels in place; ``citers[i]`` is cluster i's citer table.
+    citers: list[Counter[str]], background: Collection[str], phrase_index: PhraseIndex
+) -> dict[int, str]:
+    """Each cluster's label by index; ``citers[i]`` is cluster i's citer table.
 
     The background's document frequencies are counted once for all clusters.
     """
     background_df = phrase_index.title_frequencies(background)
-    for index, cluster_citers in enumerate(citers):
-        partition.labels[index] = label_cluster(
-            cluster_citers, index, background, phrase_index, background_df
-        )
+    return {
+        index: label_cluster(cluster_citers, index, background, phrase_index, background_df)
+        for index, cluster_citers in enumerate(citers)
+    }
 
 
 # -- concept trees ---------------------------------------------------------------
 
 
-@dataclass
-class ConceptNode:
-    phrase: str
-    support: int
-    children: list["ConceptNode"] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "phrase": self.phrase,
-            "support": self.support,
-            "children": [c.to_json_dict() for c in self.children],
-        }
-
-
-@dataclass
-class ConceptTree:
-    """Forest of phrases ordered by containment, under a virtual root."""
-
-    roots: list[ConceptNode] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {"roots": [r.to_json_dict() for r in self.roots]}
-
-    def to_text(self) -> str:
-        lines: list[str] = []
-
-        def walk(node: ConceptNode, depth: int) -> None:
-            lines.append("  " * depth + f"{node.phrase} ({node.support})")
-            for child in node.children:
-                walk(child, depth + 1)
-
-        for root in self.roots:
-            walk(root, 0)
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def build_concept_tree(
-    citers: Iterable[str], store: RecordStore, phrase_index: PhraseIndex
-) -> ConceptTree:
-    """Containment hierarchy of phrases from citing articles' titles+abstracts.
+def build_concept_tree(citers: Iterable[str], store: RecordStore, phrase_index: PhraseIndex) -> dict:
+    """Containment hierarchy of phrases from citing articles' titles+abstracts,
+    as ``clusters.json`` holds it: ``{"roots": [...]}``, each node a
+    ``{"phrase", "support", "children"}`` dict.
 
     A phrase's parent is the most frequent shorter phrase whose tokens are a
     subset of its own and whose support is at least as large (so support never
     grows down a branch). Support ties prefer the longest such phrase (the
-    closest ancestor), then alphabetical order.
+    closest ancestor), then alphabetical order. Roots and each node's children
+    run by support descending, then alphabetically.
     """
     texts = []
     for citer in sorted(citers):
@@ -236,8 +200,6 @@ def build_concept_tree(
             text += ". " + record.abstract
         if text.strip():
             texts.append(text)
-    if not texts:
-        return ConceptTree()
     support = phrase_index.frequencies(texts)
 
     # A parent's token set is a subset of its child's (at most
@@ -246,9 +208,9 @@ def build_concept_tree(
     by_tokens: dict[frozenset[str], list[str]] = {}
     for phrase, tokens in words.items():
         by_tokens.setdefault(frozenset(tokens), []).append(phrase)
-    nodes = {phrase: ConceptNode(phrase, count) for phrase, count in support.items()}
-    roots: list[ConceptNode] = []
-    for phrase in sorted(support):
+    nodes = {phrase: {"phrase": phrase, "support": count, "children": []} for phrase, count in support.items()}
+    roots: list[dict] = []
+    for phrase in sorted(support, key=lambda p: (-support[p], p)):  # each list is appended in its order
         distinct = sorted(set(words[phrase]))
         candidates = [
             q
@@ -259,13 +221,7 @@ def build_concept_tree(
         ]
         if candidates:
             parent = min(candidates, key=lambda q: (-support[q], -len(words[q]), q))
-            nodes[parent].children.append(nodes[phrase])
+            nodes[parent]["children"].append(nodes[phrase])
         else:
             roots.append(nodes[phrase])
-
-    def order(children: list[ConceptNode]) -> list[ConceptNode]:
-        return sorted(children, key=lambda n: (-n.support, n.phrase))
-
-    for node in nodes.values():
-        node.children = order(node.children)
-    return ConceptTree(roots=order(roots))
+    return {"roots": roots}

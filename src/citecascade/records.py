@@ -589,22 +589,19 @@ class Dataset:
         return len(self.member_ids)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "provenance": self.provenance,
-            "member_ids": sorted(self.member_ids),
-        }
+        """The JSON form, without the name: a dataset's name is its file's name."""
+        return {"provenance": self.provenance, "member_ids": sorted(self.member_ids)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Dataset":
-        """A dataset from its JSON form; ValueError when ``name`` is not a string,
-        ``member_ids`` not a list of strings or ``provenance`` not an object. Members
-        are interned, like the ids of the records they name."""
-        name, members, provenance = data["name"], data["member_ids"], data.get("provenance", {})
+    def from_json_dict(cls, data: dict, name: str) -> "Dataset":
+        """Dataset ``name`` from its JSON form, ignoring the ``name`` an older version wrote
+        there; ValueError when ``member_ids`` is not a list of strings or ``provenance`` not an
+        object. Members are interned, like the ids of the records they name."""
+        members, provenance = data["member_ids"], data.get("provenance", {})
         if not isinstance(members, list) or not all(type(m) is str for m in members):
             raise ValueError("member_ids is not a list of strings")
-        if type(name) is not str or type(provenance) is not dict:
-            raise ValueError("name is not a string or provenance is not an object")
+        if type(provenance) is not dict:
+            raise ValueError("provenance is not an object")
         return cls(name=name, member_ids=set(map(sys.intern, members)), provenance=provenance)
 
 

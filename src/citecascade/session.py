@@ -8,10 +8,10 @@ A session holds everything one analysis produces::
                      # each stored id's year and abstract flag, keyed to store.jsonl;
                      # written by ingest and enrich, read by compare, render
                      # --distributions and report --kind datasets|overlap
-      datasets/      # <name>.json: member ids and provenance
+      datasets/      # <name>.json: member ids and provenance; the file name is the name
       networks/      # <name>.json and .graphml, and <name>.stats: the network's node,
-                     # link and LCC counts; after `cluster`, <name>.clusters.json,
-                     # .clusters.csv and .concepts.txt
+                     # link and LCC counts; after `cluster`, <name>.clusters.json (each
+                     # level's partitions and labels, the concept trees) and .clusters.csv
       renders/       # <name>.map.svg and <name>.overlay.svg; <name>.positions.json caches
                      # the layout; <a>,<b>,<c>.years.svg charts datasets a, b and c
       reports/       # <ingested file stem>.load-report.csv, compare.csv, projection.json,
@@ -48,8 +48,10 @@ then does the work itself: it lays the network out, counts it, or replays the
 store. A ``Session`` only stores and reads; it computes nothing.
 
 A session holds no settings: each command takes its settings from its flags,
-and rendering from the constants of :mod:`citecascade.render`. A settings
-file that an older version kept in the session is neither read nor rewritten.
+and rendering from the constants of :mod:`citecascade.render`. A file that an
+older version kept in the session and this one does not write (a settings
+file, a map's HTML page, a network's concept text file) is neither read nor
+rewritten.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ overlay = lazy("citecascade.overlay")
 ARTIFACTS = {kind: (directory, suffix) for directory, kinds in {
     "datasets": {"dataset": ".json"},
     "networks": {"network": ".json", "graphml": ".graphml", "counts": ".stats", "clusters": ".clusters.json",
-                 "cluster_table": ".clusters.csv", "concepts": ".concepts.txt"},
+                 "cluster_table": ".clusters.csv"},
     "renders": {"map": ".map.svg", "overlay": ".overlay.svg", "years": ".years.svg", "positions": ".positions.json"},
     "reports": {"load_report": ".load-report.csv", "compare": "compare.csv", "projection": "projection.json",
                 "coverage": "coverage.csv", "datasets_report": "datasets.csv", "overlap_report": "overlap.csv",
@@ -245,7 +247,7 @@ class Session:
         path = self.path("dataset", name)
         if not path.exists():
             raise CiteCascadeError(f"no dataset named {name!r} in session")
-        return self._read_json(path, Dataset.from_json_dict)
+        return self._read_json(path, lambda data: Dataset.from_json_dict(data, name))
 
     # -- networks & partitions ---------------------------------------------------------
 
@@ -275,11 +277,11 @@ class Session:
             raise CiteCascadeError(f"no network named {name!r} in session")
         return self._read_json(json_path, cocitation.CoCitationNetwork.from_json_dict)
 
-    def save_clusters(self, name: str, payload: dict, table: str, concepts: str) -> None:
-        """Write the clustering of network ``name``: its table and concept trees keyed to its JSON, then that."""
+    def save_clusters(self, name: str, payload: dict, table: str) -> None:
+        """Write the clustering of network ``name``: its table keyed to its JSON, then that."""
         inputs = self._input_key([self.path("network", name)])
         self.write({self.path("clusters", name): json_chunks({**payload, "inputs": inputs})},
-                   {self.path("cluster_table", name): table, self.path("concepts", name): concepts})
+                   {self.path("cluster_table", name): table})
 
     def load_partition(
         self, name: str, network: cocitation.CoCitationNetwork, required: bool = True

@@ -288,6 +288,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["--distributions", "F", "--overlay"], "--overlay needs --network"),
         (["--network", "F", "--log"], "--log needs --distributions"),
+        ([], "render needs --network and/or --distributions"),
     ])
     def test_render_flag_it_would_ignore_exits_2_and_writes_nothing(self, tmp_path, corpus, capsys, argv, message):
         session_dir = finished_session(tmp_path, corpus)
@@ -747,8 +748,6 @@ class TestDamagedArtifacts:
             ("silhouette true", "silhouette True is not a number or null"),
             ("modularity 'x'", "modularity 'x' is not a number or null"),
             ("mean_silhouette false", "mean_silhouette False is not a number or null"),
-            ("level '1'", "level '1' is not an integer"),
-            ("parent 0.5", "parent 0.5 is not an integer or null"),
         ],
     )
     @pytest.mark.parametrize(
@@ -828,7 +827,7 @@ class TestDamagedArtifacts:
 
 def cluster_files(session_dir: Path, name: str) -> list[Path]:
     networks = session_dir / "networks"
-    return [networks / f"{name}.{suffix}" for suffix in ("clusters.json", "clusters.csv", "concepts.txt")]
+    return [networks / f"{name}.{suffix}" for suffix in ("clusters.json", "clusters.csv")]
 
 
 class TestRebuiltNetwork:
@@ -868,7 +867,7 @@ def strip_keys(session_dir: Path) -> None:
         data = json.loads(path.read_text(encoding="utf-8"))
         del data["inputs"]
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for rel in ("networks/F.clusters.csv", "networks/F.concepts.txt", "reports/coverage.csv"):
+    for rel in ("networks/F.clusters.csv", "reports/coverage.csv"):
         path = session_dir / rel
         first, rest = path.read_text(encoding="utf-8").split("\n", 1)
         assert first.startswith("# inputs ")
@@ -905,12 +904,11 @@ class TestInputKeys:
         assert sorted(positions) == ["inputs", "x", "y"]
         first_lines = {
             rel: (session_dir / rel).read_text(encoding="utf-8").split("\n", 1)[0]
-            for rel in ("networks/F.clusters.csv", "networks/F.concepts.txt", "reports/coverage.csv")
+            for rel in ("networks/F.clusters.csv", "reports/coverage.csv")
         }
         clusters_key = f"networks/F.clusters.json={sha('networks/F.clusters.json')}"
         assert first_lines == {
             "networks/F.clusters.csv": f"# inputs {clusters_key}",
-            "networks/F.concepts.txt": f"# inputs {clusters_key}",
             "reports/coverage.csv": f"# inputs reports/projection.json={sha('reports/projection.json')}",
         }
         coverage = (session_dir / "reports" / "coverage.csv").read_text(encoding="utf-8")
@@ -1576,8 +1574,9 @@ class TestRerunnability:
 # sha256 of the bundled pipeline's clusters.json with its float fields taken out
 # (partitions, labels, top citers and concept trees). Re-recorded when the
 # network config lost its unused ``e_param``: the ``inputs`` key hashes the
-# network JSON, and nothing else in the file changed.
-BUNDLED_CLUSTERS_SHA256 = "a65e99be3b22140246ab6fa48e5aae8244e5d5c08892f32053522a275966bd35"
+# network JSON, and nothing else in the file changed. Re-recorded when each level
+# lost its ``level`` and ``parent`` keys, which its place in the file gives.
+BUNDLED_CLUSTERS_SHA256 = "3f778a486c933338ebf8e77409129879def98b1e759a2d187bd67b9f47b56327"
 FLOAT_FIELDS = {"modularity", "mean_silhouette", "silhouette"}
 
 
@@ -1627,10 +1626,13 @@ def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
 # digit of stored silhouettes in the clusters file its ``# inputs`` line names.
 # clusters.csv and coverage.csv re-recorded when their ``# inputs`` line came to name
 # the file of their own group that is read back: clusters.json and projection.json.
+# Both re-recorded, for that line, when the clusters file lost each level's ``level``
+# and ``parent`` keys and the dataset files their ``name`` (the projection's key
+# hashes the compared dataset files).
 BUNDLED_TABLE_SHA256 = {
-    "networks/combined.clusters.csv": "ee920bc607781381bfcf14972f634e014965dbf70752d98fc44b4ae56d5f2176",
+    "networks/combined.clusters.csv": "865ec004d9e4702a31c2913b9ad026528bae9048ee649e251fbde26ee207e543",
     "reports/compare.csv": "a245a79a4fd330b243e6372dbefa6860b68ef00fd1ec0dfbef395461769d0302",
-    "reports/coverage.csv": "89059ae58cac7eb494ca487f5c9fa655e92ef27c2a0663e63df1cccbbe668952",
+    "reports/coverage.csv": "5312f478431623d1b4c6169ad5ee12e2eb987cb54b628780eb4eb10685b5b943",
     "reports/datasets.csv": "283de53b742be45fd8ba4ac6b2ec9300d0b5aeb2b7461eedec50f4e85a9a7922",
     "reports/networks.csv": "7d43bd05d73e7058ea570694d30e33ed79eb9343155e0f13667adfa503529aa1",
     "reports/overlap.csv": "4ce43f77b326db532f5d02638b57cb7b4c576d63d4a65ca2f9644f9ff9675d6d",
@@ -1711,6 +1713,38 @@ def test_a_failing_command_writes_nothing(tmp_path, bundled_session, capsys):
         assert run(session_dir, *(arg.format(missing=tmp_path / "missing.jsonl") for arg in argv)) == code, argv
         one_error_line(capsys)
         assert session_files(session_dir) == before, argv
+
+
+class TestCopiedDataset:
+    """A dataset's name is its file's name, so a copied dataset file is a dataset of the
+    copy's name. Each case once gave the original's name."""
+
+    @pytest.fixture
+    def session_dir(self, tmp_path, bundled_session) -> Path:
+        session_dir = tmp_path / "sess"
+        shutil.copytree(bundled_session, session_dir)
+        shutil.copy(session_dir / "datasets" / "F.json", session_dir / "datasets" / "G.json")
+        return session_dir
+
+    def test_compare_tells_the_copy_from_the_original(self, session_dir):
+        # Once exit 3: "dataset names must be unique".
+        assert run(session_dir, "compare", "--datasets", "F,G") == 0
+        assert table_rows(session_dir / "reports" / "compare.csv")[0] == ["name", "F", "G"]
+
+    def test_projection_lists_the_copy_and_is_keyed_to_it(self, session_dir):
+        assert run(session_dir, "compare", "--datasets", "G,S3", "--base", "combined") == 0
+        projection = json.loads((session_dir / "reports" / "projection.json").read_text(encoding="utf-8"))
+        assert projection["datasets"] == ["G", "S3"]
+        datasets = [part for part in projection["inputs"].split() if part.startswith("datasets/")]
+        copy = hashlib.sha256((session_dir / "datasets" / "G.json").read_bytes()).hexdigest()
+        assert datasets[0] == f"datasets/G.json={copy}" and len(datasets) == 2
+        assert run(session_dir, "render", "--network", "combined", "--overlay") == 0  # read back as current
+
+    def test_union_records_the_copy(self, session_dir):
+        assert run(session_dir, "union", "--name", "U", "--datasets", "G") == 0
+        union = json.loads((session_dir / "datasets" / "U.json").read_text(encoding="utf-8"))
+        assert union["provenance"]["inputs"] == ["G"]
+        assert "name" not in union
 
 
 def table_rows(path: Path) -> list[list[str]]:

@@ -504,7 +504,6 @@ class TestSubCluster:
         network = weighted_network(edges | outside)
         parent_members = set(left + right)
         sub = sub_cluster(parent_members, network, parent_index=0)
-        assert sub.level == 2 and sub.parent == 0
         assert set(sub.assignment) == parent_members
         groups = sorted(sorted(g) for g in sub.clusters())
         assert groups == [left, right]
@@ -519,7 +518,6 @@ class TestSubCluster:
         with pytest.warns(UserWarning, match="fewer than 3"):
             sub = sub_cluster({"a", "b"}, network, parent_index=3)
         assert sub.num_clusters() == 1
-        assert sub.parent == 3
 
     def test_induced_subnetwork_keeps_original_weights(self):
         edges = {("a", "b"): 5.0, ("b", "c"): 2.0, ("c", "d"): 7.0}

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citecascade.clustering import ClusterPartition, detect_communities, sub_cluster
+from citecascade.clustering import detect_communities, sub_cluster
 from citecascade.cocitation import CoCitationNetwork, NetworkConfig, NodeInfo
 from citecascade.labeling import (
-    ConceptTree,
     PhraseIndex,
     build_concept_tree,
     cited_by,
@@ -51,7 +50,7 @@ def label_alone(members, store, index: int, background_members) -> str:
     )
 
 
-def concept_tree(members, store) -> ConceptTree:
+def concept_tree(members, store) -> dict:
     return build_concept_tree(cited_by(members, store), store, PhraseIndex(store))
 
 
@@ -134,9 +133,7 @@ class TestCachedLogLikelihoodRatio:
                                     (range(min(2, n_clusters)), set().union(*tables[:2]))):
             labels = []
             for index in (cached, uncached):
-                partition = ClusterPartition(assignment={f"m{i}": i for i in members})
-                label_all_clusters(partition, [tables[i] for i in members], background, index)
-                labels.append(partition.labels)
+                labels.append(label_all_clusters([tables[i] for i in members], background, index))
             assert labels[0] == labels[1]
         # Every score, the winners among them, is the very float the uncached function gives.
         assert all(cached.log_likelihood_ratio(*table).hex() == score.hex() for table, score in scored)
@@ -237,15 +234,15 @@ class TestLabelCluster:
 
 
 class TestConceptTree:
-    def _tree_edges(self, tree: ConceptTree) -> set[tuple[str, str]]:
+    def _tree_edges(self, tree: dict) -> set[tuple[str, str]]:
         edges = set()
 
         def walk(node):
-            for child in node.children:
-                edges.add((node.phrase, child.phrase))
+            for child in node["children"]:
+                edges.add((node["phrase"], child["phrase"]))
                 walk(child)
 
-        for root in tree.roots:
+        for root in tree["roots"]:
             walk(root)
         return edges
 
@@ -267,8 +264,8 @@ class TestConceptTree:
         records.append(make_record("c2", year=2005, refs=["m"], title="beta"))
         store = make_store(records)
         tree = concept_tree({"m"}, store)
-        assert {r.phrase for r in tree.roots} == {"alpha", "beta"}
-        assert all(not r.children for r in tree.roots)
+        assert {r["phrase"] for r in tree["roots"]} == {"alpha", "beta"}
+        assert all(not r["children"] for r in tree["roots"])
 
     def test_planted_hierarchy_matches_hand_construction(self):
         titles = ["fish oil"] * 6 + ["fish oil supplementation"] * 4
@@ -283,7 +280,7 @@ class TestConceptTree:
             ("oil", "oil supplementation"),
         }
         assert expected_edges <= self._tree_edges(tree)
-        roots = [r.phrase for r in tree.roots]
+        roots = [r["phrase"] for r in tree["roots"]]
         assert roots[:2] == ["fish", "oil"]  # support 10 each, alphabetical
         assert "supplementation" in roots  # support 4, no shorter superset
 
@@ -302,28 +299,17 @@ class TestConceptTree:
         tree = concept_tree({"m"}, store)
 
         def check(node):
-            for child in node.children:
-                assert child.support <= node.support
+            for child in node["children"]:
+                assert child["support"] <= node["support"]
                 check(child)
 
-        for root in tree.roots:
+        for root in tree["roots"]:
             check(root)
 
     def test_no_text_gives_empty_tree(self):
         records = [make_record("m", year=1990)]
         store = make_store(records)
-        tree = concept_tree({"m"}, store)
-        assert tree.roots == []
-        assert tree.to_text() == ""
-
-    def test_text_rendering_indents(self):
-        records = [make_record("m", year=1990)]
-        for i, title in enumerate(["fish oil"] * 2 + ["fish oil diets"]):
-            records.append(make_record(f"c{i}", year=2005, refs=["m"], title=title))
-        store = make_store(records)
-        text = concept_tree({"m"}, store).to_text()
-        assert "fish oil (3)" in text
-        assert "  fish oil (3)" in text or "fish (3)" in text
+        assert concept_tree({"m"}, store) == {"roots": []}
 
     @settings(max_examples=60, deadline=None)
     @example(titles=[["gene", "drug", "gene"]])
@@ -359,7 +345,7 @@ class TestConceptTree:
             else:
                 roots.add(phrase)
         assert self._tree_edges(tree) == expected
-        assert {root.phrase for root in tree.roots} == roots
+        assert {root["phrase"] for root in tree["roots"]} == roots
 
 
 def _digest(value) -> str:
@@ -376,7 +362,7 @@ class TestSharedPhraseIndex:
         phrase_index = PhraseIndex(store)
         clusters = partition.clusters()
         citers = [cited_by(m, store) for m in clusters]
-        label_all_clusters(partition, citers, set().union(*citers), phrase_index)
+        partition.labels = label_all_clusters(citers, set().union(*citers), phrase_index)
         top = sorted(range(len(clusters)), key=lambda i: -len(clusters[i]))[:3]
         return network, store, partition, phrase_index, clusters, citers, top
 
@@ -398,7 +384,7 @@ class TestSharedPhraseIndex:
                 warnings.simplefilter("ignore")
                 sub = sub_cluster(members, network, parent)
             sub_citers = [cited_by(m, store) for m in sub.clusters()]
-            label_all_clusters(sub, sub_citers, citers[parent], phrase_index)
+            sub.labels = label_all_clusters(sub_citers, citers[parent], phrase_index)
             assert sub.labels == {
                 i: label_alone(m, store, i, members) for i, m in enumerate(sub.clusters())
             }
@@ -413,8 +399,8 @@ class TestSharedPhraseIndex:
         for index in top:
             shared = build_concept_tree(citers[index], store, phrase_index)
             alone = concept_tree(clusters[index], store)
-            assert shared.to_json_dict() == alone.to_json_dict()
-            trees[str(index)] = shared.to_json_dict()
+            assert shared == alone
+            trees[str(index)] = shared
         assert _digest(trees) == (
             "8ac9f6c053fab5f39b3b9ebad7ec5f497b7de99a02dc24ef5f7050fcb1bc07ef"
         )

@@ -95,7 +95,7 @@ def test_names_are_the_saved_networks_and_datasets(names):
         for name in names:
             session.save_dataset(Dataset(name, {"x"}))
             session.save_network(name, NETWORK, network_stats(NETWORK))
-            session.save_clusters(name, {}, "", "")
+            session.save_clusters(name, {}, "")
         assert session.names("network") == session.names("dataset") == sorted(names)
 
 
@@ -109,10 +109,10 @@ def test_siblings_are_keyed_to_the_bytes_written(tmp_path, stream):
     last = session.path("network", "n")
     session.write({session.path("graphml", "n"): "<graphml />\n",
                    last: iter(text.splitlines(keepends=True)) if stream else text},
-                  {session.path("concepts", "n"): "tree\n", session.path("counts", "n"): {"nodes": 1}})
+                  {session.path("cluster_table", "n"): "table\n", session.path("counts", "n"): {"nodes": 1}})
     assert last.read_bytes() == text.encode("utf-8")
     key = f"networks/n.json={hashlib.sha256(text.encode('utf-8')).hexdigest()}"
-    assert session.path("concepts", "n").read_text(encoding="utf-8") == f"# inputs {key}\ntree\n"
+    assert session.path("cluster_table", "n").read_text(encoding="utf-8") == f"# inputs {key}\ntable\n"
     assert json.loads(session.path("counts", "n").read_text(encoding="utf-8")) == {"inputs": key, "nodes": 1}
 
 
@@ -147,7 +147,7 @@ def test_saving_a_clustering_holds_no_whole_text(tmp_path):
                                  labels={c: f"label {c}" for c in range(2_000)},
                                  cluster_silhouettes={c: c / 2_000 for c in range(2_000)}, mean_silhouette=0.5)
     payload = {"level1": partition.to_json_dict()}
-    peak = traced_peak(lambda: session.save_clusters("n", payload, "table\n", "trees\n"))
+    peak = traced_peak(lambda: session.save_clusters("n", payload, "table\n"))
     size = session.path("clusters", "n").stat().st_size
     assert size > 2_000_000 and peak < min(size, session.path("network", "n").stat().st_size) / 2, (peak, size)
 
@@ -233,7 +233,7 @@ KILL_CASES = {
     "network": (4, BUNDLED_PIPELINE[4], [["network", "--dataset", "combined", "--min-citations", "0",
                                           "--top-n", "50"]], "networks/combined.json", 3),
     "cluster": (5, BUNDLED_PIPELINE[5], [["cluster", "--network", "combined", "--levels", "1", "--top-k", "1"]],
-                "networks/combined.clusters.json", 3),
+                "networks/combined.clusters.json", 2),
     "compare": (6, BUNDLED_PIPELINE[6], [["compare", "--datasets", "S3,F", "--base", "combined"]],
                 "reports/projection.json", 3),
     "render-overlay": (7, BUNDLED_PIPELINE[7], [], "renders/combined.positions.json", 2),
