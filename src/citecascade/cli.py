@@ -1,4 +1,5 @@
-"""Command-line pipeline: ingest -> search/expand -> network -> cluster -> compare -> render.
+"""Command-line pipeline: ingest/enrich -> search/expand -> union -> network -> cluster ->
+compare -> render/report.
 
 All commands operate inside a session directory (``--session``, default
 ``./session``) and are re-runnable: identical inputs overwrite their outputs
@@ -95,8 +96,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("expand", help="run a staged citation-cascade expansion")
     p.add_argument("--name", required=True, help="name for the result dataset")
-    p.add_argument("--seed", action="append", default=[], help="seed id (repeatable)")
-    p.add_argument("--stages", help="e.g. F:3 or F:1,B:1 (applied left to right)")
+    p.add_argument("--seed", action="append", required=True, help="seed id (repeatable)")
+    p.add_argument("--stages", required=True, help="e.g. F:3 or F:1,B:1 (applied left to right)")
     p.add_argument("--theta-citer", type=int, default=10)
     p.add_argument("--theta-ref", type=int, default=10)
     p.add_argument("--cap", type=int, default=None, help="max additions per generation")
@@ -105,8 +106,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--name", help="network name (default: dataset name)")
     p.add_argument("--lrf", type=_finite_float, default=None)
-    p.add_argument("--lby", type=int, default=None)
-    p.add_argument("--no-lby", action="store_true", help="disable the look-back bound")
+    lby = p.add_mutually_exclusive_group()
+    lby.add_argument("--lby", type=int, default=None)
+    lby.add_argument("--no-lby", action="store_true", help="disable the look-back bound")
     p.add_argument("--min-citations", type=int, default=None)
     p.add_argument("--top-n", type=int, default=None)
     p.add_argument("--slice-years", type=int, default=None)
@@ -120,8 +122,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare", help="overlap matrix and base-map overlays")
     p.add_argument("--datasets", required=True, help="comma-separated dataset names")
     p.add_argument("--base", help="base network name (needs an existing clustering)")
-    p.add_argument("--threshold", type=float, default=0.10)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--epsilon", type=float)
 
     p = sub.add_parser("render", help="emit SVG artifacts")
     p.add_argument("--network", help="render this network's map")
@@ -222,8 +224,6 @@ def _cmd_union(args, session: Session) -> int:
 
 
 def _cmd_expand(args, session: Session) -> int:
-    if not args.seed or not args.stages:
-        raise ValidationError("expand needs --seed and --stages")
     spec = expansion.ExpansionSpec(
         seed_ids=set(args.seed),
         stages=_parse_stages(args.stages),
@@ -233,21 +233,20 @@ def _cmd_expand(args, session: Session) -> int:
     )
     store = session.load_store()
     dataset, trace = expansion.run_cascade(store, spec, args.name)
-    csv_path = session.write({
-        session.path("trace_table", args.name): expansion.trace_report(trace),
+    trace_path = session.write({
         session.path("trace", args.name): json_chunks(trace.to_json_dict()),
         session.path("dataset", dataset.name): json_chunks(dataset.to_json_dict()),
     })[0]
     print(
         f"dataset {dataset.name}: {len(dataset)} articles after "
         f"{len(trace.generations)} generation(s); terminal: {trace.terminal_reason}; "
-        f"trace: {csv_path}"
+        f"trace: {trace_path}"
     )
     return EXIT_OK
 
 
 def _network_config(args) -> cocitation.NetworkConfig:
-    """The network flags given, over the ``NetworkConfig`` defaults; ``--no-lby`` wins."""
+    """The network flags given, over the ``NetworkConfig`` defaults."""
     given = {f.name: getattr(args, f.name) for f in fields(cocitation.NetworkConfig)}
     given = {name: value for name, value in given.items() if value is not None}
     if args.no_lby:
@@ -328,6 +327,9 @@ def _overlap_csv(session: Session, names_text: str, summary: StoreSummary) -> tu
 
 
 def _cmd_compare(args, session: Session) -> int:
+    limits = {name: value for name in ("threshold", "epsilon") if (value := getattr(args, name)) is not None}
+    if limits and not args.base:
+        raise UsageError(f"--{next(iter(limits))} needs --base")
     datasets, overlap_text = _overlap_csv(session, args.datasets, _store_summary(session))
     files, keyed = {session.path("compare"): overlap_text}, {}
     if args.base:
@@ -335,7 +337,7 @@ def _cmd_compare(args, session: Session) -> int:
         partition = session.load_partition(args.base, network)
         projection = overlay.project_overlay(network, datasets, partition)
         files[session.path("projection")] = session.projection_text(args.base, projection)
-        coverage = overlay.coverage_report(projection, args.threshold, args.epsilon)
+        coverage = overlay.coverage_report(projection, **limits)
         keyed[session.path("coverage")] = coverage.to_csv(partition.labels)
     print("wrote " + ", ".join(map(str, session.write(files, keyed))))
     return EXIT_OK
@@ -370,6 +372,9 @@ def _cmd_render(args, session: Session) -> int:
 
 
 def _cmd_report(args, session: Session) -> int:
+    if (args.kind == "overlap") != (args.datasets is not None):
+        raise UsageError("report --kind overlap needs --datasets" if args.kind == "overlap"
+                         else "--datasets is for --kind overlap")
     if args.kind == "datasets":
         summary = _store_summary(session)
         rows = [("name", "kind", "records", "with_abstracts", "range")]
@@ -379,8 +384,6 @@ def _cmd_report(args, session: Session) -> int:
                          len(dataset.member_ids & summary.with_abstract), _dataset_year_range(dataset, summary)))
         text = csv_text(rows)
     elif args.kind == "overlap":
-        if not args.datasets:
-            raise ValidationError("report --kind overlap needs --datasets")
         _datasets, text = _overlap_csv(session, args.datasets, _store_summary(session))
     else:  # networks
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UnknownPublicationError, ValidationError
-from .records import Dataset, RecordStore, csv_text
+from .records import Dataset, RecordStore
 
 FORWARD = "FORWARD"
 BACKWARD = "BACKWARD"
@@ -197,21 +197,3 @@ def run_cascade(
         provenance={"kind": "expansion", "spec": spec.to_json_dict()},
     )
     return dataset, trace
-
-
-def trace_report(trace: ExpansionTrace) -> str:
-    """Render a trace as CSV, one row per generation.
-
-    The terminal_reason column is filled on the last row of each stage.
-    """
-    rows = [("generation", "direction", "examined", "found", "qualified", "added", "accumulated",
-             "terminal_reason")]
-    last_row_of_stage = {record.stage_index: number for number, record in enumerate(trace.generations)}
-    for number, record in enumerate(trace.generations):
-        last = last_row_of_stage[record.stage_index] == number
-        rows.append((
-            number + 1, "F" if record.direction == FORWARD else "B", record.examined,
-            record.candidates_found, record.candidates_qualified, len(record.added_ids),
-            record.accumulated_size, trace.stage_reasons.get(record.stage_index, "") if last else "",
-        ))
-    return csv_text(rows)

@@ -16,7 +16,7 @@ A session holds everything one analysis produces::
                      # the layout; <a>,<b>,<c>.years.svg charts datasets a, b and c
       reports/       # <ingested file stem>.load-report.csv, compare.csv, projection.json,
                      # coverage.csv, datasets.csv, overlap.csv, networks.csv
-      traces/        # <name>.trace.csv and .trace.json
+      traces/        # <name>.trace.json: each generation of the expansion and each stage's reason
 
 ``ARTIFACTS`` is this layout as a table, and ``Session.path`` forms every path
 but ``store.jsonl``, ``store.summary.json`` and ``.lock`` from it. A name may not
@@ -50,8 +50,8 @@ store. A ``Session`` only stores and reads; it computes nothing.
 A session holds no settings: each command takes its settings from its flags,
 and rendering from the constants of :mod:`citecascade.render`. A file that an
 older version kept in the session and this one does not write (a settings
-file, a map's HTML page, a network's concept text file) is neither read nor
-rewritten.
+file, a map's HTML page, a network's concept text file, an expansion's trace
+table) is neither read nor rewritten.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ ARTIFACTS = {kind: (directory, suffix) for directory, kinds in {
     "reports": {"load_report": ".load-report.csv", "compare": "compare.csv", "projection": "projection.json",
                 "coverage": "coverage.csv", "datasets_report": "datasets.csv", "overlap_report": "overlap.csv",
                 "networks_report": "networks.csv"},
-    "traces": {"trace_table": ".trace.csv", "trace": ".trace.json"},
+    "traces": {"trace": ".trace.json"},
 }.items() for kind, suffix in kinds.items()}
 DIRECTORIES = sorted({directory for directory, _suffix in ARTIFACTS.values()})
 

@@ -114,7 +114,8 @@ class TestPipeline:
             "--seed", "seed", "--stages", "F:2",
             "--theta-citer", "0", "--theta-ref", "0",
         ) == 0
-        assert (session_dir / "traces" / "S.trace.csv").exists()
+        assert (session_dir / "traces" / "S.trace.json").exists()
+        assert not list(session_dir.rglob("*.trace.csv"))
         assert run(session_dir, "union", "--name", "combined", "--datasets", "F,S") == 0
 
         assert run(
@@ -295,6 +296,31 @@ class TestExitCodes:
         capsys.readouterr()
         before = session_files(session_dir)
         assert run(session_dir, "render", *argv) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
+        assert session_files(session_dir) == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (["expand", "--name", "G", "--stages", "F:1"], "the following arguments are required: --seed"),
+        (["expand", "--name", "G", "--seed", "seed"], "the following arguments are required: --stages"),
+        (["report", "--kind", "overlap"], "report --kind overlap needs --datasets"),
+        (["report", "--kind", "datasets", "--datasets", "F,S"], "--datasets is for --kind overlap"),
+        (["report", "--kind", "networks", "--datasets", "F,S"], "--datasets is for --kind overlap"),
+        (["compare", "--datasets", "F,S", "--threshold", "0.2"], "--threshold needs --base"),
+        (["compare", "--datasets", "F,S", "--epsilon", "0.1"], "--epsilon needs --base"),
+        (["network", "--dataset", "combined", "--name", "G", "--lby", "3", "--no-lby"],
+         "argument --no-lby: not allowed with argument --lby"),
+    ])
+    def test_command_line_mistake_exits_2_and_writes_nothing(self, tmp_path, corpus, capsys, argv, message):
+        """A missing or conflicting flag, or one the command would ignore, is refused before
+        anything is read, by the parser or by the command."""
+        session_dir = finished_session(tmp_path, corpus)
+        capsys.readouterr()
+        before = session_files(session_dir)
+        try:
+            code = run(session_dir, *argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert one_error_line(capsys) == f"error: {message}\n"
         assert session_files(session_dir) == before
 
@@ -1557,7 +1583,7 @@ class TestRerunnability:
 
         watched = [
             session_dir / "datasets" / "S.json",
-            session_dir / "traces" / "S.trace.csv",
+            session_dir / "traces" / "S.trace.json",
             session_dir / "networks" / "S.graphml",
             session_dir / "networks" / "S.json",
             session_dir / "networks" / "S.clusters.json",
@@ -1628,7 +1654,8 @@ def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
 # the file of their own group that is read back: clusters.json and projection.json.
 # Both re-recorded, for that line, when the clusters file lost each level's ``level``
 # and ``parent`` keys and the dataset files their ``name`` (the projection's key
-# hashes the compared dataset files).
+# hashes the compared dataset files). The expansion's trace table left when
+# ``expand`` came to write its trace once, as trace.json.
 BUNDLED_TABLE_SHA256 = {
     "networks/combined.clusters.csv": "865ec004d9e4702a31c2913b9ad026528bae9048ee649e251fbde26ee207e543",
     "reports/compare.csv": "a245a79a4fd330b243e6372dbefa6860b68ef00fd1ec0dfbef395461769d0302",
@@ -1637,7 +1664,6 @@ BUNDLED_TABLE_SHA256 = {
     "reports/networks.csv": "7d43bd05d73e7058ea570694d30e33ed79eb9343155e0f13667adfa503529aa1",
     "reports/overlap.csv": "4ce43f77b326db532f5d02638b57cb7b4c576d63d4a65ca2f9644f9ff9675d6d",
     "reports/synthetic_500.load-report.csv": "6fac5a0a654694482a278b05771df56191d52da37f5ae4a1d60a28902d80e3c6",
-    "traces/S3.trace.csv": "ea04d85d3ac28d722d5b67a166c31ed1a1747c1743cffa496fae81aa9f949c72",
 }
 
 

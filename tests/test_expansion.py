@@ -16,8 +16,8 @@ from citecascade.expansion import (
     ExpansionStage,
     _qualified_step,
     run_cascade,
-    trace_report,
 )
+from citecascade.records import json_text
 
 from conftest import chain_store, make_record, make_store, random_citation_dag
 
@@ -203,30 +203,34 @@ class TestTraceReport:
         store = chain_store(4)
         spec = ExpansionSpec(seed_ids={"a"}, stages=[ExpansionStage("F", 3)])
         _, trace = run_cascade(store, spec, "walk")
-        rows = [line.split(",") for line in trace_report(trace).splitlines()[1:]]
+        payload = trace.to_json_dict()
         # Hand-walked: each generation examines 1, finds 1, adds 1.
-        assert [row[:7] for row in rows] == [
-            ["1", "F", "1", "1", "1", "1", "2"],
-            ["2", "F", "1", "1", "1", "1", "3"],
-            ["3", "F", "1", "1", "1", "1", "4"],
+        assert [
+            (g["stage"], g["direction"], g["examined"], g["found"], g["qualified"], g["added_ids"], g["accumulated"])
+            for g in payload["generations"]
+        ] == [
+            (0, FORWARD, 1, 1, 1, ["b"], 2),
+            (0, FORWARD, 1, 1, 1, ["c"], 3),
+            (0, FORWARD, 1, 1, 1, ["d"], 4),
         ]
-        assert rows[-1][7] == "generations exhausted"
-        assert rows[0][7] == rows[1][7] == ""
+        assert payload["stage_reasons"] == {"0": "generations exhausted"}
+        assert payload["terminal_reason"] == "generations exhausted"
 
     def test_empty_frontier_single_row(self):
         store = make_store([make_record("a")])
         spec = ExpansionSpec(seed_ids={"a"}, stages=[ExpansionStage("F", 2)])
         _, trace = run_cascade(store, spec, "fix")
-        lines = trace_report(trace).splitlines()
-        assert len(lines) == 2  # header + one generation
-        assert lines[1].endswith("empty frontier")
+        payload = trace.to_json_dict()
+        assert len(payload["generations"]) == 1
+        assert payload["stage_reasons"] == {"0": "empty frontier"}
+        assert payload["terminal_reason"] == "empty frontier"
 
     def test_accumulated_column_nondecreasing(self, rng):
         store = random_citation_dag(rng, 120)
         seeds = set(store.ids()[:3])
         spec = ExpansionSpec(seed_ids=seeds, stages=[ExpansionStage("F", 3)], theta_citer=1)
         _, trace = run_cascade(store, spec, "x")
-        sizes = [g.accumulated_size for g in trace.generations]
+        sizes = [g["accumulated"] for g in trace.to_json_dict()["generations"]]
         assert sizes == sorted(sizes)
 
 
@@ -277,7 +281,7 @@ class TestProperties:
         first_ds, first_trace = run_cascade(store, spec, "d")
         second_ds, second_trace = run_cascade(store, spec, "d")
         assert first_ds.member_ids == second_ds.member_ids
-        assert trace_report(first_trace) == trace_report(second_trace)
+        assert json_text(first_trace.to_json_dict()) == json_text(second_trace.to_json_dict())
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -229,7 +229,7 @@ KILL_CASES = {
     "ingest": (0, BUNDLED_PIPELINE[0], [["ingest", "{older}"]], "store.jsonl", 3),
     "enrich": (1, ["enrich", "{abstracts}"], [], "store.jsonl", 2),
     "expand": (2, BUNDLED_PIPELINE[2], [["expand", "--name", "S3", "--seed", "P010", "--stages", "F:2",
-                                         "--theta-citer", "1", "--theta-ref", "1"]], "datasets/S3.json", 3),
+                                         "--theta-citer", "1", "--theta-ref", "1"]], "datasets/S3.json", 2),
     "network": (4, BUNDLED_PIPELINE[4], [["network", "--dataset", "combined", "--min-citations", "0",
                                           "--top-n", "50"]], "networks/combined.json", 3),
     "cluster": (5, BUNDLED_PIPELINE[5], [["cluster", "--network", "combined", "--levels", "1", "--top-k", "1"]],
