@@ -161,6 +161,15 @@ def _parse_stages(text: str) -> list[expansion.ExpansionStage]:
     return stages
 
 
+def _checked(build, **values):
+    """``build(**values)``, its ValidationError a command-line mistake (exit 2): each command
+    builds the settings of its flags, whose class holds their ranges, before it reads anything."""
+    try:
+        return build(**values)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _store_summary(session: Session) -> StoreSummary:
     """The store summary, summarized from the replayed store when its file is not current."""
     return session.store_summary() or StoreSummary.of(session.load_store())
@@ -224,7 +233,8 @@ def _cmd_union(args, session: Session) -> int:
 
 
 def _cmd_expand(args, session: Session) -> int:
-    spec = expansion.ExpansionSpec(
+    spec = _checked(
+        expansion.ExpansionSpec,
         seed_ids=set(args.seed),
         stages=_parse_stages(args.stages),
         theta_citer=args.theta_citer,
@@ -251,14 +261,14 @@ def _network_config(args) -> cocitation.NetworkConfig:
     given = {name: value for name, value in given.items() if value is not None}
     if args.no_lby:
         given["lby"] = None
-    return cocitation.NetworkConfig(**given)
+    return _checked(cocitation.NetworkConfig, **given)
 
 
 def _cmd_network(args, session: Session) -> int:
     name = check_name(args.name or args.dataset)
+    config = _network_config(args)
     dataset = session.load_dataset(args.dataset)
     store = session.load_store()
-    config = _network_config(args)
     network = cocitation.build_network(dataset, store, config)
     if not network.nodes:
         raise ValidationError(f"dataset {args.dataset!r} gives a network with no node; nothing written")
@@ -327,9 +337,10 @@ def _overlap_csv(session: Session, names_text: str, summary: StoreSummary) -> tu
 
 
 def _cmd_compare(args, session: Session) -> int:
-    limits = {name: value for name in ("threshold", "epsilon") if (value := getattr(args, name)) is not None}
-    if limits and not args.base:
-        raise UsageError(f"--{next(iter(limits))} needs --base")
+    given = {name: value for name in ("threshold", "epsilon") if (value := getattr(args, name)) is not None}
+    if given and not args.base:
+        raise UsageError(f"--{next(iter(given))} needs --base")
+    limits = _checked(overlay.CoverageLimits, **given)
     datasets, overlap_text = _overlap_csv(session, args.datasets, _store_summary(session))
     files, keyed = {session.path("compare"): overlap_text}, {}
     if args.base:
@@ -337,7 +348,7 @@ def _cmd_compare(args, session: Session) -> int:
         partition = session.load_partition(args.base, network)
         projection = overlay.project_overlay(network, datasets, partition)
         files[session.path("projection")] = session.projection_text(args.base, projection)
-        coverage = overlay.coverage_report(projection, **limits)
+        coverage = overlay.coverage_report(projection, limits)
         keyed[session.path("coverage")] = coverage.to_csv(partition.labels)
     print("wrote " + ", ".join(map(str, session.write(files, keyed))))
     return EXIT_OK

@@ -125,32 +125,29 @@ class CoCitationNetwork:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> Iterator[str]:
-        """The rows of the network as ``json_text`` lays it out (two-space indent, sorted
-        keys, ASCII escapes, final newline): config, then the edges and nodes sorted,
-        then the slices. One template string per row; ``tests/test_cocitation.py``
-        holds the ``json_text`` of the dict form as the byte oracle."""
-        config = json_text(self.config.to_json_dict()).rstrip("\n").replace("\n", "\n  ")
-        yield f'{{\n  "config": {config},\n  "edges": '
-        yield from _json_list((
-            f'    {{\n      "first_cocited_year": {info.first_cocited_year},\n'
-            f'      "source": {_json_string(a)},\n      "target": {_json_string(b)},\n'
-            f'      "weight": {info.weight}\n    }}'
+        """The rows of the network as ``json_text`` lays it out (one line, sorted keys,
+        ASCII escapes, final newline): config, then the edges and nodes sorted, then the
+        slices. One template string per row; ``tests/test_cocitation.py`` holds the
+        ``json_text`` of the dict form as the byte oracle."""
+        config = json_text(self.config.to_json_dict()).rstrip("\n")
+        yield f'{{"config": {config}, "edges": '
+        yield from _json_list(
+            f'{{"first_cocited_year": {info.first_cocited_year}, "source": {_json_string(a)}, '
+            f'"target": {_json_string(b)}, "weight": {info.weight}}}'
             for (a, b), info in _sorted_items(self.edges)
-        ), "  ")
-        yield ',\n  "nodes": '
-        yield from _json_list((
-            f'    {{\n      "count": {info.count},\n      "id": {_json_string(n)},\n'
-            f'      "year": {info.year}\n    }}'
+        )
+        yield ', "nodes": '
+        yield from _json_list(
+            f'{{"count": {info.count}, "id": {_json_string(n)}, "year": {info.year}}}'
             for n, info in _sorted_items(self.nodes)
-        ), "  ")
-        yield ',\n  "slices": '
-        citers = ("".join(_json_list((f"        {_json_string(c)}" for c in s.citer_ids), "      "))
-                  for s in self.slices)
-        yield from _json_list((
-            f'    {{\n      "citers": {rows},\n      "end": {s.end},\n      "start": {s.start}\n    }}'
-            for s, rows in zip(self.slices, citers)
-        ), "  ")
-        yield "\n}\n"
+        )
+        yield ', "slices": '
+        yield from _json_list(
+            f'{{"citers": {"".join(_json_list(map(_json_string, s.citer_ids)))}, '
+            f'"end": {s.end}, "start": {s.start}}}'
+            for s in self.slices
+        )
+        yield "}\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoCitationNetwork":
@@ -244,13 +241,13 @@ def _sorted_items(mapping: dict) -> Iterator[tuple]:
     return ((key, mapping[key]) for key in sorted(mapping))
 
 
-def _json_list(rows: Iterable[str], indent: str) -> Iterator[str]:
-    """The chunks of a JSON list of laid-out rows, its closing bracket at ``indent``."""
-    separator = "[\n"
+def _json_list(rows: Iterable[str]) -> Iterator[str]:
+    """The chunks of a JSON list of laid-out rows."""
+    separator = "["
     for row in rows:
         yield separator + row
-        separator = ",\n"
-    yield "[]" if separator == "[\n" else f"\n{indent}]"
+        separator = ", "
+    yield "[]" if separator == "[" else "]"
 
 
 class NetworkArrays(NamedTuple):

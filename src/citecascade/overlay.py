@@ -147,10 +147,24 @@ PARTIAL = "PARTIAL"
 MISSED = "MISSED"
 
 
+@dataclass(frozen=True)
+class CoverageLimits:
+    """The limits of the coverage classes: ``threshold`` strictly between 0 and 1,
+    ``epsilon`` in [0, 1)."""
+
+    threshold: float = 0.10
+    epsilon: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.threshold < 1.0):
+            raise ValidationError("threshold must lie strictly between 0 and 1")
+        if not (0.0 <= self.epsilon < 1.0):
+            raise ValidationError("epsilon must lie in [0, 1)")
+
+
 @dataclass
 class CoverageReport:
-    threshold: float
-    epsilon: float
+    limits: CoverageLimits
     classes: dict[int, dict[str, str]]  # cluster -> dataset -> FULL/PARTIAL/MISSED
     common_core: list[int]  # clusters covered >= threshold by every dataset
 
@@ -161,14 +175,10 @@ class CoverageReport:
             *([cluster, (labels or {}).get(cluster, ""), *(self.classes[cluster][name] for name in datasets)]
               for cluster in sorted(self.classes)),
             ["common_core", ";".join(str(c) for c in self.common_core), ""],
-        ], comments=[f"threshold={self.threshold} epsilon={self.epsilon}"])
+        ], comments=[f"threshold={self.limits.threshold} epsilon={self.limits.epsilon}"])
 
 
-def coverage_report(
-    projection: OverlayProjection,
-    threshold: float = 0.10,
-    epsilon: float = 0.05,
-) -> CoverageReport:
+def coverage_report(projection: OverlayProjection, limits: CoverageLimits = CoverageLimits()) -> CoverageReport:
     """Classify each cluster x dataset as FULL, PARTIAL, or MISSED.
 
     FULL: coverage >= 1-epsilon; PARTIAL: threshold <= coverage < 1-epsilon;
@@ -176,12 +186,9 @@ def coverage_report(
     covers at or above the threshold. Coverage comes from
     ``project_overlay``; a projection without it is rejected.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValidationError("threshold must lie strictly between 0 and 1")
-    if not (0.0 <= epsilon < 1.0):
-        raise ValidationError("epsilon must lie in [0, 1)")
     if not projection.coverage:
         raise ValidationError("projection has no cluster coverage; project it with a partition")
+    threshold, epsilon = limits.threshold, limits.epsilon
 
     classes: dict[int, dict[str, str]] = {}
     common_core: list[int] = []
@@ -198,4 +205,4 @@ def coverage_report(
         classes[cluster] = row
         if all(fractions[name] >= threshold for name in projection.dataset_names):
             common_core.append(cluster)
-    return CoverageReport(threshold, epsilon, classes, common_core)
+    return CoverageReport(limits, classes, common_core)

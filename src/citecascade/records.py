@@ -11,9 +11,9 @@ object per id however often it is cited. Named article-id sets are
 per-dataset year statistics are :class:`YearDistribution` objects, counted
 from a :class:`StoreSummary` of the store's years and abstract flags.
 :func:`json_chunks` is the one JSON layout of every artifact the package
-writes (:func:`json_text` joins it), :func:`csv_text` the one CSV layout of
-every table, and :func:`xml_text` and :func:`xml_attribute` the one XML
-escaping of GraphML and SVG.
+writes, one line each (:func:`json_text` joins it), :func:`csv_text` the one
+CSV layout of every table, and :func:`xml_text` and :func:`xml_attribute` the
+one XML escaping of GraphML and SVG.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ _CONTROL_RE = re.compile(r"[\x00-\x1f]")
 
 
 def json_chunks(payload) -> Iterator[str]:
-    """The JSON layout of every written artifact, in chunks: indented, sorted keys, final newline."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    """Every written artifact's JSON layout, in chunks: one line as a store line, sorted keys, final newline."""
+    yield from json.JSONEncoder(sort_keys=True).iterencode(payload)
     yield "\n"
 
 

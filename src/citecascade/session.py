@@ -51,7 +51,9 @@ A session holds no settings: each command takes its settings from its flags,
 and rendering from the constants of :mod:`citecascade.render`. A file that an
 older version kept in the session and this one does not write (a settings
 file, a map's HTML page, a network's concept text file, an expansion's trace
-table) is neither read nor rewritten.
+table) is neither read nor rewritten. Every JSON file is written on one line, as
+``records.json_chunks`` lays it out; one that an older version wrote indented still
+loads, and a keyed one stays current, as keys are compared by the ``inputs`` value.
 """
 
 from __future__ import annotations

@@ -227,21 +227,31 @@ class TestExitCodes:
         assert run(tmp_path / "sess", "network", "--dataset", "nope") == 4
         assert "no dataset named" in capsys.readouterr().err
 
-    def test_bad_threshold_exits_3(self, tmp_path, corpus, capsys):
-        session_dir = tmp_path / "sess"
-        run(session_dir, "ingest", str(corpus), "--dataset", "a")
-        run(session_dir, "search", "--name", "b", "--phrase", "topic")
-        run(session_dir, "expand", "--name", "S", "--seed", "seed", "--stages", "F:1",
-            "--theta-citer", "0", "--theta-ref", "0")
-        run(session_dir, "network", "--dataset", "S", "--min-citations", "0")
-        run(session_dir, "cluster", "--network", "S")
+    def test_out_of_range_flags_exit_2_before_anything_is_read(self, tmp_path, corpus, capsys, monkeypatch):
+        """A flag outside the range its settings class holds is a command-line mistake. Each
+        case once exited 3, those of network and compare only after reading the session."""
+        session_dir = finished_session(tmp_path, corpus)
         capsys.readouterr()
-        for bad in (["--threshold", "1.5"], ["--epsilon", "nan"], ["--epsilon", "-3"],
-                    ["--epsilon", "1"], ["--epsilon", "inf"]):
-            assert run(session_dir, "compare", "--datasets", "a,b", "--base", "S", *bad) == 3, bad
-            assert "must lie" in one_error_line(capsys)
-            assert not (session_dir / "reports" / "compare.csv").exists(), bad
-        assert not (session_dir / "reports" / "coverage.csv").exists()
+        before = session_files(session_dir)
+        for reader in ("load_store", "load_dataset", "load_network", "store_summary"):
+            monkeypatch.setattr(Session, reader, lambda *args, **kwargs: pytest.fail("the session was read"))
+        expand = ["expand", "--name", "G", "--seed", "seed", "--stages", "F:1"]
+        network = ["network", "--dataset", "combined", "--name", "G"]
+        compare = ["compare", "--datasets", "F,S", "--base", "F"]
+        for argv, message in [
+            ([*expand, "--theta-citer", "-1"], "thresholds must be >= 0"),
+            ([*expand, "--theta-ref", "-1"], "thresholds must be >= 0"),
+            ([*expand, "--cap", "0"], "per_generation_cap must be >= 1 when set"),
+            ([*network, "--top-n", "0"], "top_n and slice_years must be >= 1"),
+            ([*network, "--slice-years", "0"], "top_n and slice_years must be >= 1"),
+            ([*network, "--lby", "0"], "lby must be >= 1 when set"),
+            ([*network, "--lrf", "0"], "lrf must be a finite positive number"),
+            ([*compare, "--threshold", "1.5"], "threshold must lie strictly between 0 and 1"),
+            *(([*compare, "--epsilon", bad], "epsilon must lie in [0, 1)") for bad in ("nan", "-3", "1", "inf")),
+        ]:
+            assert run(session_dir, *argv) == 2, argv
+            assert one_error_line(capsys) == f"error: {message}\n", argv
+            assert session_files(session_dir) == before, argv
 
     @pytest.mark.parametrize(
         "value",
@@ -1423,15 +1433,16 @@ def store_lines(session_dir: Path) -> list[dict]:
 
 # sha256 of store.jsonl and store.summary.json after the bundled corpus's ingest, and
 # after a second ingest and an enrich of the rows below, recorded before each store
-# line came from one template.
+# line came from one template. The store summary's re-recorded when every JSON file
+# came to be written on one line, like a store line.
 BUNDLED_STORE_SHA256 = {
     "ingest": {
         "store.jsonl": "2682c3cf6565c5365412379f24f85fb72f15702fd9ff9e5efe8487147486594a",
-        "store.summary.json": "33ffd3a4aa4a7e2994b44c7ec4f1a0fa603e9ce777868e5cf74ffdfd365afa9f",
+        "store.summary.json": "6778ef8bcc7c2b92374d2b0b1d31c19c501840be4e7eb0da5ff15918c0a9c2b7",
     },
     "ingest, ingest, enrich": {
         "store.jsonl": "063230c8dc0c8d41d6e89085fe8e615dd252297613bf47de8fe34195c1a98ec6",
-        "store.summary.json": "e7d567b71ecdb80dfb2e98fc0b6ef52dacf82d5d86165d558789947f5eb992b8",
+        "store.summary.json": "a2d25c21accbd532f18371246bc737f52f14ecccc0599386f0ad979a04d67755",
     },
 }
 # Rows with every optional field, ids that are integers, and texts holding non-ASCII and
@@ -1602,7 +1613,9 @@ class TestRerunnability:
 # network config lost its unused ``e_param``: the ``inputs`` key hashes the
 # network JSON, and nothing else in the file changed. Re-recorded when each level
 # lost its ``level`` and ``parent`` keys, which its place in the file gives.
-BUNDLED_CLUSTERS_SHA256 = "3f778a486c933338ebf8e77409129879def98b1e759a2d187bd67b9f47b56327"
+# Re-recorded, for the ``inputs`` key alone, when the network JSON came to be
+# written on one line.
+BUNDLED_CLUSTERS_SHA256 = "ba724802f431687092f58375c04f0e226d79a001a6b06cbed4c4616f92fd886a"
 FLOAT_FIELDS = {"modularity", "mean_silhouette", "silhouette"}
 
 
@@ -1655,11 +1668,13 @@ def test_bundled_clusters_and_top_citers_are_pinned(tmp_path):
 # Both re-recorded, for that line, when the clusters file lost each level's ``level``
 # and ``parent`` keys and the dataset files their ``name`` (the projection's key
 # hashes the compared dataset files). The expansion's trace table left when
-# ``expand`` came to write its trace once, as trace.json.
+# ``expand`` came to write its trace once, as trace.json. clusters.csv and
+# coverage.csv re-recorded, for that line, when every JSON file came to be written
+# on one line.
 BUNDLED_TABLE_SHA256 = {
-    "networks/combined.clusters.csv": "865ec004d9e4702a31c2913b9ad026528bae9048ee649e251fbde26ee207e543",
+    "networks/combined.clusters.csv": "6dad785a97cbee2488c76c0d8cb9e9fd0ee2b45af75146740dbe1446cbd8ef6d",
     "reports/compare.csv": "a245a79a4fd330b243e6372dbefa6860b68ef00fd1ec0dfbef395461769d0302",
-    "reports/coverage.csv": "5312f478431623d1b4c6169ad5ee12e2eb987cb54b628780eb4eb10685b5b943",
+    "reports/coverage.csv": "d11631a1d997b30308647d38a1f4a40ecae328ca543baf6969e66f60f7da1026",
     "reports/datasets.csv": "283de53b742be45fd8ba4ac6b2ec9300d0b5aeb2b7461eedec50f4e85a9a7922",
     "reports/networks.csv": "7d43bd05d73e7058ea570694d30e33ed79eb9343155e0f13667adfa503529aa1",
     "reports/overlap.csv": "4ce43f77b326db532f5d02638b57cb7b4c576d63d4a65ca2f9644f9ff9675d6d",
@@ -1668,9 +1683,10 @@ BUNDLED_TABLE_SHA256 = {
 
 
 # sha256 of the bundled pipeline's network files, recorded before network
-# construction became one pass per stage (slice grouping, pair map, prune).
+# construction became one pass per stage (slice grouping, pair map, prune); the
+# JSON's re-recorded when it came to be written on one line (the GraphML's stays).
 BUNDLED_NETWORK_SHA256 = {
-    "networks/combined.json": "5b9fcdb23aced10af2f3a0b19da1a0f9cab1ab986b9cb8f045fd6d476b38d7c5",
+    "networks/combined.json": "9408c33aaa3c45961e24db2ba93d4a391e8c7b2106704fc0474f00da13ab3550",
     "networks/combined.graphml": "7a6f28af0d093cf85ed63417bc4ffc3d011bf365c49cb11dfa662206ac28d170",
 }
 
@@ -1710,14 +1726,45 @@ def test_bundled_tables_are_pinned(bundled_session):
     assert networks == BUNDLED_NETWORK_SHA256
 
 
-# One failing command line per command that writes, and its exit code; render fails after
-# it has laid the network out. "{missing}" is a file that does not exist.
+class TestOneJsonLayout:
+    """Every JSON file is written on one line, as a store line is. A file that an older
+    version wrote indented still loads, and a keyed one stays current: keys compare the
+    ``inputs`` field by content, not the file's bytes."""
+
+    def test_every_json_file_is_one_line(self, bundled_session):
+        paths = sorted([*bundled_session.rglob("*.json"), *bundled_session.rglob("*.stats")])
+        assert len(paths) == 10
+        for path in paths:  # the network's JSON too, written from its own row templates
+            text = path.read_text(encoding="utf-8")
+            assert text == json_text(json.loads(text)) and text.count("\n") == 1, path
+
+    def test_indented_files_of_an_older_version_still_serve(self, tmp_path, bundled_session, monkeypatch,
+                                                           layout_calls):
+        session_dir = tmp_path / "sess"
+        shutil.copytree(bundled_session, session_dir)
+        for rel in ("networks/combined.clusters.json", "renders/combined.positions.json", "store.summary.json",
+                    "datasets/F.json", "datasets/S3.json", "datasets/combined.json"):
+            path = session_dir / rel
+            indented = json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=2, sort_keys=True) + "\n"
+            path.write_text(indented, encoding="utf-8")
+        monkeypatch.setattr(Session, "load_store", lambda self: pytest.fail("the store was replayed"))
+        for argv in (["render", "--network", "combined"], *BUNDLED_PIPELINE[10:]):
+            assert run(session_dir, *argv) == 0, argv
+        assert layout_calls == []
+        for rel in ("renders/combined.map.svg", "reports/datasets.csv", "reports/overlap.csv",
+                    "reports/networks.csv"):
+            assert (session_dir / rel).read_bytes() == (bundled_session / rel).read_bytes(), rel
+
+
+# One failing command line per command that writes, and its exit code; expand fails after
+# it has read the store, render after it has laid the network out. "{missing}" is a file
+# that does not exist.
 FAILING_COMMANDS = [
     (["ingest", "{missing}", "--dataset", "G"], 4),
     (["enrich", "{missing}"], 4),
     (["search", "--name", "G"], 3),
     (["union", "--name", "G", "--datasets", "F,nosuch"], 4),
-    (["expand", "--name", "G", "--seed", "P010", "--stages", "F:3", "--theta-citer", "-1"], 3),
+    (["expand", "--name", "G", "--seed", "nosuch", "--stages", "F:3"], 4),
     (["network", "--dataset", "combined", "--name", "combined.clusters"], 2),
     (["cluster", "--network", "combined", "--top-k", "-1"], 2),
     (["compare", "--datasets", "F,S3", "--base", "nosuch"], 4),

@@ -15,6 +15,7 @@ from citecascade.overlay import (
     FULL,
     MISSED,
     PARTIAL,
+    CoverageLimits,
     OverlayProjection,
     coverage_report,
     overlap_matrix,
@@ -192,13 +193,13 @@ class TestCoverageReport:
         projection = self._projection(
             {0: {"inside": 1.0, "outside": 0.0}}, ["inside", "outside"]
         )
-        report = coverage_report(projection, threshold=0.10, epsilon=0.05)
+        report = coverage_report(projection, CoverageLimits(threshold=0.10, epsilon=0.05))
         assert report.classes[0]["inside"] == FULL
         assert report.classes[0]["outside"] == MISSED
 
     def test_half_coverage_is_partial(self):
         projection = self._projection({0: {"d": 0.5}}, ["d"])
-        report = coverage_report(projection, threshold=0.25, epsilon=0.05)
+        report = coverage_report(projection, CoverageLimits(threshold=0.25, epsilon=0.05))
         assert report.classes[0]["d"] == PARTIAL
 
     def test_common_core_is_planted_universal_cluster(self):
@@ -210,28 +211,27 @@ class TestCoverageReport:
             },
             ["d1", "d2", "d3"],
         )
-        report = coverage_report(projection, threshold=0.10)
+        report = coverage_report(projection, CoverageLimits(threshold=0.10))
         assert report.common_core == [0]
 
     def test_boundaries(self):
         projection = self._projection({0: {"d": 0.95}, 1: {"d": 0.10}}, ["d"])
-        report = coverage_report(projection, threshold=0.10, epsilon=0.05)
+        report = coverage_report(projection, CoverageLimits(threshold=0.10, epsilon=0.05))
         assert report.classes[0]["d"] == FULL  # 0.95 >= 1 - 0.05
         assert report.classes[1]["d"] == PARTIAL  # exactly at threshold
 
     def test_threshold_validation(self):
-        projection = self._projection({0: {"d": 0.5}}, ["d"])
         for bad in (0.0, 1.0, -0.2, 7):
             with pytest.raises(ValidationError):
-                coverage_report(projection, threshold=bad)
+                CoverageLimits(threshold=bad)
 
     def test_rejects_projection_without_coverage(self):
         network = base_network(["n1", "n2"])
         datasets = [Dataset("d", {"n1", "n2"})]
         with pytest.raises(ValidationError):
-            coverage_report(self._projection({}, ["d"]), threshold=0.5)
+            coverage_report(self._projection({}, ["d"]), CoverageLimits(threshold=0.5))
         partition = ClusterPartition(assignment={"n1": 0, "n2": 0})
-        report = coverage_report(project_overlay(network, datasets, partition), threshold=0.5)
+        report = coverage_report(project_overlay(network, datasets, partition), CoverageLimits(threshold=0.5))
         assert report.classes[0]["d"] == FULL
 
     def test_csv_shape(self):

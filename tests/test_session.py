@@ -133,7 +133,7 @@ def test_saving_a_network_holds_neither_of_its_texts_whole(tmp_path):
     session = Session(tmp_path / "sess")
     peak = traced_peak(lambda: session.save_network("n", network, network_stats(network)))
     size = session.path("network", "n").stat().st_size
-    assert size > 4_000_000 and peak < size / 2, (peak, size)
+    assert size > 3_000_000 and peak < size / 2, (peak, size)
 
 
 def test_saving_a_clustering_holds_no_whole_text(tmp_path):
@@ -149,7 +149,7 @@ def test_saving_a_clustering_holds_no_whole_text(tmp_path):
     payload = {"level1": partition.to_json_dict()}
     peak = traced_peak(lambda: session.save_clusters("n", payload, "table\n"))
     size = session.path("clusters", "n").stat().st_size
-    assert size > 2_000_000 and peak < min(size, session.path("network", "n").stat().st_size) / 2, (peak, size)
+    assert size > 1_000_000 and peak < min(size, session.path("network", "n").stat().st_size) / 2, (peak, size)
 
 
 def test_reserved_endings_come_from_the_table():
