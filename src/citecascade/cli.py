@@ -30,9 +30,8 @@ from pathlib import Path
 
 from . import lazy
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
-from .records import (QUERY_KINDS, Dataset, StoreSummary, csv_text, dataset_union, json_chunks, search,
-                      year_distribution)
-from .session import Session, check_name
+from .records import QUERY_KINDS, Dataset, StoreSummary, csv_text, dataset_union, search, year_distribution
+from .session import Session, check_name, positions_json
 
 clustering = lazy("citecascade.clustering")
 cocitation = lazy("citecascade.cocitation")
@@ -138,10 +137,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _split_names(text: str) -> list[str]:
+def _split_names(text: str, least: int = 1) -> list[str]:
+    """The names of a comma-separated list; fewer than ``least`` is a command-line mistake."""
     names = [n.strip() for n in text.split(",") if n.strip()]
-    if not names:
-        raise ValidationError("no dataset names given")
+    if len(names) < least:
+        raise UsageError(f"need at least {least} datasets" if names else "no dataset names given")
     return names
 
 
@@ -161,11 +161,11 @@ def _parse_stages(text: str) -> list[expansion.ExpansionStage]:
     return stages
 
 
-def _checked(build, **values):
-    """``build(**values)``, its ValidationError a command-line mistake (exit 2): each command
-    builds the settings of its flags, whose class holds their ranges, before it reads anything."""
+def _checked(build):
+    """``build()``, its ValidationError a command-line mistake (exit 2): each command builds
+    the settings of its flags, whose class holds their ranges, before it reads anything."""
     try:
-        return build(**values)
+        return build()
     except ValidationError as exc:
         raise UsageError(str(exc)) from None
 
@@ -188,15 +188,16 @@ def _dataset_year_range(dataset: Dataset, summary: StoreSummary) -> str:
 def _cmd_ingest(args, session: Session) -> int:
     store = session.load_store()
     report = store.ingest(args.path, args.format)
-    files, keyed = {session.path("load_report", Path(args.path).stem, check=False): report.to_csv()}, {}
+    files, inputs = {session.path("load_report", Path(args.path).stem, check=False): report.to_csv()}, {}
     if report.loaded:
         files[session.store_path] = store.json_lines()
-        keyed[session.summary_path] = StoreSummary.of(store).to_json_dict()
+        files[session.summary_path] = StoreSummary.of(store).to_json_dict()
+        inputs[session.summary_path] = [session.store_path]
     if args.dataset is not None:
         dataset = Dataset(args.dataset, set(report.loaded_ids),
                           {"kind": "ingest", "source": Path(args.path).name, "format": args.format})
-        files[session.path("dataset", args.dataset)] = json_chunks(dataset.to_json_dict())
-    report_file = session.write(files, keyed, keyed_to=session.store_path)[0]
+        files[session.path("dataset", args.dataset)] = dataset.to_json_dict()
+    report_file = session.write(files, inputs)[0]
     print(
         f"loaded {report.loaded} records ({report.merged} merged), "
         f"{len(report.rejected)} rejected; report: {report_file}"
@@ -208,8 +209,9 @@ def _cmd_enrich(args, session: Session) -> int:
     store = session.load_store()
     report = store.enrich_abstracts(args.path)
     if report.enriched:
-        session.write({session.store_path: store.json_lines()},
-                      {session.summary_path: StoreSummary.of(store).to_json_dict()})
+        session.write({session.store_path: store.json_lines(),
+                       session.summary_path: StoreSummary.of(store).to_json_dict()},
+                      {session.summary_path: [session.store_path]})
     print(
         f"enriched {report.enriched} records, {len(report.unmatched)} unmatched, "
         f"{len(report.skipped_rows)} rows skipped"
@@ -233,19 +235,18 @@ def _cmd_union(args, session: Session) -> int:
 
 
 def _cmd_expand(args, session: Session) -> int:
-    spec = _checked(
-        expansion.ExpansionSpec,
+    spec = _checked(lambda: expansion.ExpansionSpec(
         seed_ids=set(args.seed),
         stages=_parse_stages(args.stages),
         theta_citer=args.theta_citer,
         theta_ref=args.theta_ref,
         per_generation_cap=args.cap,
-    )
+    ))
     store = session.load_store()
     dataset, trace = expansion.run_cascade(store, spec, args.name)
     trace_path = session.write({
-        session.path("trace", args.name): json_chunks(trace.to_json_dict()),
-        session.path("dataset", dataset.name): json_chunks(dataset.to_json_dict()),
+        session.path("trace", args.name): trace.to_json_dict(),
+        session.path("dataset", dataset.name): dataset.to_json_dict(),
     })[0]
     print(
         f"dataset {dataset.name}: {len(dataset)} articles after "
@@ -261,7 +262,7 @@ def _network_config(args) -> cocitation.NetworkConfig:
     given = {name: value for name, value in given.items() if value is not None}
     if args.no_lby:
         given["lby"] = None
-    return _checked(cocitation.NetworkConfig, **given)
+    return _checked(lambda: cocitation.NetworkConfig(**given))
 
 
 def _cmd_network(args, session: Session) -> int:
@@ -327,11 +328,8 @@ def _cmd_cluster(args, session: Session) -> int:
     return EXIT_OK
 
 
-def _overlap_csv(session: Session, names_text: str, summary: StoreSummary) -> tuple[list[Dataset], str]:
+def _overlap_csv(session: Session, names: list[str], summary: StoreSummary) -> tuple[list[Dataset], str]:
     """The named datasets and their overlap matrix CSV, with a Range row of years."""
-    names = _split_names(names_text)
-    if len(names) < 2:
-        raise ValidationError("need at least 2 datasets")
     datasets = [session.load_dataset(n) for n in names]
     return datasets, overlay.overlap_matrix(datasets).to_csv([_dataset_year_range(ds, summary) for ds in datasets])
 
@@ -340,17 +338,19 @@ def _cmd_compare(args, session: Session) -> int:
     given = {name: value for name in ("threshold", "epsilon") if (value := getattr(args, name)) is not None}
     if given and not args.base:
         raise UsageError(f"--{next(iter(given))} needs --base")
-    limits = _checked(overlay.CoverageLimits, **given)
-    datasets, overlap_text = _overlap_csv(session, args.datasets, _store_summary(session))
-    files, keyed = {session.path("compare"): overlap_text}, {}
+    limits = _checked(lambda: overlay.CoverageLimits(**given))
+    datasets, overlap_text = _overlap_csv(session, _split_names(args.datasets, 2), _store_summary(session))
+    files, inputs = {session.path("compare"): overlap_text}, {}
     if args.base:
         network = session.load_network(args.base)
         partition = session.load_partition(args.base, network)
         projection = overlay.project_overlay(network, datasets, partition)
-        files[session.path("projection")] = session.projection_text(args.base, projection)
-        coverage = overlay.coverage_report(projection, limits)
-        keyed[session.path("coverage")] = coverage.to_csv(partition.labels)
-    print("wrote " + ", ".join(map(str, session.write(files, keyed))))
+        projection_path, coverage_path = session.path("projection"), session.path("coverage")
+        files[projection_path] = projection.to_json_dict()
+        files[coverage_path] = overlay.coverage_report(projection, limits).to_csv(partition.labels)
+        inputs = {projection_path: session.projection_inputs(args.base, projection.dataset_names),
+                  coverage_path: [projection_path]}
+    print("wrote " + ", ".join(map(str, session.write(files, inputs))))
     return EXIT_OK
 
 
@@ -361,23 +361,25 @@ def _cmd_render(args, session: Session) -> int:
         raise UsageError("--overlay needs --network")
     if args.log and not args.distributions:
         raise UsageError("--log needs --distributions")
-    files, cache = {}, {}
+    names = _split_names(args.distributions) if args.distributions else []
+    files, cache, inputs = {}, {}, {}
     if args.network:
         network = session.load_network(args.network)
         partition = session.load_partition(args.network, network, required=False)
         projection = session.load_projection(args.network) if args.overlay else None
         kind = "overlay" if args.overlay else "map"
-        positions = session.layout_positions(args.network, network, **render.LAYOUT_KEY)
+        layout_inputs = [session.path("network", args.network), *render.LAYOUT_KEY]
+        positions = session.layout_positions(args.network, network, layout_inputs)
         if positions is None:
             positions = render.layout(network, render.LAYOUT_SEED)
-            cache = session.positions_file(args.network, positions, **render.LAYOUT_KEY)
+            cache = {session.path("positions", args.network): positions_json(positions)}
+            inputs = dict.fromkeys(cache, layout_inputs)
         files[session.path(kind, args.network)] = render.render_map(network, positions, partition, projection)
-    if args.distributions:
-        names = _split_names(args.distributions)
+    if names:
         summary = _store_summary(session)
         distributions = [year_distribution(session.load_dataset(name), summary) for name in names]
         files[session.path("years", *names)] = render.render_distribution(distributions, log=args.log)
-    session.write({**files, **cache})  # the layout cache, read back by the next render, last
+    session.write({**files, **cache}, inputs)  # the layout cache, read back by the next render, last
     print("wrote " + ", ".join(map(str, files)))
     return EXIT_OK
 
@@ -395,7 +397,7 @@ def _cmd_report(args, session: Session) -> int:
                          len(dataset.member_ids & summary.with_abstract), _dataset_year_range(dataset, summary)))
         text = csv_text(rows)
     elif args.kind == "overlap":
-        _datasets, text = _overlap_csv(session, args.datasets, _store_summary(session))
+        _datasets, text = _overlap_csv(session, _split_names(args.datasets, 2), _store_summary(session))
     else:  # networks
         rows = [("name", "nodes", "links", "lcc", "lcc_pct_rounded", "lcc_pct_truncated", "modularity",
                  "mean_silhouette")]

@@ -59,6 +59,8 @@ class NetworkConfig:
             raise ValidationError("lby must be >= 1 when set")
         if self.top_n < 1 or self.slice_years < 1:
             raise ValidationError("top_n and slice_years must be >= 1")
+        if self.min_citations < 0:
+            raise ValidationError("min_citations must be >= 0")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

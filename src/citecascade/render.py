@@ -64,7 +64,7 @@ def blend_colors(colors: list[str]) -> str:
 LAYOUT_SEED = 42  # part of the positions key: a new value lays every map out again
 LAYOUT_ITERATIONS = 50
 LAYOUT_VERSION = 2  # part of the positions key: positions of another layout are stale
-LAYOUT_KEY = {"seed": LAYOUT_SEED, "iterations": LAYOUT_ITERATIONS, "layout": LAYOUT_VERSION}  # the positions key
+LAYOUT_KEY = (f"seed={LAYOUT_SEED}", f"iterations={LAYOUT_ITERATIONS}", f"layout={LAYOUT_VERSION}")  # positions' params
 LAYOUT_BLOCK = 32  # rows of the force computation held in memory at once
 PACK_GAP = 0.1  # layout units between packed boxes, and the isolated nodes' grid pitch
 MAP_WIDTH, MAP_HEIGHT = 800.0, 600.0  # the map canvas; the packing aims at its aspect ratio

@@ -26,15 +26,15 @@ directory, such as ``.clusters``: ``reserved_endings`` derives them from the tab
 One command runs at a time per session, enforced with an advisory lock on
 ``.lock`` that the OS releases when its holder exits or dies. Each command
 writes its group of files in one ``Session.write`` call after its last check,
-so a failing one writes nothing: every temp file, then one rename per file,
-the file a later command reads back last and each keyed sibling keyed to it,
-renamed just before it (``ingest`` keys the store summary to ``store.jsonl``
-and renames the dataset of ``--dataset`` last).
-Each file is a text or a stream of text chunks, written as UTF-8 into its temp
-file as it comes, so the large ones (the network, the clustering, the maps) are
-never held whole; a key's sha256 is taken from the bytes written.
-A killed command leaves each file old or new, never half written (the whole
-``store.jsonl`` too), and the next command removes its temp files.
+so a failing one writes nothing: every temp file, then one rename per file, a
+file keyed to a file of its group just before that file (``ingest`` keys the
+store summary to ``store.jsonl`` and renames the dataset of ``--dataset`` last).
+Each file is a text, a stream of text chunks or a JSON object, written as UTF-8
+into its temp file as it comes, so the large ones (the network, the clustering,
+the maps) are never held whole. ``write`` forms every key, hashing an input of
+the same group from the bytes written. A killed command leaves each file old or
+new, never half written (the whole ``store.jsonl`` too), and the next command
+removes its temp files.
 
 Each derived artifact holds the key of its inputs in a top-level ``"inputs"``
 field or a first ``# inputs <key>`` line: see ``Session._input_key``. One that
@@ -70,7 +70,7 @@ from pathlib import Path
 
 from . import lazy
 from .errors import CiteCascadeError, FormatError, UsageError, ValidationError
-from .records import Dataset, RecordStore, StoreSummary, json_chunks, json_text
+from .records import Dataset, RecordStore, StoreSummary, json_chunks
 
 clustering = lazy("citecascade.clustering")
 cocitation = lazy("citecascade.cocitation")
@@ -113,14 +113,18 @@ def check_name(name: str) -> str:
     return name
 
 
-def _write_temp(temp: Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, whole or in chunks, to ``temp`` as UTF-8, line ends as given."""
+def _write_temp(temp: Path, value: str | Iterable[str] | dict, head: str = "") -> None:
+    """Write ``head``, then ``value`` (a text, text chunks, or a JSON object as ``json_chunks``
+    lays it out) to ``temp`` as UTF-8, line ends as given."""
     with open(temp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+        fh.write(head)
+        fh.writelines(json_chunks(value) if isinstance(value, dict) else [value] if isinstance(value, str) else value)
 
 
 def _sha256(path: Path) -> str:
-    """The sha256 of the bytes in ``path``, read a block at a time."""
+    """The sha256 of the bytes in ``path``, read a block at a time; ``missing`` when it is gone."""
+    if not path.exists():
+        return "missing"
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while block := fh.read(1 << 16):
@@ -156,57 +160,58 @@ class Session:
 
     # -- reading and writing ----------------------------------------------------------
 
-    def _read_json(self, path: Path, build, inputs=None, **params):
+    def _read_json(self, path: Path, build, inputs=None):
         """``build`` applied to the JSON in ``path``; damage, or a value ``build`` rejects, is
         a FormatError naming the file. Given ``inputs``, None when the file is missing or,
-        once built, holds a key other than the one ``inputs(data)`` and ``params`` give now."""
+        once built, holds a key other than the one ``inputs(data)`` gives now."""
         if inputs is not None and not path.exists():
             return None
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
             artifact = build(data)
-            current = inputs is None or data.get("inputs") == self._input_key(inputs(data), **params)
+            current = inputs is None or data.get("inputs") == self._input_key(inputs(data))
             return artifact if current else None
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError, CiteCascadeError) as exc:
             raise FormatError(f"unreadable session file {path}: {exc!r}") from None
 
-    def _cached(self, path: Path, build, inputs: list[Path], **params):
-        """``build`` applied to the JSON in ``path`` if its key matches ``inputs`` and ``params``;
-        None when the file is missing, stale or damaged, for a file that is only a shortcut."""
+    def _cached(self, path: Path, build, inputs: list[Path | str]):
+        """``build`` applied to the JSON in ``path`` if its key matches ``inputs``; None when
+        the file is missing, stale or damaged, for a file that is only a shortcut."""
         with suppress(FormatError):
-            return self._read_json(path, build, lambda _data: inputs, **params)
+            return self._read_json(path, build, lambda _data: inputs)
         return None
 
-    def write(self, files: dict[Path, str | Iterable[str]], keyed: dict[Path, str | dict] | None = None,
-              keyed_to: Path | None = None) -> list[Path]:
-        """Write one command's group through temp files, then rename each in the order of
-        ``files``; return the paths of ``files``, then of ``keyed``. A value of ``files`` is a
-        text, or an iterable of text chunks written as they come, so a generator of rows never
-        holds its whole text. The last of ``files`` is the file a later command reads back, and
-        it is renamed last. Each of ``keyed`` is keyed to ``keyed_to`` (by default that last
-        file), by its session path and the sha256 of the bytes written to it, and renamed just
-        before it: a text under a first ``# inputs <key>`` line, a JSON object with an
-        ``"inputs"`` field."""
-        keyed = keyed or {}
-        order = list(files)
-        temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in [*files, *keyed]}
+    def write(self, files: dict[Path, str | Iterable[str] | dict],
+              inputs: dict[Path, list[Path | str]] | None = None) -> list[Path]:
+        """Write one command's group through temp files, then rename each; return the paths of
+        ``files`` in their order. A value is a text, an iterable of text chunks written as they
+        come, or a JSON object. A file in ``inputs`` holds the ``_input_key`` of its inputs as an
+        ``"inputs"`` field or a first ``# inputs <key>`` line. An input of the group is hashed
+        from its temp file, so one with inputs of the group itself comes before the files keyed
+        to it. Files are renamed in the order of ``files``, the one a later command reads back
+        last, but a file with inputs of the group just before the first of them renamed."""
+        inputs = inputs or {}
+        temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+        keyed = [path for path in files if any(i in files for i in inputs.get(path, ()))]
+        order = [path for path in files if path not in keyed]
         try:
-            for path in files:
-                _write_temp(temps[path], files[path])
-            if keyed:
-                keyed_to = order[-1] if keyed_to is None else keyed_to
-                key = f"{keyed_to.relative_to(self.root).as_posix()}={_sha256(temps[keyed_to])}"
-                for path, value in keyed.items():
-                    _write_temp(temps[path], json_chunks({**value, "inputs": key}) if isinstance(value, dict)
-                                else [f"# inputs {key}\n", value])
-                at = order.index(keyed_to)
-                order[at:at] = keyed
+            for path in [*order, *keyed]:
+                value, head = files[path], ""
+                if path in inputs:
+                    key = self._input_key(inputs[path], temps)
+                    if isinstance(value, dict):
+                        value = {**value, "inputs": key}
+                    else:
+                        head = f"# inputs {key}\n"
+                _write_temp(temps[path], value, head)
+            for path in keyed:
+                order.insert(min(order.index(i) for i in inputs[path] if i in files), path)
             for path in order:
                 os.replace(temps[path], path)
         finally:  # a temp file is left only when a write or a rename raised
             for temp in temps.values():
                 temp.unlink(missing_ok=True)
-        return list(temps)
+        return list(files)
 
     # -- locking ----------------------------------------------------------------
 
@@ -243,7 +248,7 @@ class Session:
     # -- datasets -------------------------------------------------------------------
 
     def save_dataset(self, dataset: Dataset) -> Path:
-        return self.write({self.path("dataset", dataset.name): json_chunks(dataset.to_json_dict())})[0]
+        return self.write({self.path("dataset", dataset.name): dataset.to_json_dict()})[0]
 
     def load_dataset(self, name: str) -> Dataset:
         path = self.path("dataset", name)
@@ -258,8 +263,9 @@ class Session:
 
     def save_network(self, name: str, network: cocitation.CoCitationNetwork, stats: cocitation.NetworkStats) -> None:
         """Write network ``name``: its GraphML, its counts ``stats`` keyed to its JSON, then that."""
-        self.write({self.path("graphml", name): network.to_graphml(), self.path("network", name): network.to_json()},
-                   {self.path("counts", name): asdict(stats)})
+        json_path, counts = self.path("network", name), self.path("counts", name)
+        self.write({self.path("graphml", name): network.to_graphml(), json_path: network.to_json(),
+                    counts: asdict(stats)}, {counts: [json_path]})
 
     def network_counts(self, name: str) -> cocitation.NetworkStats | None:
         """The counts of network ``name``, read back from ``networks/<name>.stats`` when current;
@@ -280,10 +286,10 @@ class Session:
         return self._read_json(json_path, cocitation.CoCitationNetwork.from_json_dict)
 
     def save_clusters(self, name: str, payload: dict, table: str) -> None:
-        """Write the clustering of network ``name``: its table keyed to its JSON, then that."""
-        inputs = self._input_key([self.path("network", name)])
-        self.write({self.path("clusters", name): json_chunks({**payload, "inputs": inputs})},
-                   {self.path("cluster_table", name): table})
+        """Write the clustering of network ``name``: its table keyed to its JSON, then that, keyed to the network."""
+        json_path, table_path = self.path("clusters", name), self.path("cluster_table", name)
+        self.write({json_path: payload, table_path: table},
+                   {json_path: [self.path("network", name)], table_path: [json_path]})
 
     def load_partition(
         self, name: str, network: cocitation.CoCitationNetwork, required: bool = True
@@ -300,46 +306,39 @@ class Session:
             raise CiteCascadeError(f"no current clustering of network {name!r}; run cluster --network {name}")
         return partition
 
-    def _projection_inputs(self, base: str, names: list[str]) -> list[Path]:
+    def projection_inputs(self, base: str, names: list[str]) -> list[Path]:
+        """The inputs of the projection of datasets ``names`` onto network ``base``."""
         return [self.path("network", base), self.path("clusters", base), *(self.path("dataset", n) for n in names)]
-
-    def projection_text(self, base: str, projection: overlay.OverlayProjection) -> str:
-        """The projection onto network ``base`` as written, with the key of its inputs."""
-        inputs = self._input_key(self._projection_inputs(base, projection.dataset_names))
-        return json_text({**projection.to_json_dict(), "inputs": inputs})
 
     def load_projection(self, base: str) -> overlay.OverlayProjection:
         """The projection onto network ``base`` if it is current; else an error."""
         projection = self._read_json(
             self.path("projection"), overlay.OverlayProjection.from_json_dict,
-            inputs=lambda data: self._projection_inputs(base, data["datasets"]),
+            inputs=lambda data: self.projection_inputs(base, data["datasets"]),
         )
         if projection is None:
             raise CiteCascadeError(f"no current projection onto network {base!r}; run compare --base {base}")
         return projection
 
-    def _input_key(self, inputs: Iterable[Path], **params) -> str:
-        """The key of an artifact computed from session files ``inputs`` and ``params``:
-        each file's path and sha256 (``missing`` once it is gone), then each parameter.
-        The clustering's input is the network's JSON; the positions' that, with the layout
-        seed, iteration count and version of ``render.LAYOUT_KEY``; the projection's the base
-        network, its clustering and each compared dataset; the store summary's ``store.jsonl``.
-        ``write`` keys a group's siblings to the file read back, or to the store. A stored
+    def _input_key(self, inputs: Iterable[Path | str], temps: dict[Path, Path] | None = None) -> str:
+        """The key of an artifact computed from ``inputs``: each session path and the sha256 of
+        its bytes, or of its temp file in ``temps``, and each parameter text as it is. The
+        clustering's input is the network's JSON; the positions' that and ``render.LAYOUT_KEY``;
+        the projection's the base network, its clustering and each compared dataset; the store
+        summary's ``store.jsonl``; a table's or the counts' the JSON written with it. A stored
         key is current when it equals the key its inputs give now."""
-        parts = [
-            f"{path.relative_to(self.root).as_posix()}="
-            + (_sha256(path) if path.exists() else "missing")
-            for path in inputs
-        ]
-        return " ".join(parts + [f"{name}={value}" for name, value in params.items()])
+        temps = temps or {}
+        return " ".join(item if isinstance(item, str) else
+                        f"{item.relative_to(self.root).as_posix()}={_sha256(temps.get(item, item))}" for item in inputs)
 
     # -- layout positions ---------------------------------------------------------------
 
     def layout_positions(
-        self, name: str, network: cocitation.CoCitationNetwork, **key
+        self, name: str, network: cocitation.CoCitationNetwork, inputs: list[Path | str]
     ) -> dict[str, tuple[float, float]] | None:
-        """The positions of network ``name`` laid out under ``key``, read back from ``renders/<name>.positions.json``
-        when that file is current; None when it is missing, stale or damaged, and the caller lays it out."""
+        """The positions of network ``name``, read back from ``renders/<name>.positions.json`` when its
+        key matches ``inputs``; None when that file is missing, stale or damaged, and the caller lays
+        the network out."""
         nodes = sorted(network.nodes)
 
         def build(data: dict) -> dict[str, tuple[float, float]]:
@@ -349,15 +348,11 @@ class Session:
                 raise ValueError("x and y are not one finite float per node")
             return dict(zip(nodes, zip(xs, ys)))
 
-        return self._cached(self.path("positions", name), build, [self.path("network", name)], **key)
+        return self._cached(self.path("positions", name), build, inputs)
 
-    def positions_file(self, name: str, positions: dict[str, tuple[float, float]], **key) -> dict[Path, Iterable[str]]:
-        """``positions`` of network ``name`` laid out under ``key`` as the file to add to a ``write`` group:
-        the key, then the ``x`` and ``y`` lists in sorted node-id order. The key pins the network, so
-        it pins the ids too."""
-        nodes = sorted(positions)
-        return {self.path("positions", name): json_chunks({
-            "inputs": self._input_key([self.path("network", name)], **key),
-            "x": [positions[node][0] for node in nodes],
-            "y": [positions[node][1] for node in nodes],
-        })}
+
+def positions_json(positions: dict[str, tuple[float, float]]) -> dict[str, list[float]]:
+    """``positions`` as ``layout_positions`` reads them back: the ``x`` and ``y`` lists in sorted
+    node-id order. The file's key pins the network, so it pins the ids too."""
+    nodes = sorted(positions)
+    return {"x": [positions[node][0] for node in nodes], "y": [positions[node][1] for node in nodes]}

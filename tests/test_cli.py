@@ -29,7 +29,7 @@ from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, N
 from citecascade.errors import ValidationError
 from citecascade.records import RecordStore, StoreSummary, csv_text, json_text
 from citecascade.render import LAYOUT_KEY, LAYOUT_SEED, layout
-from citecascade.session import Session
+from citecascade.session import Session, positions_json
 
 from conftest import SYNTHETIC_CORPUS, reference_dict
 
@@ -211,11 +211,11 @@ class TestExitCodes:
             assert excinfo.value.code == 2
             one_error_line(capsys)
 
-    def test_compare_single_dataset_exits_3(self, tmp_path, corpus, capsys):
+    def test_compare_single_dataset_exits_2(self, tmp_path, corpus, capsys):
         session_dir = tmp_path / "sess"
         run(session_dir, "ingest", str(corpus), "--dataset", "only")
         capsys.readouterr()
-        assert run(session_dir, "compare", "--datasets", "only") == 3
+        assert run(session_dir, "compare", "--datasets", "only") == 2
         assert "error: need at least 2 datasets" in capsys.readouterr().err
 
     def test_missing_input_file_exits_4(self, tmp_path, capsys):
@@ -246,8 +246,35 @@ class TestExitCodes:
             ([*network, "--slice-years", "0"], "top_n and slice_years must be >= 1"),
             ([*network, "--lby", "0"], "lby must be >= 1 when set"),
             ([*network, "--lrf", "0"], "lrf must be a finite positive number"),
+            ([*network, "--min-citations", "-5"], "min_citations must be >= 0"),
             ([*compare, "--threshold", "1.5"], "threshold must lie strictly between 0 and 1"),
             *(([*compare, "--epsilon", bad], "epsilon must lie in [0, 1)") for bad in ("nan", "-3", "1", "inf")),
+        ]:
+            assert run(session_dir, *argv) == 2, argv
+            assert one_error_line(capsys) == f"error: {message}\n", argv
+            assert session_files(session_dir) == before, argv
+
+    def test_malformed_stages_and_name_lists_exit_2_before_anything_is_read(self, tmp_path, corpus, capsys,
+                                                                           monkeypatch):
+        """A stage list or a dataset name list that names no stage or too few datasets is a
+        command-line mistake. Each case once exited 3, those of compare, report and render
+        only after reading the store summary or laying the network out."""
+        session_dir = finished_session(tmp_path, corpus)
+        capsys.readouterr()
+        before = session_files(session_dir)
+        for reader in ("load_store", "load_dataset", "load_network", "store_summary", "load_partition",
+                       "load_projection", "layout_positions"):
+            monkeypatch.setattr(Session, reader, lambda *args, **kwargs: pytest.fail("the session was read"))
+        expand = ["expand", "--name", "G", "--seed", "seed", "--stages"]
+        for argv, message in [
+            ([*expand, "F:0"], "stage generations must be >= 1"),
+            ([*expand, "X:1"], "unknown expansion direction: 'X'"),
+            ([*expand, ","], "no stages given"),
+            (["union", "--name", "G", "--datasets", ","], "no dataset names given"),
+            (["compare", "--datasets", ","], "no dataset names given"),
+            (["compare", "--datasets", "F"], "need at least 2 datasets"),
+            (["report", "--kind", "overlap", "--datasets", "F"], "need at least 2 datasets"),
+            (["render", "--network", "F", "--distributions", ","], "no dataset names given"),
         ]:
             assert run(session_dir, *argv) == 2, argv
             assert one_error_line(capsys) == f"error: {message}\n", argv
@@ -1090,7 +1117,8 @@ class TestLayoutCache:
         assert layout_calls == [42]
         session = Session(session_dir)
         network = session.load_network("F")
-        assert session.layout_positions("F", network, **LAYOUT_KEY) == layout(network, 42)  # exact floats
+        inputs = [session.path("network", "F"), *LAYOUT_KEY]
+        assert session.layout_positions("F", network, inputs) == layout(network, 42)  # exact floats
         assert layout_calls == [42]
 
     def test_cached_and_fresh_renders_are_byte_identical(self, tmp_path, corpus, layout_calls):
@@ -1166,18 +1194,21 @@ class TestLayoutCache:
 
             def layout_positions() -> tuple[dict[str, tuple[float, float]], dict[Path, object]]:
                 """As render gets them: the positions read back, else laid out with the file to write."""
-                cached = session.layout_positions("N", network, **LAYOUT_KEY)
+                cached = session.layout_positions("N", network, layout_inputs)
                 if cached is not None:
                     return cached, {}
                 laid_out = cli_module.render.layout(network, LAYOUT_SEED)
-                return laid_out, session.positions_file("N", laid_out, **LAYOUT_KEY)
+                return laid_out, {session.path("positions", "N"): positions_json(laid_out)}
+
+            layout_inputs = [session.path("network", "N"), *LAYOUT_KEY]
+            inputs = {session.path("positions", "N"): layout_inputs}
 
             session.save_network("N", network, network_stats(network))
             path = session.path("positions", "N")
             first, cache = layout_positions()
             assert list(first) == sorted(network.nodes)
             assert list(cache) == [path] and not path.exists()  # the caller writes it in its group
-            session.write(cache)
+            session.write(cache, inputs)
             read_back, cache = layout_positions()
             assert list(read_back.items()) == list(first.items()) and cache == {}  # exact floats
             assert counted.call_count == 1
@@ -1188,7 +1219,7 @@ class TestLayoutCache:
             again, cache = layout_positions()
             assert list(again.items()) == list(first.items())
             assert counted.call_count == 2
-            session.write(cache)
+            session.write(cache, inputs)
             assert path.read_bytes() == fresh
 
     def test_networks_report_does_not_list_the_positions(self, tmp_path, corpus, capsys):
@@ -1847,7 +1878,8 @@ def test_tables_give_back_ids_and_names_with_commas_and_quotes(tmp_path, layout_
     assert node in [row[0] for row in rows]
     session = Session(session_dir)
     network = session.load_network("all")
-    assert session.layout_positions("all", network, **LAYOUT_KEY) == layout(network, 42)  # read back, whole ids
+    inputs = [session.path("network", "all"), *LAYOUT_KEY]
+    assert session.layout_positions("all", network, inputs) == layout(network, 42)  # read back, whole ids
     assert layout_calls == [42]
     reports = session_dir / "reports"
     assert [row[0] for row in table_rows(reports / "datasets.csv")] == ["name", "F", name]

@@ -428,7 +428,8 @@ class TestStoreSummary:
                     for i, (extra, pick) in enumerate(zip(members, picks))]
         session = Session(tmp_path_factory.mktemp("summary"))
         summary = StoreSummary.of(store)
-        session.write({session.store_path: store.json_lines()}, {session.summary_path: summary.to_json_dict()})
+        session.write({session.store_path: store.json_lines(), session.summary_path: summary.to_json_dict()},
+                      {session.summary_path: [session.store_path]})
 
         def refuse():
             raise AssertionError("the store was replayed")

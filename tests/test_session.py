@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ import citecascade
 from citecascade.clustering import ClusterPartition
 from citecascade.cocitation import CoCitationNetwork, EdgeInfo, NetworkConfig, NodeInfo, network_stats
 from citecascade.errors import UsageError
-from citecascade.records import Dataset
+from citecascade.records import Dataset, json_text
 from citecascade.session import ARTIFACTS, RESERVED_ENDINGS, Session, check_name, reserved_endings
 
 from conftest import SYNTHETIC_CORPUS
@@ -103,17 +104,80 @@ def test_names_are_the_saved_networks_and_datasets(names):
 def test_siblings_are_keyed_to_the_bytes_written(tmp_path, stream):
     """The sha256 in each sibling's key is that of the last file's bytes on disk, whether
     that file came as one text or as a stream of chunks; the bytes are the UTF-8 of the
-    text, line ends as given."""
+    text, line ends as given. A file keyed to a file of its group and to one on disk at once
+    holds both, then its parameter texts."""
     session = Session(tmp_path / "sess")
+    on_disk = session.save_dataset(Dataset("d", {"x"}))
     text = '{"name": "\u00e9 \U0001f600",\r\n"rows": [1, 2]}\n'
-    last = session.path("network", "n")
+    last, table, counts = session.path("network", "n"), session.path("cluster_table", "n"), session.path("counts", "n")
     session.write({session.path("graphml", "n"): "<graphml />\n",
-                   last: iter(text.splitlines(keepends=True)) if stream else text},
-                  {session.path("cluster_table", "n"): "table\n", session.path("counts", "n"): {"nodes": 1}})
+                   last: iter(text.splitlines(keepends=True)) if stream else text,
+                   table: "table\n", counts: {"nodes": 1}},
+                  {table: [last, on_disk, "seed=42"], counts: [last]})
     assert last.read_bytes() == text.encode("utf-8")
     key = f"networks/n.json={hashlib.sha256(text.encode('utf-8')).hexdigest()}"
-    assert session.path("cluster_table", "n").read_text(encoding="utf-8") == f"# inputs {key}\ntable\n"
-    assert json.loads(session.path("counts", "n").read_text(encoding="utf-8")) == {"inputs": key, "nodes": 1}
+    on_disk_key = f"datasets/d.json={hashlib.sha256(on_disk.read_bytes()).hexdigest()}"
+    assert table.read_text(encoding="utf-8") == f"# inputs {key} {on_disk_key} seed=42\ntable\n"
+    assert json.loads(counts.read_text(encoding="utf-8")) == {"inputs": key, "nodes": 1}
+
+
+@st.composite
+def write_groups(draw):
+    """A group for ``Session.write``: up to six files, each a text, a stream or a JSON object,
+    some keyed to a mix of earlier files of the group, files already on disk, a file that
+    is missing and parameter texts; and the files on disk before the write."""
+    count = draw(st.integers(1, 6))
+    on_disk = [f"datasets/disk{i}.json" for i in range(draw(st.integers(0, 3)))]
+    names = [f"reports/f{i}.csv" for i in range(count)]
+    texts = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=20)
+    files, inputs = {}, {}
+    for i, name in enumerate(names):
+        kind = draw(st.sampled_from(["text", "stream", "json"]))
+        files[name] = (kind, draw(st.lists(texts, max_size=3)))
+        pool = [*names[:i], *on_disk, "reports/missing.csv", "seed=42", "layout=2"]
+        chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+        if chosen:
+            inputs[name] = chosen
+    return {name: draw(texts) for name in on_disk}, files, inputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=write_groups())
+def test_each_key_is_that_of_its_inputs_as_written(group):
+    """After ``write``, each file's key equals the key its inputs give on disk, its value
+    follows the key as written, and a file keyed to a file of its group is renamed before
+    it, with only files keyed to a file of the group between them; the other files are
+    renamed in the group's order."""
+    on_disk, drawn, named_inputs = group
+    with tempfile.TemporaryDirectory() as root, mock.patch("os.replace", wraps=os.replace) as replace:
+        session = Session(root)
+        for name, text in on_disk.items():
+            (session.root / name).write_text(text, encoding="utf-8")
+        path = {name: session.root / name for name in [*drawn, "reports/missing.csv"]}
+        path.update((name, session.root / name) for name in on_disk)
+        files = {path[name]: (chunks if kind == "stream" else "".join(chunks) if kind == "text"
+                              else {"chunks": chunks}) for name, (kind, chunks) in drawn.items()}
+        inputs = {path[name]: [path.get(item, item) for item in items] for name, items in named_inputs.items()}
+        streams = {file: iter(value) if isinstance(value, list) else value for file, value in files.items()}
+        assert session.write(streams, inputs) == list(files)
+        renamed = [call.args[1] for call in replace.call_args_list]
+        assert sorted(renamed) == sorted(files) and not list(session.root.rglob("*.tmp"))
+        for file, value in files.items():
+            written = file.read_bytes().decode("utf-8")
+            if file not in inputs:
+                assert written == (json_text(value) if isinstance(value, dict) else "".join(value))
+                continue
+            key = session._input_key(inputs[file])
+            if isinstance(value, dict):
+                assert written == json_text({**value, "inputs": key})
+            else:
+                assert written == f"# inputs {key}\n" + "".join(value)
+        keyed = {file for file in files if any(item in files for item in inputs.get(file, ()))}
+        for file in keyed:
+            at = renamed.index(file)
+            first = min(renamed.index(item) for item in inputs[file] if item in files)
+            assert at < first and set(renamed[at:first]) <= keyed, (file, renamed)
+        assert [file for file in renamed if file not in keyed] == [file for file in files if file not in keyed]
 
 
 def traced_peak(write) -> int:
