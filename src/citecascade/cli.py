@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import lazy
 from .errors import CiteCascadeError, EmptyDatasetError, UsageError, ValidationError
-from .records import QUERY_KINDS, Dataset, StoreSummary, csv_text, dataset_union, search, year_distribution
+from .records import QUERY_KINDS, Dataset, Query, StoreSummary, csv_text, dataset_union, search, year_distribution
 from .session import Session, check_name, positions_json
 
 clustering = lazy("citecascade.clustering")
@@ -138,10 +138,13 @@ def _build_parser() -> _Parser:
 
 
 def _split_names(text: str, least: int = 1) -> list[str]:
-    """The names of a comma-separated list; fewer than ``least`` is a command-line mistake."""
+    """The names of a comma-separated list; fewer than ``least``, or a name given twice in a
+    comparison (``least`` above 1), is a command-line mistake."""
     names = [n.strip() for n in text.split(",") if n.strip()]
     if len(names) < least:
         raise UsageError(f"need at least {least} datasets" if names else "no dataset names given")
+    if least > 1 and len(set(names)) != len(names):
+        raise UsageError("dataset names must be unique in a comparison")
     return names
 
 
@@ -220,7 +223,8 @@ def _cmd_enrich(args, session: Session) -> int:
 
 
 def _cmd_search(args, session: Session) -> int:
-    dataset = search(session.load_store(), args.kind, args.phrase, args.name)
+    query = _checked(lambda: Query(args.kind, args.phrase))
+    dataset = search(session.load_store(), query, args.name)
     session.save_dataset(dataset)
     print(f"dataset {dataset.name}: {len(dataset)} articles")
     return EXIT_OK

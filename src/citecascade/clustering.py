@@ -20,9 +20,9 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .cocitation import CoCitationNetwork, _typed, network_arrays
+from .cocitation import CoCitationNetwork, network_arrays
 from .errors import ValidationError
-from .records import RecordStore, csv_text
+from .records import RecordStore, _typed, csv_text
 
 
 @dataclass
@@ -82,6 +82,16 @@ class ClusterPartition:
             if _typed(cluster.get("silhouette"), "a number or null", "silhouette") is not None:
                 partition.cluster_silhouettes[position] = cluster["silhouette"]
         return partition
+
+
+def check_partition(network: CoCitationNetwork, partition: ClusterPartition) -> None:
+    """A ValidationError unless ``partition`` assigns exactly the nodes of ``network``."""
+    missing = network.nodes.keys() - partition.assignment.keys()
+    if missing:
+        raise ValidationError(f"partition does not cover the base network ({len(missing)} nodes missing)")
+    unknown = partition.assignment.keys() - network.nodes.keys()
+    if unknown:
+        raise ValidationError(f"partition member {min(unknown)!r} is not a node of the base network")
 
 
 def _cluster_order_key(members: set[str], network: CoCitationNetwork):

@@ -32,7 +32,7 @@ from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset, RecordStore, json_text, xml_attribute, xml_text
+from .records import Dataset, RecordStore, _typed, json_text, xml_attribute, xml_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,12 +158,13 @@ class CoCitationNetwork:
         an edge names a node it does not list, or an edge joins a node to itself."""
         nodes = {
             _typed(n["id"], "a string", "node id"):
-                NodeInfo(_at_least_one(n["count"], "node count"), _typed(n["year"], "an integer", "node year"))
+                NodeInfo(_typed(n["count"], "an integer >= 1", "node count"),
+                         _typed(n["year"], "an integer", "node year"))
             for n in data["nodes"]
         }
         edges = {
             canonical_pair(e["source"], e["target"]): EdgeInfo(
-                _at_least_one(e["weight"], "edge weight"),
+                _typed(e["weight"], "an integer >= 1", "edge weight"),
                 _typed(e["first_cocited_year"], "an integer", "first_cocited_year"),
             )
             for e in data["edges"]
@@ -213,29 +214,6 @@ _GRAPHML_HEAD = (
     '  <key id="d4" for="graph" attr.name="config" attr.type="string" />\n'
     '  <graph id="cocitation" edgedefault="undirected">\n'
 )
-
-
-def _at_least_one(value, what: str) -> int:
-    """``value`` when it is an integer >= 1, else a ValueError naming ``what``."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{what} {value!r} is not an integer >= 1")
-    return value
-
-
-# The JSON value types of each kind of field, matched exactly: a bool is no integer.
-_KINDS = {
-    "a string": (str,), "a string or null": (str, type(None)), "a list of strings": (list,),
-    "an integer": (int,), "an integer or null": (int, type(None)),
-    "a number": (int, float), "a number or null": (int, float, type(None)),
-}
-
-
-def _typed(value, kind: str, what: str):
-    """``value`` when it is ``kind``, one of ``_KINDS``, else a ValueError naming ``what``."""
-    if type(value) not in _KINDS[kind] or (
-            kind == "a list of strings" and not all(type(v) is str for v in value)):
-        raise ValueError(f"{what} {value!r} is not {kind}")
-    return value
 
 
 def _sorted_items(mapping: dict) -> Iterator[tuple]:
@@ -463,6 +441,11 @@ class NetworkStats:
     lcc_size: int
     lcc_pct: int  # round-half-up, as printed in reports
     lcc_pct_floor: int  # truncated variant, reported alongside
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "NetworkStats":
+        """The counts ``data`` holds; a ValueError unless each is an integer."""
+        return cls(**{f.name: _typed(data[f.name], "an integer", f"count {f.name}") for f in fields(cls)})
 
 
 def network_stats(network: CoCitationNetwork) -> NetworkStats:

@@ -10,11 +10,12 @@ every CSV export says so in its header.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import EmptyDatasetError, ValidationError
-from .records import Dataset, csv_text
+from .records import Dataset, _typed, csv_text
 
 if TYPE_CHECKING:
     from .clustering import ClusterPartition
@@ -93,26 +94,20 @@ class OverlayProjection:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OverlayProjection":
-        projection = cls(
-            dataset_names=list(data["datasets"]),
-            membership={
-                node: tuple(ch == "1" for ch in bits)
-                for node, bits in data["membership"].items()
-            },
-        )
-        for cluster, fractions in data.get("coverage", {}).items():
-            projection.coverage[int(cluster)] = dict(fractions)
+        """The projection ``data`` holds; a ValueError unless ``datasets`` is a list of names,
+        ``membership`` an object of one ``0`` or ``1`` per dataset for each node, and ``coverage``
+        an object of one number per dataset for each cluster."""
+        names = _typed(data["datasets"], "a list of strings", "datasets")
+        projection = cls(dataset_names=names, membership={})
+        for node, bits in _typed(data["membership"], "an object of strings", "membership").items():
+            if len(bits) != len(names) or bits.strip("01"):
+                raise ValueError(f"membership of {node!r} {reprlib.repr(bits)} is not one 0 or 1 per dataset")
+            projection.membership[node] = tuple(ch == "1" for ch in bits)
+        for cluster, fractions in _typed(data.get("coverage", {}), "an object of objects", "coverage").items():
+            projection.coverage[int(cluster)] = {
+                name: _typed(fractions[name], "a number", f"coverage of cluster {cluster} by {name}") for name in names
+            }
         return projection
-
-
-def check_partition(network: CoCitationNetwork, partition: ClusterPartition) -> None:
-    """A ValidationError unless ``partition`` assigns exactly the nodes of ``network``."""
-    missing = network.nodes.keys() - partition.assignment.keys()
-    if missing:
-        raise ValidationError(f"partition does not cover the base network ({len(missing)} nodes missing)")
-    unknown = partition.assignment.keys() - network.nodes.keys()
-    if unknown:
-        raise ValidationError(f"partition member {min(unknown)!r} is not a node of the base network")
 
 
 def project_overlay(
@@ -125,6 +120,8 @@ def project_overlay(
     Coverage of cluster c by dataset D = fraction of c's nodes whose ids are
     members of D.
     """
+    from .clustering import check_partition
+
     if not base_network.nodes:
         raise ValidationError("base network is empty")
     names = [ds.name for ds in datasets]

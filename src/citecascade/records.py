@@ -11,9 +11,9 @@ object per id however often it is cited. Named article-id sets are
 per-dataset year statistics are :class:`YearDistribution` objects, counted
 from a :class:`StoreSummary` of the store's years and abstract flags.
 :func:`json_chunks` is the one JSON layout of every artifact the package
-writes, one line each (:func:`json_text` joins it), :func:`csv_text` the one
-CSV layout of every table, and :func:`xml_text` and :func:`xml_attribute` the
-one XML escaping of GraphML and SVG.
+writes, one line each (:func:`json_text` joins it), ``_typed`` the one check of
+each value read back from one, :func:`csv_text` the one CSV layout of every
+table, and :func:`xml_text` and :func:`xml_attribute` the one XML escaping of GraphML and SVG.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import io
 import json
 import math
 import re
+import reprlib
 import sys
 import unicodedata
 from collections import defaultdict
@@ -51,6 +52,28 @@ def json_chunks(payload) -> Iterator[str]:
 def json_text(payload) -> str:
     """``json_chunks`` of ``payload`` joined."""
     return "".join(json_chunks(payload))
+
+
+# Each kind of value a read-back JSON field may hold, by a test of the value. Types are
+# matched exactly: a bool is no integer. An object's kind names the kind of its values.
+_KINDS = {
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "an integer >= 1": lambda v: type(v) is int and v >= 1,
+    "a number": lambda v: type(v) in (int, float),
+    "a list of strings": lambda v: type(v) is list and all(type(s) is str for s in v),
+    "an object": lambda v: type(v) is dict,
+    "an object of strings": lambda v: type(v) is dict and all(type(s) is str for s in v.values()),
+    "an object of objects": lambda v: type(v) is dict and all(type(o) is dict for o in v.values()),
+}
+
+
+def _typed(value, kind: str, what: str):
+    """``value`` when it is ``kind``: one of ``_KINDS``, or one of them and ``" or null"``, which
+    takes None too. Else a ValueError naming ``what`` that shows ``value`` cut short by ``reprlib``."""
+    if not (value is None and kind.endswith(" or null") or _KINDS[kind.removesuffix(" or null")](value)):
+        raise ValueError(f"{what} {reprlib.repr(value)} is not {kind}")
+    return value
 
 
 def csv_text(rows, comments=()) -> str:
@@ -597,11 +620,8 @@ class Dataset:
         """Dataset ``name`` from its JSON form, ignoring the ``name`` an older version wrote
         there; ValueError when ``member_ids`` is not a list of strings or ``provenance`` not an
         object. Members are interned, like the ids of the records they name."""
-        members, provenance = data["member_ids"], data.get("provenance", {})
-        if not isinstance(members, list) or not all(type(m) is str for m in members):
-            raise ValueError("member_ids is not a list of strings")
-        if type(provenance) is not dict:
-            raise ValueError("provenance is not an object")
+        members = _typed(data["member_ids"], "a list of strings", "member_ids")
+        provenance = _typed(data.get("provenance", {}), "an object", "provenance")
         return cls(name=name, member_ids=set(map(sys.intern, members)), provenance=provenance)
 
 
@@ -623,16 +643,27 @@ def dataset_union(datasets: list[Dataset], name: str) -> Dataset:
 QUERY_KINDS = ("phrase-in-fulltext-proxy", "phrase-in-title-abstract", "id-lookup")
 
 
-def search(store: RecordStore, kind: str, phrases: list[str], name: str) -> Dataset:
-    """The records that hold any of ``phrases`` (case-insensitive) in their title or
-    their abstract, or for ``id-lookup`` the stored ids among them, as a named dataset.
+@dataclass(frozen=True)
+class Query:
+    """What ``search`` looks for: one or more ``phrases``, none blank, of a kind in ``QUERY_KINDS``."""
+
+    kind: str
+    phrases: list[str]
+
+    def __post_init__(self) -> None:
+        if self.kind not in QUERY_KINDS:
+            raise ValidationError(f"unknown query kind: {self.kind}")
+        if not self.phrases:
+            raise ValidationError("query needs at least one phrase")
+        if not all(phrase.strip() for phrase in self.phrases):
+            raise ValidationError("query phrases must not be blank")
+
+
+def search(store: RecordStore, query: Query, name: str) -> Dataset:
+    """The records that hold any of the query's phrases (case-insensitive) in their title
+    or their abstract, or for ``id-lookup`` the stored ids among them, as a named dataset.
     A phrase split across title and abstract does not match."""
-    if kind not in QUERY_KINDS:
-        raise ValidationError(f"unknown query kind: {kind}")
-    if not phrases:
-        raise ValidationError("query needs at least one phrase")
-    if not all(phrase.strip() for phrase in phrases):
-        raise ValidationError("query phrases must not be blank")
+    kind, phrases = query.kind, query.phrases
     if kind == "id-lookup":
         members = {p for p in phrases if p in store}
     else:
@@ -701,13 +732,11 @@ class StoreSummary:
         with_abstract: set[str] = set()
         listed = 0
         for side in ("with_abstract", "without_abstract"):
-            if type(data[side]) is not dict:
-                raise ValueError(f"{side} is not an object")
-            for key, text in data[side].items():
+            for key, text in _typed(data[side], "an object of strings", side).items():
                 year = None if key == _UNDATED else int(key)
                 if year is not None and (str(year) != key or not MIN_YEAR <= year <= max_plausible_year()):
                     raise ValueError(f"{key!r} is not a year")
-                if type(text) is not str or _CONTROL_RE.search(text.replace("\n", " ")):
+                if _CONTROL_RE.search(text.replace("\n", " ")):
                     raise ValueError(f"the ids of {side} {key} are not a text of ids")
                 ids = text.split("\n")
                 if "" in ids:

@@ -40,7 +40,8 @@ Each derived artifact holds the key of its inputs in a top-level ``"inputs"``
 field or a first ``# inputs <key>`` line: see ``Session._input_key``. One that
 is stale, unkeyed or names a missing input counts as missing. Those a command
 reads back are JSON, read by ``Session._read_json``: damage, or a value the
-loader rejects, is a ``FormatError`` naming the file, checked before the key.
+loader rejects (each loader checks the kind of every value with ``records._typed``),
+is a ``FormatError`` naming the file, checked before the key.
 Three files are only shortcuts, and one rule reads them all (``Session._cached``):
 the layout cache, the network counts and the store summary each read back as
 their content when current and None when missing, stale or damaged. The command
@@ -65,7 +66,7 @@ import math
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import lazy
@@ -270,14 +271,8 @@ class Session:
     def network_counts(self, name: str) -> cocitation.NetworkStats | None:
         """The counts of network ``name``, read back from ``networks/<name>.stats`` when current;
         None when that file is missing, stale or damaged, and the caller counts the network."""
-
-        def build(data: dict) -> cocitation.NetworkStats:
-            values = {field.name: data[field.name] for field in fields(cocitation.NetworkStats)}
-            if any(type(value) is not int for value in values.values()):
-                raise ValueError("a count is not an integer")
-            return cocitation.NetworkStats(**values)
-
-        return self._cached(self.path("counts", name), build, [self.path("network", name)])
+        return self._cached(self.path("counts", name), cocitation.NetworkStats.from_json_dict,
+                            [self.path("network", name)])
 
     def load_network(self, name: str) -> cocitation.CoCitationNetwork:
         json_path = self.path("network", name)
@@ -301,7 +296,7 @@ class Session:
             inputs=lambda _data: [self.path("network", name)],
         )
         if partition is not None:
-            overlay.check_partition(network, partition)
+            clustering.check_partition(network, partition)
         elif required:
             raise CiteCascadeError(f"no current clustering of network {name!r}; run cluster --network {name}")
         return partition

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import fcntl
 import hashlib
@@ -256,9 +257,11 @@ class TestExitCodes:
 
     def test_malformed_stages_and_name_lists_exit_2_before_anything_is_read(self, tmp_path, corpus, capsys,
                                                                            monkeypatch):
-        """A stage list or a dataset name list that names no stage or too few datasets is a
-        command-line mistake. Each case once exited 3, those of compare, report and render
-        only after reading the store summary or laying the network out."""
+        """A stage list or a dataset name list that names no stage or too few datasets, a
+        comparison that names a dataset twice, or a search without a phrase or with a blank one
+        is a command-line mistake. Each case once exited 3, those of search after replaying the
+        store, those of compare, report and render only after reading the store summary (and
+        for a name given twice the datasets) or laying the network out."""
         session_dir = finished_session(tmp_path, corpus)
         capsys.readouterr()
         before = session_files(session_dir)
@@ -275,6 +278,11 @@ class TestExitCodes:
             (["compare", "--datasets", "F"], "need at least 2 datasets"),
             (["report", "--kind", "overlap", "--datasets", "F"], "need at least 2 datasets"),
             (["render", "--network", "F", "--distributions", ","], "no dataset names given"),
+            (["compare", "--datasets", "F,S,F"], "dataset names must be unique in a comparison"),
+            (["report", "--kind", "overlap", "--datasets", "F,F"], "dataset names must be unique in a comparison"),
+            (["search", "--name", "X"], "query needs at least one phrase"),
+            *((["search", "--name", "X", *(arg for phrase in phrases for arg in ("--phrase", phrase))],
+               "query phrases must not be blank") for phrases in ([""], [" "], ["topic alpha", " "])),
         ]:
             assert run(session_dir, *argv) == 2, argv
             assert one_error_line(capsys) == f"error: {message}\n", argv
@@ -311,17 +319,6 @@ class TestExitCodes:
         assert one_error_line(capsys) == "error: --top-k must not be negative: -1\n"
         assert not (session_dir / "networks" / "a.clusters.json").exists()
         assert run(session_dir, "cluster", "--network", "a", "--top-k", "0") == 0
-
-    @pytest.mark.parametrize("phrases", [[""], [" "], ["topic alpha", " "]])
-    def test_blank_phrase_exits_3_and_writes_nothing(self, tmp_path, corpus, capsys, phrases):
-        session_dir = tmp_path / "sess"
-        run(session_dir, "ingest", str(corpus))
-        capsys.readouterr()
-        before = session_files(session_dir)
-        argv = [arg for phrase in phrases for arg in ("--phrase", phrase)]
-        assert run(session_dir, "search", "--name", "X", *argv) == 3
-        assert one_error_line(capsys) == "error: query phrases must not be blank\n"
-        assert session_files(session_dir) == before
 
     @pytest.mark.parametrize("argv, message", [
         (["--distributions", "F", "--overlay"], "--overlay needs --network"),
@@ -852,6 +849,36 @@ class TestDamagedArtifacts:
         err = one_error_line(capsys)
         assert f"unreadable session file {path}" in err and message in err
 
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("membership", "1x", "'1x' is not one 0 or 1 per dataset"),
+            ("membership", "111", "'111' is not one 0 or 1 per dataset"),
+            ("membership", "", "'' is not one 0 or 1 per dataset"),
+            ("coverage", "a", "coverage of cluster 0 by F 'a' is not a number"),
+            ("datasets", "F,S", "datasets 'F,S' is not a list of strings"),
+        ],
+    )
+    def test_damaged_projection_exits_4(self, tmp_path, corpus, capsys, where, value, message):
+        # The inputs key still matches, so the damaged file counts as current. Each of the
+        # first four once drew an overlay, and "F,S" was read as its characters.
+        session_dir = finished_session(tmp_path, corpus)
+        path = session_dir / "reports" / "projection.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if where == "membership":
+            data["membership"][min(data["membership"])] = value
+        elif where == "coverage":
+            data["coverage"]["0"]["F"] = value
+        else:
+            data["datasets"] = value
+        path.write_text(json_text(data), encoding="utf-8")
+        before = session_files(session_dir)
+        capsys.readouterr()
+        assert run(session_dir, "render", "--network", "F", "--overlay") == 4
+        err = one_error_line(capsys)
+        assert f"unreadable session file {path}" in err and message in err
+        assert session_files(session_dir) == before
+
     def test_partition_member_outside_the_base_network_exits_3(self, tmp_path, corpus, capsys):
         # Once a KeyError traceback.
         session_dir = finished_session(tmp_path, corpus)
@@ -1293,6 +1320,8 @@ print(json.dumps([registered, ran]))
     ([["union", "--name", "U", "--datasets", "F,S"], ["search", "--name", "T", "--phrase", "topic"],
       ["report", "--kind", "datasets"]], []),
     ([["network", "--dataset", "combined", "--name", "N", "--min-citations", "0"]], ["cocitation"]),
+    ([["render", "--network", "F"]], ["clustering", "cocitation", "render"]),
+    ([["report", "--kind", "networks"]], ["clustering", "cocitation"]),
 ])
 def test_each_command_runs_only_the_layers_it_uses(tmp_path, corpus, commands, layers):
     """Every layer is in sys.modules once the command line is imported, so a wrapper from
@@ -1793,7 +1822,7 @@ class TestOneJsonLayout:
 FAILING_COMMANDS = [
     (["ingest", "{missing}", "--dataset", "G"], 4),
     (["enrich", "{missing}"], 4),
-    (["search", "--name", "G"], 3),
+    (["search", "--name", "G"], 2),
     (["union", "--name", "G", "--datasets", "F,nosuch"], 4),
     (["expand", "--name", "G", "--seed", "nosuch", "--stages", "F:3"], 4),
     (["network", "--dataset", "combined", "--name", "combined.clusters"], 2),
@@ -2038,3 +2067,52 @@ class TestStoreSummary:
         assert outputs[0] == outputs[1]
         report = outputs[0][1]["reports/datasets.csv"].decode()
         assert "1999-1999" in report and report != (bundled_session / "reports" / "datasets.csv").read_text()
+
+
+# Each file of the bundled session that a command reads back, and the commands that read it:
+# the bundled ones, and union and network for a dataset.
+READ_BACK = {
+    "datasets/F.json": [["union", "--name", "U", "--datasets", "F,S3"], ["network", "--dataset", "F", "--name", "G"],
+                        *SUMMARY_READERS],
+    "networks/combined.json": [BUNDLED_PIPELINE[i] for i in (5, 6, 8, 12)],
+    "networks/combined.clusters.json": [BUNDLED_PIPELINE[i] for i in (6, 8, 12)],
+    "networks/combined.stats": [BUNDLED_PIPELINE[12]],
+    "reports/projection.json": [BUNDLED_PIPELINE[7]],
+    "renders/combined.positions.json": [BUNDLED_PIPELINE[8]],
+    "store.summary.json": SUMMARY_READERS,
+}
+# What a damaged leaf is replaced with: each JSON kind, a control character and a number
+# beyond any count.
+REPLACEMENTS = [None, True, 1.5, -3, "", [], {}, "\x07", 10**30]
+
+
+def json_leaves(value, path=()) -> list[tuple]:
+    """The path of each leaf of a JSON value (a key or an index per level); an empty list or
+    object is a leaf."""
+    if type(value) not in (dict, list) or not value:
+        return [path]
+    keys = value if type(value) is dict else range(len(value))
+    return [leaf for key in keys for leaf in json_leaves(value[key], (*path, key))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_damaged_leaf_of_a_read_back_file_fails_cleanly(bundled_session, data):
+    """One leaf of one read-back file replaced: each reader of the file exits 0, 2, 3 or 4,
+    raises nothing and prints at most one error line."""
+    rel = data.draw(st.sampled_from(sorted(READ_BACK)))
+    document = json.loads((bundled_session / rel).read_text(encoding="utf-8"))
+    *path, last = data.draw(st.sampled_from(json_leaves(document)))
+    container = document
+    for key in path:
+        container = container[key]
+    container[last] = data.draw(st.sampled_from(REPLACEMENTS))
+    with tempfile.TemporaryDirectory() as root:
+        session_dir = Path(root) / "sess"
+        shutil.copytree(bundled_session, session_dir)
+        (session_dir / rel).write_text(json_text(document), encoding="utf-8")
+        for argv in READ_BACK[rel]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(session_dir, *argv)
+            assert code in (0, 2, 3, 4) and err.getvalue().count("error:") <= 1, (rel, path, last, argv, err.getvalue())
