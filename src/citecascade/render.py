@@ -21,6 +21,7 @@ any browser opens it, and its ``<title>`` elements are the node tooltips.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 from .cocitation import components, network_arrays
@@ -268,7 +269,8 @@ def _fit_positions(
     ys = [p[1] for p in positions.values()]
     lo_x, lo_y = min(xs), min(ys)
     span_x, span_y = max(xs) - lo_x, max(ys) - lo_y
-    scale = min((width - 2 * pad) / (span_x or 1.0), (height - 2 * pad) / (span_y or 1.0))
+    # capped: over a subnormal span the scale would overflow to inf, and 0 * inf is nan
+    scale = min((width - 2 * pad) / (span_x or 1.0), (height - 2 * pad) / (span_y or 1.0), sys.float_info.max)
     left = (width - span_x * scale) / 2
     top = (height - span_y * scale) / 2
     return {node: (left + (x - lo_x) * scale, top + (y - lo_y) * scale) for node, (x, y) in positions.items()}

@@ -258,8 +258,8 @@ class TestExitCodes:
     def test_malformed_stages_and_name_lists_exit_2_before_anything_is_read(self, tmp_path, corpus, capsys,
                                                                            monkeypatch):
         """A stage list or a dataset name list that names no stage or too few datasets, a
-        comparison that names a dataset twice, or a search without a phrase or with a blank one
-        is a command-line mistake. Each case once exited 3, those of search after replaying the
+        comparison that names a dataset twice, or a search without a phrase is a command-line
+        mistake. Each case once exited 3, those of search after replaying the
         store, those of compare, report and render only after reading the store summary (and
         for a name given twice the datasets) or laying the network out."""
         session_dir = finished_session(tmp_path, corpus)
@@ -281,12 +281,23 @@ class TestExitCodes:
             (["compare", "--datasets", "F,S,F"], "dataset names must be unique in a comparison"),
             (["report", "--kind", "overlap", "--datasets", "F,F"], "dataset names must be unique in a comparison"),
             (["search", "--name", "X"], "query needs at least one phrase"),
-            *((["search", "--name", "X", *(arg for phrase in phrases for arg in ("--phrase", phrase))],
-               "query phrases must not be blank") for phrases in ([""], [" "], ["topic alpha", " "])),
         ]:
             assert run(session_dir, *argv) == 2, argv
             assert one_error_line(capsys) == f"error: {message}\n", argv
             assert session_files(session_dir) == before, argv
+
+    @pytest.mark.parametrize("phrases", [[""], [" "], ["topic alpha", " "]])
+    def test_blank_phrase_exits_2_before_anything_is_read(self, tmp_path, corpus, capsys, monkeypatch, phrases):
+        """This once exited 3, after replaying the store."""
+        session_dir = tmp_path / "sess"
+        run(session_dir, "ingest", str(corpus))
+        capsys.readouterr()
+        before = session_files(session_dir)
+        monkeypatch.setattr(Session, "load_store", lambda *args, **kwargs: pytest.fail("the store was read"))
+        argv = [arg for phrase in phrases for arg in ("--phrase", phrase)]
+        assert run(session_dir, "search", "--name", "X", *argv) == 2
+        assert one_error_line(capsys) == "error: query phrases must not be blank\n"
+        assert session_files(session_dir) == before
 
     @pytest.mark.parametrize(
         "value",

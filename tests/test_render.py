@@ -593,6 +593,7 @@ def year_charts(draw):
 class TestEdgePaths:
     @settings(max_examples=200, deadline=None)
     @given(drawn=drawn_maps())
+    @example(drawn=(simple_network({("a", "b"): (1, 2000)}), {"a": (0.0, 0.0), "b": (5e-313, 5e-313)}, None, None))
     def test_paths_hold_each_link_once_under_its_style_in_style_order(self, drawn):
         # Per panel: the segments of all edge paths are the network's links, one each,
         # each under its own year colour and width; styles by palette place, then width.
